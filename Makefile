@@ -35,23 +35,26 @@ chaos-smoke:
 jobs-smoke:
 	dune exec bin/ics_cli.exe -- chaos --seeds 2 --plans drop,blackout --jobs 2 --jobs-check
 
+# Follows a live command: its exit 2 means this sandbox has no loopback
+# sockets, a skip (print $(1)) rather than a failure; any other non-zero
+# exit fails the target.
+define skip_without_sockets
+rc=$$?; if [ $$rc -eq 2 ]; then echo "$(1)"; elif [ $$rc -ne 0 ]; then exit $$rc; fi
+endef
+
 # Chaos cells as forked loopback-TCP clusters: the seeded plans compiled
 # onto real sockets through the same interposer.  Includes the blackout
 # cell, so the S2.2 ct-on-ids counterexample must reproduce on the live
 # backend too (exit 2 = sandbox has no sockets = skip, not failure).
 chaos-live-smoke:
 	dune exec bin/ics_cli.exe -- chaos --live --seeds 1 --stacks ct-indirect,ct-on-ids --plans drop,blackout; \
-	rc=$$?; \
-	if [ $$rc -eq 2 ]; then echo "chaos-live-smoke: skipped (no loopback sockets)"; \
-	elif [ $$rc -ne 0 ]; then exit $$rc; fi
+	$(call skip_without_sockets,chaos-live-smoke: skipped (no loopback sockets))
 
 # Live 3-node loopback cluster, checker-verified (exit 2 = sandbox has no
 # sockets, which is a skip, not a failure).
 cluster-smoke:
 	dune exec bin/ics_cli.exe -- cluster -n 3 --algo ct --broadcast flood --count 10 --timeout 20; \
-	rc=$$?; \
-	if [ $$rc -eq 2 ]; then echo "cluster-smoke: skipped (no loopback sockets)"; \
-	elif [ $$rc -ne 0 ]; then exit $$rc; fi
+	$(call skip_without_sockets,cluster-smoke: skipped (no loopback sockets))
 
 # Saturation knee smoke: a tiny offered-load sweep of the batched/
 # pipelined/ring stack, replay-checked for sim determinism with every
@@ -60,9 +63,7 @@ cluster-smoke:
 saturation-smoke:
 	dune exec bin/ics_cli.exe -- bench --offered-load 200,400 --duration 0.5 --batch 8 --pipeline 2 --flush 1 --dissemination ring --n 5 --replay-check
 	dune exec bin/ics_cli.exe -- bench --live --offered-load 500 --duration 0.5 --batch 8 --pipeline 2 --flush 1 --dissemination ring --n 5; \
-	rc=$$?; \
-	if [ $$rc -eq 2 ]; then echo "saturation-smoke: live skipped (no loopback sockets)"; \
-	elif [ $$rc -ne 0 ]; then exit $$rc; fi
+	$(call skip_without_sockets,saturation-smoke: live skipped (no loopback sockets))
 
 # Closed-loop service smoke: a few hundred KV/ledger client sessions
 # through the full stack, replay-checked for sim determinism and gated by
@@ -72,9 +73,7 @@ saturation-smoke:
 service-smoke:
 	dune exec bin/ics_cli.exe -- service --clients 200 --requests 3 --replay-check
 	dune exec bin/ics_cli.exe -- service --clients 200 --requests 3 --live; \
-	rc=$$?; \
-	if [ $$rc -eq 2 ]; then echo "service-smoke: live skipped (no loopback sockets)"; \
-	elif [ $$rc -ne 0 ]; then exit $$rc; fi
+	$(call skip_without_sockets,service-smoke: live skipped (no loopback sockets))
 
 # Determinism & protocol-safety linter over lib/, bin/ and examples/
 # (exit 0 clean, 1 findings, 2 internal error).

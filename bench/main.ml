@@ -515,14 +515,10 @@ let run_faults_live ~quick =
         None
     | Ok o ->
         let ab = float_of_int (max 1 (3 * count)) in
-        let mean, p95 =
-          match o.Cluster.latency with
-          | Some l -> (l.Cluster.mean_ms, l.Cluster.p95_ms)
-          | None -> (Float.nan, Float.nan)
-        in
+        let l = Option.value o.latency ~default:Stats.empty_summary in
         Some
-          ( mean,
-            p95,
+          ( l.Stats.mean,
+            l.Stats.p95,
             total "drops" o.Cluster.faults,
             float_of_int (total "retransmits" o.Cluster.retx) /. ab,
             Cluster.ok o )
@@ -785,13 +781,8 @@ let run_wire ~quick =
               Format.printf "n=%d: skipped (%s)@." n e;
               None
           | Ok o ->
-              let ok = Cluster.ok o in
-              let mean, p95, p99, max_ms =
-                match o.Cluster.latency with
-                | Some l -> (l.Cluster.mean_ms, l.Cluster.p95_ms, l.Cluster.p99_ms, l.Cluster.max_ms)
-                | None -> (Float.nan, Float.nan, Float.nan, Float.nan)
-              in
-              Some (n, count, ok, mean, p95, p99, max_ms, o.Cluster.throughput_msg_s))
+              let l = Option.value o.latency ~default:Stats.empty_summary in
+              Some (n, count, Cluster.ok o, l, o.Cluster.throughput_msg_s))
         [ 3; 5; 7 ]
   in
   if live_rows <> [] then begin
@@ -802,16 +793,16 @@ let run_wire ~quick =
           [ "n"; "msgs/node"; "checker"; "mean[ms]"; "p95[ms]"; "p99[ms]"; "max[ms]"; "tput[msg/s]" ]
     in
     List.iter
-      (fun (n, count, ok, mean, p95, p99, max_ms, tput) ->
+      (fun (n, count, ok, (l : Stats.summary), tput) ->
         Table.add_row table
           [
             string_of_int n;
             string_of_int count;
             (if ok then "ok" else "FAIL");
-            Printf.sprintf "%.2f" mean;
-            Printf.sprintf "%.2f" p95;
-            Printf.sprintf "%.2f" p99;
-            Printf.sprintf "%.2f" max_ms;
+            Printf.sprintf "%.2f" l.Stats.mean;
+            Printf.sprintf "%.2f" l.Stats.p95;
+            Printf.sprintf "%.2f" l.Stats.p99;
+            Printf.sprintf "%.2f" l.Stats.max;
             Printf.sprintf "%.0f" tput;
           ])
       live_rows;
@@ -830,10 +821,10 @@ let run_wire ~quick =
   let live_json =
     String.concat ",\n"
       (List.map
-         (fun (n, count, ok, mean, p95, p99, max_ms, tput) ->
+         (fun (n, count, ok, (l : Stats.summary), tput) ->
            Printf.sprintf
              {|    {"n": %d, "msgs_per_node": %d, "checker_ok": %b, "latency_mean_ms": %.3f, "latency_p95_ms": %.3f, "latency_p99_ms": %.3f, "latency_max_ms": %.3f, "throughput_msg_s": %.0f}|}
-             n count ok mean p95 p99 max_ms tput)
+             n count ok l.Stats.mean l.Stats.p95 l.Stats.p99 l.Stats.max tput)
          live_rows)
   in
   Printf.fprintf oc "{\n  \"codec\": [\n%s\n  ],\n  \"live_loopback\": [\n%s\n  ]\n}\n"
@@ -855,11 +846,6 @@ let run_saturation ~quick =
   Codecs.ensure ();
   let n = 5 in
   let batched = { Abcast.batch = 32; pipeline = 4; flush_ms = 1.0 } in
-  let status p =
-    if Saturation.healthy p then "ok"
-    else if p.Saturation.checker_ok then "overload (checker ok)"
-    else "CHECKER FAIL"
-  in
   let print_curve title (c : Saturation.curve) =
     let table =
       Table.create ~title
@@ -876,7 +862,7 @@ let run_saturation ~quick =
             Printf.sprintf "%.2f" p.Saturation.latency.Stats.p95;
             Printf.sprintf "%.2f" p.Saturation.latency.Stats.p99;
             Printf.sprintf "%.2f" p.Saturation.latency.Stats.max;
-            status p;
+            Saturation.status p;
           ])
       c.Saturation.points;
     Table.print table;
@@ -929,7 +915,7 @@ let run_saturation ~quick =
   (* Live sweeps: real processes on loopback TCP.  Overload shows up as
      the drain running long (p99 explodes), never as a dirty trace. *)
   let live_seed, live_batched =
-    if not (Saturation.live_supported ()) then begin
+    if not (Cluster.supported ()) then begin
       Format.printf "live sweeps skipped: no loopback sockets here@.";
       (None, None)
     end
@@ -1097,7 +1083,7 @@ let run_wire2 ~quick =
      headline (batch=32/pipeline=4/ring, n=5, best-of-3). *)
   let batched = { Abcast.batch = 32; pipeline = 4; flush_ms = 1.0 } in
   let live_knee =
-    if not (Saturation.live_supported ()) then begin
+    if not (Cluster.supported ()) then begin
       Format.printf "live sweep skipped: no loopback sockets here@.";
       None
     end
@@ -1118,9 +1104,7 @@ let run_wire2 ~quick =
               Printf.sprintf "%.0f" p.Saturation.offered;
               Printf.sprintf "%.0f" p.Saturation.achieved;
               Printf.sprintf "%.2f" p.Saturation.latency.Stats.p99;
-              (if Saturation.healthy p then "ok"
-               else if p.Saturation.checker_ok then "overload (checker ok)"
-               else "CHECKER FAIL");
+              Saturation.status p;
             ])
         c.Saturation.points;
       Table.print table;
@@ -1216,7 +1200,7 @@ let run_service ~quick =
   let batching = { Abcast.batch = 256; pipeline = 8; flush_ms = 1.0 } in
   let clients = if quick then 2_000 else 10_000 in
   let requests = 1 in
-  let live_ok = Service.live_supported () in
+  let live_ok = Cluster.supported () in
   let pair n =
     let sim = Service.sim_point ~seed:1L ~batching ~n ~clients ~requests () in
     let live =
@@ -1232,11 +1216,6 @@ let run_service ~quick =
     (n, sim, live)
   in
   let results = List.map pair [ 3; 5 ] in
-  let status (p : Service.point) =
-    if p.Service.checker_ok && p.Service.clean then "ok"
-    else if not p.Service.checker_ok then "CHECKER FAIL"
-    else "INCOMPLETE"
-  in
   let table =
     Table.create ~title:(Printf.sprintf "service: %d closed-loop clients" clients)
       ~columns:
@@ -1250,7 +1229,7 @@ let run_service ~quick =
         Printf.sprintf "%.0f" p.Service.achieved;
         Printf.sprintf "%.2f" p.Service.latency.Stats.p50;
         Printf.sprintf "%.2f" p.Service.latency.Stats.p99;
-        status p;
+        Service.status p;
         (match p.Service.hash with
         | Some (c, h) -> Printf.sprintf "%Lx@%d" h c
         | None -> "-");

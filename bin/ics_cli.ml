@@ -24,7 +24,8 @@ let profile_term ?(specs = Profile.specs) base =
         Arg.(
           value
           & opt (some string) None
-          & info spec.Profile.keys ~docv:spec.Profile.docv ~doc:spec.Profile.doc)
+          & info spec.Profile.keys ~docv:spec.Profile.docv ~doc:spec.Profile.doc
+              ~absent:(spec.Profile.get base))
       in
       let apply profile = function
         | None -> profile
@@ -37,6 +38,34 @@ let profile_term ?(specs = Profile.specs) base =
       in
       Term.(const apply $ term $ arg))
     (Term.const base) specs
+
+(* Selected rows of the flag table, under their canonical name only (a
+   command that never had a row's aliases does not grow them). *)
+let spec_rows keys =
+  List.map
+    (fun key ->
+      let spec =
+        List.find (fun (s : Profile.spec) -> List.hd s.Profile.keys = key) Profile.specs
+      in
+      { spec with Profile.keys = [ key ] })
+    keys
+
+(* The live commands' exit 2: this environment has no loopback sockets,
+   which the smoke targets treat as a skip, not a failure. *)
+let skip_live cmd reason =
+  Format.eprintf "%s: skip: %s@." cmd reason;
+  exit 2
+
+let require_sockets cmd =
+  if not (Ics_runtime.Cluster.supported ()) then
+    skip_live cmd "loopback sockets unavailable in this environment"
+
+(* The verdict of a single-cell replay check; a divergence fails the run. *)
+let report_replay ~what = function
+  | Ok fp -> Format.printf "replay check: bit-identical (%s)@." fp
+  | Error (a, b) ->
+      Format.printf "FAIL: %s cell replayed differently: %s vs %s@." what a b;
+      exit 1
 
 let setup_conv =
   Arg.enum
@@ -232,13 +261,9 @@ let trace_cmd =
    clusters judged by the same checker. *)
 
 let chaos_cmd =
-  let exec seeds seed_base n stacks plans batch pipeline flush no_retransmit
-      app live replay_check jobs jobs_check verbose =
-    let batching = { Abcast.batch; pipeline; flush_ms = flush } in
-    if batch < 1 || pipeline < 1 || flush < 0.0 then begin
-      Format.eprintf "chaos: --batch/--pipeline must be >= 1, --flush >= 0@.";
-      exit 2
-    end;
+  let exec seeds seed_base n stacks plans profile no_retransmit app live
+      replay_check jobs jobs_check verbose =
+    let batching = Profile.batching profile in
     let parse_csv ~what ~of_string ~all s =
       if s = "all" then all
       else
@@ -250,7 +275,7 @@ let chaos_cmd =
                | Some v -> v
                | None ->
                    Format.eprintf "unknown %s %s@." what name;
-                   exit 1)
+                   exit 2)
     in
     let stacks =
       parse_csv ~what:"stack" ~of_string:Chaos.stack_of_string
@@ -261,10 +286,7 @@ let chaos_cmd =
         ~all:Chaos.all_plans plans
     in
     let backend = if live then `Live else `Sim in
-    if live && not (Chaos.live_supported ()) then begin
-      Format.eprintf "chaos: skip: loopback sockets unavailable in this environment@.";
-      exit 2
-    end;
+    if live then require_sockets "chaos";
     if jobs < 1 then begin
       Format.eprintf "chaos: --jobs must be >= 1@.";
       exit 2
@@ -373,23 +395,8 @@ let chaos_cmd =
       & info [ "plans" ]
           ~doc:"Comma-separated: drop, dup, reorder, partition, storm, blackout, mixed; or 'all'.")
   in
-  let batch =
-    Arg.(
-      value & opt int 1
-      & info [ "batch" ]
-          ~doc:"Fresh ids that trigger a consensus proposal (1 = seed behaviour).")
-  in
-  let pipeline =
-    Arg.(
-      value & opt int 1
-      & info [ "pipeline" ]
-          ~doc:"Concurrent consensus instances (commits stay in instance order).")
-  in
-  let flush =
-    Arg.(
-      value
-      & opt float Abcast.no_batching.Abcast.flush_ms
-      & info [ "flush" ] ~doc:"Batch flush timer, ms.")
+  let profile =
+    profile_term ~specs:(spec_rows [ "batch"; "pipeline"; "flush" ]) Profile.default
   in
   let no_retransmit =
     Arg.(
@@ -455,9 +462,9 @@ let chaos_cmd =
     (Cmd.info "chaos"
        ~doc:"Seeded fault-injection sweep (stacks x fault plans x seeds), simulated or live")
     Term.(
-      const exec $ seeds $ seed_base $ n $ stacks $ plans $ batch $ pipeline
-      $ flush $ no_retransmit $ app_flag $ live $ replay_check $ jobs
-      $ jobs_check $ verbose)
+      const exec $ seeds $ seed_base $ n $ stacks $ plans $ profile
+      $ no_retransmit $ app_flag $ live $ replay_check $ jobs $ jobs_check
+      $ verbose)
 
 (* Live runtime: `cluster` forks a real loopback-TCP cluster and checks
    the merged delivery logs; `node` runs a single process of one (for
@@ -467,11 +474,6 @@ let chaos_cmd =
 module Node = Ics_runtime.Node
 module Cluster = Ics_runtime.Cluster
 module Trace_io = Ics_runtime.Trace_io
-
-let pp_latency ppf (l : Cluster.latency) =
-  Format.fprintf ppf "mean=%.2f ms p95=%.2f ms p99=%.2f ms max=%.2f ms (%d samples)"
-    l.Cluster.mean_ms l.Cluster.p95_ms l.Cluster.p99_ms l.Cluster.max_ms
-    l.Cluster.samples
 
 let cluster_cmd =
   let exec profile keep_dir use_exec =
@@ -485,9 +487,7 @@ let cluster_cmd =
       }
     in
     match Cluster.run config with
-    | Error reason ->
-        Format.eprintf "cluster: skip: %s@." reason;
-        exit 2
+    | Error reason -> skip_live "cluster" reason
     | Ok o ->
         Format.printf "cluster: %s, %d msgs/node, %d B payloads over loopback TCP%s@."
           (Profile.describe profile) profile.Profile.count
@@ -498,9 +498,7 @@ let cluster_cmd =
             Format.printf "  node %d: %d/%d adelivered, exit %d@." i d
               o.Cluster.expected_per_node o.Cluster.exits.(i))
           o.Cluster.delivered_per_node;
-        (match o.Cluster.latency with
-        | Some l -> Format.printf "latency: %a@." pp_latency l
-        | None -> ());
+        Option.iter (Format.printf "latency: %a@." Stats.pp_summary) o.latency;
         Format.printf "throughput: %.0f msg/s over %.1f ms (%d trace events)@."
           o.Cluster.throughput_msg_s o.Cluster.duration_ms o.Cluster.events;
         if keep_dir then Format.printf "traces: %s@." o.Cluster.trace_dir;
@@ -566,8 +564,7 @@ let node_cmd =
     let listen =
       match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
       | exception Unix.Unix_error (e, _, _) ->
-          Format.eprintf "node: skip: cannot create sockets (%s)@." (Unix.error_message e);
-          exit 2
+          skip_live "node" ("cannot create sockets (" ^ Unix.error_message e ^ ")")
       | fd -> (
           Unix.setsockopt fd Unix.SO_REUSEADDR true;
           match
@@ -689,23 +686,12 @@ let bench_cmd =
       (Profile.broadcast_to_string broadcast)
       batching.Abcast.batch batching.Abcast.pipeline batching.Abcast.flush_ms
       (if live then "live" else "sim");
-    if replay_check then begin
-      match
-        Saturation.replay_check ~seed ~algo ~ordering ~n ~batching ~broadcast ()
-      with
-      | Ok fp -> Format.printf "replay check: bit-identical (%s)@." fp
-      | Error (a, b) ->
-          Format.printf "FAIL: saturation cell replayed differently: %s vs %s@."
-            a b;
-          exit 1
-    end;
+    if replay_check then
+      report_replay ~what:"saturation"
+        (Saturation.replay_check ~seed ~algo ~ordering ~n ~batching ~broadcast ());
     let curve =
       if live then begin
-        if not (Saturation.live_supported ()) then begin
-          Format.eprintf
-            "bench: skip: loopback sockets unavailable in this environment@.";
-          exit 2
-        end;
+        require_sockets "bench";
         Saturation.live_curve ~seed ~algo ~ordering ~body_bytes:size
           ~duration_ms:(duration *. 1000.0) ~n ~batching ~broadcast loads
       end
@@ -724,9 +710,7 @@ let bench_cmd =
           p.Saturation.latency.Stats.max
           (if Float.is_nan p.Saturation.util then "-"
            else Printf.sprintf "%.0f%%" (p.Saturation.util *. 100.0))
-          (if not p.Saturation.checker_ok then "CHECKER FAIL"
-           else if Saturation.healthy p then "ok"
-           else "overload (checker ok)"))
+          (Saturation.status p))
       curve.Saturation.points;
     (match Saturation.knee curve with
     | Some k ->
@@ -797,25 +781,13 @@ let bench_cmd =
 module Service = Ics_workload.Service
 
 let service_cmd =
-  let exec n clients requests seed batch pipeline flush live attempts
-      replay_check =
-    let batching = { Abcast.batch; pipeline; flush_ms = flush } in
-    if batch < 1 || pipeline < 1 || flush < 0.0 || n < 1 || clients < 1
-       || requests < 1
-    then begin
-      Format.eprintf
-        "service: --n/--clients/--requests/--batch/--pipeline must be >= 1, \
-         --flush >= 0@.";
-      exit 2
-    end;
-    if replay_check then begin
-      match Service.replay_check ~seed ~batching ~n () with
-      | Ok fp -> Format.printf "replay check: bit-identical (%s)@." fp
-      | Error (a, b) ->
-          Format.printf "FAIL: service cell replayed differently: %s vs %s@." a
-            b;
-          exit 1
-    end;
+  let exec (profile : Profile.t) seed live attempts replay_check =
+    let n = profile.Profile.n
+    and clients = profile.Profile.clients
+    and requests = profile.Profile.requests
+    and batching = Profile.batching profile in
+    if replay_check then
+      report_replay ~what:"service" (Service.replay_check ~seed ~batching ~n ());
     let pp_point (p : Service.point) =
       Format.printf
         "%-4s n=%d clients=%d requests=%d: %d commands, %.0f cmd/s, p50 %.2f \
@@ -823,10 +795,7 @@ let service_cmd =
         (match p.Service.backend with `Sim -> "sim" | `Live -> "live")
         p.Service.n p.Service.clients p.Service.requests p.Service.commands
         p.Service.achieved p.Service.latency.Stats.p50
-        p.Service.latency.Stats.p99
-        (if p.Service.checker_ok && p.Service.clean then "ok"
-         else if not p.Service.checker_ok then "CHECKER FAIL"
-         else "INCOMPLETE")
+        p.Service.latency.Stats.p99 (Service.status p)
         (match p.Service.hash with
         | Some (c, h) -> Printf.sprintf " (hash %Lx @ %d)" h c
         | None -> "")
@@ -835,17 +804,10 @@ let service_cmd =
     pp_point sim;
     let failed = ref (not (sim.Service.checker_ok && sim.Service.clean)) in
     if live then begin
-      if not (Service.live_supported ()) then begin
-        Format.eprintf
-          "service: skip: loopback sockets unavailable in this environment@.";
-        exit 2
-      end;
       match
         Service.live_point ~seed ~batching ~attempts ~n ~clients ~requests ()
       with
-      | Error reason ->
-          Format.eprintf "service: skip: %s@." reason;
-          exit 2
+      | Error reason -> skip_live "service" reason
       | Ok lp ->
           pp_point lp;
           if not (lp.Service.checker_ok && lp.Service.clean) then failed := true;
@@ -862,27 +824,19 @@ let service_cmd =
       exit 1
     end
   in
-  let n = Arg.(value & opt int 3 & info [ "n" ] ~doc:"Number of replicas.") in
-  let clients =
-    Arg.(value & opt int 200 & info [ "clients" ] ~doc:"Closed-loop client sessions.")
-  in
-  let requests =
-    Arg.(value & opt int 3 & info [ "requests" ] ~doc:"Commands per client.")
+  let profile =
+    profile_term
+      ~specs:(spec_rows [ "n"; "clients"; "requests"; "batch"; "pipeline"; "flush" ])
+      {
+        Profile.default with
+        Profile.clients = 200;
+        requests = 3;
+        batch = 8;
+        pipeline = 4;
+        flush_ms = 1.0;
+      }
   in
   let seed = Arg.(value & opt int64 1L & info [ "seed" ] ~doc:"Run seed.") in
-  let batch =
-    Arg.(
-      value & opt int 8
-      & info [ "batch" ] ~doc:"Fresh ids that trigger a consensus proposal.")
-  in
-  let pipeline =
-    Arg.(
-      value & opt int 4
-      & info [ "pipeline" ] ~doc:"Concurrent consensus instances.")
-  in
-  let flush =
-    Arg.(value & opt float 1.0 & info [ "flush" ] ~doc:"Batch flush timer, ms.")
-  in
   let live =
     Arg.(
       value & flag
@@ -924,8 +878,7 @@ let service_cmd =
               no socket support.";
          ])
     Term.(
-      const exec $ n $ clients $ requests $ seed $ batch $ pipeline $ flush
-      $ live $ attempts $ replay_check)
+      const exec $ profile $ seed $ live $ attempts $ replay_check)
 
 let list_cmd =
   let exec () =

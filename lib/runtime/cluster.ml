@@ -29,23 +29,14 @@ let default =
     check = `By_ordering;
   }
 
-type latency = {
-  samples : int;
-  mean_ms : float;
-  p50_ms : float;
-  p95_ms : float;
-  p99_ms : float;
-  max_ms : float;
-}
-
 type outcome = {
   verdict : Checker.verdict;
   delivered_per_node : int array;
   expected_per_node : int;
   exits : int array;  (** per-node exit codes (0 = clean barrier exit) *)
   duration_ms : float;  (** first abroadcast to last adelivery, merged clock *)
-  latency : latency option;
-  app_latency : latency option;
+  latency : Ics_prelude.Stats.summary option;
+  app_latency : Ics_prelude.Stats.summary option;
       (** client-visible: App_submit to App_applied at the client's home *)
   app_hash : (int * int64) option;
       (** deepest state-hash event: (applied cursor, canonical hash) *)
@@ -105,17 +96,7 @@ let split_kv prefix kvs =
    summary of an empty list. *)
 let summarize_opt = function
   | [] -> None
-  | l ->
-      let s = Ics_prelude.Stats.summarize l in
-      Some
-        {
-          samples = s.Ics_prelude.Stats.count;
-          mean_ms = s.Ics_prelude.Stats.mean;
-          p50_ms = s.Ics_prelude.Stats.p50;
-          p95_ms = s.Ics_prelude.Stats.p95;
-          p99_ms = s.Ics_prelude.Stats.p99;
-          max_ms = s.Ics_prelude.Stats.max;
-        }
+  | l -> Some (Ics_prelude.Stats.summarize l)
 
 (* Latency/throughput digest of the merged trace.  Message latency is
    Abroadcast -> Adeliver per delivery; app latency is client-visible —

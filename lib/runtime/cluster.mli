@@ -39,23 +39,15 @@ type config = {
 
 val default : config
 
-type latency = {
-  samples : int;
-  mean_ms : float;
-  p50_ms : float;  (** client-visible medians headline the service bench *)
-  p95_ms : float;
-  p99_ms : float;  (** knee curves report tail latency, not just p95 *)
-  max_ms : float;
-}
-
 type outcome = {
   verdict : Checker.verdict;
   delivered_per_node : int array;
   expected_per_node : int;
   exits : int array;  (** per-node exit codes (0 = clean barrier exit) *)
   duration_ms : float;  (** first abroadcast to last adelivery, merged clock *)
-  latency : latency option;  (** abroadcast → adelivery, all (msg, node) pairs *)
-  app_latency : latency option;
+  latency : Ics_prelude.Stats.summary option;
+      (** abroadcast → adelivery in ms, all (msg, node) pairs *)
+  app_latency : Ics_prelude.Stats.summary option;
       (** client-visible: App_submit to App_applied at the client's home
           replica; [None] when no app is hosted (or nothing applied) *)
   app_hash : (int * int64) option;
@@ -75,7 +67,8 @@ val ok : outcome -> bool
 (** Checker verdict passed and every node exited via the done barrier. *)
 
 val measure :
-  Ics_sim.Trace.event list -> float * latency option * latency option * float
+  Ics_sim.Trace.event list ->
+  float * Ics_prelude.Stats.summary option * Ics_prelude.Stats.summary option * float
 (** [(duration_ms, latency, app_latency, throughput_msg_s)] digest of a
     merged trace.  Both latency summaries are [None] — never a summary
     of an empty sample list — when the trace holds no deliveries

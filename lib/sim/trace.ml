@@ -98,3 +98,5 @@ let pp_event ppf e =
   Format.fprintf ppf "%a %a %a" Time.pp e.time Pid.pp e.pid pp_kind e.kind
 
 let pp ppf t = iter t (fun e -> Format.fprintf ppf "%a@." pp_event e)
+
+let fingerprint t = Digest.to_hex (Digest.string (Format.asprintf "%a" pp t))

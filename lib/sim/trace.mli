@@ -68,3 +68,8 @@ val find_all : t -> pid:Pid.t -> (kind -> bool) -> event list
 val pp_kind : Format.formatter -> kind -> unit
 val pp_event : Format.formatter -> event -> unit
 val pp : Format.formatter -> t -> unit
+
+val fingerprint : t -> string
+(** Hex MD5 of the {!pp} rendering: the replay witness every
+    deterministic run is compared by.  Two traces share a fingerprint
+    exactly when they render identically. *)

@@ -19,7 +19,6 @@ module Cluster = Ics_runtime.Cluster
 type backend = [ `Sim | `Live ]
 
 let backend_name = function `Sim -> "sim" | `Live -> "live"
-let live_supported () = Cluster.supported ()
 
 type stack_kind = Ct_indirect | Mr_indirect | Ct_on_ids
 
@@ -164,11 +163,28 @@ let stack_shape = function
    broadcasts (Ride mode: slot i = one-request client i), so a cell where
    ordered commands never take effect fails *semantically* — via
    app.progress and state-hash agreement — not just via the message-level
-   battery.  The app fields are cell constants, identical on both
-   backends, so a (stack, plan, seed) cell means the same run either
-   way. *)
+   battery.  The app fields are cell constants and one [cell_profile]
+   serves both backends, so a (stack, plan, seed) cell means the same run
+   either way. *)
 let app_seed = 42
 let app_hash_every = 4
+
+let cell_profile ~batching ~app stack ~n =
+  let algo, ordering = stack_shape stack in
+  {
+    Profile.default with
+    Profile.n;
+    algo;
+    ordering;
+    batch = batching.Abcast.batch;
+    pipeline = batching.Abcast.pipeline;
+    flush_ms = batching.Abcast.flush_ms;
+    app = (if app then Profile.Kv else Profile.No_app);
+    app_seed;
+    hash_every = app_hash_every;
+    count = messages;
+    body_bytes = 32;
+  }
 
 let run_one_sim ?(batching = Abcast.no_batching) ?(app = false) ~retransmit ?n
     stack plan_kind ~seed =
@@ -209,16 +225,7 @@ let run_one_sim ?(batching = Abcast.no_batching) ?(app = false) ~retransmit ?n
   in
   let stack_t = Stack.create ~engine ~on_deliver config in
   if app then begin
-    let profile =
-      {
-        (Stack.profile config) with
-        Profile.app = Profile.Kv;
-        app_seed;
-        hash_every = app_hash_every;
-        count = messages;
-        body_bytes = 32;
-      }
-    in
+    let profile = cell_profile ~batching ~app stack ~n in
     hosts :=
       Array.init n (fun p ->
           App_host.install stack_t.Stack.transport ~abcast:stack_t.Stack.abcast
@@ -262,9 +269,7 @@ let run_one_sim ?(batching = Abcast.no_batching) ?(app = false) ~retransmit ?n
          (fun p -> Abcast.blocked_head stack_t.Stack.abcast p <> None)
          correct)
   in
-  let fingerprint =
-    Digest.to_hex (Digest.string (Format.asprintf "%a" Ics_sim.Trace.pp trace))
-  in
+  let fingerprint = Ics_sim.Trace.fingerprint trace in
   {
     backend = `Sim;
     stack;
@@ -290,32 +295,19 @@ let run_one_sim ?(batching = Abcast.no_batching) ?(app = false) ~retransmit ?n
 let live_warmup_ms = 400.0
 let live_deadline_ms = 2_500.0
 
-let live_profile ?(batching = Abcast.no_batching) ?(app = false) stack ~n =
-  let algo, ordering = stack_shape stack in
-  {
-    Profile.default with
-    Profile.n;
-    algo;
-    ordering;
-    batch = batching.Abcast.batch;
-    pipeline = batching.Abcast.pipeline;
-    flush_ms = batching.Abcast.flush_ms;
-    app = (if app then Profile.Kv else Profile.No_app);
-    app_seed;
-    hash_every = app_hash_every;
-    count = messages;
-    body_bytes = 32;
-    warmup_ms = live_warmup_ms;
-    deadline_ms = live_deadline_ms;
-  }
-
-let run_one_live ?batching ?(app = false) ~retransmit ?n stack plan_kind ~seed =
+let run_one_live ?(batching = Abcast.no_batching) ?(app = false) ~retransmit ?n
+    stack plan_kind ~seed =
   let n = match n with Some n -> n | None -> default_n stack in
   let plan = gen_plan plan_kind ~n ~seed in
   let node =
     {
       Node.default_workload with
-      Node.profile = live_profile ?batching ~app stack ~n;
+      Node.profile =
+        {
+          (cell_profile ~batching ~app stack ~n) with
+          Profile.warmup_ms = live_warmup_ms;
+          deadline_ms = live_deadline_ms;
+        };
       seed;
       plan;
       plan_seed = Int64.add seed 0x5DEECE66DL;
@@ -324,7 +316,9 @@ let run_one_live ?batching ?(app = false) ~retransmit ?n stack plan_kind ~seed =
     }
   in
   match
-    Cluster.run { Cluster.default with Cluster.node; check = `All }
+    Run.live ~attempts:1
+      ~latency:(fun (o : Cluster.outcome) -> o.latency)
+      ~stop:Cluster.ok node
   with
   | Error reason -> failwith ("chaos live backend: " ^ reason)
   | Ok o ->
@@ -380,6 +374,10 @@ let force_shared_state () =
   Ics_core.Codecs.ensure ();
   ignore (Ics_codec.Prim.crc32 "" : int)
 
+let cells_of ~stacks ~plans =
+  Array.of_list
+    (List.concat_map (fun stack -> List.map (fun plan -> (stack, plan)) plans) stacks)
+
 let clamp_jobs ~backend ~jobs =
   match backend with
   (* The live backend forks node processes; fork from a non-main domain
@@ -392,12 +390,7 @@ let sweep_results ?(backend = `Sim) ?batching ?app ?(retransmit = true) ?n
     ?(seed_base = 1L) ?(seeds = 100) ?(progress = fun _ -> ()) ?(jobs = 1)
     ~stacks ~plans () =
   let jobs = clamp_jobs ~backend ~jobs in
-  let cells =
-    Array.of_list
-      (List.concat_map
-         (fun stack -> List.map (fun plan -> (stack, plan)) plans)
-         stacks)
-  in
+  let cells = cells_of ~stacks ~plans in
   (* Progress lines stream in completion order (cells race when jobs >
      1); only their interleaving varies — each line's content, and
      everything in the returned cells, is interleaving-free. *)
@@ -526,29 +519,17 @@ type mismatch = {
 let replay_check ?batching ?app ?(retransmit = true) ?n ?(seed_base = 1L)
     ?(jobs = 1) ~stacks ~plans () =
   let jobs = clamp_jobs ~backend:`Sim ~jobs in
-  let cells =
-    Array.of_list
-      (List.concat_map
-         (fun stack -> List.map (fun plan -> (stack, plan)) plans)
-         stacks)
-  in
+  let cells = cells_of ~stacks ~plans in
   let check (stack, plan_kind) =
-    let fp () =
-      (run_one ?batching ?app ?n ~retransmit stack plan_kind ~seed:seed_base)
-        .fingerprint
-    in
-    let first = fp () in
-    let second = fp () in
-    if String.equal first second then None
-    else
-      Some
-        {
-          m_stack = stack;
-          m_plan = plan_kind;
-          m_seed = seed_base;
-          m_first = first;
-          m_second = second;
-        }
+    match
+      Run.replay (fun () ->
+          (run_one ?batching ?app ?n ~retransmit stack plan_kind ~seed:seed_base)
+            .fingerprint)
+    with
+    | Ok _ -> None
+    | Error (m_first, m_second) ->
+        Some
+          { m_stack = stack; m_plan = plan_kind; m_seed = seed_base; m_first; m_second }
   in
   if jobs > 1 then force_shared_state ();
   List.filter_map Fun.id

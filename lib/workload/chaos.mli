@@ -31,10 +31,6 @@ type backend = [ `Sim | `Live ]
 
 val backend_name : backend -> string
 
-val live_supported : unit -> bool
-(** Whether the [`Live] backend can run here (loopback TCP available);
-    callers should skip, not fail, when it cannot. *)
-
 type stack_kind =
   | Ct_indirect  (** Chandra–Toueg, indirect consensus, n = 3 *)
   | Mr_indirect  (** Mostéfaoui–Raynal, indirect consensus, n = 5 *)
@@ -108,7 +104,8 @@ val run_one :
     {!Ics_net.Retransmit.wrap} over the nemesis model in simulation, the
     acknowledged wire channel ({!Ics_net.Retransmit.install}) on live
     nodes; [n] defaults per stack ({!default_n}).
-    @raise Failure on [`Live] when {!live_supported} is false. *)
+    @raise Failure on [`Live] when {!Ics_runtime.Cluster.supported} is
+    false. *)
 
 val replay_hint : result -> string
 (** The exact CLI invocation that reproduces this run. *)

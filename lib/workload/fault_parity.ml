@@ -91,7 +91,5 @@ let sim () =
   {
     received;
     faults = Model.Fault_stats.to_list stats;
-    fingerprint =
-      Digest.to_hex
-        (Digest.string (Format.asprintf "%a" Ics_sim.Trace.pp trace));
+    fingerprint = Ics_sim.Trace.fingerprint trace;
   }

@@ -69,22 +69,14 @@ let knee curve =
   in
   match fastest healthy with Some p -> Some p | None -> fastest curve.points
 
+let status p =
+  if healthy p then "ok"
+  else if p.checker_ok then "overload (checker ok)"
+  else "CHECKER FAIL"
+
 (* ------------------------------------------------------------------ *)
 (* Simulated sweep.                                                   *)
 (* ------------------------------------------------------------------ *)
-
-let sim_config ?(seed = 1L) ?(algo = Profile.Ct)
-    ?(ordering = Abcast.Indirect_consensus) ~n ~batching ~broadcast () =
-  {
-    Stack.default_config with
-    Stack.n;
-    seed;
-    algo;
-    ordering;
-    broadcast;
-    batching;
-    setup = Stack.Setup2;
-  }
 
 let sim_point ?(seed = 1L) ?(body_bytes = 32) ?(duration_ms = 4_000.0)
     ~config offered =
@@ -116,7 +108,7 @@ let sim_point ?(seed = 1L) ?(body_bytes = 32) ?(duration_ms = 4_000.0)
 
 let sim_curve ?seed ?algo ?ordering ?body_bytes ?duration_ms ~n ~batching
     ~broadcast offered_loads =
-  let config = sim_config ?seed ?algo ?ordering ~n ~batching ~broadcast () in
+  let config = Run.setup2 ?seed ?algo ?ordering ~broadcast ~batching ~n () in
   {
     backend = `Sim;
     n;
@@ -131,123 +123,57 @@ let sim_curve ?seed ?algo ?ordering ?body_bytes ?duration_ms ~n ~batching
 (* Live sweep.                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let live_supported = Cluster.supported
+let live_of_outcome offered (o : Cluster.outcome) =
+  {
+    offered;
+    achieved = o.Cluster.throughput_msg_s;
+    latency = Option.value o.latency ~default:Stats.empty_summary;
+    checker_ok = Checker.ok o.Cluster.verdict;
+    clean = Cluster.ok o;
+    util = Float.nan;
+    delivered = Array.fold_left ( + ) 0 o.Cluster.delivered_per_node;
+  }
 
-(* A fixed arrival window: each node broadcasts its share of [offered]
-   at even gaps for [duration_ms], then the cluster drains to the
-   delivery barrier (or times out, which marks the point un-clean). *)
-let live_profile ?(algo = Profile.Ct) ?(ordering = Abcast.Indirect_consensus)
-    ?(body_bytes = 32) ~n ~batching ~broadcast ~duration_ms ~drain_ms offered =
+(* A fixed arrival window: each node broadcasts its share of [offered] at
+   even gaps for [duration_ms], then the cluster drains to the delivery
+   barrier (or times out, which marks the point un-clean).  The drain
+   window is deliberately generous: the barrier exits as soon as delivery
+   completes, so the deadline only binds for points past the knee — and
+   those must still drain to a checker-clean trace rather than be killed
+   mid-protocol, or the sweep reports truncation noise instead of
+   overload.  Retries stop at the first healthy attempt (Run.live). *)
+let live_point ?(seed = 1L) ?algo ?ordering ?(body_bytes = 32)
+    ?(duration_ms = 2_000.0) ?(drain_ms = 10_000.0) ?(attempts = 1) ~n
+    ~batching ~broadcast offered =
+  let config = Run.setup2 ?algo ?ordering ~broadcast ~batching ~n () in
   let per_node = offered /. float_of_int n in
-  let gap_ms = 1000.0 /. per_node in
   let count =
     int_of_float (Float.round (offered *. duration_ms /. 1000.0 /. float_of_int n))
   in
-  let warmup_ms = 400.0 in
-  {
-    Profile.default with
-    Profile.n;
-    algo;
-    ordering;
-    broadcast;
-    (* A saturation point injects no faults, so the failure detector's
-       only job is crash liveness — but at saturation on an
-       oversubscribed host, scheduler stalls routinely exceed the
-       chaos-tuned 120 ms and a false suspicion triggers a round-change
-       storm that measures the detector, not the stack.  Suspect only
-       after a genuinely dead interval. *)
-    hb_timeout_ms = 2_000.0;
-    batch = batching.Abcast.batch;
-    pipeline = batching.Abcast.pipeline;
-    flush_ms = batching.Abcast.flush_ms;
-    count = max 1 count;
-    body_bytes;
-    gap_ms;
-    warmup_ms;
-    deadline_ms = warmup_ms +. duration_ms +. drain_ms;
-  }
-
-(* The drain window is deliberately generous: the barrier exits as soon
-   as delivery completes, so the deadline only binds for points past the
-   knee — and those must still drain to a checker-clean trace rather
-   than be killed mid-protocol, or the sweep reports truncation noise
-   instead of overload.
-
-   [attempts]: a live point measures *capacity*, and on an
-   oversubscribed host a single co-tenant burst during a one-second
-   arrival window inflates p99 by an order of magnitude — noise, not
-   queueing.  Best-of-k (stop at the first healthy attempt, else keep
-   the attempt with the lowest p99) approximates the uncontended
-   machine; every attempt still runs the full checker battery, so
-   robustness never trades against correctness. *)
-let live_point ?(seed = 1L) ?algo ?ordering ?body_bytes
-    ?(duration_ms = 2_000.0) ?(drain_ms = 10_000.0) ?(attempts = 1) ~n
-    ~batching ~broadcast offered =
   let profile =
-    live_profile ?algo ?ordering ?body_bytes ~n ~batching ~broadcast
-      ~duration_ms ~drain_ms offered
+    Run.live_profile
+      {
+        (Stack.profile config) with
+        Profile.count = max 1 count;
+        body_bytes;
+        gap_ms = 1000.0 /. per_node;
+      }
+      ~window_ms:(duration_ms +. drain_ms)
   in
-  let node = { Node.default_workload with Node.profile; seed } in
-  let once () =
-    match Cluster.run { Cluster.default with Cluster.node; check = `All } with
-    | Error reason -> Error reason
-    | Ok o ->
-        let latency =
-          match o.Cluster.latency with
-          | None -> Stats.empty_summary
-          | Some l ->
-              {
-                Stats.empty_summary with
-                Stats.count = l.Cluster.samples;
-                mean = l.Cluster.mean_ms;
-                p50 = l.Cluster.p50_ms;
-                p95 = l.Cluster.p95_ms;
-                p99 = l.Cluster.p99_ms;
-                max = l.Cluster.max_ms;
-              }
-        in
-        Ok
-          {
-            offered;
-            achieved = o.Cluster.throughput_msg_s;
-            latency;
-            checker_ok = Checker.ok o.Cluster.verdict;
-            clean = Cluster.ok o;
-            util = Float.nan;
-            delivered = Array.fold_left ( + ) 0 o.Cluster.delivered_per_node;
-          }
-  in
-  let better a b =
-    (* checker-clean beats dirty regardless of speed; then lower p99. *)
-    match (a.checker_ok && a.clean, b.checker_ok && b.clean) with
-    | true, false -> a
-    | false, true -> b
-    | _ -> if a.latency.Stats.p99 <= b.latency.Stats.p99 then a else b
-  in
-  let rec go k best =
-    if k >= attempts then Ok best
-    else
-      match once () with
-      | Error _ -> Ok best (* environment flaked mid-sweep; keep what ran *)
-      | Ok p ->
-          let best = better p best in
-          if healthy best then Ok best else go (k + 1) best
-  in
-  match once () with
-  | Error reason -> Error reason
-  | Ok p -> if healthy p then Ok p else go 1 p
+  Run.live ~attempts
+    ~latency:(fun (o : Cluster.outcome) -> o.latency)
+    ~stop:(fun o -> healthy (live_of_outcome offered o))
+    { Node.default_workload with Node.profile; seed }
+  |> Result.map (live_of_outcome offered)
 
 let live_curve ?seed ?algo ?ordering ?body_bytes ?duration_ms ?drain_ms
     ?attempts ~n ~batching ~broadcast offered_loads =
   let points =
     List.filter_map
       (fun o ->
-        match
-          live_point ?seed ?algo ?ordering ?body_bytes ?duration_ms ?drain_ms
-            ?attempts ~n ~batching ~broadcast o
-        with
-        | Ok p -> Some p
-        | Error _ -> None)
+        Result.to_option
+          (live_point ?seed ?algo ?ordering ?body_bytes ?duration_ms ?drain_ms
+             ?attempts ~n ~batching ~broadcast o))
       offered_loads
   in
   { backend = `Live; n; batching; broadcast; points }
@@ -261,9 +187,7 @@ let live_curve ?seed ?algo ?ordering ?body_bytes ?duration_ms ?drain_ms
    to the batched/pipelined/ring configuration. *)
 let sim_fingerprint ?(seed = 11L) ?algo ?ordering ?(offered = 400.0)
     ?(duration_ms = 1_000.0) ~n ~batching ~broadcast () =
-  let config = sim_config ~seed ?algo ?ordering ~n ~batching ~broadcast () in
-  let config = { config with Stack.trace = `On } in
-  let stack = Stack.create config in
+  let stack = Stack.create (Run.setup2 ~seed ?algo ?ordering ~broadcast ~batching ~n ()) in
   let engine = stack.Stack.engine in
   let gap = 1000.0 /. (offered /. float_of_int n) in
   let per_node = int_of_float (Float.round (duration_ms /. gap)) in
@@ -273,15 +197,10 @@ let sim_fingerprint ?(seed = 11L) ?algo ?ordering ?(offered = 400.0)
       (fun () -> ignore (Stack.abroadcast stack ~src:(k mod n) ~body_bytes:32))
   done;
   Stack.run ~until:(duration_ms +. 10_000.0) stack;
-  Digest.to_hex
-    (Digest.string (Format.asprintf "%a" Ics_sim.Trace.pp (Engine.trace engine)))
+  Ics_sim.Trace.fingerprint (Engine.trace engine)
 
 let replay_check ?seed ?algo ?ordering ?offered ?duration_ms ~n ~batching
     ~broadcast () =
-  let fp () =
-    sim_fingerprint ?seed ?algo ?ordering ?offered ?duration_ms ~n ~batching
-      ~broadcast ()
-  in
-  let first = fp () in
-  let second = fp () in
-  if String.equal first second then Ok first else Error (first, second)
+  Run.replay (fun () ->
+      sim_fingerprint ?seed ?algo ?ordering ?offered ?duration_ms ~n ~batching
+        ~broadcast ())

@@ -42,29 +42,23 @@ type curve = {
 }
 
 val p99_bound_ms : float
-(** p99 latency above which a sim point counts as saturated (50 ms) —
-    the open-loop simulator drains its backlog, so achieved throughput
+(** p99 latency above which a point counts as saturated (100 ms, DESIGN.md
+    §12).  Both backends drain their whole backlog, so achieved throughput
     tracks offered load even past capacity and the latency tail is the
-    honest overload signal (live points are gated by the delivery
-    barrier instead). *)
+    honest overload signal. *)
 
 val healthy : point -> bool
-(** [checker_ok && clean], and on sim points [p99 <= p99_bound_ms]. *)
+(** [checker_ok && clean && p99 <= p99_bound_ms] (a point with no
+    latency samples passes the bound), on both backends — the live
+    best-of-k stops at the first healthy attempt. *)
+
+val status : point -> string
+(** ["ok"] when {!healthy}, ["overload (checker ok)"] when only the
+    bound or the clean finish failed, ["CHECKER FAIL"] otherwise. *)
 
 val knee : curve -> point option
 (** The fastest {!healthy} point; falls back to the fastest point
     overall when no point is healthy, [None] on an empty curve. *)
-
-val sim_config :
-  ?seed:int64 ->
-  ?algo:Profile.algo ->
-  ?ordering:Abcast.ordering ->
-  n:int ->
-  batching:Abcast.batching ->
-  broadcast:Profile.broadcast_kind ->
-  unit ->
-  Stack.config
-(** Setup 2 (1 Gb/s switched, P4 hosts) stack config for the sweep. *)
 
 val sim_point :
   ?seed:int64 ->
@@ -73,7 +67,8 @@ val sim_point :
   config:Stack.config ->
   float ->
   point
-(** One simulated point at the given offered load (msg/s). *)
+(** One simulated point at the given offered load (msg/s); [config]
+    comes from {!Run.setup2}. *)
 
 val sim_curve :
   ?seed:int64 ->
@@ -86,9 +81,6 @@ val sim_curve :
   broadcast:Profile.broadcast_kind ->
   float list ->
   curve
-
-val live_supported : unit -> bool
-(** Whether this environment can run loopback TCP clusters. *)
 
 val live_point :
   ?seed:int64 ->
@@ -105,10 +97,8 @@ val live_point :
   (point, string) result
 (** One live cluster point.  [Error reason] only when the environment
     cannot run sockets; an overloaded run surfaces as [clean = false].
-    [attempts] (default 1) reruns an unhealthy point and keeps the best
-    attempt — capacity measurement on a shared host, where one co-tenant
-    burst can wreck a one-second window; every attempt is still gated by
-    the full checker battery. *)
+    [attempts] (default 1) reruns an unhealthy point best-of-k
+    ({!Run.live}), stopping at the first {!healthy} attempt. *)
 
 val live_curve :
   ?seed:int64 ->

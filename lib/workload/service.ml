@@ -47,36 +47,13 @@ let hash_match a b =
       ca = a.commands && cb = b.commands && ca = cb && Int64.equal ha hb
   | _ -> false
 
-let latency_of_cluster = function
-  | None -> Stats.empty_summary
-  | Some l ->
-      {
-        Stats.empty_summary with
-        Stats.count = l.Cluster.samples;
-        mean = l.Cluster.mean_ms;
-        p50 = l.Cluster.p50_ms;
-        p95 = l.Cluster.p95_ms;
-        p99 = l.Cluster.p99_ms;
-        max = l.Cluster.max_ms;
-      }
+let status p =
+  if p.checker_ok && p.clean then "ok"
+  else if not p.checker_ok then "CHECKER FAIL"
+  else "INCOMPLETE"
 
-(* ------------------------------------------------------------------ *)
-(* Simulated service point.                                           *)
-(* ------------------------------------------------------------------ *)
-
-let sim_config ?(seed = 1L) ?(algo = Profile.Ct)
-    ?(ordering = Abcast.Indirect_consensus) ?(batching = Abcast.no_batching) ~n
-    () =
-  {
-    Stack.default_config with
-    Stack.n;
-    seed;
-    algo;
-    ordering;
-    batching;
-    setup = Stack.Setup2;
-  }
-
+(* The profile both backends run: the config's stack shape plus the
+   closed-loop KV workload. *)
 let app_profile config ~clients ~requests ~app_seed ~hash_every ~retry_ms =
   {
     (Stack.profile config) with
@@ -90,37 +67,44 @@ let app_profile config ~clients ~requests ~app_seed ~hash_every ~retry_ms =
     body_bytes = 32;
   }
 
-(* One simulated point: assemble a stack, install an App_host per
-   replica (Service mode: the hosts own the client sessions), start the
-   sessions staggered over [ramp_ms], and run to the horizon.  The hosts
-   are wired through a ref because they need the stack's abcast, which
-   does not exist until [Stack.create] returns — deliveries cannot race
-   the assignment, the engine only runs inside [Stack.run]. *)
-let sim_point ?(seed = 1L) ?algo ?ordering ?batching ?(app_seed = 42)
-    ?(hash_every = 1024) ?(retry_ms = 500.0) ?(ramp_ms = 1_000.0)
-    ?(horizon_ms = 120_000.0) ~n ~clients ~requests () =
-  let config = sim_config ~seed ?algo ?ordering ?batching ~n () in
+(* ------------------------------------------------------------------ *)
+(* Simulated service point.                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Assemble a stack, install an App_host per replica (Service mode: the
+   hosts own the client sessions), start the sessions staggered over
+   [ramp_ms], and run to the horizon.  The hosts are wired through a ref
+   because they need the stack's abcast, which does not exist until
+   [Stack.create] returns — deliveries cannot race the assignment, the
+   engine only runs inside [Stack.run]. *)
+let simulate config ~profile ~ramp_ms ~horizon_ms =
   let hosts = ref [||] in
   let on_deliver p m =
     if Array.length !hosts > 0 then App_host.on_deliver !hosts.(p) m
   in
   let stack = Stack.create ~on_deliver config in
-  let profile = app_profile config ~clients ~requests ~app_seed ~hash_every ~retry_ms in
   hosts :=
-    Array.init n (fun p ->
+    Array.init config.Stack.n (fun p ->
         App_host.install stack.Stack.transport ~abcast:stack.Stack.abcast
           ~profile ~self:p ~mode:App_host.Service);
   Array.iter (fun h -> App_host.start h ~at:10.0 ~over_ms:ramp_ms) !hosts;
   Stack.run ~until:horizon_ms stack;
-  let trace = Engine.trace stack.Stack.engine in
+  (Engine.trace stack.Stack.engine, !hosts)
+
+let sim_point ?(seed = 1L) ?algo ?ordering ?batching ?(app_seed = 42)
+    ?(hash_every = 1024) ?(retry_ms = 500.0) ?(ramp_ms = 1_000.0)
+    ?(horizon_ms = 120_000.0) ~n ~clients ~requests () =
+  let config = Run.setup2 ~seed ?algo ?ordering ?batching ~n () in
+  let profile = app_profile config ~clients ~requests ~app_seed ~hash_every ~retry_ms in
+  let trace, hosts = simulate config ~profile ~ramp_ms ~horizon_ms in
   let run = Checker.Run.of_trace trace ~n in
   let verdict =
     Checker.merge [ Checker.check_all_abcast run; Checker.check_app run ]
   in
   let _, _, app_lat, throughput = Cluster.measure (Trace.events trace) in
   let clean =
-    Array.for_all App_host.complete !hosts
-    && Array.for_all App_host.sessions_done !hosts
+    Array.for_all App_host.complete hosts
+    && Array.for_all App_host.sessions_done hosts
   in
   let hash =
     Array.fold_left
@@ -129,7 +113,7 @@ let sim_point ?(seed = 1L) ?algo ?ordering ?batching ?(app_seed = 42)
         match best with
         | Some (cb, _) when cb >= c -> best
         | _ -> Some (c, App_host.hash h))
-      None !hosts
+      None hosts
   in
   {
     backend = `Sim;
@@ -138,7 +122,7 @@ let sim_point ?(seed = 1L) ?algo ?ordering ?batching ?(app_seed = 42)
     requests;
     commands = clients * requests;
     achieved = throughput;
-    latency = latency_of_cluster app_lat;
+    latency = Option.value app_lat ~default:Stats.empty_summary;
     checker_ok = Checker.ok verdict;
     clean;
     hash;
@@ -148,80 +132,35 @@ let sim_point ?(seed = 1L) ?algo ?ordering ?batching ?(app_seed = 42)
 (* Live service point.                                                *)
 (* ------------------------------------------------------------------ *)
 
-let live_supported = Cluster.supported
-
-let live_profile ?(algo = Profile.Ct) ?(ordering = Abcast.Indirect_consensus)
-    ?(batching = Abcast.no_batching) ?(app_seed = 42) ?(hash_every = 1024)
-    ?(retry_ms = 500.0) ~n ~clients ~requests ~deadline_ms () =
-  let warmup_ms = 400.0 in
-  {
-    Profile.default with
-    Profile.n;
-    algo;
-    ordering;
-    batch = batching.Abcast.batch;
-    pipeline = batching.Abcast.pipeline;
-    flush_ms = batching.Abcast.flush_ms;
-    app = Profile.Kv;
-    clients;
-    requests;
-    app_seed;
-    hash_every;
-    retry_ms;
-    count = clients * requests;
-    body_bytes = 32;
-    (* As in the saturation sweep: on an oversubscribed host a scheduler
-       stall past the chaos-tuned heartbeat triggers a round-change storm
-       that measures the detector, not the service. *)
-    hb_timeout_ms = 2_000.0;
-    warmup_ms;
-    deadline_ms = warmup_ms +. deadline_ms;
-  }
-
-(* Best-of-k, saturation-style: a live point on a shared host can lose a
-   whole percentile tier to one co-tenant burst; every attempt still runs
-   the full checker battery, so retrying never trades correctness. *)
-let live_point ?(seed = 1L) ?algo ?ordering ?batching ?app_seed ?hash_every
-    ?retry_ms ?(deadline_ms = 20_000.0) ?(attempts = 1) ~n ~clients ~requests
-    () =
+(* The same Setup-2 config and app profile as the sim point, run as a
+   live cluster; retries stop at the first checker-clean, barrier-clean
+   attempt (Run.live). *)
+let live_point ?(seed = 1L) ?algo ?ordering ?batching ?(app_seed = 42)
+    ?(hash_every = 1024) ?(retry_ms = 500.0) ?(deadline_ms = 20_000.0)
+    ?(attempts = 1) ~n ~clients ~requests () =
+  let config = Run.setup2 ?algo ?ordering ?batching ~n () in
   let profile =
-    live_profile ?algo ?ordering ?batching ?app_seed ?hash_every ?retry_ms ~n
-      ~clients ~requests ~deadline_ms ()
+    Run.live_profile
+      (app_profile config ~clients ~requests ~app_seed ~hash_every ~retry_ms)
+      ~window_ms:deadline_ms
   in
-  let node = { Node.default_workload with Node.profile; seed } in
-  let once () =
-    match Cluster.run { Cluster.default with Cluster.node; check = `All } with
-    | Error reason -> Error reason
-    | Ok o ->
-        Ok
-          {
-            backend = `Live;
-            n;
-            clients;
-            requests;
-            commands = clients * requests;
-            achieved = o.Cluster.throughput_msg_s;
-            latency = latency_of_cluster o.Cluster.app_latency;
-            checker_ok = Checker.ok o.Cluster.verdict;
-            clean = Cluster.ok o;
-            hash = o.Cluster.app_hash;
-          }
-  in
-  let good p = p.checker_ok && p.clean in
-  let better a b =
-    match (good a, good b) with
-    | true, false -> a
-    | false, true -> b
-    | _ -> if a.latency.Stats.p99 <= b.latency.Stats.p99 then a else b
-  in
-  let rec go k best =
-    if k >= attempts || good best then Ok best
-    else
-      match once () with
-      | Error _ -> Ok best (* environment flaked mid-sweep; keep what ran *)
-      | Ok p -> go (k + 1) (better p best)
-  in
-  match once () with Error reason -> Error reason | Ok p -> go 1 p
+  Run.live ~attempts
+    ~latency:(fun o -> o.Cluster.app_latency)
+    ~stop:Cluster.ok
+    { Node.default_workload with Node.profile; seed }
+  |> Result.map (fun (o : Cluster.outcome) ->
+         {
+           backend = `Live;
+           n;
+           clients;
+           requests;
+           commands = clients * requests;
+           achieved = o.Cluster.throughput_msg_s;
+           latency = Option.value o.Cluster.app_latency ~default:Stats.empty_summary;
+           checker_ok = Checker.ok o.Cluster.verdict;
+           clean = Cluster.ok o;
+           hash = o.Cluster.app_hash;
+         })
 
 (* ------------------------------------------------------------------ *)
 (* Determinism gate.                                                  *)
@@ -232,29 +171,14 @@ let live_point ?(seed = 1L) ?algo ?ordering ?batching ?app_seed ?hash_every
    state hashes included. *)
 let sim_fingerprint ?(seed = 11L) ?algo ?ordering ?batching ?(clients = 24)
     ?(requests = 3) ~n () =
-  let config = sim_config ~seed ?algo ?ordering ?batching ~n () in
-  let config = { config with Stack.trace = `On } in
-  let hosts = ref [||] in
-  let on_deliver p m =
-    if Array.length !hosts > 0 then App_host.on_deliver !hosts.(p) m
-  in
-  let stack = Stack.create ~on_deliver config in
+  let config = Run.setup2 ~seed ?algo ?ordering ?batching ~n () in
   let profile =
     app_profile config ~clients ~requests ~app_seed:42 ~hash_every:16
       ~retry_ms:500.0
   in
-  hosts :=
-    Array.init n (fun p ->
-        App_host.install stack.Stack.transport ~abcast:stack.Stack.abcast
-          ~profile ~self:p ~mode:App_host.Service);
-  Array.iter (fun h -> App_host.start h ~at:10.0 ~over_ms:200.0) !hosts;
-  Stack.run ~until:60_000.0 stack;
-  Digest.to_hex
-    (Digest.string
-       (Format.asprintf "%a" Trace.pp (Engine.trace stack.Stack.engine)))
+  let trace, _ = simulate config ~profile ~ramp_ms:200.0 ~horizon_ms:60_000.0 in
+  Trace.fingerprint trace
 
 let replay_check ?seed ?algo ?ordering ?batching ?clients ?requests ~n () =
-  let fp () = sim_fingerprint ?seed ?algo ?ordering ?batching ?clients ?requests ~n () in
-  let first = fp () in
-  let second = fp () in
-  if String.equal first second then Ok first else Error (first, second)
+  Run.replay (fun () ->
+      sim_fingerprint ?seed ?algo ?ordering ?batching ?clients ?requests ~n ())

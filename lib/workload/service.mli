@@ -38,6 +38,10 @@ val hash_match : point -> point -> bool
 (** Both points finished their whole workload and landed on the same
     state hash at the full cursor — the sim-vs-live agreement gate. *)
 
+val status : point -> string
+(** ["ok"] when checker-green and clean, ["CHECKER FAIL"] when the
+    battery failed, ["INCOMPLETE"] when only the workload fell short. *)
+
 val sim_point :
   ?seed:int64 ->
   ?algo:Profile.algo ->
@@ -57,9 +61,6 @@ val sim_point :
     over [ramp_ms] (default 1 s); the run ends when the event queue
     drains or at [horizon_ms] (default 120 s virtual). *)
 
-val live_supported : unit -> bool
-(** Whether this environment can run loopback TCP clusters. *)
-
 val live_point :
   ?seed:int64 ->
   ?algo:Profile.algo ->
@@ -77,8 +78,9 @@ val live_point :
   (point, string) result
 (** One live cluster point.  [Error reason] only when the environment
     cannot run sockets; a run that misses the barrier surfaces as
-    [clean = false].  [attempts] (default 1) reruns an unhealthy point
-    best-of-k, every attempt still checker-gated. *)
+    [clean = false].  Runs on the same {!Run.setup2} config and app
+    profile as {!sim_point}; [attempts] (default 1) reruns a point that
+    is not checker- and barrier-clean best-of-k ({!Run.live}). *)
 
 val sim_fingerprint :
   ?seed:int64 ->

@@ -147,6 +147,28 @@ let test_sim_service_hash_stable () =
     | Some (_, h1), Some (_, h3) -> Int64.equal h1 h3
     | _ -> false)
 
+(* The make service-smoke cell (n=3, batch=8/pipeline=4/flush=1 ms),
+   pinned: a run-twice check cannot see a change that moves both runs
+   alike. *)
+let smoke_batching = { Ics_core.Abcast.batch = 8; pipeline = 4; flush_ms = 1.0 }
+
+let test_service_fingerprint_pinned () =
+  checks "service-smoke cell" "8ac920c28bace7db75e1eb5eeb5a7a63"
+    (Service.sim_fingerprint ~seed:1L ~batching:smoke_batching ~n:3 ())
+
+let test_service_point_pinned () =
+  let p =
+    Service.sim_point ~seed:1L ~batching:smoke_batching ~n:3 ~clients:200
+      ~requests:3 ()
+  in
+  checkb "service-smoke point is green" true
+    (p.Service.checker_ok && p.Service.clean);
+  match p.Service.hash with
+  | Some (cursor, hash) ->
+      checki "final cursor" 600 cursor;
+      checks "final state hash" "4b8207eb83da140c" (Printf.sprintf "%Lx" hash)
+  | None -> Alcotest.fail "no state hash recorded"
+
 let test_sim_service_replay () =
   match Service.replay_check ~n:3 ~clients:12 ~requests:3 () with
   | Ok _ -> ()
@@ -325,7 +347,7 @@ let test_trace_merge_stable_on_ties () =
      shape, this fingerprint moves and the change must be deliberate. *)
   checks "merged trace fingerprint pinned"
     "80a1ca273ab3dace2b4010f47581937c"
-    (Digest.to_hex (Digest.string (render a)))
+    (Trace.fingerprint a)
 
 let suites =
   [
@@ -350,6 +372,10 @@ let suites =
           test_sim_service_hash_stable;
         Alcotest.test_case "sim replay bit-identical" `Quick
           test_sim_service_replay;
+        Alcotest.test_case "service-smoke fingerprint pinned" `Quick
+          test_service_fingerprint_pinned;
+        Alcotest.test_case "service-smoke point pinned" `Quick
+          test_service_point_pinned;
       ] );
     ( "app chaos",
       [

@@ -1,9 +1,9 @@
-(* Tests for batched/pipelined proposals and ring dissemination: the
-   batch=1/pipeline=1 default must reproduce the pre-batching chaos runs
-   bit-identically, batched cells must stay checker-green under every
-   fault plan, the flush timer must drain sub-batch residues (including
-   at the horizon, lint rule P2's discipline), and the batched sim cell
-   must replay deterministically. *)
+(* Tests for batched/pipelined proposals and ring dissemination: batched
+   cells must stay checker-green under every fault plan, the flush timer
+   must drain sub-batch residues (including at the horizon, lint rule
+   P2's discipline), and the batched sim cell must replay
+   deterministically and stay pinned.  The batch=1/pipeline=1 default
+   reproducing the pre-batching chaos runs is pinned in test_codec. *)
 
 module Stack = Ics_core.Stack
 module Abcast = Ics_core.Abcast
@@ -17,28 +17,6 @@ let checkb = Alcotest.(check bool)
 let ideal = Stack.Ideal_lan { delay = 1.0; jitter = 0.2 }
 
 let batched = { Abcast.batch = 4; pipeline = 2; flush_ms = 2.0 }
-
-(* The same six digests test_codec pins for the default path, reproduced
-   here through the batching plumbing with batch=1/pipeline=1 passed
-   explicitly: proposing-on-arrival with no cap and no timer is not a
-   separate code path that happens to agree — it is what the batched
-   reduction degenerates to, and these pins hold it there. *)
-let test_batch1_pins_bit_identical () =
-  List.iter
-    (fun (stack, plan, seed, expect) ->
-      let r = Chaos.run_one ~batching:Abcast.no_batching stack plan ~seed in
-      Alcotest.(check string)
-        (Printf.sprintf "batch=1 %s/%s seed %Ld" (Chaos.stack_name stack)
-           (Chaos.plan_name plan) seed)
-        expect r.Chaos.fingerprint)
-    [
-      (Chaos.Ct_indirect, Chaos.Drop, 2L, "4bc2be962988606fdb1a205603e94b6f");
-      (Chaos.Mr_indirect, Chaos.Mixed, 3L, "5bf49b603b81d4a736cde9f542e0cbf4");
-      (Chaos.Ct_on_ids, Chaos.Blackout, 3L, "ba6b16163d0633fd02094d279e19b791");
-      (Chaos.Ct_indirect, Chaos.Storm, 2L, "cd0bfcdb222f78733f3e27f88f42f901");
-      (Chaos.Mr_indirect, Chaos.Storm, 3L, "b43209c3383be52b63b97e27f559bbfc");
-      (Chaos.Ct_on_ids, Chaos.Storm, 2L, "3f4de219553dd1fe849368cfe728120f");
-    ]
 
 (* Batching on top of faults: the chaos cells that exercise drops, churn
    and suspicion storms must stay green when several ids ride one
@@ -67,6 +45,16 @@ let test_batched_replay_deterministic () =
   with
   | Ok _ -> ()
   | Error (a, b) -> Alcotest.failf "batched sim replay diverged: %s vs %s" a b
+
+(* A run-twice check cannot see a change that moves both runs alike, so
+   the make saturation-smoke cell (n=5, batch=8/pipeline=2/flush=1 ms,
+   ring) is also pinned to its trace digest. *)
+let test_saturation_fingerprint_pinned () =
+  Alcotest.(check string)
+    "saturation-smoke cell" "6b13e6c0cc3dc9c192ad2620fff4fb3b"
+    (Saturation.sim_fingerprint ~seed:1L ~n:5
+       ~batching:{ Abcast.batch = 8; pipeline = 2; flush_ms = 1.0 }
+       ~broadcast:Profile.Ring ())
 
 let delivered stack p = Abcast.delivered_sequence stack.Stack.abcast p
 
@@ -148,8 +136,6 @@ let suites =
   [
     ( "batching",
       [
-        Alcotest.test_case "batch=1 pins bit-identical" `Quick
-          test_batch1_pins_bit_identical;
         Alcotest.test_case "batched chaos cells green" `Quick test_batched_chaos_green;
         Alcotest.test_case "batched replay deterministic" `Quick
           test_batched_replay_deterministic;
@@ -157,5 +143,7 @@ let suites =
           test_flush_timer_drains_residue;
         Alcotest.test_case "flush honors horizon" `Quick test_flush_honors_horizon;
         Alcotest.test_case "ring + batching delivers" `Quick test_ring_batched_delivers;
+        Alcotest.test_case "saturation fingerprint pinned" `Quick
+          test_saturation_fingerprint_pinned;
       ] );
   ]

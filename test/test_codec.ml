@@ -385,6 +385,11 @@ let test_partial_frame_chunked_decode () =
    behaviour drifted (a real regression). *)
 let test_sim_fingerprints_pinned () =
   let cases =
+    (* [run_one]'s [?batching] defaults to [Abcast.no_batching], so these
+       digests also pin the batching plumbing at batch=1/pipeline=1:
+       proposing-on-arrival with no cap and no timer is not a separate
+       code path that happens to agree — it is what the batched
+       reduction degenerates to, and these pins hold it there. *)
     [
       (Chaos.Ct_indirect, Chaos.Drop, 2L, "4bc2be962988606fdb1a205603e94b6f");
       (Chaos.Mr_indirect, Chaos.Mixed, 3L, "5bf49b603b81d4a736cde9f542e0cbf4");
