@@ -1,31 +1,31 @@
-(* Benchmark harness.
+(* The paper's evaluation.
 
    Regenerates every figure of the paper's evaluation (Figures 1 and 3–7;
    Figure 2 is a diagram), replays the two adversarial scenarios, runs the
-   design-decision ablations called out in DESIGN.md, and finishes with
-   Bechamel microbenchmarks of the hot data structures.
+   design-decision ablations called out in DESIGN.md, and measures the
+   extensions built on top: lossy links healed by retransmission (on the
+   simulator and on loopback clusters), the saturation knee and the
+   closed-loop service plane.  Finishes with Bechamel microbenchmarks of
+   the hot data structures.
 
    Usage:
-     dune exec bench/main.exe            # everything, full length (~3 min)
+     dune exec bench/main.exe            # every section, full length
      dune exec bench/main.exe -- quick   # quarter-length simulation sweeps
      dune exec bench/main.exe -- figures # one section only; sections are
                                          # figures, scenarios, ablations,
                                          # faults, faults-live, claims,
-                                         # micro, wire, saturation, wire2,
-                                         # service, perf (combinable)
+                                         # micro, saturation, service
+                                         # (combinable)
 
-   The perf section measures real wall-clock time and allocation on a fixed
-   deterministic workload and writes the numbers to BENCH_PR1.json; the
-   faults-live section runs the same seeded drop plans on forked loopback
-   clusters and writes BENCH_PR5.json; the saturation section sweeps
-   offered load over the batched/pipelined/ring stack on both backends
-   and writes the knee curves to BENCH_PR6.json; the wire2 section
-   measures the in-place frame encoder against the legacy stage-then-copy
-   path, re-runs the batched live knee over the poll(2) loop, times the
-   chaos sweep at --jobs 1/2/4 and writes BENCH_PR10.json. *)
+   An unknown section name is a usage error (exit 2).  The program only
+   prints; it writes no files.  Implementation costs (wall clock,
+   allocation, per-layer and codec timings, repeated and recorded with
+   the host) are measured by the repo benchmark, `ics_bench run` and
+   `ics_bench compare` (bench/suite/README.md). *)
 
 module Stack = Ics_core.Stack
 module Abcast = Ics_core.Abcast
+module Profile = Ics_core.Profile
 module Experiment = Ics_workload.Experiment
 module Figures = Ics_workload.Figures
 module Scenarios = Ics_workload.Scenarios
@@ -344,77 +344,74 @@ let extension_scalability ~quick =
 
 (* --- Fault injection: the cost of lossy links ----------------------------- *)
 
+module Nemesis = Ics_faults.Nemesis
+module Retransmit = Ics_net.Retransmit
+
+let drop_plan p =
+  if p = 0.0 then []
+  else [ Nemesis.Drop { link = Nemesis.any_link; prob = p; window = Nemesis.always } ]
+
+(* One simulated lossy-link cell: indirect consensus, n=3, 200 msg/s, 64B
+   over a 1 ms constant-delay model, with [drop_plan p] compiled by the
+   Nemesis under [plan_seed] and healed by the retransmission channel.
+   Returns the run with its drop, retransmit and ack counts. *)
+let lossy_cell ~quick ~plan_seed p =
+  let counters = ref None in
+  let setup =
+    Stack.Custom
+      {
+        name = Printf.sprintf "lossy-%.2f" p;
+        build =
+          (fun ~n ->
+            let base = Ics_net.Model.constant ~delay:1.0 ~n ~seed:4242L () in
+            let lossy, fs = Nemesis.apply ~seed:plan_seed ~plan:(drop_plan p) ~base () in
+            let model, rs = Retransmit.wrap lossy in
+            counters := Some (fs, rs);
+            (model, Ics_net.Host.instant));
+      }
+  in
+  let config = { Stack.abcast_indirect with Stack.setup; fd_kind = Stack.Oracle 10.0 } in
+  let scale = if quick then 0.25 else 1.0 in
+  let load =
+    {
+      Experiment.throughput = 200.0;
+      body_bytes = 64;
+      duration = 500.0 +. (scale *. 2_000.0);
+      warmup = 500.0;
+    }
+  in
+  let r = Experiment.run config load in
+  match !counters with
+  | Some (fs, rs) ->
+      ( r,
+        Ics_net.Model.Fault_stats.total_drops fs,
+        rs.Retransmit.retransmits,
+        rs.Retransmit.acks_sent )
+  | None -> (r, 0, 0, 0)
+
+let per_abcast count (r : Experiment.result) =
+  float_of_int count /. float_of_int (max 1 r.Experiment.abroadcasts)
+
 (* What does packet loss cost once the retransmission channel heals it?
    Latency should degrade gracefully with the drop probability (each lost
    frame costs ~one RTO), and the retransmit/ack overhead quantifies the
    bandwidth price of quasi-reliability over a fair-lossy link. *)
 let run_faults ~quick =
   section "Fault injection: lossy links healed by retransmission (indirect, n=3, 200 msg/s, 64B)";
-  let module Nemesis = Ics_faults.Nemesis in
-  let module Retransmit = Ics_net.Retransmit in
   let table =
     Table.create ~title:"per-frame drop probability vs delivery cost"
       ~columns:
         [ "drop-p"; "latency[ms]"; "retx/abcast"; "acks/abcast"; "drops"; "quiescent" ]
   in
-  let scale = if quick then 0.25 else 1.0 in
   List.iter
     (fun p ->
-      let fstats = ref None in
-      let rstats = ref None in
-      let setup =
-        Stack.Custom
-          {
-            name = Printf.sprintf "lossy-%.2f" p;
-            build =
-              (fun ~n ->
-                let base =
-                  Ics_net.Model.constant ~delay:1.0 ~n ~seed:4242L ()
-                in
-                let plan =
-                  if p = 0.0 then []
-                  else
-                    [
-                      Nemesis.Drop
-                        { link = Nemesis.any_link; prob = p; window = Nemesis.always };
-                    ]
-                in
-                let lossy, fs = Nemesis.apply ~seed:7L ~plan ~base () in
-                let model, rs = Retransmit.wrap lossy in
-                fstats := Some fs;
-                rstats := Some rs;
-                (model, Ics_net.Host.instant));
-          }
-      in
-      let config =
-        { Stack.abcast_indirect with Stack.setup; fd_kind = Stack.Oracle 10.0 }
-      in
-      let load =
-        {
-          Experiment.throughput = 200.0;
-          body_bytes = 64;
-          duration = 500.0 +. (scale *. 2_000.0);
-          warmup = 500.0;
-        }
-      in
-      let r = Experiment.run config load in
-      let ab = float_of_int (max 1 r.Experiment.abroadcasts) in
-      let retx, acks =
-        match !rstats with
-        | Some s -> (s.Retransmit.retransmits, s.Retransmit.acks_sent)
-        | None -> (0, 0)
-      in
-      let drops =
-        match !fstats with
-        | Some fs -> Ics_net.Model.Fault_stats.total_drops fs
-        | None -> 0
-      in
+      let r, drops, retx, acks = lossy_cell ~quick ~plan_seed:7L p in
       Table.add_row table
         [
           Printf.sprintf "%.2f" p;
           Printf.sprintf "%.3f" r.Experiment.latency.Stats.mean;
-          Printf.sprintf "%.2f" (float_of_int retx /. ab);
-          Printf.sprintf "%.2f" (float_of_int acks /. ab);
+          Printf.sprintf "%.2f" (per_abcast retx r);
+          Printf.sprintf "%.2f" (per_abcast acks r);
           string_of_int drops;
           string_of_bool r.Experiment.quiescent;
         ])
@@ -437,57 +434,10 @@ let run_faults ~quick =
 let run_faults_live ~quick =
   section
     "Fault injection, live backend: seeded drops on loopback TCP (indirect, n=3, 64B)";
-  let module Nemesis = Ics_faults.Nemesis in
-  let module Retransmit = Ics_net.Retransmit in
-  let module Profile = Ics_core.Profile in
-  let drop_plan p =
-    if p = 0.0 then []
-    else [ Nemesis.Drop { link = Nemesis.any_link; prob = p; window = Nemesis.always } ]
-  in
   let total key l = Option.value ~default:0 (List.assoc_opt key l) in
   let sim_cell p =
-    let fstats = ref None in
-    let rstats = ref None in
-    let setup =
-      Stack.Custom
-        {
-          name = Printf.sprintf "live-cmp-lossy-%.2f" p;
-          build =
-            (fun ~n ->
-              let base = Ics_net.Model.constant ~delay:1.0 ~n ~seed:4242L () in
-              let lossy, fs = Nemesis.apply ~seed:42L ~plan:(drop_plan p) ~base () in
-              let model, rs = Retransmit.wrap lossy in
-              fstats := Some fs;
-              rstats := Some rs;
-              (model, Ics_net.Host.instant));
-        }
-    in
-    let config =
-      { Stack.abcast_indirect with Stack.setup; fd_kind = Stack.Oracle 10.0 }
-    in
-    let scale = if quick then 0.25 else 1.0 in
-    let load =
-      {
-        Experiment.throughput = 200.0;
-        body_bytes = 64;
-        duration = 500.0 +. (scale *. 2_000.0);
-        warmup = 500.0;
-      }
-    in
-    let r = Experiment.run config load in
-    let ab = float_of_int (max 1 r.Experiment.abroadcasts) in
-    let retx =
-      match !rstats with Some s -> s.Retransmit.retransmits | None -> 0
-    in
-    let drops =
-      match !fstats with
-      | Some fs -> Ics_net.Model.Fault_stats.total_drops fs
-      | None -> 0
-    in
-    ( r.Experiment.latency.Stats.mean,
-      drops,
-      float_of_int retx /. ab,
-      r.Experiment.quiescent )
+    let r, drops, retx, _ = lossy_cell ~quick ~plan_seed:42L p in
+    (r.Experiment.latency.Stats.mean, drops, per_abcast retx r, r.Experiment.quiescent)
   in
   let live_cell p =
     let count = if quick then 10 else 25 in
@@ -575,25 +525,7 @@ let run_faults_live ~quick =
     Format.printf
       "expectation: both columns degrade gracefully with drop-p and stay@.\
        checker-green; retransmits track the loss rate on each backend.@."
-  end;
-  let oc = open_out "BENCH_PR5.json" in
-  let row_json =
-    String.concat ",\n"
-      (List.map
-         (fun (p, (smean, sdrops, sretx, squiet), (lmean, lp95, ldrops, lretx, lok)) ->
-           Printf.sprintf
-             {|    {"drop_p": %.2f,
-     "sim": {"latency_mean_ms": %.3f, "drops": %d, "retx_per_abcast": %.2f, "quiescent": %b},
-     "live": {"latency_mean_ms": %.2f, "latency_p95_ms": %.2f, "drops": %d, "retx_per_abcast": %.2f, "checker_ok": %b}}|}
-             p smean sdrops sretx squiet lmean lp95 ldrops lretx lok)
-         rows)
-  in
-  Printf.fprintf oc
-    "{\n  \"workload\": {\"n\": 3, \"ordering\": \"indirect\", \"body_bytes\": 64},\n\
-    \  \"faults_live\": [\n%s\n  ]\n}\n"
-    row_json;
-  close_out oc;
-  Format.printf "wrote BENCH_PR5.json@."
+  end
 
 (* --- Claim verification --------------------------------------------------- *)
 
@@ -605,585 +537,43 @@ let run_claims ~quick =
     (List.length (List.filter (fun v -> v.Ics_workload.Claims.holds) verdicts))
     (List.length verdicts)
 
-(* --- Wall-clock perf harness --------------------------------------------- *)
-
-(* A fixed, deterministic workload: the latency table it produces is
-   bit-identical across runs and across hot-path refactors (same seed, same
-   event order), so any change in the fingerprint line signals a semantics
-   change, not noise.  Wall clock and Gc.minor_words are the real-time
-   costs of simulating it. *)
-let perf_config = { Stack.abcast_indirect with Stack.n = 3 }
-
-let perf_load ~quick =
-  {
-    Experiment.throughput = 800.0;
-    body_bytes = 1000;
-    duration = 500.0 +. (if quick then 5_000.0 else 20_000.0);
-    warmup = 500.0;
-  }
-
-let run_perf ~quick =
-  section
-    (Printf.sprintf
-       "Perf harness: indirect consensus, n=3, 1kB, 800 msg/s, %g s of traffic"
-       ((perf_load ~quick).Experiment.duration /. 1000.0));
-  let load = perf_load ~quick in
-  (* Warm-up run faults in every code path before timing starts. *)
-  ignore (Experiment.run perf_config { load with Experiment.duration = 600.0 });
-  let measure ~check =
-    Gc.compact ();
-    let minor0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    let r = Experiment.run ~check perf_config load in
-    let wall = Unix.gettimeofday () -. t0 in
-    (r, wall, Gc.minor_words () -. minor0)
-  in
-  let r, wall, minor = measure ~check:false in
-  let rc, wallc, minorc = measure ~check:true in
-  let per_abcast m (r : Experiment.result) =
-    m /. float_of_int (max 1 r.Experiment.abroadcasts)
-  in
-  let events_per_s (r : Experiment.result) w = float_of_int r.Experiment.events /. w in
-  let table =
-    Table.create ~title:"simulator wall-clock cost (real time, not virtual)"
-      ~columns:[ "mode"; "wall[s]"; "events"; "events/s"; "minor-w/abcast" ]
-  in
-  let row name r w m =
-    Table.add_row table
-      [
-        name;
-        Printf.sprintf "%.4f" w;
-        string_of_int r.Experiment.events;
-        Printf.sprintf "%.0f" (events_per_s r w);
-        Printf.sprintf "%.1f" (per_abcast m r);
-      ]
-  in
-  row "trace-off" r wall minor;
-  row "trace-on+checker" rc wallc minorc;
-  Table.print table;
-  let s = r.Experiment.latency in
-  Format.printf "fingerprint: mean=%.9f p50=%.9f p99=%.9f sent_messages=%d@."
-    s.Stats.mean s.Stats.p50 s.Stats.p99 r.Experiment.sent_messages;
-  (match rc.Experiment.verdict with
-  | Some v -> Format.printf "checker verdict ok: %b@." (Ics_checker.Checker.ok v)
-  | None -> ());
-  let oc = open_out "BENCH_PR1.json" in
-  Printf.fprintf oc
-    {|{
-  "workload": {"n": 3, "ordering": "indirect", "body_bytes": 1000,
-               "throughput": 800.0, "virtual_duration_ms": %g},
-  "trace_off": {"wall_s": %.4f, "events": %d, "events_per_s": %.0f,
-                "abroadcasts": %d, "minor_words_per_abroadcast": %.1f},
-  "trace_on_checked": {"wall_s": %.4f, "events": %d, "events_per_s": %.0f,
-                       "minor_words_per_abroadcast": %.1f},
-  "fingerprint": {"latency_mean_ms": %.9f, "latency_p50_ms": %.9f,
-                  "latency_p99_ms": %.9f, "sent_messages": %d}
-}
-|}
-    load.Experiment.duration wall r.Experiment.events (events_per_s r wall)
-    r.Experiment.abroadcasts (per_abcast minor r) wallc rc.Experiment.events
-    (events_per_s rc wallc) (per_abcast minorc rc) s.Stats.mean s.Stats.p50
-    s.Stats.p99 r.Experiment.sent_messages;
-  close_out oc;
-  Format.printf "wrote BENCH_PR1.json@."
-
-(* --- Wire: codec throughput + live loopback clusters --------------------- *)
-
-module Codec = Ics_codec.Codec
-module Codecs = Ics_core.Codecs
-
-let run_wire ~quick =
-  section "Wire: codec throughput and live loopback clusters";
-  Codecs.ensure ();
-  (* Codec throughput on the two hot payload shapes: a full application
-     message riding the rb layer, and a consensus estimate carrying a
-     16-id proposal. *)
-  (* Constructors stay private to their layers; draw representative
-     payloads from each layer's registered fuzz generator. *)
-  let payload_of name =
-    let rng = Ics_prelude.Rng.create 7L in
-    match
-      List.find_opt (fun (e : Codec.entry) -> e.Codec.name = name) (Codec.entries ())
-    with
-    | Some e -> e.Codec.gen rng
-    | None -> Fmt.failwith "no codec named %s" name
-  in
-  let app = payload_of "rb.data" in
-  let est = payload_of "ct.est" in
-  let codec_cell name payload =
-    let iters = if quick then 50_000 else 200_000 in
-    let w = Buffer.create 256 in
-    (* encode *)
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      Buffer.clear w;
-      Codec.encode_payload_legacy w payload
-    done;
-    let enc_s = Unix.gettimeofday () -. t0 in
-    let bytes = Buffer.contents w in
-    (* decode *)
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore (Codec.decode_payload (Ics_codec.Prim.reader bytes))
-    done;
-    let dec_s = Unix.gettimeofday () -. t0 in
-    let mbps s = float_of_int (iters * String.length bytes) /. s /. 1e6 in
-    ( name,
-      String.length bytes,
-      float_of_int iters /. enc_s,
-      mbps enc_s,
-      float_of_int iters /. dec_s,
-      mbps dec_s )
-  in
-  let codec_rows = [ codec_cell "rb.data" app; codec_cell "ct.est" est ] in
-  let table =
-    Table.create ~title:"codec throughput (single core)"
-      ~columns:[ "payload"; "bytes"; "enc[Mop/s]"; "enc[MB/s]"; "dec[Mop/s]"; "dec[MB/s]" ]
-  in
-  List.iter
-    (fun (name, bytes, enc_ops, enc_mb, dec_ops, dec_mb) ->
-      Table.add_row table
-        [
-          name;
-          string_of_int bytes;
-          Printf.sprintf "%.2f" (enc_ops /. 1e6);
-          Printf.sprintf "%.0f" enc_mb;
-          Printf.sprintf "%.2f" (dec_ops /. 1e6);
-          Printf.sprintf "%.0f" dec_mb;
-        ])
-    codec_rows;
-  Table.print table;
-  (* Live loopback clusters: real processes, real TCP, checker-verified. *)
-  let live_rows =
-    if not (Cluster.supported ()) then begin
-      Format.printf "live clusters skipped: no loopback sockets here@.";
-      []
-    end
-    else
-      List.filter_map
-        (fun n ->
-          let count = if quick then 20 else 50 in
-          let node =
-            {
-              Node.default_workload with
-              Node.profile =
-                {
-                  Ics_core.Profile.default with
-                  Ics_core.Profile.n;
-                  count;
-                  gap_ms = 2.0;
-                  deadline_ms = 30_000.0;
-                };
-            }
-          in
-          match Cluster.run { Cluster.default with Cluster.node } with
-          | Error e ->
-              Format.printf "n=%d: skipped (%s)@." n e;
-              None
-          | Ok o ->
-              let l = Option.value o.latency ~default:Stats.empty_summary in
-              Some (n, count, Cluster.ok o, l, o.Cluster.throughput_msg_s))
-        [ 3; 5; 7 ]
-  in
-  if live_rows <> [] then begin
-    let table =
-      Table.create
-        ~title:"live loopback abcast (ct, indirect, flood; every node broadcasts)"
-        ~columns:
-          [ "n"; "msgs/node"; "checker"; "mean[ms]"; "p95[ms]"; "p99[ms]"; "max[ms]"; "tput[msg/s]" ]
-    in
-    List.iter
-      (fun (n, count, ok, (l : Stats.summary), tput) ->
-        Table.add_row table
-          [
-            string_of_int n;
-            string_of_int count;
-            (if ok then "ok" else "FAIL");
-            Printf.sprintf "%.2f" l.Stats.mean;
-            Printf.sprintf "%.2f" l.Stats.p95;
-            Printf.sprintf "%.2f" l.Stats.p99;
-            Printf.sprintf "%.2f" l.Stats.max;
-            Printf.sprintf "%.0f" tput;
-          ])
-      live_rows;
-    Table.print table
-  end;
-  let oc = open_out "BENCH_PR3.json" in
-  let codec_json =
-    String.concat ",\n"
-      (List.map
-         (fun (name, bytes, enc_ops, enc_mb, dec_ops, dec_mb) ->
-           Printf.sprintf
-             {|    {"payload": %S, "bytes": %d, "enc_ops_s": %.0f, "enc_mb_s": %.1f, "dec_ops_s": %.0f, "dec_mb_s": %.1f}|}
-             name bytes enc_ops enc_mb dec_ops dec_mb)
-         codec_rows)
-  in
-  let live_json =
-    String.concat ",\n"
-      (List.map
-         (fun (n, count, ok, (l : Stats.summary), tput) ->
-           Printf.sprintf
-             {|    {"n": %d, "msgs_per_node": %d, "checker_ok": %b, "latency_mean_ms": %.3f, "latency_p95_ms": %.3f, "latency_p99_ms": %.3f, "latency_max_ms": %.3f, "throughput_msg_s": %.0f}|}
-             n count ok l.Stats.mean l.Stats.p95 l.Stats.p99 l.Stats.max tput)
-         live_rows)
-  in
-  Printf.fprintf oc "{\n  \"codec\": [\n%s\n  ],\n  \"live_loopback\": [\n%s\n  ]\n}\n"
-    codec_json live_json;
-  close_out oc;
-  Format.printf "wrote BENCH_PR3.json@."
-
 (* --- Saturation: offered-load knee curves -------------------------------- *)
 
 module Saturation = Ics_workload.Saturation
-module Profile = Ics_core.Profile
-
-(* The PR3 live headline this PR's tentpole is measured against: ct/
-   indirect/flood, unbatched, n=5, from BENCH_PR3.json's live_loopback. *)
-let pr3_live_msg_s = 2_525.0
 
 let run_saturation ~quick =
   section "Saturation: batched/pipelined indirect consensus, offered-load sweep";
-  Codecs.ensure ();
   let n = 5 in
   let batched = { Abcast.batch = 32; pipeline = 4; flush_ms = 1.0 } in
-  let print_curve title (c : Saturation.curve) =
-    let table =
-      Table.create ~title
-        ~columns:
-          [ "offered"; "achieved"; "mean[ms]"; "p95[ms]"; "p99[ms]"; "max[ms]"; "status" ]
-    in
-    List.iter
-      (fun (p : Saturation.point) ->
-        Table.add_row table
-          [
-            Printf.sprintf "%.0f" p.Saturation.offered;
-            Printf.sprintf "%.0f" p.Saturation.achieved;
-            Printf.sprintf "%.2f" p.Saturation.latency.Stats.mean;
-            Printf.sprintf "%.2f" p.Saturation.latency.Stats.p95;
-            Printf.sprintf "%.2f" p.Saturation.latency.Stats.p99;
-            Printf.sprintf "%.2f" p.Saturation.latency.Stats.max;
-            Saturation.status p;
-          ])
-      c.Saturation.points;
-    Table.print table;
-    match Saturation.knee c with
-    | Some k ->
-        Format.printf "knee: %.0f msg/s achieved at %.0f offered (p99 %.2f ms)@."
-          k.Saturation.achieved k.Saturation.offered k.Saturation.latency.Stats.p99;
-        Some k
-    | None ->
-        Format.printf "knee: no points@.";
-        None
-  in
-  let point_json (p : Saturation.point) =
-    let f v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
-    Printf.sprintf
-      {|      {"offered": %.0f, "achieved": %.1f, "mean_ms": %s, "p95_ms": %s, "p99_ms": %s, "max_ms": %s, "util": %s, "checker_ok": %b, "clean": %b, "delivered": %d}|}
-      p.Saturation.offered p.Saturation.achieved
-      (f p.Saturation.latency.Stats.mean)
-      (f p.Saturation.latency.Stats.p95)
-      (f p.Saturation.latency.Stats.p99)
-      (f p.Saturation.latency.Stats.max)
-      (f p.Saturation.util) p.Saturation.checker_ok p.Saturation.clean
-      p.Saturation.delivered
-  in
-  let curve_json (c : Saturation.curve) =
-    String.concat ",\n" (List.map point_json c.Saturation.points)
-  in
-  let knee_json = function
-    | Some (k : Saturation.point) -> Printf.sprintf "%.1f" k.Saturation.achieved
-    | None -> "null"
-  in
+  let print title c = Format.printf "%s@.%a@." title Saturation.pp_curve c in
   (* Simulated sweeps: the seed shape saturates around 1 k msg/s, the
      batched/pipelined/ring shape around 4 k; past the knee the open-loop
      sim drains everything, so p99 is the overload signal. *)
   let sim_dur = if quick then 2_000.0 else 4_000.0 in
-  let sim_seed =
-    Saturation.sim_curve ~duration_ms:sim_dur ~n ~batching:Abcast.no_batching
-      ~broadcast:Profile.Flood
-      [ 250.0; 500.0; 750.0; 1_000.0; 1_500.0; 2_000.0 ]
-  in
-  let k_sim_seed = print_curve "sim: seed (unbatched, flood)" sim_seed in
-  let sim_batched =
-    Saturation.sim_curve ~duration_ms:sim_dur ~n ~batching:batched
-      ~broadcast:Profile.Ring
-      [ 1_000.0; 2_000.0; 3_000.0; 4_000.0; 5_000.0; 6_000.0 ]
-  in
-  let k_sim_batched =
-    print_curve "sim: batch=32 pipeline=4 flush=1ms, ring" sim_batched
-  in
+  print "sim: seed (unbatched, flood)"
+    (Saturation.sim_curve ~duration_ms:sim_dur ~n ~batching:Abcast.no_batching
+       ~broadcast:Profile.Flood
+       [ 250.0; 500.0; 750.0; 1_000.0; 1_500.0; 2_000.0 ]);
+  print "sim: batch=32 pipeline=4 flush=1ms, ring"
+    (Saturation.sim_curve ~duration_ms:sim_dur ~n ~batching:batched
+       ~broadcast:Profile.Ring
+       [ 1_000.0; 2_000.0; 3_000.0; 4_000.0; 5_000.0; 6_000.0 ]);
   (* Live sweeps: real processes on loopback TCP.  Overload shows up as
-     the drain running long (p99 explodes), never as a dirty trace. *)
-  let live_seed, live_batched =
-    if not (Cluster.supported ()) then begin
-      Format.printf "live sweeps skipped: no loopback sockets here@.";
-      (None, None)
-    end
-    else
-      (* Best-of-3 per point: one co-tenant burst during a 1 s arrival
-         window is noise, not a capacity statement (see Saturation). *)
-      let seed =
-        Saturation.live_curve ~duration_ms:1_000.0 ~attempts:3 ~n
-          ~batching:Abcast.no_batching ~broadcast:Profile.Flood
-          [ 1_000.0; 2_000.0; 3_000.0; 4_000.0 ]
-      in
-      let batched_c =
-        Saturation.live_curve ~duration_ms:1_000.0 ~attempts:3 ~n
-          ~batching:batched ~broadcast:Profile.Ring
-          [ 2_000.0; 5_000.0; 8_000.0; 11_000.0; 13_000.0; 15_000.0 ]
-      in
-      (Some seed, Some batched_c)
-  in
-  let k_live_seed = Option.map (print_curve "live: seed (unbatched, flood)") live_seed in
-  let k_live_batched =
-    Option.map (print_curve "live: batch=32 pipeline=4 flush=1ms, ring") live_batched
-  in
-  (match Option.join k_live_batched with
-  | Some k ->
-      Format.printf "@.live knee vs BENCH_PR3 (%.0f msg/s): %.1fx@." pr3_live_msg_s
-        (k.Saturation.achieved /. pr3_live_msg_s)
-  | None -> ());
-  let oc = open_out "BENCH_PR6.json" in
-  Printf.fprintf oc
-    {|{
-  "n": %d,
-  "config": {"batch": %d, "pipeline": %d, "flush_ms": %.1f, "dissemination": "ring", "algo": "ct", "ordering": "indirect"},
-  "p99_bound_ms": %.1f,
-  "sim": {
-    "seed": [
-%s
-    ],
-    "batched": [
-%s
-    ]
-  },
-  "live": {
-    "seed": [
-%s
-    ],
-    "batched": [
-%s
-    ]
-  },
-  "knee_msg_s": {"sim_seed": %s, "sim_batched": %s, "live_seed": %s, "live_batched": %s},
-  "pr3_live_msg_s": %.0f
-}
-|}
-    n batched.Abcast.batch batched.Abcast.pipeline batched.Abcast.flush_ms
-    Saturation.p99_bound_ms (curve_json sim_seed) (curve_json sim_batched)
-    (match live_seed with Some c -> curve_json c | None -> "")
-    (match live_batched with Some c -> curve_json c | None -> "")
-    (knee_json k_sim_seed) (knee_json k_sim_batched)
-    (knee_json (Option.join k_live_seed))
-    (knee_json (Option.join k_live_batched))
-    pr3_live_msg_s;
-  close_out oc;
-  Format.printf "wrote BENCH_PR6.json@."
-
-(* --- Wire2: the encode-into/poll/jobs plane ------------------------------ *)
-
-module Bq = Ics_codec.Bq
-module Chaos = Ics_workload.Chaos
-
-(* The PR6 live headline the poll(2) rewrite is measured against:
-   batch=32/pipeline=4/ring at n=5 over the select(2) loop, from
-   BENCH_PR6.json's knee_msg_s.live_batched. *)
-let pr6_live_msg_s = 14_906.1
-
-(* Time one full sim sweep at a given [jobs] in a forked child: the child
-   may spawn domains freely, while this process must stay fork-capable
-   for the live sections (a process that ever spawned a domain can no
-   longer fork). *)
-let timed_sweep_in_child ~quick ~jobs =
-  let r, w = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      Unix.close r;
-      let seeds = if quick then 2 else 4 in
-      let t0 = Unix.gettimeofday () in
-      let cells =
-        Chaos.sweep ~seed_base:11L ~seeds
-          ~progress:(fun _ -> ())
-          ~jobs ~stacks:Chaos.all_stacks ~plans:Chaos.all_plans ()
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      let ok = Chaos.indirect_clean cells && Chaos.blackout_reproduced cells in
-      let line = Printf.sprintf "%b %.6f\n" ok dt in
-      let b = Bytes.of_string line in
-      ignore (Unix.write w b 0 (Bytes.length b) : int);
-      Unix._exit 0
-  | pid -> (
-      Unix.close w;
-      let buf = Bytes.create 256 in
-      let n = Unix.read r buf 0 256 in
-      Unix.close r;
-      (match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> ()
-      | _, _ -> failwith "sweep child died");
-      match Scanf.sscanf (Bytes.sub_string buf 0 n) " %B %f" (fun ok dt -> (ok, dt)) with
-      | ok, dt -> (ok, dt))
-
-let run_wire2 ~quick =
-  section "Wire2: in-place frame encoding, poll(2) loop, parallel sweep";
-  Codecs.ensure ();
-  (* Frame encode rate: the stage-then-copy legacy path against
-     encode-into — header reserved and backpatched around an in-place
-     body, straight into the (drained-per-frame) outbound queue, exactly
-     as the transport's emit path runs it. *)
-  let payload_of name =
-    let rng = Ics_prelude.Rng.create 7L in
-    match
-      List.find_opt (fun (e : Codec.entry) -> e.Codec.name = name) (Codec.entries ())
-    with
-    | Some e -> e.Codec.gen rng
-    | None -> Fmt.failwith "no codec named %s" name
-  in
-  let iters = if quick then 100_000 else 400_000 in
-  let frame_cell name =
-    let payload = payload_of name in
-    let b = Buffer.create 256 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      Buffer.clear b;
-      ignore (Codec.encode_frame_legacy b ~src:1 ~dst:2 ~layer:"consensus" payload : int)
-    done;
-    let legacy_s = Unix.gettimeofday () -. t0 in
-    let frame_bytes = Buffer.length b in
-    let q = Bq.create 256 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      ignore (Codec.encode_frame q ~src:1 ~dst:2 ~layer:"consensus" payload : int);
-      Bq.consume q (Bq.length q)
-    done;
-    let into_s = Unix.gettimeofday () -. t0 in
-    ( name,
-      frame_bytes,
-      float_of_int iters /. legacy_s,
-      float_of_int iters /. into_s,
-      legacy_s /. into_s )
-  in
-  let enc_rows = [ frame_cell "rb.data"; frame_cell "ct.est" ] in
-  let table =
-    Table.create ~title:"frame encode (header+crc+body, single core)"
-      ~columns:[ "payload"; "frame[B]"; "legacy[Mf/s]"; "into[Mf/s]"; "speedup" ]
-  in
-  List.iter
-    (fun (name, bytes, legacy_fs, into_fs, speedup) ->
-      Table.add_row table
-        [
-          name;
-          string_of_int bytes;
-          Printf.sprintf "%.2f" (legacy_fs /. 1e6);
-          Printf.sprintf "%.2f" (into_fs /. 1e6);
-          Printf.sprintf "%.2fx" speedup;
-        ])
-    enc_rows;
-  Table.print table;
-  (* Live saturation knee over the poll(2) loop, same shape as the PR6
-     headline (batch=32/pipeline=4/ring, n=5, best-of-3). *)
-  let batched = { Abcast.batch = 32; pipeline = 4; flush_ms = 1.0 } in
-  let live_knee =
-    if not (Cluster.supported ()) then begin
-      Format.printf "live sweep skipped: no loopback sockets here@.";
-      None
-    end
-    else begin
-      let c =
-        Saturation.live_curve ~duration_ms:1_000.0 ~attempts:3 ~n:5
-          ~batching:batched ~broadcast:Profile.Ring
-          [ 2_000.0; 5_000.0; 8_000.0; 11_000.0; 13_000.0; 15_000.0 ]
-      in
-      let table =
-        Table.create ~title:"live: batch=32 pipeline=4 flush=1ms, ring, poll loop"
-          ~columns:[ "offered"; "achieved"; "p99[ms]"; "status" ]
-      in
-      List.iter
-        (fun (p : Saturation.point) ->
-          Table.add_row table
-            [
-              Printf.sprintf "%.0f" p.Saturation.offered;
-              Printf.sprintf "%.0f" p.Saturation.achieved;
-              Printf.sprintf "%.2f" p.Saturation.latency.Stats.p99;
-              Saturation.status p;
-            ])
-        c.Saturation.points;
-      Table.print table;
-      match Saturation.knee c with
-      | Some k ->
-          Format.printf "knee: %.0f msg/s; vs BENCH_PR6 select loop (%.0f): %.2fx@."
-            k.Saturation.achieved pr6_live_msg_s
-            (k.Saturation.achieved /. pr6_live_msg_s);
-          Some k.Saturation.achieved
-      | None ->
-          Format.printf "knee: no points@.";
-          None
-    end
-  in
-  (* Sweep wall clock at jobs = 1/2/4.  Each level runs in its own forked
-     child (domains forbid forking afterwards); speedup is bounded by the
-     host's core count, which the JSON records. *)
-  let cores = Domain.recommended_domain_count () in
-  let jobs_rows =
-    List.map
-      (fun jobs ->
-        let ok, dt = timed_sweep_in_child ~quick ~jobs in
-        (jobs, ok, dt))
-      [ 1; 2; 4 ]
-  in
-  let base = match jobs_rows with (_, _, dt) :: _ -> dt | [] -> Float.nan in
-  let table =
-    Table.create
-      ~title:(Printf.sprintf "chaos sweep wall clock (%d cores available)" cores)
-      ~columns:[ "jobs"; "gates"; "wall[s]"; "speedup" ]
-  in
-  List.iter
-    (fun (jobs, ok, dt) ->
-      Table.add_row table
-        [
-          string_of_int jobs;
-          (if ok then "ok" else "FAIL");
-          Printf.sprintf "%.2f" dt;
-          Printf.sprintf "%.2fx" (base /. dt);
-        ])
-    jobs_rows;
-  Table.print table;
-  let oc = open_out "BENCH_PR10.json" in
-  let enc_json =
-    String.concat ",\n"
-      (List.map
-         (fun (name, bytes, legacy_fs, into_fs, speedup) ->
-           Printf.sprintf
-             {|    {"payload": %S, "frame_bytes": %d, "legacy_frames_s": %.0f, "into_frames_s": %.0f, "speedup": %.3f}|}
-             name bytes legacy_fs into_fs speedup)
-         enc_rows)
-  in
-  let jobs_json =
-    String.concat ",\n"
-      (List.map
-         (fun (jobs, ok, dt) ->
-           Printf.sprintf
-             {|    {"jobs": %d, "gates_ok": %b, "wall_s": %.3f, "speedup": %.3f}|}
-             jobs ok dt (base /. dt))
-         jobs_rows)
-  in
-  Printf.fprintf oc
-    {|{
-  "encode_frame": [
-%s
-  ],
-  "live_knee_msg_s": %s,
-  "pr6_live_msg_s": %.1f,
-  "cores": %d,
-  "sweep_jobs": [
-%s
-  ]
-}
-|}
-    enc_json
-    (match live_knee with Some k -> Printf.sprintf "%.1f" k | None -> "null")
-    pr6_live_msg_s cores jobs_json;
-  close_out oc;
-  Format.printf "wrote BENCH_PR10.json@."
+     the drain running long (p99 explodes), never as a dirty trace.
+     Best-of-3 per point: one co-tenant burst during a 1 s arrival
+     window is noise, not a capacity statement (see Saturation). *)
+  if not (Cluster.supported ()) then
+    Format.printf "live sweeps skipped: no loopback sockets here@."
+  else begin
+    print "live: seed (unbatched, flood)"
+      (Saturation.live_curve ~duration_ms:1_000.0 ~attempts:3 ~n
+         ~batching:Abcast.no_batching ~broadcast:Profile.Flood
+         [ 1_000.0; 2_000.0; 3_000.0; 4_000.0 ]);
+    print "live: batch=32 pipeline=4 flush=1ms, ring"
+      (Saturation.live_curve ~duration_ms:1_000.0 ~attempts:3 ~n
+         ~batching:batched ~broadcast:Profile.Ring
+         [ 2_000.0; 5_000.0; 8_000.0; 11_000.0; 13_000.0; 15_000.0 ])
+  end
 
 (* --- Service: closed-loop client plane ----------------------------------- *)
 
@@ -1196,109 +586,27 @@ module Service = Ics_workload.Service
    sim/live pair at each n must land on the same final state hash. *)
 let run_service ~quick =
   section "Service: closed-loop KV/ledger clients, checker- and hash-gated";
-  Codecs.ensure ();
   let batching = { Abcast.batch = 256; pipeline = 8; flush_ms = 1.0 } in
   let clients = if quick then 2_000 else 10_000 in
-  let requests = 1 in
   let live_ok = Cluster.supported () in
-  let pair n =
-    let sim = Service.sim_point ~seed:1L ~batching ~n ~clients ~requests () in
-    let live =
-      if not live_ok then None
-      else
+  List.iter
+    (fun n ->
+      let sim = Service.sim_point ~seed:1L ~batching ~n ~clients ~requests:1 () in
+      Format.printf "%a@." Service.pp_point sim;
+      if live_ok then
         match
           Service.live_point ~seed:1L ~batching ~attempts:3 ~deadline_ms:60_000.0
-            ~n ~clients ~requests ()
+            ~n ~clients ~requests:1 ()
         with
-        | Ok p -> Some p
-        | Error _ -> None
-    in
-    (n, sim, live)
-  in
-  let results = List.map pair [ 3; 5 ] in
-  let table =
-    Table.create ~title:(Printf.sprintf "service: %d closed-loop clients" clients)
-      ~columns:
-        [ "backend"; "n"; "cmd/s"; "p50[ms]"; "p99[ms]"; "status"; "hash" ]
-  in
-  let row (p : Service.point) =
-    Table.add_row table
-      [
-        (match p.Service.backend with `Sim -> "sim" | `Live -> "live");
-        string_of_int p.Service.n;
-        Printf.sprintf "%.0f" p.Service.achieved;
-        Printf.sprintf "%.2f" p.Service.latency.Stats.p50;
-        Printf.sprintf "%.2f" p.Service.latency.Stats.p99;
-        Service.status p;
-        (match p.Service.hash with
-        | Some (c, h) -> Printf.sprintf "%Lx@%d" h c
-        | None -> "-");
-      ]
-  in
-  List.iter
-    (fun (_, sim, live) ->
-      row sim;
-      Option.iter row live)
-    results;
-  Table.print table;
+        | Error _ -> ()
+        | Ok lp ->
+            Format.printf "%a@." Service.pp_point lp;
+            if Service.hash_match sim lp then
+              Format.printf "n=%d: sim and live state hashes agree@." n
+            else Format.printf "n=%d: STATE HASH DIVERGENCE@." n)
+    [ 3; 5 ];
   if not live_ok then
-    Format.printf "live points skipped: no loopback sockets here@.";
-  List.iter
-    (fun (n, sim, live) ->
-      match live with
-      | None -> ()
-      | Some lp ->
-          if Service.hash_match sim lp then
-            Format.printf "n=%d: sim and live state hashes agree@." n
-          else Format.printf "n=%d: STATE HASH DIVERGENCE@." n)
-    results;
-  let point_json (p : Service.point) =
-    Printf.sprintf
-      {|      {"n": %d, "clients": %d, "requests": %d, "commands": %d, "achieved_cmd_s": %.1f, "p50_ms": %.3f, "p99_ms": %.3f, "mean_ms": %.3f, "checker_ok": %b, "clean": %b, "state_hash": %s, "cursor": %s}|}
-      p.Service.n p.Service.clients p.Service.requests p.Service.commands
-      p.Service.achieved p.Service.latency.Stats.p50
-      p.Service.latency.Stats.p99 p.Service.latency.Stats.mean
-      p.Service.checker_ok p.Service.clean
-      (match p.Service.hash with
-      | Some (_, h) -> Printf.sprintf {|"%Lx"|} h
-      | None -> "null")
-      (match p.Service.hash with
-      | Some (c, _) -> string_of_int c
-      | None -> "null")
-  in
-  let sims = List.map (fun (_, s, _) -> point_json s) results in
-  let lives = List.filter_map (fun (_, _, l) -> Option.map point_json l) results in
-  let agree =
-    List.filter_map
-      (fun (n, sim, live) ->
-        Option.map
-          (fun lp ->
-            Printf.sprintf {|"n%d": %b|} n (Service.hash_match sim lp))
-          live)
-      results
-  in
-  let oc = open_out "BENCH_PR8.json" in
-  Printf.fprintf oc
-    {|{
-  "clients": %d,
-  "requests": %d,
-  "config": {"batch": %d, "pipeline": %d, "flush_ms": %.1f, "algo": "ct", "ordering": "indirect"},
-  "sim": [
-%s
-  ],
-  "live": [
-%s
-  ],
-  "hash_agreement": {%s}
-}
-|}
-    clients requests batching.Abcast.batch batching.Abcast.pipeline
-    batching.Abcast.flush_ms
-    (String.concat ",\n" sims)
-    (String.concat ",\n" lives)
-    (String.concat ", " agree);
-  close_out oc;
-  Format.printf "wrote BENCH_PR8.json@."
+    Format.printf "live points skipped: no loopback sockets here@."
 
 (* --- Bechamel microbenchmarks -------------------------------------------- *)
 
@@ -1370,28 +678,38 @@ let run_micro () =
     (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
   Table.print table
 
+(* Every section, in run order. *)
+let sections ~quick =
+  [
+    ("figures", fun () -> run_figures ~quick);
+    ("scenarios", run_scenarios);
+    ( "ablations",
+      fun () ->
+        ablation_network ~quick;
+        ablation_quorum ();
+        ablation_broadcast_cost ~quick;
+        ablation_rcv_cost ~quick;
+        extension_algorithms ~quick;
+        extension_scalability ~quick );
+    ("faults", fun () -> run_faults ~quick);
+    ("faults-live", fun () -> run_faults_live ~quick);
+    ("claims", fun () -> run_claims ~quick);
+    ("micro", run_micro);
+    ("saturation", fun () -> run_saturation ~quick);
+    ("service", fun () -> run_service ~quick);
+  ]
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let quick = List.mem "quick" args in
   let only = List.filter (fun a -> a <> "quick") args in
-  let want what = only = [] || List.mem what only in
-  if want "figures" then run_figures ~quick;
-  if want "scenarios" then run_scenarios ();
-  if want "ablations" then begin
-    ablation_network ~quick;
-    ablation_quorum ();
-    ablation_broadcast_cost ~quick;
-    ablation_rcv_cost ~quick;
-    extension_algorithms ~quick;
-    extension_scalability ~quick
-  end;
-  if want "faults" then run_faults ~quick;
-  if want "faults-live" then run_faults_live ~quick;
-  if want "claims" then run_claims ~quick;
-  if want "micro" then run_micro ();
-  if want "wire" then run_wire ~quick;
-  if want "saturation" then run_saturation ~quick;
-  if want "wire2" then run_wire2 ~quick;
-  if want "service" then run_service ~quick;
-  if want "perf" then run_perf ~quick;
+  let sections = sections ~quick in
+  (match List.filter (fun a -> not (List.mem_assoc a sections)) only with
+  | [] -> ()
+  | unknown ->
+      Format.eprintf "bench: unknown section %s; sections are %s (and quick)@."
+        (String.concat ", " unknown)
+        (String.concat ", " (List.map fst sections));
+      exit 2);
+  List.iter (fun (name, run) -> if only = [] || List.mem name only then run ()) sections;
   Format.printf "@.done.@."

@@ -156,7 +156,7 @@ let figure_cmd =
         | None ->
             Format.eprintf "unknown figure %s; available: %s@." id
               (String.concat ", " (Figures.ids ()));
-            exit 1
+            exit 2
     in
     List.iter
       (fun f ->
@@ -196,7 +196,7 @@ let violation_cmd =
           [ Scenarios.mr_scenario Scenarios.Naive; Scenarios.mr_scenario Scenarios.Indirect_mr ]
       | _ ->
           Format.eprintf "unknown scenario %s (ct or mr)@." which;
-          exit 1
+          exit 2
     in
     List.iter (fun o -> Format.printf "%a@." Scenarios.pp_outcome o) outcomes
   in
@@ -699,24 +699,7 @@ let bench_cmd =
         Saturation.sim_curve ~seed ~algo ~ordering ~body_bytes:size
           ~duration_ms:(duration *. 1000.0) ~n ~batching ~broadcast loads
     in
-    Format.printf
-      "@.%10s %10s %9s %9s %9s %9s %6s  %s@." "offered" "achieved" "mean"
-      "p95" "p99" "max" "util" "status";
-    List.iter
-      (fun (p : Saturation.point) ->
-        Format.printf "%10.0f %10.0f %9.2f %9.2f %9.2f %9.2f %6s  %s@."
-          p.Saturation.offered p.Saturation.achieved p.Saturation.latency.Stats.mean
-          p.Saturation.latency.Stats.p95 p.Saturation.latency.Stats.p99
-          p.Saturation.latency.Stats.max
-          (if Float.is_nan p.Saturation.util then "-"
-           else Printf.sprintf "%.0f%%" (p.Saturation.util *. 100.0))
-          (Saturation.status p))
-      curve.Saturation.points;
-    (match Saturation.knee curve with
-    | Some k ->
-        Format.printf "@.knee: %.0f msg/s achieved at %.0f offered (p99 %.2f ms)@."
-          k.Saturation.achieved k.Saturation.offered k.Saturation.latency.Stats.p99
-    | None -> Format.printf "@.knee: no points ran@.");
+    Format.printf "%a@." Saturation.pp_curve curve;
     if List.exists (fun (p : Saturation.point) -> not p.Saturation.checker_ok)
          curve.Saturation.points
     then begin
@@ -788,20 +771,8 @@ let service_cmd =
     and batching = Profile.batching profile in
     if replay_check then
       report_replay ~what:"service" (Service.replay_check ~seed ~batching ~n ());
-    let pp_point (p : Service.point) =
-      Format.printf
-        "%-4s n=%d clients=%d requests=%d: %d commands, %.0f cmd/s, p50 %.2f \
-         ms, p99 %.2f ms, %s%s@."
-        (match p.Service.backend with `Sim -> "sim" | `Live -> "live")
-        p.Service.n p.Service.clients p.Service.requests p.Service.commands
-        p.Service.achieved p.Service.latency.Stats.p50
-        p.Service.latency.Stats.p99 (Service.status p)
-        (match p.Service.hash with
-        | Some (c, h) -> Printf.sprintf " (hash %Lx @ %d)" h c
-        | None -> "")
-    in
     let sim = Service.sim_point ~seed ~batching ~n ~clients ~requests () in
-    pp_point sim;
+    Format.printf "%a@." Service.pp_point sim;
     let failed = ref (not (sim.Service.checker_ok && sim.Service.clean)) in
     if live then begin
       match
@@ -809,7 +780,7 @@ let service_cmd =
       with
       | Error reason -> skip_live "service" reason
       | Ok lp ->
-          pp_point lp;
+          Format.printf "%a@." Service.pp_point lp;
           if not (lp.Service.checker_ok && lp.Service.clean) then failed := true;
           if Service.hash_match sim lp then
             Format.printf "state hash: sim and live agree@."

@@ -226,39 +226,6 @@ let encode_frame w ~src ~dst ~layer (payload : Message.payload) =
       Bq.truncate w ~len:frame_start;
       raise e
 
-(* Legacy encode-to-fresh-Buffer API, kept as a thin shim for tests and
-   benches.  The frame shim deliberately preserves the old
-   stage-then-copy arithmetic — body staged out of line, length taken
-   with String.length, CRC over the extracted string — so it stays an
-   independent reference the fuzzer can hold the backpatching in-place
-   encoder to, byte for byte. *)
-let encode_payload_legacy b payload =
-  let w = Bq.create 256 in
-  encode_payload w payload;
-  Buffer.add_string b (Bq.contents w)
-
-let encode_frame_legacy b ~src ~dst ~layer payload =
-  let wire_layer =
-    match layer_to_wire layer with
-    | Some id -> id
-    | None -> Prim.fail "encode: layer %s has no wire id" layer
-  in
-  let bodyq = Bq.create 256 in
-  encode_payload bodyq payload;
-  let body = Bq.contents bodyq in
-  let u8 v = Buffer.add_char b (Char.chr (v land 0xff)) in
-  let u16 v = u8 (v lsr 8); u8 v in
-  let u32 v = u16 ((v lsr 16) land 0xffff); u16 (v land 0xffff) in
-  u8 magic;
-  u8 version;
-  u16 src;
-  u16 dst;
-  u16 wire_layer;
-  u32 (String.length body);
-  u32 (Prim.crc32 body);
-  Buffer.add_string b body;
-  String.length body
-
 let decode_header ?(pos = 0) buf =
   try
     let r = Prim.reader ~pos ~len:header_bytes buf in

@@ -110,19 +110,6 @@ val encode_frame :
     pre-frame length — a partial frame never reaches the wire.
     @raise Error on unregistered payloads or unknown layer names. *)
 
-(** {1 Legacy encode-to-Buffer shims}
-
-    The pre-[encode_into] API, kept for tests and benches that want
-    frames as strings.  [encode_frame_legacy] preserves the old
-    stage-then-copy arithmetic (body staged out of line, length by
-    [String.length], CRC over the extracted string), making it an
-    independent reference the codec fuzzer holds the backpatching
-    in-place encoder to, byte for byte. *)
-
-val encode_payload_legacy : Buffer.t -> Message.payload -> unit
-val encode_frame_legacy :
-  Buffer.t -> src:int -> dst:int -> layer:string -> Message.payload -> int
-
 val decode_header : ?pos:int -> string -> (header, string) result
 (** Parse the fixed header at [pos]; never raises. *)
 

@@ -74,6 +74,23 @@ let status p =
   else if p.checker_ok then "overload (checker ok)"
   else "CHECKER FAIL"
 
+let pp_curve ppf curve =
+  Format.fprintf ppf "@\n%10s %10s %9s %9s %9s %9s %6s  %s" "offered" "achieved"
+    "mean" "p95" "p99" "max" "util" "status";
+  List.iter
+    (fun p ->
+      Format.fprintf ppf "@\n%10.0f %10.0f %9.2f %9.2f %9.2f %9.2f %6s  %s" p.offered
+        p.achieved p.latency.Stats.mean p.latency.Stats.p95 p.latency.Stats.p99
+        p.latency.Stats.max
+        (if Float.is_nan p.util then "-" else Printf.sprintf "%.0f%%" (p.util *. 100.0))
+        (status p))
+    curve.points;
+  match knee curve with
+  | Some k ->
+      Format.fprintf ppf "@\n@\nknee: %.0f msg/s achieved at %.0f offered (p99 %.2f ms)"
+        k.achieved k.offered k.latency.Stats.p99
+  | None -> Format.fprintf ppf "@\n@\nknee: no points ran"
+
 (* ------------------------------------------------------------------ *)
 (* Simulated sweep.                                                   *)
 (* ------------------------------------------------------------------ *)

@@ -1,5 +1,6 @@
-(** Offered-load saturation sweep: the knee-curve bench behind
-    BENCH_PR6.json and [make saturation-smoke].
+(** Offered-load saturation sweep: the knee curves that [ics_cli bench],
+    the [saturation] section of [bench/main.exe] and
+    [make saturation-smoke] print.
 
     One {!point} is one run of a fixed stack shape at one offered load,
     with the full checker battery on (every point is correctness-gated,
@@ -59,6 +60,11 @@ val status : point -> string
 val knee : curve -> point option
 (** The fastest {!healthy} point; falls back to the fastest point
     overall when no point is healthy, [None] on an empty curve. *)
+
+val pp_curve : Format.formatter -> curve -> unit
+(** A blank line, the per-point table (offered, achieved, latency
+    percentiles, utilization, {!status}), a blank line and the {!knee}
+    line; no trailing newline. *)
 
 val sim_point :
   ?seed:int64 ->

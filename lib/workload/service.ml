@@ -52,6 +52,15 @@ let status p =
   else if not p.checker_ok then "CHECKER FAIL"
   else "INCOMPLETE"
 
+let pp_point ppf p =
+  Format.fprintf ppf
+    "%-4s n=%d clients=%d requests=%d: %d commands, %.0f cmd/s, p50 %.2f ms, p99 \
+     %.2f ms, %s%s"
+    (match p.backend with `Sim -> "sim" | `Live -> "live")
+    p.n p.clients p.requests p.commands p.achieved p.latency.Stats.p50
+    p.latency.Stats.p99 (status p)
+    (match p.hash with Some (c, h) -> Printf.sprintf " (hash %Lx @ %d)" h c | None -> "")
+
 (* The profile both backends run: the config's stack shape plus the
    closed-loop KV workload. *)
 let app_profile config ~clients ~requests ~app_seed ~hash_every ~retry_ms =

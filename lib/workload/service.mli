@@ -1,5 +1,7 @@
-(** Closed-loop service workload: the client-plane bench behind
-    BENCH_PR8.json and [make service-smoke].
+(** Closed-loop service workload: the client-plane points that
+    [ics_cli service], the [service] section of [bench/main.exe] and
+    [make service-smoke] print, and the benchmark's [live-service]
+    workload runs.
 
     One {!point} runs [clients] closed-loop sessions, each submitting
     [requests] commands to the replicated KV/ledger machine through the
@@ -41,6 +43,10 @@ val hash_match : point -> point -> bool
 val status : point -> string
 (** ["ok"] when checker-green and clean, ["CHECKER FAIL"] when the
     battery failed, ["INCOMPLETE"] when only the workload fell short. *)
+
+val pp_point : Format.formatter -> point -> unit
+(** One line: backend, shape, throughput, client p50/p99, {!status} and
+    the final (cursor, state hash); no trailing newline. *)
 
 val sim_point :
   ?seed:int64 ->
