@@ -596,12 +596,12 @@ let node_cmd =
     | None -> ());
     Format.printf "node %d: %d/%d adelivered, %s@." self r.Node.delivered r.Node.expected
       (if r.Node.clean_exit then "all nodes done" else "deadline hit");
-    Format.printf "net: %d frames out (%d B), %d frames in (%d B), %d decode errors@."
-      r.Node.net.Ics_runtime.Socket_transport.frames_out
-      r.Node.net.Ics_runtime.Socket_transport.bytes_out
-      r.Node.net.Ics_runtime.Socket_transport.frames_in
-      r.Node.net.Ics_runtime.Socket_transport.bytes_in
-      r.Node.net.Ics_runtime.Socket_transport.decode_errors;
+    let net = r.Node.net in
+    Format.printf
+      "net: %d frames out (%d B), %d frames in (%d B), %d decode errors, %d timer wakeups \
+       (oversleep %d us total, %d us max)@."
+      net.frames_out net.bytes_out net.frames_in net.bytes_in net.decode_errors
+      net.timer_wakeups net.oversleep_us_sum net.oversleep_us_max;
     if not r.Node.clean_exit then exit 10
   in
   let self =

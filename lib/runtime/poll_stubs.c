@@ -1,41 +1,57 @@
-/* Minimal poll(2) binding for the live event loop.
+/* Minimal ppoll(2) binding for the live event loop.
+ *
+ * The timeout is a whole number of microseconds, passed to ppoll as a
+ * struct timespec with a null signal mask (the loop blocks no signals).
+ * poll(2) takes whole milliseconds, so a timer due in 0.3 ms would sleep
+ * a full millisecond, and on the live backend timers sit on the abcast
+ * critical path (batch flush, open-loop generator, session retry
+ * timers).  ppoll wakes at the next engine timer to within the kernel's
+ * timer slack.
  *
  * The caller keeps three parallel arrays (fds, events, revents) alive
  * across iterations; this stub copies the first [nfds] entries into a
  * C pollfd array, releases the OCaml runtime lock around the blocking
- * poll, and writes revents back after reacquiring it.  The copy-in /
+ * ppoll, and writes revents back after reacquiring it.  The copy-in /
  * copy-out is mandatory: the GC may move the OCaml arrays while the
  * lock is released.
  *
- * Errors (including EINTR) are reported as a -1 return, not an OCaml
- * exception — the loop treats a negative return as "zero descriptors
- * ready" and re-evaluates its timers, which is exactly the EINTR
- * behaviour the old select loop had.
+ * EINTR is reported as 0 ("no descriptor ready"): the loop re-evaluates
+ * its timers and waits again.  Every other error (EINVAL, ENOMEM,
+ * EFAULT) raises Unix.Unix_error, so a broken pollset fails loudly
+ * instead of spinning as "nothing ready" until the deadline.
  */
 
+#define _GNU_SOURCE
+#include <errno.h>
 #include <poll.h>
 #include <stdlib.h>
+#include <time.h>
 
 #include <caml/mlvalues.h>
 #include <caml/memory.h>
 #include <caml/fail.h>
 #include <caml/signals.h>
+#include <caml/unixsupport.h>
 
 #define ICS_POLL_STACK_FDS 64
 
-CAMLprim value ics_poll_stub(value v_fds, value v_events, value v_revents,
-                             value v_nfds, value v_timeout)
+CAMLprim value ics_ppoll_stub(value v_fds, value v_events, value v_revents,
+                              value v_nfds, value v_timeout_us)
 {
-  CAMLparam5(v_fds, v_events, v_revents, v_nfds, v_timeout);
-  int nfds = Int_val(v_nfds);
-  int timeout = Int_val(v_timeout);
+  CAMLparam5(v_fds, v_events, v_revents, v_nfds, v_timeout_us);
+  long nfds = Long_val(v_nfds);
+  long timeout_us = Long_val(v_timeout_us);
   struct pollfd stack_pfds[ICS_POLL_STACK_FDS];
   struct pollfd *pfds = stack_pfds;
-  int i, ret;
+  struct timespec ts;
+  long i;
+  int ret, err;
 
-  if (nfds < 0 || nfds > Wosize_val(v_fds) || nfds > Wosize_val(v_events) ||
-      nfds > Wosize_val(v_revents))
-    caml_invalid_argument("ics_poll: nfds exceeds array size");
+  if (nfds < 0 || (mlsize_t)nfds > Wosize_val(v_fds) ||
+      (mlsize_t)nfds > Wosize_val(v_events) ||
+      (mlsize_t)nfds > Wosize_val(v_revents))
+    caml_invalid_argument("ics_ppoll: nfds exceeds array size");
+  if (timeout_us < 0) caml_invalid_argument("ics_ppoll: negative timeout");
 
   if (nfds > ICS_POLL_STACK_FDS) {
     pfds = malloc(nfds * sizeof(struct pollfd));
@@ -48,8 +64,12 @@ CAMLprim value ics_poll_stub(value v_fds, value v_events, value v_revents,
     pfds[i].revents = 0;
   }
 
+  ts.tv_sec = timeout_us / 1000000;
+  ts.tv_nsec = (timeout_us % 1000000) * 1000;
+
   caml_enter_blocking_section();
-  ret = poll(pfds, (nfds_t)nfds, timeout);
+  ret = ppoll(pfds, (nfds_t)nfds, &ts, NULL);
+  err = errno;
   caml_leave_blocking_section();
 
   if (ret >= 0)
@@ -57,5 +77,9 @@ CAMLprim value ics_poll_stub(value v_fds, value v_events, value v_revents,
       Field(v_revents, i) = Val_int(pfds[i].revents);
 
   if (pfds != stack_pfds) free(pfds);
-  CAMLreturn(Val_int(ret < 0 ? -1 : ret));
+  if (ret < 0) {
+    if (err == EINTR) CAMLreturn(Val_int(0));
+    caml_unix_error(err, "ppoll", Nothing);
+  }
+  CAMLreturn(Val_int(ret));
 }

@@ -23,12 +23,14 @@ module Prim = Ics_codec.Prim
    knee. *)
 module Bq = Ics_codec.Bq
 
-(* Persistent pollset over poll(2).  The fds/events/revents arrays live
+(* Persistent pollset over ppoll(2).  The fds/events/revents arrays live
    across loop iterations — readiness interest is flipped in place when
    a queue's occupancy changes, never rebuilt per iteration (the select
    loop this replaces re-assembled its fd lists on every pass).  Slots
    are compacted by swap-with-last; [reslot] tells the owner its new
-   index so owner records can keep an O(1) handle on their slot. *)
+   index so owner records can keep an O(1) handle on their slot.  The
+   wait's timeout is in microseconds, so the loop wakes at the next
+   engine timer instead of up to a millisecond after it. *)
 module Poll = struct
   (* poll(2) event bits (Linux/BSD values; poll.h has used these
      everywhere that matters for two decades). *)
@@ -38,9 +40,21 @@ module Poll = struct
   let pollhup = 0x010
   let pollnval = 0x020
 
-  external poll_fds :
+  (* Returns the ready count, 0 on EINTR; raises [Unix.Unix_error] on
+     any other ppoll failure. *)
+  external ppoll_fds :
     Unix.file_descr array -> int array -> int array -> int -> int -> int
-    = "ics_poll_stub"
+    = "ics_ppoll_stub"
+
+  (* The loop never blocks longer than this, so a [stop] that turns true
+     without any I/O is noticed promptly. *)
+  let max_wait_ms = 50.0
+
+  (* Rounds up: a zero wait for a timer due in under a microsecond
+     would spin until it is due. *)
+  let timeout_us ms =
+    if not (ms > 0.0) then 0
+    else int_of_float (Float.ceil (Float.min max_wait_ms ms *. 1000.0))
 
   type 'a t = {
     mutable fds : Unix.file_descr array;
@@ -109,11 +123,7 @@ module Poll = struct
     if slot < 0 || slot >= t.n then invalid_arg "Poll.set_events: bad slot";
     t.events.(slot) <- ev
 
-  (* Negative return = transient failure (EINTR): report zero ready and
-     let the loop re-evaluate its timers, as the select loop did. *)
-  let wait t ~timeout_ms =
-    let r = poll_fds t.fds t.events t.revents t.n timeout_ms in
-    if r < 0 then 0 else r
+  let wait t ~timeout_us = ppoll_fds t.fds t.events t.revents t.n timeout_us
 
   (* Snapshot the ready owners before dispatching any of them: dispatch
      may close a connection, and the swap-with-last removal would
@@ -158,6 +168,9 @@ type t = {
   mutable frames_in : int;
   mutable bytes_in : int;
   mutable decode_errors : int;
+  mutable timer_wakeups : int;
+  mutable oversleep_us_sum : int;
+  mutable oversleep_us_max : int;
 }
 
 let transport t = Option.get t.transport
@@ -384,6 +397,9 @@ let create ~engine ~clock ~self ~listen ~peer_addrs () =
       frames_in = 0;
       bytes_in = 0;
       decode_errors = 0;
+      timer_wakeups = 0;
+      oversleep_us_sum = 0;
+      oversleep_us_max = 0;
     }
   in
   ignore (Poll.add pollset listen ~events:Poll.pollin Listen : int);
@@ -415,7 +431,16 @@ let connected t =
   Array.iteri (fun p peer -> if p <> t.self && peer.out_fd <> None then incr up) t.peers;
   !up
 
-(* The live event loop: execute due engine events, then block in poll(2)
+(* A wait that ended on its timeout with a timer armed: how long after
+   the timer's due time the loop got the CPU back. *)
+let record_wakeup t at =
+  let late_us = Float.max 0.0 ((Clock.now t.clock -. at) *. 1000.0) in
+  let late_us = int_of_float (Float.round late_us) in
+  t.timer_wakeups <- t.timer_wakeups + 1;
+  t.oversleep_us_sum <- t.oversleep_us_sum + late_us;
+  if late_us > t.oversleep_us_max then t.oversleep_us_max <- late_us
+
+(* The live event loop: execute due engine events, then block in ppoll(2)
    until the next timer, inbound traffic, or writability of a clogged
    peer.  The engine's horizon is pinned once to [deadline] so that
    self-rearming timer loops (heartbeats) retire by themselves. *)
@@ -464,14 +489,18 @@ let run t ~deadline ~stop =
     let now = Clock.now t.clock in
     if not (finished now) then begin
       let horizon = match !stopped_at with Some t0 -> Float.min deadline (t0 +. grace) | None -> deadline in
-      let next_timer =
+      let until_horizon = Float.max 0.0 (horizon -. now) in
+      (* [armed]: the wait ends at an engine timer's due time, not at the
+         horizon or the [Poll.max_wait_ms] cap. *)
+      let timeout_ms, armed =
         match Engine.next_due t.engine with
-        | Some at -> Float.max 0.0 (at -. now)
-        | None -> 50.0
+        | Some at when at -. now <= Float.min Poll.max_wait_ms until_horizon ->
+            (Float.max 0.0 (at -. now), Some at)
+        | _ -> (until_horizon, None)
       in
-      let timeout_ms = Float.min 50.0 (Float.min next_timer (Float.max 0.0 (horizon -. now))) in
-      let nready = Poll.wait t.pollset ~timeout_ms:(int_of_float (Float.ceil timeout_ms)) in
-      if nready > 0 then List.iter dispatch (Poll.ready t.pollset);
+      let nready = Poll.wait t.pollset ~timeout_us:(Poll.timeout_us timeout_ms) in
+      if nready > 0 then List.iter dispatch (Poll.ready t.pollset)
+      else Option.iter (record_wakeup t) armed;
       loop ()
     end
   in
@@ -490,6 +519,9 @@ type stats = {
   frames_in : int;
   bytes_in : int;
   decode_errors : int;
+  timer_wakeups : int;
+  oversleep_us_sum : int;
+  oversleep_us_max : int;
 }
 
 let stats (t : t) =
@@ -500,4 +532,7 @@ let stats (t : t) =
     frames_in = t.frames_in;
     bytes_in = t.bytes_in;
     decode_errors = t.decode_errors;
+    timer_wakeups = t.timer_wakeups;
+    oversleep_us_sum = t.oversleep_us_sum;
+    oversleep_us_max = t.oversleep_us_max;
   }

@@ -1,4 +1,4 @@
-(** The live transport backend: localhost TCP mesh + poll(2) readiness
+(** The live transport backend: localhost TCP mesh + ppoll(2) readiness
     loop.
 
     Wraps {!Ics_net.Transport.create_ext} with real sockets.  Node [i]
@@ -18,7 +18,9 @@
     engine's timer queue from the real clock via
     {!Ics_sim.Engine.run_due}, pinning the engine horizon once to the
     run deadline so self-rearming timers (heartbeats) retire on their
-    own. *)
+    own.  Each wait's timeout is in whole microseconds ({!Poll.timeout_us}),
+    so a timer wakes the loop within the kernel's timer slack of its due
+    time rather than up to a millisecond late. *)
 
 module Engine = Ics_sim.Engine
 module Transport = Ics_net.Transport
@@ -27,6 +29,16 @@ module Transport = Ics_net.Transport
     shared buffer discipline from encoder to socket and socket to
     decoder. *)
 module Bq = Ics_codec.Bq
+
+(** The readiness wait's timeout arithmetic. *)
+module Poll : sig
+  val timeout_us : float -> int
+  (** [timeout_us ms] is the ppoll timeout for a wait of [ms]
+      milliseconds: clamped to \[0, 50 ms\] (so [stop] is polled
+      promptly) and rounded up to a whole microsecond, so a timer due in
+      under a microsecond gets a 1 µs wait, never a zero-length one that
+      spins.  Negative and NaN waits are 0. *)
+end
 
 type t
 
@@ -66,6 +78,13 @@ type stats = {
   frames_in : int;
   bytes_in : int;
   decode_errors : int;
+  timer_wakeups : int;
+      (** waits that ended on their timeout with an engine timer armed as
+          the wake-up time *)
+  oversleep_us_sum : int;
+  oversleep_us_max : int;
+      (** wall time of waking minus the armed timer's due time, summed and
+          maximised over [timer_wakeups] (µs, rounded) *)
 }
 
 val stats : t -> stats
