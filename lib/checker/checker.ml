@@ -683,9 +683,16 @@ let check_app run =
      here, because clients submitted and nothing ever happened.  Crashed
      submitters are excused (their command may never have left the node);
      a replica that exited before the command's first application
-     anywhere is excused (it left the run before the effect existed). *)
+     anywhere is excused (it left the run before the effect existed).
+     One (client, req) set per replica keeps this linear in the trace. *)
   let submit_seen = Hashtbl.create 256 in
   let correct = Run.correct run in
+  let applied_at =
+    Array.init (Run.n run) (fun q ->
+        let set = Hashtbl.create 256 in
+        List.iter (fun cr -> Hashtbl.replace set cr ()) (Run.app_applied run q);
+        set)
+  in
   List.iter
     (fun (src, client, req) ->
       if (not (Hashtbl.mem submit_seen (client, req))) && Run.is_correct run src
@@ -694,11 +701,7 @@ let check_app run =
         let first_applied = Hashtbl.find_opt run.Run.first_applied_time (client, req) in
         List.iter
           (fun q ->
-            let applied_here =
-              List.exists
-                (fun (c, r) -> c = client && r = req)
-                (Run.app_applied run q)
-            in
+            let applied_here = Hashtbl.mem applied_at.(q) (client, req) in
             let excused =
               match (Run.exit_time run q, first_applied) with
               | Some te, Some ta -> ta > te

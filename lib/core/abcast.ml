@@ -117,15 +117,24 @@ let try_deliver t p =
 
 (* Batching and pipelining of Algorithm 1's proposal step.  Instance
    slots [applied+1 .. applied+pipeline] may run concurrently; each id is
-   proposed into at most one open instance (tracked by [inflight]), and a
-   slot is opened only once [batch] fresh ids have accumulated or the
-   flush timer fires.  [batch] is a trigger, not a cap: a proposal carries
-   every fresh id, so a backlog drains in one instance.  At the default
-   batch=1/pipeline=1 this reduces exactly to the seed behaviour — one
-   instance at a time, proposed the moment an id shows up, no timer ever
-   armed — which is what keeps the pinned chaos fingerprints bit-identical. *)
+   proposed into at most one open instance (tracked by [inflight]).  With
+   no instance open in those slots the pipeline is idle and fresh ids are
+   proposed at once, as in Algorithm 1.  While an instance is open, a
+   further slot opens only once [batch] fresh ids have accumulated, a
+   decision empties the pipeline ([apply_decisions] calls back here), or
+   the flush timer fires — so batches grow with load instead of delaying
+   an unloaded abcast.  [batch] is a trigger; a proposal carries every
+   fresh id up to the [cap_factor] cap.  At the default batch=1/pipeline=1
+   this reduces exactly to the seed behaviour — one instance at a time,
+   proposed the moment an id shows up, no timer ever armed — which is what
+   keeps the pinned chaos fingerprints bit-identical. *)
 let rec try_propose ?(flush = false) t p =
   let st = t.states.(p) in
+  let rec open_slot d =
+    d <= t.batching.pipeline
+    && (t.consensus.has_instance p (st.applied + d) || open_slot (d + 1))
+  in
+  let flush = flush || not (open_slot 1) in
   let rec slots d =
     if d <= t.batching.pipeline then begin
       let k = st.applied + d in

@@ -47,18 +47,21 @@ type ordering = Consensus_on_messages | Consensus_on_ids | Indirect_consensus
 
 type batching = {
   batch : int;
-      (** fresh ids that trigger a proposal.  A trigger, not a cap: a
-          proposal always carries every fresh id, so a backlog drains in
-          one instance. *)
+      (** fresh ids that trigger a proposal while an instance is open in
+          the pipeline; with none open, any fresh id is proposed at once,
+          as in Algorithm 1.  A trigger: a proposal carries every fresh
+          id up to [batch × 8], so a backlog drains in few instances. *)
   pipeline : int;
       (** instance slots [applied+1 .. applied+pipeline] that may run
           concurrently.  Decisions still commit strictly in instance
           order, so delivery order stays deterministic. *)
   flush_ms : float;
-      (** one-shot flush timer armed (via {!Ics_net.Env.t}[.schedule], so
-          it is backend-neutral) when fresh ids sit below [batch]; a
-          timer that would land past the run horizon flushes immediately
-          instead, keeping faulted runs quiescent. *)
+      (** the longest a sub-batch residue waits behind an open instance:
+          a one-shot flush timer armed (via {!Ics_net.Env.t}[.schedule],
+          so it is backend-neutral) when fresh ids sit below [batch]
+          while an instance is open and no decision has emptied the
+          pipeline first; a timer that would land past the run horizon
+          flushes immediately instead, keeping faulted runs quiescent. *)
 }
 
 val no_batching : batching

@@ -194,7 +194,9 @@ let stack_specs =
       ~put:(fun p pipeline -> { p with pipeline })
       ();
     float_spec ~keys:[ "flush" ]
-      ~doc:"Batch flush timer, ms (fires when a batch sits below --batch)."
+      ~doc:
+        "Batch flush timer, ms (fires while an instance is open and the residue \
+         is below --batch)."
       ~get:(fun p -> p.flush_ms)
       ~put:(fun p flush_ms -> { p with flush_ms })
       ();

@@ -163,6 +163,12 @@ val sweep_results :
     [jobs = n] sweeps. *)
 
 val matrix_table : cell list -> Ics_prelude.Table.t
+(** Pass/runs per (plan, stack).  A failing cell reads [FAIL], or
+    [FAIL (termination)] when every failing run drained and its only
+    violation is [consensus.termination] (the open-instance gap of
+    batched crash cells, a liveness gap rather than a safety failure).
+    The sweep's exit criteria count both alike. *)
+
 val report : ?verbose:bool -> Format.formatter -> cell list -> unit
 (** The pass/fail matrix, then per failing cell the failing plan, seed,
     violations and replay command (first failure only unless [verbose]). *)

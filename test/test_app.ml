@@ -153,7 +153,7 @@ let test_sim_service_hash_stable () =
 let smoke_batching = { Ics_core.Abcast.batch = 8; pipeline = 4; flush_ms = 1.0 }
 
 let test_service_fingerprint_pinned () =
-  checks "service-smoke cell" "8ac920c28bace7db75e1eb5eeb5a7a63"
+  checks "service-smoke cell" "7113f00135c7cac6bd1b59ac5b034fc3"
     (Service.sim_fingerprint ~seed:1L ~batching:smoke_batching ~n:3 ())
 
 let test_service_point_pinned () =
@@ -201,6 +201,28 @@ let test_chaos_app_on_ids_blackout_semantic () =
      message-level battery. *)
   checkb "fails via app.progress (state divergence)" true
     (has_property r.Chaos.verdict "app.progress")
+
+(* The app battery's violation list, pinned on the on-ids blackout cell
+   (many app.progress findings) and on a clean cell: a faster
+   [Checker.check_app] must report the same violations in the same order.
+   Both cells run unbatched, so their schedules are the seed's. *)
+let app_violations r =
+  List.filter
+    (fun (v : Checker.violation) -> String.starts_with ~prefix:"app." v.Checker.property)
+    r.Chaos.verdict.Checker.violations
+
+let test_chaos_app_violations_pinned () =
+  List.iter
+    (fun (stack, count, digest) ->
+      let vs = app_violations (Chaos.run_one ~app:true stack Chaos.Blackout ~seed:1L) in
+      let rendered = Format.asprintf "%a" (Format.pp_print_list Checker.pp_violation) vs in
+      checki (Chaos.stack_name stack ^ " app violations") count (List.length vs);
+      checks (Chaos.stack_name stack ^ " app violation digest") digest
+        (Digest.to_hex (Digest.string rendered)))
+    [
+      (Chaos.Ct_on_ids, 12, "abce40fe835a59cd7d0984d78152faa9");
+      (Chaos.Ct_indirect, 0, "d41d8cd98f00b204e9800998ecf8427e");
+    ]
 
 let test_chaos_app_sweep_cells () =
   List.iter
@@ -383,6 +405,8 @@ let suites =
           test_chaos_app_indirect_blackout_green;
         Alcotest.test_case "on-ids blackout fails semantically" `Quick
           test_chaos_app_on_ids_blackout_semantic;
+        Alcotest.test_case "app violations pinned" `Quick
+          test_chaos_app_violations_pinned;
         Alcotest.test_case "indirect app cells green across plans" `Quick
           test_chaos_app_sweep_cells;
         Alcotest.test_case "app cells replay bit-identically" `Quick

@@ -1,9 +1,11 @@
 (* Tests for batched/pipelined proposals and ring dissemination: batched
-   cells must stay checker-green under every fault plan, the flush timer
-   must drain sub-batch residues (including at the horizon, lint rule
-   P2's discipline), and the batched sim cell must replay
-   deterministically and stay pinned.  The batch=1/pipeline=1 default
-   reproducing the pre-batching chaos runs is pinned in test_codec. *)
+   cells must stay checker-green under every fault plan, an idle pipeline
+   must propose at once while an open instance batches arrivals, the
+   flush timer must drain sub-batch residues behind an open instance
+   (including at the horizon, lint rule P2's discipline), and the batched
+   sim cell must replay deterministically and stay pinned.  The
+   batch=1/pipeline=1 default reproducing the pre-batching chaos runs is
+   pinned in test_codec. *)
 
 module Stack = Ics_core.Stack
 module Abcast = Ics_core.Abcast
@@ -11,6 +13,8 @@ module Checker = Ics_checker.Checker
 module Chaos = Ics_workload.Chaos
 module Saturation = Ics_workload.Saturation
 module Profile = Ics_core.Profile
+module Trace = Ics_sim.Trace
+module Msg_id = Ics_net.Msg_id
 
 let checkb = Alcotest.(check bool)
 
@@ -51,62 +55,182 @@ let test_batched_replay_deterministic () =
    ring) is also pinned to its trace digest. *)
 let test_saturation_fingerprint_pinned () =
   Alcotest.(check string)
-    "saturation-smoke cell" "6b13e6c0cc3dc9c192ad2620fff4fb3b"
+    "saturation-smoke cell" "864ed1b259d895b27f461e2f73551c28"
     (Saturation.sim_fingerprint ~seed:1L ~n:5
        ~batching:{ Abcast.batch = 8; pipeline = 2; flush_ms = 1.0 }
        ~broadcast:Profile.Ring ())
 
 let delivered stack p = Abcast.delivered_sequence stack.Stack.abcast p
 
-(* Fewer arrivals than [batch]: only the flush timer can open the
-   instance, so delivery happening at all is the timer working; the
-   checker battery then holds the result to the usual standard. *)
+let events stack = Trace.events (Ics_sim.Engine.trace stack.Stack.engine)
+
+(* Virtual time of the first event at [p] satisfying [f], if any. *)
+let first_time stack p f =
+  List.find_map
+    (fun (e : Trace.event) -> if e.Trace.pid = p && f e.Trace.kind then Some e.Trace.time else None)
+    (events stack)
+
+let time_of what = function
+  | Some t -> t
+  | None -> Alcotest.failf "no %s in the trace" what
+
+let rdeliver_time stack p id =
+  time_of "Rdeliver"
+    (first_time stack p (function
+      | Trace.Rdeliver i -> Msg_id.equal i id
+      | _ -> false))
+
+let propose_time stack p id =
+  time_of "Propose"
+    (first_time stack p (function
+      | Trace.Propose (_, ids) -> List.exists (Msg_id.equal id) ids
+      | _ -> false))
+
+let check_time = Alcotest.(check (float 1e-9))
+
+(* The id [src] A-broadcast as its [seq]-th message. *)
+let id_of src seq = Msg_id.make ~origin:src ~seq
+
+(* A residue that arrives while an instance is held open: p0, round 1's
+   coordinator, crashes before the first abcast and the oracle takes
+   20 ms to say so, so instance 1 stays open at p1 and p2.  p2's later id
+   is below [batch] with a slot free: only the flush timer can propose it
+   before instance 1 decides, and it must do so [flush_ms] after the id
+   arrives.  Delivery and the checker battery then hold the run to the
+   usual standard. *)
 let test_flush_timer_drains_residue () =
+  let flush_ms = 5.0 in
   let config =
     {
       Stack.abcast_indirect with
       Stack.setup = ideal;
-      fd_kind = Stack.Oracle 10.0;
-      batching = { Abcast.batch = 64; pipeline = 2; flush_ms = 5.0 };
+      fd_kind = Stack.Oracle 20.0;
+      batching = { Abcast.batch = 64; pipeline = 2; flush_ms };
     }
   in
   let stack =
-    Test_util.run_stack config [ (1.0, 0, 16); (1.5, 1, 16); (2.0, 2, 16) ]
+    Test_util.run_stack ~crashes:[ (0, 0.5) ] config [ (1.0, 1, 16); (4.0, 2, 16) ]
   in
+  let residue = id_of 2 0 in
   List.iter
     (fun p ->
+      check_time
+        (Printf.sprintf "p%d proposes the residue at the flush" p)
+        (rdeliver_time stack p residue +. flush_ms)
+        (propose_time stack p residue);
       Alcotest.(check int)
         (Printf.sprintf "p%d delivered" p)
-        3
+        2
         (List.length (delivered stack p)))
-    [ 0; 1; 2 ];
+    [ 1; 2 ];
   Test_util.assert_clean_verdict "flush residue"
     (Checker.check_all_abcast (Test_util.checker_run stack))
 
-(* Arrivals just before the run's horizon, with a flush period that would
-   fire past it: the timer must not park them — lint rule P2's deadline
-   discipline says flush now instead — so the run still drains. *)
+(* The same held-open instance just before the run's horizon, with a
+   flush period that would fire past it: the timer must not park the
+   residue — lint rule P2's deadline discipline says flush now instead —
+   so it is proposed the moment it arrives and the run still drains. *)
 let test_flush_honors_horizon () =
   let horizon = 2_000.0 in
   let config =
     {
       Stack.abcast_indirect with
       Stack.setup = ideal;
-      fd_kind = Stack.Oracle 10.0;
+      fd_kind = Stack.Oracle 20.0;
       batching = { Abcast.batch = 64; pipeline = 2; flush_ms = 500.0 };
     }
   in
   let stack =
-    Test_util.run_stack ~horizon config
-      [ (horizon -. 30.0, 0, 16); (horizon -. 29.0, 1, 16) ]
+    Test_util.run_stack ~horizon
+      ~crashes:[ (0, horizon -. 60.0) ]
+      config
+      [ (horizon -. 55.0, 1, 16); (horizon -. 52.0, 2, 16) ]
   in
+  let residue = id_of 2 0 in
   List.iter
     (fun p ->
+      check_time
+        (Printf.sprintf "p%d proposes the residue at once" p)
+        (rdeliver_time stack p residue)
+        (propose_time stack p residue);
       Alcotest.(check int)
         (Printf.sprintf "p%d delivered" p)
         2
         (List.length (delivered stack p)))
+    [ 1; 2 ]
+
+(* An idle pipeline proposes at once, as Algorithm 1 does: at batch 32
+   the lone id would otherwise wait out the whole 5 ms flush. *)
+let test_idle_pipeline_proposes_at_once () =
+  let config =
+    {
+      Stack.abcast_indirect with
+      Stack.setup = ideal;
+      fd_kind = Stack.Oracle 10.0;
+      batching = { Abcast.batch = 32; pipeline = 4; flush_ms = 5.0 };
+    }
+  in
+  let stack = Test_util.run_stack config [ (1.0, 0, 16) ] in
+  let id = id_of 0 0 in
+  let abroadcast =
+    time_of "Abroadcast"
+      (first_time stack 0 (function
+        | Trace.Abroadcast i -> Msg_id.equal i id
+        | _ -> false))
+  in
+  check_time "first Propose at the Abroadcast" abroadcast (propose_time stack 0 id);
+  List.iter
+    (fun p ->
+      Alcotest.(check int) (Printf.sprintf "p%d delivered" p) 1
+        (List.length (delivered stack p)))
     [ 0; 1; 2 ]
+
+(* While an instance is open, arrivals batch: a burst at p0 faster than
+   one decision opens instance 1 at once, and every later instance at p0
+   opens only when a decision lands, [batch] fresh ids have piled up, or
+   the flush is due — never merely because a pipeline slot is free. *)
+let test_open_instance_batches () =
+  let batch = 8 and flush_ms = 20.0 in
+  let config =
+    {
+      Stack.abcast_indirect with
+      Stack.setup = ideal;
+      fd_kind = Stack.Oracle 10.0;
+      batching = { Abcast.batch; pipeline = 4; flush_ms };
+    }
+  in
+  let count = 30 in
+  let stack =
+    Test_util.run_stack config
+      (List.init count (fun i -> (1.0 +. (0.1 *. float_of_int i), 0, 16)))
+  in
+  let evs = List.filter (fun (e : Trace.event) -> e.Trace.pid = 0) (events stack) in
+  let decided_at t =
+    List.exists
+      (fun (e : Trace.event) ->
+        Float.equal e.Trace.time t
+        && match e.Trace.kind with Trace.Decide _ -> true | _ -> false)
+      evs
+  in
+  let proposals =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        match e.Trace.kind with
+        | Trace.Propose (k, ids) -> Some (e.Trace.time, k, ids)
+        | _ -> None)
+      evs
+  in
+  List.iter
+    (fun (t, k, ids) ->
+      let oldest = List.fold_left (fun m id -> Float.min m (rdeliver_time stack 0 id)) t ids in
+      if k > 1 then
+        checkb
+          (Printf.sprintf "instance %d at %.3f opened by a decision, batch or flush" k t)
+          true
+          (decided_at t || List.length ids >= batch || t >= oldest +. flush_ms))
+    proposals;
+  checkb "fewer instances than messages" true (List.length proposals < count / 2);
+  Alcotest.(check int) "all delivered" count (List.length (delivered stack 1))
 
 (* Ring dissemination under batching: payloads travel successor to
    successor while ids ride batched pipelined instances, and the full
@@ -132,6 +256,26 @@ let test_ring_batched_delivers () =
   Test_util.assert_clean_verdict "ring batched"
     (Checker.check_all_abcast (Test_util.checker_run stack))
 
+(* Batched crash cells can fail on consensus termination alone (an
+   instance left open behind a dead round-1 coordinator); the sweep's
+   matrix labels such cells apart from safety failures, which keep the
+   plain label.  Exit criteria count both alike. *)
+let test_termination_only_label () =
+  let gap =
+    Chaos.run_one
+      ~batching:{ Abcast.batch = 8; pipeline = 2; flush_ms = 1.0 }
+      Chaos.Ct_indirect Chaos.Storm ~seed:6L
+  in
+  let safety = Chaos.run_one Chaos.Ct_on_ids Chaos.Blackout ~seed:1L in
+  let label r =
+    Format.asprintf "%a" Ics_prelude.Table.pp
+      (Chaos.matrix_table
+         [ { Chaos.c_stack = r.Chaos.stack; c_plan = r.Chaos.plan_kind; runs = 1; failures = [ r ] } ])
+  in
+  checkb "gap labelled" true (Test_util.contains (label gap) "0/1 FAIL (termination)");
+  checkb "safety failure unlabelled" false (Test_util.contains (label safety) "(termination)");
+  checkb "safety failure shown" true (Test_util.contains (label safety) "0/1 FAIL")
+
 let suites =
   [
     ( "batching",
@@ -142,8 +286,14 @@ let suites =
         Alcotest.test_case "flush timer drains residue" `Quick
           test_flush_timer_drains_residue;
         Alcotest.test_case "flush honors horizon" `Quick test_flush_honors_horizon;
+        Alcotest.test_case "idle pipeline proposes at once" `Quick
+          test_idle_pipeline_proposes_at_once;
+        Alcotest.test_case "open instance batches arrivals" `Quick
+          test_open_instance_batches;
         Alcotest.test_case "ring + batching delivers" `Quick test_ring_batched_delivers;
         Alcotest.test_case "saturation fingerprint pinned" `Quick
           test_saturation_fingerprint_pinned;
+        Alcotest.test_case "termination-only cells labelled" `Quick
+          test_termination_only_label;
       ] );
   ]
