@@ -85,6 +85,15 @@ let stack_config_of_profile (p : Profile.t) =
     batching = Profile.batching p;
   }
 
+(* The consensus layer's round counters as one line (CT: coordinator
+   decisions by round, nacks sent).  Algorithms that keep none (MR, LB)
+   print nothing. *)
+let print_consensus_counters = function
+  | [] -> ()
+  | counters ->
+      Format.printf "consensus:%s@."
+        (String.concat "" (List.map (fun (k, v) -> Printf.sprintf " %s=%d" k v) counters))
+
 (* `run` command: one configuration under one load. *)
 
 let run_cmd =
@@ -111,6 +120,7 @@ let run_cmd =
       r.Experiment.sent_bytes;
     Format.printf "quiescent=%b (virtual time %.1f ms)@." r.Experiment.quiescent
       r.Experiment.wall_clock;
+    print_consensus_counters r.Experiment.consensus;
     (match r.Experiment.verdict with
     | Some v -> Format.printf "checker: %a@." Ics_checker.Checker.pp_verdict v
     | None -> ());
@@ -501,6 +511,7 @@ let cluster_cmd =
         Option.iter (Format.printf "latency: %a@." Stats.pp_summary) o.latency;
         Format.printf "throughput: %.0f msg/s over %.1f ms (%d trace events)@."
           o.Cluster.throughput_msg_s o.Cluster.duration_ms o.Cluster.events;
+        print_consensus_counters o.Cluster.consensus;
         if keep_dir then Format.printf "traces: %s@." o.Cluster.trace_dir;
         Format.printf "checker: %a@." Ics_checker.Checker.pp_verdict o.Cluster.verdict;
         if not (Cluster.ok o) then exit 1

@@ -68,13 +68,10 @@ let create transport ~deliver =
   let holds p id = Msg_id.Table.mem states.(p).delivered id in
   let succ p = (p + 1) mod n in
   let deliver_local p (m : App_msg.t) =
-    let st = states.(p) in
-    if Msg_id.Table.mem st.delivered m.id then false
-    else begin
-      Msg_id.Table.add st.delivered m.id ();
+    if not (holds p m.id) then begin
+      Msg_id.Table.add states.(p).delivered m.id ();
       Engine.record engine p (Trace.Rdeliver m.id);
-      deliver p m;
-      true
+      deliver p m
     end
   in
   let forward p ~hops msgs =
@@ -88,22 +85,27 @@ let create transport ~deliver =
       Transport.register transport p ~layer (fun msg ->
           match msg.Message.payload with
           | Pass { hops; msgs } ->
-              let fresh =
-                List.fold_left (fun any m -> deliver_local p m || any) false msgs
-              in
               (* A wholly stale batch is a retransmission duplicate; the
-                 first copy already went around, so don't loop it again. *)
-              if fresh then forward p ~hops msgs
+                 first copy already went around, so don't loop it again.
+                 Otherwise hand it on before delivering: local delivery
+                 may propose, and the consensus frames that triggers
+                 must not overtake the payload on the FIFO link to the
+                 successor. *)
+              if List.exists (fun (m : App_msg.t) -> not (holds p m.id)) msgs
+              then begin
+                forward p ~hops msgs;
+                List.iter (deliver_local p) msgs
+              end
           | _ -> ()))
     (Pid.all ~n);
   let broadcast ~src (m : App_msg.t) =
     if Engine.is_alive engine src then begin
       Engine.record engine src (Trace.Rbroadcast m.id);
-      ignore (deliver_local src m : bool);
       if n > 1 then
         Transport.send transport ~src ~dst:(succ src) ~layer
           ~body_bytes:(batch_bytes [ m ])
-          (Pass { hops = 1; msgs = [ m ] })
+          (Pass { hops = 1; msgs = [ m ] });
+      deliver_local src m
     end
   in
   { Broadcast_intf.name = "rb-ring(O(n))"; broadcast; holds }

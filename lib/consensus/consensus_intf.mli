@@ -31,4 +31,8 @@ type handle = {
       (** Start instance [k] at process [p] with the given initial value.
           No-op if [p] already has the instance or has crashed. *)
   has_instance : Pid.t -> int -> bool;
+  counters : unit -> (string * int) list;
+      (** Per-round protocol counters, as (name, count) pairs: CT reports
+          its coordinators' decisions by round and the nacks it sent;
+          empty for algorithms that keep none. *)
 }

@@ -100,7 +100,21 @@ type inst = {
   mutable decided : bool;
   est_in : (int, (Pid.t * int * Proposal.t) list ref) Hashtbl.t;
   prop_in : (int, Proposal.t) Hashtbl.t;
-  acks_in : (int, (int ref * int ref)) Hashtbl.t;  (* round -> acks, nacks *)
+  replies_in : (int, replies) Hashtbl.t;  (* round -> phase-3 replies *)
+}
+
+(* The coordinator's tally of one round's phase-3 replies, one per
+   process: a duplicate reply from the same sender is not counted. *)
+and replies = { replied : bool array; mutable acks : int }
+
+(* Decisions the coordinator reached on a majority of acks, by the round
+   it reached them in, and phase-3 nacks sent (all processes of the
+   handle; a live node's handle runs one). *)
+type counters = {
+  mutable round1 : int;
+  mutable round2 : int;
+  mutable round3_plus : int;
+  mutable nacks : int;
 }
 
 type proc = { pid : Pid.t; instances : (int, inst) Hashtbl.t }
@@ -113,11 +127,11 @@ let get_list tbl key =
       Hashtbl.add tbl key l;
       l
 
-let get_counts tbl key =
+let get_replies ~n tbl key =
   match Hashtbl.find_opt tbl key with
   | Some c -> c
   | None ->
-      let c = (ref 0, ref 0) in
+      let c = { replied = Array.make n false; acks = 0 } in
       Hashtbl.add tbl key c;
       c
 
@@ -130,6 +144,7 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
   let procs =
     Array.init n (fun pid -> { pid; instances = Hashtbl.create 16 })
   in
+  let counters = { round1 = 0; round2 = 0; round3_plus = 0; nacks = 0 } in
   let send ~src ~dst ~bytes payload =
     Transport.send transport ~src ~dst ~layer ~body_bytes:bytes payload
   in
@@ -165,14 +180,39 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
     end
   in
 
-  (* Phase 4 check: the coordinator decides on a majority of acks and gives
-     up the round on the first nack. *)
+  (* Phase 3 reply to the coordinator of the current round. *)
+  let reply p inst ~ok =
+    if not ok then counters.nacks <- counters.nacks + 1;
+    send ~src:p ~dst:(Pid.coordinator ~n ~round:inst.r) ~bytes:ack_bytes
+      (Ack { k = inst.k; r = inst.r; ok })
+  in
+
+  (* Phase 4 check: the coordinator decides on a majority of acks, and
+     gives up the round only once a majority is out of reach — when the
+     acks so far plus every process it does not suspect and has not heard
+     from fall short of one.  Nacks and suspicions shrink that bound, so
+     it is re-evaluated on each reply and on each new suspicion. *)
   let rec coord_check_acks p inst =
     match inst.coord with
     | Waiting_acks proposal ->
-        let acks, nacks = get_counts inst.acks_in inst.r in
-        if !acks >= majority then decide_flood p inst proposal ~relay_from:None
-        else if !nacks >= 1 then advance_round p inst
+        let rs = get_replies ~n inst.replies_in inst.r in
+        if rs.acks >= majority then begin
+          (match inst.r with
+          | 1 -> counters.round1 <- counters.round1 + 1
+          | 2 -> counters.round2 <- counters.round2 + 1
+          | _ -> counters.round3_plus <- counters.round3_plus + 1);
+          decide_flood p inst proposal ~relay_from:None
+        end
+        else begin
+          let pending =
+            List.fold_left
+              (fun c q ->
+                if rs.replied.(q) || Failure_detector.is_suspected fd ~by:p q then c
+                else c + 1)
+              0 (Pid.all ~n)
+          in
+          if rs.acks + pending < majority then advance_round p inst
+        end
     | Not_coordinator | Collecting -> ()
 
   (* Phase 2, rounds > 1: with a majority of estimates in hand, propose one
@@ -205,7 +245,7 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
         inst.estimate <- est;
         inst.ts <- inst.r
       end;
-      send ~src:p ~dst:c ~bytes:ack_bytes (Ack { k = inst.k; r = inst.r; ok });
+      reply p inst ~ok;
       if not (Pid.equal p c) then advance_round p inst
     end
 
@@ -217,7 +257,7 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
     | None ->
         if Failure_detector.is_suspected fd ~by:p c then begin
           inst.waiting_prop <- false;
-          send ~src:p ~dst:c ~bytes:ack_bytes (Ack { k = inst.k; r = inst.r; ok = false });
+          reply p inst ~ok:false;
           if not (Pid.equal p c) then advance_round p inst
         end
 
@@ -269,7 +309,7 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
         decided = false;
         est_in = Hashtbl.create 8;
         prop_in = Hashtbl.create 8;
-        acks_in = Hashtbl.create 8;
+        replies_in = Hashtbl.create 8;
       }
     in
     Hashtbl.add procs.(p).instances k inst;
@@ -327,9 +367,12 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
     | Ack { k; r; ok } ->
         let inst = get_inst p k in
         if (not inst.decided) && r >= inst.r then begin
-          let acks, nacks = get_counts inst.acks_in r in
-          if ok then incr acks else incr nacks;
-          if r = inst.r then coord_check_acks p inst
+          let rs = get_replies ~n inst.replies_in r in
+          if not rs.replied.(msg.src) then begin
+            rs.replied.(msg.src) <- true;
+            if ok then rs.acks <- rs.acks + 1;
+            if r = inst.r then coord_check_acks p inst
+          end
         end
     | Decide { k; est } ->
         let inst =
@@ -355,10 +398,13 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
           && Pid.equal (Pid.coordinator ~n ~round:inst.r) suspect
         then begin
           inst.waiting_prop <- false;
-          send ~src:p ~dst:suspect ~bytes:ack_bytes
-            (Ack { k = inst.k; r = inst.r; ok = false });
+          reply p inst ~ok:false;
           advance_round p inst
-        end)
+        end
+        else
+          (* A coordinator waiting on a silent replier that is now
+             suspected may have lost its majority. *)
+          coord_check_acks p inst)
       procs.(p).instances
   in
 
@@ -391,4 +437,12 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
   in
   let has_instance p k = Hashtbl.mem procs.(p).instances k in
   let name = match config.rcv with None -> "ct" | Some _ -> "ct-indirect" in
-  { Consensus_intf.name; propose; has_instance }
+  let counters () =
+    [
+      ("decisions.round1", counters.round1);
+      ("decisions.round2", counters.round2);
+      ("decisions.round3+", counters.round3_plus);
+      ("nacks", counters.nacks);
+    ]
+  in
+  { Consensus_intf.name; propose; has_instance; counters }

@@ -372,4 +372,4 @@ let create transport fd config (cb : Consensus_intf.callbacks) =
   in
   let has_instance p k = Hashtbl.mem procs.(p).instances k in
   let name = match config.rcv with None -> "lb" | Some _ -> "lb-indirect" in
-  { Consensus_intf.name; propose; has_instance }
+  { Consensus_intf.name; propose; has_instance; counters = (fun () -> []) }

@@ -328,4 +328,4 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
   in
   let has_instance p k = Hashtbl.mem procs.(p).instances k in
   let name = match config.rcv with None -> "mr" | Some _ -> "mr-indirect" in
-  { Consensus_intf.name; propose; has_instance }
+  { Consensus_intf.name; propose; has_instance; counters = (fun () -> []) }

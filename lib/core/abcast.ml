@@ -267,6 +267,7 @@ let create ?(batching = no_batching) transport ~ordering ~make_broadcast
       Consensus_intf.name = "";
       propose = (fun _ _ _ -> ());
       has_instance = (fun _ _ -> false);
+      counters = (fun () -> []);
     }
   in
   let t =
@@ -337,3 +338,4 @@ let blocked_head t p =
 let batching t = t.batching
 let broadcast_name t = t.broadcast.Broadcast_intf.name
 let consensus_name t = t.consensus.Consensus_intf.name
+let consensus_counters t = t.consensus.Consensus_intf.counters ()

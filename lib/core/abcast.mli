@@ -106,3 +106,7 @@ val holds : t -> Pid.t -> Msg_id.t -> bool
 val batching : t -> batching
 val broadcast_name : t -> string
 val consensus_name : t -> string
+
+val consensus_counters : t -> (string * int) list
+(** The consensus layer's per-round counters ({!Consensus_intf.handle});
+    empty for MR and LB. *)

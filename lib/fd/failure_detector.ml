@@ -89,37 +89,46 @@ let heartbeat transport ~period ~timeout =
      engine's horizon (or after [stop]) would keep the event queue
      non-empty forever, so a horizon-less [Engine.run] would never
      return. *)
-  let rearm ~delay k =
+  let rearm ~at k =
     if not t.stopped then
       match Engine.horizon engine with
-      | Some h when Time.compare (Time.( + ) (Engine.now engine) delay) h > 0 ->
-          ()
-      | _ -> Engine.after engine ~delay k
+      | Some h when Time.compare at h > 0 -> ()
+      | _ -> Engine.schedule engine ~at k
   in
   (* Sender side: emit heartbeats until crash, stop or horizon. *)
   let rec emit p () =
     if Engine.is_alive engine p && not t.stopped then begin
       Transport.send_to_others transport ~src:p ~layer ~body_bytes:hb_body_bytes
         Heartbeat;
-      rearm ~delay:period (Engine.alive_guard engine p (emit p))
+      rearm
+        ~at:(Time.( + ) (Engine.now engine) period)
+        (Engine.alive_guard engine p (emit p))
     end
   in
-  (* Observer side: check each target's deadline; a target with no fresh
-     heartbeat is suspected until one arrives.  A dead target that is
-     already suspected is settled — crash-stop means it can never need
+  (* Observer side: each (observer, target) check is armed at the
+     target's deadline, [last_hb + timeout], so suspicion comes exactly
+     [timeout] after the last heartbeat.  A check that finds the deadline
+     moved by a fresher heartbeat re-arms at the new deadline; a silent
+     target stays suspected and is looked at again a period later (a
+     late heartbeat restores trust in the handler).  A dead target that
+     is already suspected is settled — crash-stop means it can never need
      re-trusting, so the loop retires. *)
   let rec check observer target () =
     if Engine.is_alive engine observer && not t.stopped then begin
       let now = Engine.now engine in
-      let silent_for = Time.( - ) now last_hb.(observer).(target) in
-      if silent_for >= timeout then set_suspected t ~observer target;
-      let settled =
-        (not (Engine.is_alive engine target))
-        && t.suspected.(observer).(target)
-      in
-      if not settled then
-        rearm ~delay:period (Engine.alive_guard engine observer (check observer target))
+      let deadline = Time.( + ) last_hb.(observer).(target) timeout in
+      if Time.compare now deadline < 0 then arm observer target ~at:deadline
+      else begin
+        set_suspected t ~observer target;
+        let settled =
+          (not (Engine.is_alive engine target))
+          && t.suspected.(observer).(target)
+        in
+        if not settled then arm observer target ~at:(Time.( + ) now period)
+      end
     end
+  and arm observer target ~at =
+    rearm ~at (Engine.alive_guard engine observer (check observer target))
   in
   List.iter
     (fun p ->
@@ -133,8 +142,7 @@ let heartbeat transport ~period ~timeout =
       List.iter
         (fun q ->
           last_hb.(p).(q) <- Engine.now engine;
-          Engine.after engine ~delay:timeout
-            (Engine.alive_guard engine p (check p q)))
+          arm p q ~at:(Time.( + ) (Engine.now engine) timeout))
         (Pid.others ~n p))
     (Pid.all ~n);
   t

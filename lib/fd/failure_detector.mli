@@ -49,10 +49,12 @@ val oracle : Engine.t -> detection_delay:Time.t -> t
     network traffic. *)
 
 val heartbeat : Ics_net.Transport.t -> period:Time.t -> timeout:Time.t -> t
-(** Periodic heartbeats on layer ["fd"].  An observer suspects a target when
-    no heartbeat arrived for [timeout]; a late heartbeat restores trust.
-    [timeout] should comfortably exceed [period] plus worst-case latency to
-    avoid false suspicions in good runs.
+(** Periodic heartbeats on layer ["fd"].  An observer suspects a target
+    exactly [timeout] after the last heartbeat it received from it: each
+    check is armed at that deadline and re-armed when a fresher heartbeat
+    moves it.  A late heartbeat restores trust.  [timeout] should
+    comfortably exceed [period] plus worst-case latency to avoid false
+    suspicions in good runs.
 
     The emit/check loops stop rescheduling once their next firing would
     fall past {!Engine.horizon} (or after {!stop}), so a run with a

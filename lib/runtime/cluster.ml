@@ -44,6 +44,7 @@ type outcome = {
   events : int;
   faults : (string * int) list;  (** per-node fault counters, summed *)
   retx : (string * int) list;
+  consensus : (string * int) list;
   trace_dir : string;
 }
 
@@ -327,6 +328,7 @@ let run config =
         events = Trace.length merged;
         faults = split_kv "fault." totals;
         retx = split_kv "retx." totals;
+        consensus = split_kv "consensus." totals;
         trace_dir = dir;
       }
     in

@@ -60,6 +60,9 @@ type outcome = {
       (** per-node fault counters summed; for a seeded plan these equal
           the counters one simulation of the same plan produces *)
   retx : (string * int) list;  (** wire retransmission counters, summed *)
+  consensus : (string * int) list;
+      (** consensus round counters ({!Ics_core.Abcast.consensus_counters}),
+          summed over the nodes *)
   trace_dir : string;
 }
 

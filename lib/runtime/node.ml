@@ -61,14 +61,16 @@ type result = {
   net : Socket_transport.stats;
   faults : (string * int) list;  (** this node's outbound-link fault counters *)
   retx : (string * int) list;
+  consensus : (string * int) list;
   trace : Ics_sim.Trace.t;
 }
 
-(* Both counter families in one flat list, prefixed so the cluster parent
+(* Every counter family in one flat list, prefixed so the cluster parent
    can split them apart again after summing across nodes. *)
 let result_kv r =
   List.map (fun (k, v) -> ("fault." ^ k, v)) r.faults
   @ List.map (fun (k, v) -> ("retx." ^ k, v)) r.retx
+  @ List.map (fun (k, v) -> ("consensus." ^ k, v)) r.consensus
 
 (* The chaos sweep's workload, replayed from the cell seed: every node
    computes the same round-robin schedule (the RNG is drawn for every slot
@@ -233,5 +235,6 @@ let run ~epoch ~listen ~peer_addrs config =
       (match fstats with Some s -> Model.Fault_stats.to_list s | None -> []);
     retx =
       (match rstats with Some s -> Retransmit.stats_to_list s | None -> []);
+    consensus = Abcast.consensus_counters abcast;
     trace = Engine.trace engine;
   }

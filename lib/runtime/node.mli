@@ -57,12 +57,16 @@ type result = {
           cluster they equal the one-simulation counters for the same
           (seed, plan) — the cross-backend parity invariant *)
   retx : (string * int) list;
+  consensus : (string * int) list;
+      (** this node's consensus round counters
+          ({!Ics_core.Abcast.consensus_counters}) *)
   trace : Ics_sim.Trace.t;
 }
 
 val result_kv : result -> (string * int) list
-(** Fault and retransmission counters as one flat ["fault."]/["retx."]
-    prefixed list — the stats-file format a {!Cluster} parent sums. *)
+(** Fault, retransmission and consensus counters as one flat
+    ["fault."]/["retx."]/["consensus."] prefixed list — the stats-file
+    format a {!Cluster} parent sums. *)
 
 val run :
   epoch:float ->

@@ -6,7 +6,10 @@
  * a full millisecond, and on the live backend timers sit on the abcast
  * critical path (batch flush, open-loop generator, session retry
  * timers).  ppoll wakes at the next engine timer to within the kernel's
- * timer slack.
+ * timer slack, which Linux defaults to 50 us; the first wait sets it to
+ * 1 ns (prctl PR_SET_TIMERSLACK, where the platform has it), because
+ * open-loop live runs time each message from its due time and the slack
+ * lands on every timer-driven send.
  *
  * The caller keeps three parallel arrays (fds, events, revents) alive
  * across iterations; this stub copies the first [nfds] entries into a
@@ -26,6 +29,9 @@
 #include <poll.h>
 #include <stdlib.h>
 #include <time.h>
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 #include <caml/mlvalues.h>
 #include <caml/memory.h>
@@ -34,6 +40,31 @@
 #include <caml/unixsupport.h>
 
 #define ICS_POLL_STACK_FDS 64
+
+/* Once per process: the loop runs on one thread, and the slack is a
+   property of the calling thread. */
+static void ics_set_timer_slack(void)
+{
+#ifdef PR_SET_TIMERSLACK
+  static int done = 0;
+  if (!done) {
+    prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+    done = 1;
+  }
+#endif
+}
+
+/* The calling thread's timer slack in nanoseconds, or -1 where the
+   platform cannot report it. */
+CAMLprim value ics_timer_slack_ns_stub(value unit)
+{
+  (void)unit;
+#ifdef PR_GET_TIMERSLACK
+  return Val_long(prctl(PR_GET_TIMERSLACK, 0UL, 0UL, 0UL, 0UL));
+#else
+  return Val_long(-1);
+#endif
+}
 
 CAMLprim value ics_ppoll_stub(value v_fds, value v_events, value v_revents,
                               value v_nfds, value v_timeout_us)
@@ -64,6 +95,7 @@ CAMLprim value ics_ppoll_stub(value v_fds, value v_events, value v_revents,
     pfds[i].revents = 0;
   }
 
+  ics_set_timer_slack();
   ts.tv_sec = timeout_us / 1000000;
   ts.tv_nsec = (timeout_us % 1000000) * 1000;
 

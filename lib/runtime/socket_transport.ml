@@ -46,6 +46,8 @@ module Poll = struct
     Unix.file_descr array -> int array -> int array -> int -> int -> int
     = "ics_ppoll_stub"
 
+  external timer_slack_ns : unit -> int = "ics_timer_slack_ns_stub"
+
   (* The loop never blocks longer than this, so a [stop] that turns true
      without any I/O is noticed promptly. *)
   let max_wait_ms = 50.0

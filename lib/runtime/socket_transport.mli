@@ -38,6 +38,12 @@ module Poll : sig
       promptly) and rounded up to a whole microsecond, so a timer due in
       under a microsecond gets a 1 µs wait, never a zero-length one that
       spins.  Negative and NaN waits are 0. *)
+
+  val timer_slack_ns : unit -> int
+  (** The calling thread's kernel timer slack in nanoseconds ([-1] where
+      the platform cannot report it).  The first wait sets it to 1 ns on
+      Linux, so ppoll wakes at a timer's due time rather than up to the
+      default 50 µs after it. *)
 end
 
 type t

@@ -29,6 +29,7 @@ type result = {
   verdict : Checker.verdict option;
   utilization : (string * float) list;  (* over the arrival window *)
   per_layer : (string * int * int) list;
+  consensus : (string * int) list;
 }
 
 let drain_horizon = 60_000.0
@@ -98,6 +99,7 @@ let run ?(check = false) ?seed config load =
     verdict;
     utilization = Stack.utilization ~horizon:load.duration stack;
     per_layer = Ics_net.Transport.per_layer_stats stack.Stack.transport;
+    consensus = Ics_core.Abcast.consensus_counters stack.Stack.abcast;
   }
 
 let run_seeds ?(check = false) ~seeds config load =
@@ -123,6 +125,11 @@ let run_seeds ?(check = false) ~seeds config load =
         events = List.fold_left (fun a r -> a + r.events) 0 results;
         utilization = first.utilization;
         per_layer = first.per_layer;
+        consensus =
+          List.map
+            (fun (k, _) ->
+              (k, List.fold_left (fun a r -> a + List.assoc k r.consensus) 0 results))
+            first.consensus;
         verdict =
           (if check then
              Some

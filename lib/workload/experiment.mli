@@ -35,6 +35,8 @@ type result = {
       (** busy-time fraction per resource (CPUs, links) over the run *)
   per_layer : (string * int * int) list;
       (** traffic decomposition: (layer, messages, wire bytes) *)
+  consensus : (string * int) list;
+      (** consensus round counters ({!Ics_core.Abcast.consensus_counters}) *)
 }
 
 val run : ?check:bool -> ?seed:int64 -> Stack.config -> load -> result

@@ -55,7 +55,7 @@ let test_batched_replay_deterministic () =
    ring) is also pinned to its trace digest. *)
 let test_saturation_fingerprint_pinned () =
   Alcotest.(check string)
-    "saturation-smoke cell" "864ed1b259d895b27f461e2f73551c28"
+    "saturation-smoke cell" "e597ad9427a666193da9ef44ecda7563"
     (Saturation.sim_fingerprint ~seed:1L ~n:5
        ~batching:{ Abcast.batch = 8; pipeline = 2; flush_ms = 1.0 }
        ~broadcast:Profile.Ring ())
@@ -256,6 +256,43 @@ let test_ring_batched_delivers () =
   Test_util.assert_clean_verdict "ring batched"
     (Checker.check_all_abcast (Test_util.checker_run stack))
 
+(* Ring order: a process hands a payload on before delivering it, so on
+   every link the Pass goes out ahead of any consensus frame the delivery
+   triggers.  p2 broadcasts one message; its own delivery announces the
+   instance to p0 (batched mode), and p0's delivery proposes to p1, so
+   both p2 -> p0 and p0 -> p1 carry a frame of each kind.  With a constant
+   delay every link is FIFO, so send order is arrival order. *)
+let test_ring_pass_precedes_consensus () =
+  let config =
+    {
+      Stack.abcast_indirect with
+      Stack.setup = Stack.Ideal_lan { delay = 1.0; jitter = 0.0 };
+      fd_kind = Stack.Oracle 10.0;
+      broadcast = Stack.Ring;
+      batching = batched;
+    }
+  in
+  let sent = ref [] in
+  let rule (m : Ics_net.Message.t) =
+    sent := (m.src, m.dst, Ics_net.Message.layer_name m) :: !sent;
+    Ics_net.Model.Pass
+  in
+  ignore (Test_util.run_stack ~rule config [ (1.0, 2, 16) ] : Stack.t);
+  let on_link src dst =
+    List.filter_map
+      (fun (s, d, layer) -> if s = src && d = dst then Some layer else None)
+      (List.rev !sent)
+  in
+  List.iter
+    (fun (src, dst) ->
+      let link = on_link src dst in
+      let where = Printf.sprintf "p%d -> p%d" src dst in
+      checkb (where ^ " carries consensus") true (List.mem "consensus" link);
+      Alcotest.(check (option string))
+        (where ^ ": the Pass is the first frame") (Some "rb")
+        (List.find_opt (fun l -> l = "rb" || l = "consensus") link))
+    [ (2, 0); (0, 1) ]
+
 (* Batched crash cells can fail on consensus termination alone (an
    instance left open behind a dead round-1 coordinator); the sweep's
    matrix labels such cells apart from safety failures, which keep the
@@ -291,6 +328,8 @@ let suites =
         Alcotest.test_case "open instance batches arrivals" `Quick
           test_open_instance_batches;
         Alcotest.test_case "ring + batching delivers" `Quick test_ring_batched_delivers;
+        Alcotest.test_case "ring pass precedes consensus" `Quick
+          test_ring_pass_precedes_consensus;
         Alcotest.test_case "saturation fingerprint pinned" `Quick
           test_saturation_fingerprint_pinned;
         Alcotest.test_case "termination-only cells labelled" `Quick

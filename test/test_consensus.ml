@@ -271,6 +271,66 @@ let test_ct_no_decision_without_majority () =
   Engine.run ~until:500.0 h.engine;
   checki "blocked, no decision" 0 (List.length !(h.decisions))
 
+(* CT phase 4: the coordinator gives a round up only once a majority of
+   acks is out of reach.  n = 3, so two acks decide; p0 coordinates
+   round 1 and acks its own proposal at once. *)
+
+let ct_counter h name = List.assoc name (h.handle.Intf.counters ())
+
+let test_ct_nack_then_majority_decides_round1 () =
+  (* p1 lacks the payload and its nack reaches p0 first; p2's ack lands
+     in the same instant, behind it.  One ack plus one pending replier
+     still make a majority, so round 1 decides at t = 3 instead of
+     being given up on the nack. *)
+  let h = mk ~algo:`Ct ~indirect:true () in
+  let id = mid 0 0 in
+  let v = Proposal.on_ids [ id ] in
+  give h 0 id;
+  give h 2 id;
+  List.iter (fun p -> propose_at h ~at:1.0 p 1 v) [ 0; 1; 2 ];
+  Engine.schedule h.engine ~at:3.5 (fun () ->
+      checkb "p0 decided by t = 3.5" true (List.mem_assoc 0 (decisions_for h 1)));
+  Engine.run ~until:2_000.0 h.engine;
+  check_uniform_agreement h 1 ~expect_deciders:3;
+  checki "decided in round 1" 1 (ct_counter h "decisions.round1");
+  checki "no later round" 0 (ct_counter h "decisions.round2")
+
+let test_ct_two_nacks_end_round () =
+  (* Only p0 holds the payload, so p1 and p2 both nack; p2 then crashes
+     and the detector stays silent until t = 1000.  After the second
+     nack no majority is reachable, p0 moves to round 2 and acks p1's
+     proposal there (p1 has the payload by then), which decides long
+     before anyone suspects p2. *)
+  let h = mk ~algo:`Ct ~indirect:true ~fd_delay:1_000.0 () in
+  let id = mid 0 0 in
+  let v = Proposal.on_ids [ id ] in
+  give h 0 id;
+  List.iter (fun p -> propose_at h ~at:1.0 p 1 v) [ 0; 1; 2 ];
+  Engine.schedule h.engine ~at:2.5 (fun () -> give h 1 id);
+  Engine.crash_at h.engine 2 ~at:2.5;
+  Engine.schedule h.engine ~at:10.0 (fun () ->
+      checki "p0 and p1 decided by t = 10" 2 (List.length (decisions_for h 1)));
+  Engine.run ~until:2_000.0 h.engine;
+  checki "two nacks" 2 (ct_counter h "nacks");
+  checki "decided in round 2" 1 (ct_counter h "decisions.round2")
+
+let test_ct_suspected_silent_replier_ends_round () =
+  (* p1 nacks; p2 crashes before the proposal reaches it and never
+     replies.  p0 waits while p2 could still ack, gives round 1 up when
+     it suspects p2 (t = 6.5), and the instance decides in round 2 under
+     p1.  Without the re-check on suspicion p0 would wait forever and
+     p1's round 2 would never gather a majority of estimates. *)
+  let h = mk ~algo:`Ct ~indirect:true ~fd_delay:5.0 () in
+  let id = mid 0 0 in
+  let v = Proposal.on_ids [ id ] in
+  give h 0 id;
+  List.iter (fun p -> propose_at h ~at:1.0 p 1 v) [ 0; 1; 2 ];
+  Engine.crash_at h.engine 2 ~at:1.5;
+  Engine.schedule h.engine ~at:4.0 (fun () -> give h 1 id);
+  Engine.run ~until:2_000.0 h.engine;
+  check_uniform_agreement h 1 ~expect_deciders:2;
+  checki "decided in round 2" 1 (ct_counter h "decisions.round2")
+
 (* MR-specific: the resilience drop of the indirect variant. *)
 
 let test_mr_indirect_blocks_at_f1_n3 () =
@@ -370,6 +430,11 @@ let suites =
       [
         Alcotest.test_case "indirect keeps f<n/2" `Quick test_ct_indirect_tolerates_minority_crash;
         Alcotest.test_case "blocks without majority" `Quick test_ct_no_decision_without_majority;
+        Alcotest.test_case "nack then majority decides round 1" `Quick
+          test_ct_nack_then_majority_decides_round1;
+        Alcotest.test_case "two nacks end the round" `Quick test_ct_two_nacks_end_round;
+        Alcotest.test_case "suspected silent replier ends the round" `Quick
+          test_ct_suspected_silent_replier_ends_round;
       ] );
     ( "mr",
       [

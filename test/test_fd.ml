@@ -67,6 +67,20 @@ let test_heartbeat_detects_crash () =
   checkb "p1 suspects p2" true (Fd.is_suspected fd ~by:1 2);
   checkb "p0 trusts p1" false (Fd.is_suspected fd ~by:0 1)
 
+let test_heartbeat_suspects_at_deadline () =
+  (* p2's last heartbeat leaves at t = 100 and lands at 101, so the
+     deadline is 101 + 50.  A check on the period grid would only see it
+     at 160. *)
+  let e, tr = mk_transport 3 in
+  let fd = Fd.heartbeat tr ~period:10.0 ~timeout:50.0 in
+  let suspected_at = ref None in
+  Fd.on_suspect fd ~observer:0 (fun q ->
+      if q = 2 && !suspected_at = None then suspected_at := Some (Engine.now e));
+  Engine.crash_at e 2 ~at:105.0;
+  Engine.run ~until:400.0 e;
+  Alcotest.(check (option (float 1e-9))) "suspected at last_hb + timeout" (Some 151.0)
+    !suspected_at
+
 let test_heartbeat_trust_restored () =
   (* A transient network outage causes a false suspicion; the next
      heartbeat restores trust — the detector is only eventually accurate,
@@ -166,6 +180,8 @@ let suites =
         Alcotest.test_case "oracle dead observer" `Quick test_oracle_dead_observer_silent;
         Alcotest.test_case "heartbeat good run" `Quick test_heartbeat_good_run_no_suspicion;
         Alcotest.test_case "heartbeat detects crash" `Quick test_heartbeat_detects_crash;
+        Alcotest.test_case "heartbeat suspects at the deadline" `Quick
+          test_heartbeat_suspects_at_deadline;
         Alcotest.test_case "heartbeat trust restored" `Quick test_heartbeat_trust_restored;
         Alcotest.test_case "heartbeat traces" `Quick test_heartbeat_records_trace;
         Alcotest.test_case "heartbeat validation" `Quick test_heartbeat_validation;

@@ -135,25 +135,31 @@ let test_timeout_us () =
    timers 0.3 ms apart; each timer's lateness against its due time is
    the loop's oversleep.  A whole-millisecond wait oversleeps every one
    of them by about 0.7 ms; a microsecond wait by the kernel's timer
-   slack (50 µs by default on Linux).  On a 2-vCPU host the median
-   measured 63–84 µs over 30 runs, and 778–786 µs with millisecond
-   waits; the bound sits well above the first, below the second.
-   Skipped where the sandbox has no loopback sockets. *)
+   slack (50 µs by default on Linux, 1 ns once the loop has set it).
+   On a 2-vCPU host the median measured 11–25 µs over 30 runs (62–72 µs
+   at the default slack, 778–786 µs with millisecond waits); the bound
+   sits well above the first, below the last.  Skipped where the
+   sandbox has no loopback sockets. *)
 let timer_gap_ms = 0.3
 let timer_count = 120
 let oversleep_bound_us = 250.0
 
+(* A one-node socket transport (n = 1, no peers) on a fresh engine. *)
+let one_node () =
+  let listen = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind listen (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listen 8;
+  let engine = Engine.create ~n:1 () in
+  let clock = Clock.create ~epoch:(Unix.gettimeofday ()) in
+  let st =
+    Socket_transport.create ~engine ~clock ~self:0 ~listen
+      ~peer_addrs:[| Unix.getsockname listen |] ()
+  in
+  (engine, clock, st)
+
 let test_timer_oversleep () =
   if Cluster.supported () then begin
-    let listen = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.bind listen (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-    Unix.listen listen 8;
-    let engine = Engine.create ~n:1 () in
-    let clock = Clock.create ~epoch:(Unix.gettimeofday ()) in
-    let st =
-      Socket_transport.create ~engine ~clock ~self:0 ~listen
-        ~peer_addrs:[| Unix.getsockname listen |] ()
-    in
+    let engine, clock, st = one_node () in
     let late_us = ref [] in
     let rec arm k =
       let due = Clock.now clock +. timer_gap_ms in
@@ -175,6 +181,18 @@ let test_timer_oversleep () =
     checkb "timer wakeups counted" true (s.timer_wakeups >= timer_count);
     checkb "oversleep max bounds the sum" true
       (s.oversleep_us_sum <= s.oversleep_us_max * s.timer_wakeups)
+  end
+
+(* The loop's first wait drops the thread's timer slack to 1 ns (Linux's
+   default is 50 µs); skipped where the platform cannot report it. *)
+let test_timer_slack () =
+  if Cluster.supported () && Socket_transport.Poll.timer_slack_ns () >= 0 then begin
+    let engine, clock, st = one_node () in
+    let fired = ref false in
+    Engine.schedule engine ~at:(Clock.now clock +. 0.2) (fun () -> fired := true);
+    Socket_transport.run st ~deadline:(Clock.now clock +. 1000.0) ~stop:(fun () -> !fired);
+    Socket_transport.close st;
+    checki "timer slack after the loop ran" 1 (Socket_transport.Poll.timer_slack_ns ())
   end
 
 (* Fork a real 3-node loopback cluster and let the checker judge the
@@ -216,6 +234,7 @@ let suites =
         Alcotest.test_case "merge stable by time" `Quick test_merge_sorts_stably;
         Alcotest.test_case "poll timeout in microseconds" `Quick test_timeout_us;
         Alcotest.test_case "timer oversleep" `Quick test_timer_oversleep;
+        Alcotest.test_case "timer slack" `Quick test_timer_slack;
       ] );
     ( "live-cluster",
       [
