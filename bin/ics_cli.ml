@@ -85,9 +85,9 @@ let stack_config_of_profile (p : Profile.t) =
     batching = Profile.batching p;
   }
 
-(* The consensus layer's round counters as one line (CT: coordinator
-   decisions by round, nacks sent).  Algorithms that keep none (MR, LB)
-   print nothing. *)
+(* The consensus layer's counters as one line (CT: coordinator decisions
+   by round, nacks sent, remote sends by kind).  Algorithms that keep
+   none (MR, LB) print nothing. *)
 let print_consensus_counters = function
   | [] -> ()
   | counters ->
@@ -512,6 +512,12 @@ let cluster_cmd =
         Format.printf "throughput: %.0f msg/s over %.1f ms (%d trace events)@."
           o.Cluster.throughput_msg_s o.Cluster.duration_ms o.Cluster.events;
         print_consensus_counters o.Cluster.consensus;
+        Format.printf "exit:%s, linger %.1f ms summed over nodes@."
+          (String.concat ""
+             (List.map
+                (fun (l, c) -> Printf.sprintf " %s=%d" (Node.leave_to_string l) c)
+                o.Cluster.leaves))
+          o.Cluster.linger_ms;
         if keep_dir then Format.printf "traces: %s@." o.Cluster.trace_dir;
         Format.printf "checker: %a@." Ics_checker.Checker.pp_verdict o.Cluster.verdict;
         if not (Cluster.ok o) then exit 1
@@ -610,9 +616,10 @@ let node_cmd =
     let net = r.Node.net in
     Format.printf
       "net: %d frames out (%d B), %d frames in (%d B), %d decode errors, %d timer wakeups \
-       (oversleep %d us total, %d us max)@."
+       (oversleep %d us total, %d us max), left on %s after %.1f ms linger@."
       net.frames_out net.bytes_out net.frames_in net.bytes_in net.decode_errors
-      net.timer_wakeups net.oversleep_us_sum net.oversleep_us_max;
+      net.timer_wakeups net.oversleep_us_sum net.oversleep_us_max
+      (Node.leave_to_string r.Node.leave) r.Node.linger_ms;
     if not r.Node.clean_exit then exit 10
   in
   let self =

@@ -31,8 +31,14 @@ type handle = {
       (** Start instance [k] at process [p] with the given initial value.
           No-op if [p] already has the instance or has crashed. *)
   has_instance : Pid.t -> int -> bool;
+  undecided : Pid.t -> int;
+      (** Instances [p] holds and has not decided yet, in O(1): one more
+          when [propose] or a join creates an instance, one less when it
+          decides; an instance created by adopting a decision starts
+          decided.  Zero means [p] owes no peer any decision flood. *)
   counters : unit -> (string * int) list;
       (** Per-round protocol counters, as (name, count) pairs: CT reports
-          its coordinators' decisions by round and the nacks it sent;
-          empty for algorithms that keep none. *)
+          its coordinators' decisions by round, the nacks it sent and its
+          remote sends by message kind; empty for algorithms that keep
+          none. *)
 }

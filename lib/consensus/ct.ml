@@ -108,16 +108,24 @@ type inst = {
 and replies = { replied : bool array; mutable acks : int }
 
 (* Decisions the coordinator reached on a majority of acks, by the round
-   it reached them in, and phase-3 nacks sent (all processes of the
-   handle; a live node's handle runs one). *)
+   it reached them in, phase-3 nacks sent, and remote sends by message
+   kind and round (all processes of the handle; a live node's handle runs
+   one).  A round-1 estimate is the announce. *)
 type counters = {
   mutable round1 : int;
   mutable round2 : int;
   mutable round3_plus : int;
   mutable nacks : int;
+  mutable est_r1 : int;
+  mutable est_r2_plus : int;
+  mutable prop_r1 : int;
+  mutable prop_r2_plus : int;
+  mutable acks_sent : int;
+  mutable decides_sent : int;
 }
 
-type proc = { pid : Pid.t; instances : (int, inst) Hashtbl.t }
+(* [undecided]: instances this process holds that have not decided. *)
+type proc = { pid : Pid.t; instances : (int, inst) Hashtbl.t; mutable undecided : int }
 
 let get_list tbl key =
   match Hashtbl.find_opt tbl key with
@@ -142,13 +150,41 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
   let majority = Quorum.majority ~n in
   let layer = Transport.intern transport config.layer in
   let procs =
-    Array.init n (fun pid -> { pid; instances = Hashtbl.create 16 })
+    Array.init n (fun pid -> { pid; instances = Hashtbl.create 16; undecided = 0 })
   in
-  let counters = { round1 = 0; round2 = 0; round3_plus = 0; nacks = 0 } in
+  let counters =
+    {
+      round1 = 0;
+      round2 = 0;
+      round3_plus = 0;
+      nacks = 0;
+      est_r1 = 0;
+      est_r2_plus = 0;
+      prop_r1 = 0;
+      prop_r2_plus = 0;
+      acks_sent = 0;
+      decides_sent = 0;
+    }
+  in
+  (* [remote] copies of [payload] leave for other processes; a send to
+     oneself never reaches the wire and is not counted. *)
+  let count_sent payload remote =
+    let c = counters in
+    match payload with
+    | Est { r = 1; _ } -> c.est_r1 <- c.est_r1 + remote
+    | Est _ -> c.est_r2_plus <- c.est_r2_plus + remote
+    | Prop { r = 1; _ } -> c.prop_r1 <- c.prop_r1 + remote
+    | Prop _ -> c.prop_r2_plus <- c.prop_r2_plus + remote
+    | Ack _ -> c.acks_sent <- c.acks_sent + remote
+    | Decide _ -> c.decides_sent <- c.decides_sent + remote
+    | _ -> ()
+  in
   let send ~src ~dst ~bytes payload =
+    count_sent payload (if Pid.equal src dst then 0 else 1);
     Transport.send transport ~src ~dst ~layer ~body_bytes:bytes payload
   in
   let send_all ~src ~bytes payload =
+    count_sent payload (n - 1);
     Transport.send_to_all transport ~src ~layer ~body_bytes:bytes payload
   in
 
@@ -166,6 +202,7 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
   let decide_flood p inst est ~relay_from =
     if not inst.decided then begin
       inst.decided <- true;
+      procs.(p).undecided <- procs.(p).undecided - 1;
       inst.waiting_prop <- false;
       inst.coord <- Not_coordinator;
       let dsts =
@@ -173,8 +210,10 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
           (fun q -> match relay_from with Some src -> not (Pid.equal q src) | None -> true)
           (Pid.others ~n p)
       in
+      let decide = Decide { k = inst.k; est } in
+      count_sent decide (List.length dsts);
       Transport.multicast transport ~src:p ~dsts ~layer
-        ~body_bytes:(decide_bytes est) (Decide { k = inst.k; est });
+        ~body_bytes:(decide_bytes est) decide;
       Engine.record engine p (Trace.Decide (inst.k, Proposal.ids est));
       cb.on_decide p inst.k est
     end
@@ -313,6 +352,7 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
       }
     in
     Hashtbl.add procs.(p).instances k inst;
+    procs.(p).undecided <- procs.(p).undecided + 1;
     Engine.record engine p (Trace.Propose (k, Proposal.ids estimate));
     inst
   in
@@ -380,9 +420,9 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
           | Some inst -> inst
           | None ->
               (* A decision can reach a process that never participated:
-                 adopt it without running any round. *)
-              let inst = new_instance p k est in
-              inst
+                 adopt it without running any round (the flood below
+                 settles the instance at once). *)
+              new_instance p k est
         in
         decide_flood p inst est ~relay_from:(Some msg.src)
     | _ -> ()
@@ -436,13 +476,21 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
     end
   in
   let has_instance p k = Hashtbl.mem procs.(p).instances k in
+  let undecided p = procs.(p).undecided in
   let name = match config.rcv with None -> "ct" | Some _ -> "ct-indirect" in
   let counters () =
+    let c = counters in
     [
-      ("decisions.round1", counters.round1);
-      ("decisions.round2", counters.round2);
-      ("decisions.round3+", counters.round3_plus);
-      ("nacks", counters.nacks);
+      ("decisions.round1", c.round1);
+      ("decisions.round2", c.round2);
+      ("decisions.round3+", c.round3_plus);
+      ("nacks", c.nacks);
+      ("sent.est.r1", c.est_r1);
+      ("sent.est.r2+", c.est_r2_plus);
+      ("sent.prop.r1", c.prop_r1);
+      ("sent.prop.r2+", c.prop_r2_plus);
+      ("sent.ack", c.acks_sent);
+      ("sent.decide", c.decides_sent);
     ]
   in
-  { Consensus_intf.name; propose; has_instance; counters }
+  { Consensus_intf.name; propose; has_instance; undecided; counters }

@@ -156,7 +156,8 @@ type inst = {
   mutable accepts : int;
 }
 
-type proc = { pid : Pid.t; instances : (int, inst) Hashtbl.t }
+(* [undecided]: instances this process holds that have not decided. *)
+type proc = { pid : Pid.t; instances : (int, inst) Hashtbl.t; mutable undecided : int }
 
 (* Smallest ballot owned by [p] strictly greater than [above]. *)
 let next_ballot ~n ~p ~above =
@@ -170,7 +171,9 @@ let create transport fd config (cb : Consensus_intf.callbacks) =
   let n = Transport.n transport in
   let majority = Quorum.majority ~n in
   let layer = Transport.intern transport config.layer in
-  let procs = Array.init n (fun pid -> { pid; instances = Hashtbl.create 16 }) in
+  let procs =
+    Array.init n (fun pid -> { pid; instances = Hashtbl.create 16; undecided = 0 })
+  in
 
   let send ~src ~dst ~bytes payload =
     Transport.send transport ~src ~dst ~layer ~body_bytes:bytes payload
@@ -191,6 +194,7 @@ let create transport fd config (cb : Consensus_intf.callbacks) =
   let decide_flood p inst v ~relay_from =
     if not inst.decided then begin
       inst.decided <- true;
+      procs.(p).undecided <- procs.(p).undecided - 1;
       inst.phase <- Idle;
       let dsts =
         List.filter
@@ -241,6 +245,7 @@ let create transport fd config (cb : Consensus_intf.callbacks) =
       }
     in
     Hashtbl.add procs.(p).instances k inst;
+    procs.(p).undecided <- procs.(p).undecided + 1;
     Engine.record engine p (Trace.Propose (k, Proposal.ids estimate));
     inst
   in
@@ -371,5 +376,6 @@ let create transport fd config (cb : Consensus_intf.callbacks) =
     end
   in
   let has_instance p k = Hashtbl.mem procs.(p).instances k in
+  let undecided p = procs.(p).undecided in
   let name = match config.rcv with None -> "lb" | Some _ -> "lb-indirect" in
-  { Consensus_intf.name; propose; has_instance; counters = (fun () -> []) }
+  { Consensus_intf.name; propose; has_instance; undecided; counters = (fun () -> []) }

@@ -32,7 +32,8 @@ type inst = {
   relay_in : (int, (Pid.t * Proposal.t option) list ref) Hashtbl.t;
 }
 
-type proc = { pid : Pid.t; instances : (int, inst) Hashtbl.t }
+(* [undecided]: instances this process holds that have not decided. *)
+type proc = { pid : Pid.t; instances : (int, inst) Hashtbl.t; mutable undecided : int }
 
 let get_list tbl key =
   match Hashtbl.find_opt tbl key with
@@ -115,7 +116,9 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
   in
   let adoption_threshold = Quorum.one_third ~n in
   let layer = Transport.intern transport config.layer in
-  let procs = Array.init n (fun pid -> { pid; instances = Hashtbl.create 16 }) in
+  let procs =
+    Array.init n (fun pid -> { pid; instances = Hashtbl.create 16; undecided = 0 })
+  in
 
   let rcv_holds p (est : Proposal.t) =
     match config.rcv with
@@ -129,6 +132,7 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
   let decide_flood p inst est ~relay_from =
     if not inst.decided then begin
       inst.decided <- true;
+      procs.(p).undecided <- procs.(p).undecided - 1;
       inst.waiting_prop <- false;
       inst.in_phase2 <- false;
       let dsts =
@@ -239,6 +243,7 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
       }
     in
     Hashtbl.add procs.(p).instances k inst;
+    procs.(p).undecided <- procs.(p).undecided + 1;
     Engine.record engine p (Trace.Propose (k, Proposal.ids estimate));
     inst
   in
@@ -327,5 +332,6 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
     end
   in
   let has_instance p k = Hashtbl.mem procs.(p).instances k in
+  let undecided p = procs.(p).undecided in
   let name = match config.rcv with None -> "mr" | Some _ -> "mr-indirect" in
-  { Consensus_intf.name; propose; has_instance; counters = (fun () -> []) }
+  { Consensus_intf.name; propose; has_instance; undecided; counters = (fun () -> []) }

@@ -267,6 +267,7 @@ let create ?(batching = no_batching) transport ~ordering ~make_broadcast
       Consensus_intf.name = "";
       propose = (fun _ _ _ -> ());
       has_instance = (fun _ _ -> false);
+      undecided = (fun _ -> 0);
       counters = (fun () -> []);
     }
   in
@@ -339,3 +340,4 @@ let batching t = t.batching
 let broadcast_name t = t.broadcast.Broadcast_intf.name
 let consensus_name t = t.consensus.Consensus_intf.name
 let consensus_counters t = t.consensus.Consensus_intf.counters ()
+let undecided_instances t p = t.consensus.Consensus_intf.undecided p

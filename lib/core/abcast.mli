@@ -110,3 +110,8 @@ val consensus_name : t -> string
 val consensus_counters : t -> (string * int) list
 (** The consensus layer's per-round counters ({!Consensus_intf.handle});
     empty for MR and LB. *)
+
+val undecided_instances : t -> Pid.t -> int
+(** Consensus instances the process holds and has not decided
+    ({!Consensus_intf.handle}[.undecided]).  A live node says Bye only
+    once this is zero for its own pid. *)

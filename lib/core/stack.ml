@@ -80,6 +80,8 @@ let build_model config =
         Host.instant )
   | Custom { build; _ } -> build ~n:config.n
 
+let consensus_layer = "consensus"
+
 (* The protocol wiring above the transport, shared verbatim between the
    simulated stack and the live runtime's per-node stack. *)
 let assemble transport ~fd ~profile ~on_deliver =
@@ -101,11 +103,11 @@ let assemble transport ~fd ~profile ~on_deliver =
     match profile.Profile.algo with
     | Ct ->
         Ics_consensus.Ct.create ~announce transport fd
-          { layer = "consensus"; rcv } callbacks
+          { layer = consensus_layer; rcv } callbacks
     | Mr ->
         Ics_consensus.Mr.create ~announce transport fd
-          { layer = "consensus"; rcv } callbacks
-    | Lb -> Ics_consensus.Lb.create transport fd { layer = "consensus"; rcv } callbacks
+          { layer = consensus_layer; rcv } callbacks
+    | Lb -> Ics_consensus.Lb.create transport fd { layer = consensus_layer; rcv } callbacks
   in
   Abcast.create ~batching:(Profile.batching profile) transport
     ~ordering:profile.Profile.ordering ~make_broadcast ~make_consensus

@@ -92,6 +92,9 @@ type t = {
   model : Model.t;
 }
 
+val consensus_layer : string
+(** The transport layer {!assemble} runs consensus on. *)
+
 val assemble :
   Transport.t ->
   fd:Failure_detector.t ->

@@ -249,6 +249,18 @@ type wire_chan = {
   mutable wc_held : (int * Message.t) list;
 }
 
+type channel = {
+  ch_stats : stats;
+  ch_chans : (Pid.t * Pid.t * string, wire_chan) Hashtbl.t;
+}
+
+let channel_stats ch = ch.ch_stats
+
+let unacked ch ~src ~dst ~layer =
+  match Hashtbl.find_opt ch.ch_chans (src, dst, layer) with
+  | Some c -> List.length c.wc_unacked
+  | None -> 0
+
 let install ?(params = default_params) transport =
   if params.rto <= 0.0 || params.backoff < 1.0 || params.max_rto < params.rto then
     invalid_arg "Retransmit.install: bad params";
@@ -414,4 +426,4 @@ let install ?(params = default_params) transport =
                channel is keyed by the data direction. *)
             on_ack (chan_for ~src:msg.dst ~dst:msg.src ~layer:msg.layer) ~upto
         | _ -> next msg);
-  stats
+  { ch_stats = stats; ch_chans = channels }

@@ -17,6 +17,7 @@
 
 module Engine = Ics_sim.Engine
 module Time = Ics_sim.Time
+module Pid = Ics_sim.Pid
 
 type params = {
   rto : Time.t;  (** initial retransmission timeout *)
@@ -63,7 +64,10 @@ val wrap : ?params:params -> Model.t -> Model.t * stats
     @raise Invalid_argument on non-positive [rto], [backoff < 1], or
     [max_rto < rto]. *)
 
-val install : ?params:params -> Transport.t -> stats
+type channel
+(** An installed wire channel ({!install}). *)
+
+val install : ?params:params -> Transport.t -> channel
 (** The wire-encodable sibling of {!wrap}: installs an outbound middleware
     ({!Transport.interpose}) that wraps every remote send in a {!Seq}
     frame and go-back-N-retransmits it until acknowledged, and an inbound
@@ -76,3 +80,10 @@ val install : ?params:params -> Transport.t -> stats
     retire past its horizon (the live runtime pins the horizon to
     [deadline_ms]), so nodes quiesce even when a partition never heals.
     @raise Invalid_argument on bad [params], as for {!wrap}. *)
+
+val channel_stats : channel -> stats
+
+val unacked : channel -> src:Pid.t -> dst:Pid.t -> layer:string -> int
+(** Frames [src] sent to [dst] on [layer] that [dst] has not acknowledged
+    yet — still in the retransmission window, whether dropped, delayed
+    or in flight. *)

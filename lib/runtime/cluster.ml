@@ -45,6 +45,8 @@ type outcome = {
   faults : (string * int) list;  (** per-node fault counters, summed *)
   retx : (string * int) list;
   consensus : (string * int) list;
+  leaves : (Node.leave * int) list;
+  linger_ms : float;  (** summed over the nodes *)
   trace_dir : string;
 }
 
@@ -306,6 +308,7 @@ let run config =
              if Sys.file_exists path then Trace_io.load_kv path else []))
     in
     let totals = Trace_io.sum_kv node_stats in
+    let count key = Option.value (List.assoc_opt key totals) ~default:0 in
     let expected_per_node =
       match profile.Profile.app with
       | Profile.Kv when not config.node.Node.chaos_workload ->
@@ -329,6 +332,11 @@ let run config =
         faults = split_kv "fault." totals;
         retx = split_kv "retx." totals;
         consensus = split_kv "consensus." totals;
+        leaves =
+          List.map
+            (fun l -> (l, count ("leave." ^ Node.leave_to_string l)))
+            Node.leaves;
+        linger_ms = float_of_int (count "linger_us") /. 1000.0;
         trace_dir = dir;
       }
     in

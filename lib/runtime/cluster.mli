@@ -63,6 +63,12 @@ type outcome = {
   consensus : (string * int) list;
       (** consensus round counters ({!Ics_core.Abcast.consensus_counters}),
           summed over the nodes *)
+  leaves : (Node.leave * int) list;
+      (** how many nodes left by each reason ({!Node.leaves} order); nodes
+          that wrote no stats file are not counted *)
+  linger_ms : float;
+      (** barrier-to-exit linger ({!Node.result}[.linger_ms]), summed over
+          the nodes *)
   trace_dir : string;
 }
 

@@ -14,11 +14,15 @@ module Codec = Ics_codec.Codec
 module Prim = Ics_codec.Prim
 module Rng = Ics_prelude.Rng
 
-(* Runtime control plane: each node announces on the "ctl" layer when it
-   has A-delivered the full workload, and exits once every peer has
-   announced too — the distributed analogue of the simulator's quiescence
-   check, with the run deadline as the fallback. *)
-type Message.payload += Done of int
+(* Runtime control plane, two steps on the "ctl" layer — the distributed
+   analogue of the simulator's quiescence check, with the run deadline as
+   the fallback.  [Done]: this node has A-delivered the full workload;
+   once every peer has announced it too, the node is past the barrier.
+   [Bye]: past the barrier, this node holds no undecided consensus
+   instance, so every decision it owes a peer is already on the wire
+   ahead of the Bye.  A node leaves once it holds a Bye from every peer
+   (DESIGN.md §8). *)
+type Message.payload += Done of int | Bye
 
 let ctl_layer = "ctl"
 
@@ -28,7 +32,13 @@ let register_codec () =
     ~size:(fun _ -> 5)
     ~encode_into:(fun w -> function Done d -> Prim.u32 w d | _ -> assert false)
     ~dec:(fun r -> Done (Prim.r_u32 r))
-    ~gen:(fun rng -> Done (Rng.int rng 10_000))
+    ~gen:(fun rng -> Done (Rng.int rng 10_000));
+  Codec.register ~tag:0x49 ~name:"ctl.bye"
+    ~fits:(function Bye -> true | _ -> false)
+    ~size:(fun _ -> 1)
+    ~encode_into:(fun _ _ -> ())
+    ~dec:(fun _ -> Bye)
+    ~gen:(fun _ -> Bye)
 
 type config = {
   self : int;
@@ -54,10 +64,22 @@ let default_workload =
     chaos_workload = false;
   }
 
+type leave = On_bye | On_grace | On_deadline | On_crash
+
+let leaves = [ On_bye; On_grace; On_deadline; On_crash ]
+
+let leave_to_string = function
+  | On_bye -> "bye"
+  | On_grace -> "grace"
+  | On_deadline -> "deadline"
+  | On_crash -> "crashed"
+
 type result = {
   delivered : int;  (** A-deliveries at this node *)
   expected : int;
   clean_exit : bool;  (** finished via the all-done barrier, not the deadline *)
+  leave : leave;
+  linger_ms : float;  (** barrier (or crash) to loop exit *)
   net : Socket_transport.stats;
   faults : (string * int) list;  (** this node's outbound-link fault counters *)
   retx : (string * int) list;
@@ -66,9 +88,12 @@ type result = {
 }
 
 (* Every counter family in one flat list, prefixed so the cluster parent
-   can split them apart again after summing across nodes. *)
+   can split them apart again after summing across nodes.  The leave
+   reason counts one under its name; the linger rides in microseconds. *)
 let result_kv r =
-  List.map (fun (k, v) -> ("fault." ^ k, v)) r.faults
+  (("leave." ^ leave_to_string r.leave, 1)
+   :: ("linger_us", int_of_float (Float.round (r.linger_ms *. 1000.0)))
+   :: List.map (fun (k, v) -> ("fault." ^ k, v)) r.faults)
   @ List.map (fun (k, v) -> ("retx." ^ k, v)) r.retx
   @ List.map (fun (k, v) -> ("consensus." ^ k, v)) r.consensus
 
@@ -144,7 +169,7 @@ let run ~epoch ~listen ~peer_addrs config =
         Transport.interpose transport mw;
         Some stats
   in
-  let rstats =
+  let retx =
     if config.plan <> [] && config.retransmit then
       Some (Retransmit.install transport)
     else None
@@ -200,15 +225,18 @@ let run ~epoch ~listen ~peer_addrs config =
     if service then
       Ics_core.App_host.start h ~at:p.Profile.warmup_ms ~over_ms:200.0
   end;
+  let bye_from = Array.make n false in
   Transport.register transport config.self ~layer:ctl (fun msg ->
       match msg.Message.payload with
       | Done _ -> done_from.(msg.Message.src) <- true
+      | Bye -> bye_from.(msg.Message.src) <- true
       | _ -> ());
   if config.chaos_workload then schedule_chaos engine config abcast
   else if not service then schedule_legacy engine config abcast;
   let all_done () = !announced && Array.for_all Fun.id done_from in
   (* A plan-scheduled crash of our own pid is process death: leave the
      loop instead of idling to the deadline as a zombie. *)
+  let alive () = Engine.is_alive engine config.self in
   let exit_recorded = ref false in
   let stop () =
     if all_done () then begin
@@ -221,20 +249,62 @@ let run ~epoch ~listen ~peer_addrs config =
       end;
       true
     end
-    else not (Engine.is_alive engine config.self)
+    else not (alive ())
   in
-  Socket_transport.run st ~deadline:p.Profile.deadline_ms ~stop;
+  (* Under a fault plan the retransmission channel keeps one FIFO per
+     layer, and a frame may sit dropped or delayed in it: a peer is
+     settled on [layer] once it has acknowledged every frame we sent it
+     there, or has hung up (its loop is over; it needs nothing more from
+     us).  Without the channel, TCP's in-order delivery settles it. *)
+  let settled layer q =
+    match retx with
+    | None -> true
+    | Some ch ->
+        Retransmit.unacked ch ~src:config.self ~dst:q ~layer = 0
+        || Socket_transport.hung_up st q
+  in
+  let all_settled layer =
+    List.for_all (settled layer) (Pid.others ~n config.self)
+  in
+  (* Past the barrier, say Bye once no instance of ours is undecided (and
+     our consensus frames have landed), and leave once every peer has
+     said Bye too and has our Bye.  A crashed pid says nothing and waits
+     out the grace cap, as a peer that never says Bye makes us do. *)
+  let leave () =
+    all_done () && alive ()
+    && Abcast.undecided_instances abcast config.self = 0
+    && begin
+         if (not bye_from.(config.self)) && all_settled Stack.consensus_layer
+         then begin
+           bye_from.(config.self) <- true;
+           Transport.send_to_others transport ~src:config.self ~layer:ctl
+             ~body_bytes:1 Bye
+         end;
+         Array.for_all Fun.id bye_from && all_settled ctl_layer
+       end
+  in
+  let ended = Socket_transport.run st ~deadline:p.Profile.deadline_ms ~stop ~leave in
   let clean = all_done () in
   Socket_transport.close st;
   {
     delivered = !delivered;
     expected;
     clean_exit = clean;
+    leave =
+      (if not (alive ()) then On_crash
+       else
+         match ended.Socket_transport.why with
+         | `Left -> On_bye
+         | `Grace -> On_grace
+         | `Deadline -> On_deadline);
+    linger_ms = ended.Socket_transport.linger_ms;
     net = Socket_transport.stats st;
     faults =
       (match fstats with Some s -> Model.Fault_stats.to_list s | None -> []);
     retx =
-      (match rstats with Some s -> Retransmit.stats_to_list s | None -> []);
+      (match retx with
+      | Some ch -> Retransmit.stats_to_list (Retransmit.channel_stats ch)
+      | None -> []);
     consensus = Abcast.consensus_counters abcast;
     trace = Engine.trace engine;
   }

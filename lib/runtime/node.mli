@@ -17,8 +17,12 @@
     expects [count * n] deliveries; with [chaos_workload] the cluster
     replays the chaos sweep's seeded round-robin schedule ([count] total
     messages).  When a node has A-delivered everything it announces
-    [Done] on the ["ctl"] layer and exits once every peer has announced —
-    or at [deadline_ms], or when a plan clause crashes its own pid. *)
+    [Done] on the ["ctl"] layer; once every peer has announced too it is
+    past the barrier.  From then on it says [Bye] as soon as it holds no
+    undecided consensus instance, and it leaves once every peer has said
+    Bye — or {!Socket_transport.grace_ms} after the barrier if one never
+    does, at [deadline_ms], or when a plan clause crashes its own pid
+    (DESIGN.md §8). *)
 
 module Stack = Ics_core.Stack
 module Abcast = Ics_core.Abcast
@@ -26,8 +30,14 @@ module Profile = Ics_core.Profile
 module Message = Ics_net.Message
 module Nemesis = Ics_faults.Nemesis
 
-type Message.payload += Done of int
-(** Control-plane completion announcement (the sender's delivery count). *)
+type Message.payload +=
+  | Done of int
+        (** Control-plane completion announcement (the sender's delivery
+            count); codec tag [0x48], ["ctl.done"]. *)
+  | Bye
+        (** Past the barrier with no undecided consensus instance: the
+            sender owes no peer anything more; codec tag [0x49],
+            ["ctl.bye"]. *)
 
 val register_codec : unit -> unit
 
@@ -47,10 +57,27 @@ type config = {
 val default_workload : config
 (** [Profile.default] shape and workload, no fault plan. *)
 
+(** How a node's event loop ended. *)
+type leave =
+  | On_bye  (** it held a Bye from every peer *)
+  | On_grace  (** a peer never said Bye: the cap after the barrier *)
+  | On_deadline  (** the run deadline *)
+  | On_crash  (** a plan clause crashed its own pid *)
+
+val leaves : leave list
+(** Every reason, in declaration order. *)
+
+val leave_to_string : leave -> string
+(** ["bye"], ["grace"], ["deadline"], ["crashed"]: the stats-file names. *)
+
 type result = {
   delivered : int;  (** A-deliveries at this node *)
   expected : int;
   clean_exit : bool;  (** finished via the all-done barrier, not the deadline *)
+  leave : leave;
+  linger_ms : float;
+      (** from the barrier (or own crash) to the loop's exit; 0 when the
+          deadline came first *)
   net : Socket_transport.stats;
   faults : (string * int) list;
       (** this node's outbound-link fault counters; summed across a
@@ -64,9 +91,10 @@ type result = {
 }
 
 val result_kv : result -> (string * int) list
-(** Fault, retransmission and consensus counters as one flat
-    ["fault."]/["retx."]/["consensus."] prefixed list — the stats-file
-    format a {!Cluster} parent sums. *)
+(** The leave reason (["leave.<reason>"], 1), the linger (["linger_us"])
+    and the fault, retransmission and consensus counters
+    (["fault."]/["retx."]/["consensus."] prefixed) as one flat list — the
+    stats-file format a {!Cluster} parent sums. *)
 
 val run :
   epoch:float ->

@@ -150,6 +150,7 @@ type conn = {
   fd : Unix.file_descr;
   in_q : Bq.t;
   mutable cslot : int;  (* pollset slot; -1 once closed *)
+  mutable from : int;  (* the dialing peer, known from its first frame; -1 before *)
 }
 
 type owner = Nobody | Listen | Conn of conn | Peer of peer
@@ -163,6 +164,7 @@ type t = {
   peers : peer array;
   pollset : owner Poll.t;
   mutable conns : conn list;
+  hung_up : bool array;  (* peer's connection to us ended: EOF or reset *)
   mutable transport : Transport.t option;
   mutable frames_out : int;
   mutable bytes_out : int;
@@ -289,6 +291,7 @@ let drain_input t conn =
               close_conn t conn;
               alive := false
           | Ok payload ->
+              if conn.from < 0 then conn.from <- h.Codec.h_src;
               t.frames_in <- t.frames_in + 1;
               t.bytes_in <- t.bytes_in + Codec.header_bytes + h.Codec.h_body_len;
               (* Re-pin the virtual clock per frame: a descheduled process
@@ -323,13 +326,17 @@ let read_size = 65536
 let handle_readable t conn =
   let q = conn.in_q in
   Bq.ensure q read_size;
+  let hang_up () =
+    if conn.from >= 0 && conn.from < t.n then t.hung_up.(conn.from) <- true;
+    close_conn t conn
+  in
   match Unix.read conn.fd (Bq.unsafe_bytes q) (Bq.tail q) (Bq.tail_room q) with
-  | 0 -> close_conn t conn
+  | 0 -> hang_up ()
   | nread ->
       Bq.advance q nread;
       drain_input t conn
   | exception Unix.Unix_error ((EWOULDBLOCK | EAGAIN | EINTR), _, _) -> ()
-  | exception Unix.Unix_error ((ECONNRESET | EBADF), _, _) -> close_conn t conn
+  | exception Unix.Unix_error ((ECONNRESET | EBADF), _, _) -> hang_up ()
 
 let accept_ready t =
   let rec go () =
@@ -337,7 +344,7 @@ let accept_ready t =
     | fd, _ ->
         Unix.set_nonblock fd;
         (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-        let conn = { fd; in_q = Bq.create read_size; cslot = -1 } in
+        let conn = { fd; in_q = Bq.create read_size; cslot = -1; from = -1 } in
         ignore (Poll.add t.pollset fd ~events:Poll.pollin (Conn conn) : int);
         t.conns <- conn :: t.conns;
         go ()
@@ -392,6 +399,7 @@ let create ~engine ~clock ~self ~listen ~peer_addrs () =
       peers = Array.init n (fun _ -> { out_fd = None; out = Bq.create 4096; pslot = -1 });
       pollset;
       conns = [];
+      hung_up = Array.make n false;
       transport = None;
       frames_out = 0;
       bytes_out = 0;
@@ -428,6 +436,8 @@ let create ~engine ~clock ~self ~listen ~peer_addrs () =
   done;
   t
 
+let hung_up t p = t.hung_up.(p)
+
 let connected t =
   let up = ref 0 in
   Array.iteri (fun p peer -> if p <> t.self && peer.out_fd <> None then incr up) t.peers;
@@ -442,28 +452,38 @@ let record_wakeup t at =
   t.oversleep_us_sum <- t.oversleep_us_sum + late_us;
   if late_us > t.oversleep_us_max then t.oversleep_us_max <- late_us
 
+(* A peer that never says Bye — it crashed after its Done, or hangs —
+   must not hold a node that is otherwise finished until the run
+   deadline: past the barrier the loop waits at most this long for the
+   caller's [leave] to hold.  A clean run never reaches the cap; its
+   nodes leave about one round trip after the last peer is done. *)
+let grace_ms = 250.0
+
+type exit = { why : [ `Left | `Grace | `Deadline ]; linger_ms : float }
+
+let drained t = Array.for_all (fun peer -> Bq.length peer.out = 0) t.peers
+
 (* The live event loop: execute due engine events, then block in ppoll(2)
    until the next timer, inbound traffic, or writability of a clogged
    peer.  The engine's horizon is pinned once to [deadline] so that
-   self-rearming timer loops (heartbeats) retire by themselves. *)
-let run t ~deadline ~stop =
+   self-rearming timer loops (heartbeats) retire by themselves.  Once
+   [stop] has held, [leave] is polled on every pass (it may queue
+   frames, e.g. a Bye), and the loop exits when it holds with every
+   outbound queue flushed, or at the grace cap. *)
+let run t ~deadline ~stop ~leave =
   Engine.set_horizon t.engine (Some deadline);
   let stopped_at = ref None in
-  (* After [stop] turns true the node lingers for the full grace window —
-     draining its output AND processing input.  Exiting as soon as the
-     output is flushed would close the sockets while peers' last decide
-     floods for trailing pipelined instances are still in flight; the
-     linger absorbs them, so a cleanly-exited node has seen every decision
-     reached before its barrier. *)
-  let grace = 250.0 (* ms *) in
   let finished now =
-    now >= deadline
-    ||
-    match !stopped_at with
-    | None ->
-        if stop () then stopped_at := Some now;
-        false
-    | Some t0 -> t0 +. grace <= now
+    if now >= deadline then Some `Deadline
+    else begin
+      if Option.is_none !stopped_at && stop () then stopped_at := Some now;
+      match !stopped_at with
+      | None -> None
+      | Some t0 ->
+          if leave () && drained t then Some `Left
+          else if t0 +. grace_ms <= now then Some `Grace
+          else None
+    end
   in
   let err_bits = Poll.pollerr lor Poll.pollhup lor Poll.pollnval in
   let dispatch (o, re) =
@@ -489,22 +509,29 @@ let run t ~deadline ~stop =
     let now = Clock.now t.clock in
     Engine.run_due t.engine ~upto:now;
     let now = Clock.now t.clock in
-    if not (finished now) then begin
-      let horizon = match !stopped_at with Some t0 -> Float.min deadline (t0 +. grace) | None -> deadline in
-      let until_horizon = Float.max 0.0 (horizon -. now) in
-      (* [armed]: the wait ends at an engine timer's due time, not at the
-         horizon or the [Poll.max_wait_ms] cap. *)
-      let timeout_ms, armed =
-        match Engine.next_due t.engine with
-        | Some at when at -. now <= Float.min Poll.max_wait_ms until_horizon ->
-            (Float.max 0.0 (at -. now), Some at)
-        | _ -> (until_horizon, None)
-      in
-      let nready = Poll.wait t.pollset ~timeout_us:(Poll.timeout_us timeout_ms) in
-      if nready > 0 then List.iter dispatch (Poll.ready t.pollset)
-      else Option.iter (record_wakeup t) armed;
-      loop ()
-    end
+    match finished now with
+    | Some why ->
+        let linger_ms = match !stopped_at with Some t0 -> now -. t0 | None -> 0.0 in
+        { why; linger_ms }
+    | None ->
+        let horizon =
+          match !stopped_at with
+          | Some t0 -> Float.min deadline (t0 +. grace_ms)
+          | None -> deadline
+        in
+        let until_horizon = Float.max 0.0 (horizon -. now) in
+        (* [armed]: the wait ends at an engine timer's due time, not at the
+           horizon or the [Poll.max_wait_ms] cap. *)
+        let timeout_ms, armed =
+          match Engine.next_due t.engine with
+          | Some at when at -. now <= Float.min Poll.max_wait_ms until_horizon ->
+              (Float.max 0.0 (at -. now), Some at)
+          | _ -> (until_horizon, None)
+        in
+        let nready = Poll.wait t.pollset ~timeout_us:(Poll.timeout_us timeout_ms) in
+        if nready > 0 then List.iter dispatch (Poll.ready t.pollset)
+        else Option.iter (record_wakeup t) armed;
+        loop ()
   in
   loop ()
 

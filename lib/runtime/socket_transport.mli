@@ -68,10 +68,35 @@ val transport : t -> Transport.t
 val connected : t -> int
 (** Number of peers with a live outbound connection. *)
 
-val run : t -> deadline:float -> stop:(unit -> bool) -> unit
-(** Loop until the clock passes [deadline] (engine-time ms) or [stop]
-    returns true and the outbound buffers have drained (with a short
-    grace cap, so a dead peer cannot hold the node hostage). *)
+val hung_up : t -> int -> bool
+(** Whether peer [p]'s connection to us has ended (EOF or reset) after
+    carrying at least one frame: the peer closed its sockets, so its
+    event loop is over. *)
+
+val grace_ms : float
+(** 250 ms: the longest {!run} waits for [leave] once [stop] has held —
+    the cap for a peer that never says Bye because it crashed after its
+    barrier announcement or hangs.  A clean run leaves well before it. *)
+
+type exit = {
+  why : [ `Left | `Grace | `Deadline ];
+      (** [`Left]: [leave] held with every outbound queue flushed;
+          [`Grace]: [grace_ms] passed after [stop] first held;
+          [`Deadline]: the clock passed [deadline] *)
+  linger_ms : float;
+      (** from the pass where [stop] first held to the loop's exit; 0 when
+          [stop] never held *)
+}
+
+val run : t -> deadline:float -> stop:(unit -> bool) -> leave:(unit -> bool) -> exit
+(** Loop until the clock passes [deadline] (engine-time ms) or the
+    caller is done.  [stop] is polled on every pass until it first holds
+    (the node has passed its barrier, or its pid has crashed); from then
+    on [leave] is polled on every pass instead, and the loop exits as
+    soon as it holds and every outbound queue has drained to the kernel,
+    or [grace_ms] after [stop] first held, whichever comes first.
+    [leave] may queue frames (a node's Bye): the loop flushes them
+    before it exits, and input keeps being processed while it waits. *)
 
 val close : t -> unit
 

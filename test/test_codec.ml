@@ -12,6 +12,13 @@ module Chaos = Ics_workload.Chaos
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
+(* Every codec the live wire carries: the protocol layers', plus the
+   runtime's control plane (registered by the node, not by
+   [Codecs.ensure]), so the registry-driven cases below cover it too. *)
+let ensure_all () =
+  Codecs.ensure ();
+  Ics_runtime.Node.register_codec ()
+
 (* The pre-encode-into encoders, rebuilt here from the codec's public
    names as an independent reference: the body is staged out of line, its
    length taken with String.length and its CRC computed over the extracted
@@ -47,7 +54,7 @@ let encode_frame_legacy b ~src ~dst ~layer payload =
    encoded length.  The registry itself is the coverage universe, so a
    layer that registers a codec is automatically under test. *)
 let test_roundtrip_all () =
-  Codecs.ensure ();
+  ensure_all ();
   let entries = Codec.entries () in
   checkb "registry covers all protocol layers" true (List.length entries >= 20);
   let rng = Rng.create 0xC0DECL in
@@ -70,8 +77,19 @@ let test_roundtrip_all () =
       done)
     entries
 
+let test_ctl_tags_registered () =
+  ensure_all ();
+  List.iter
+    (fun (name, tag) ->
+      match
+        List.find_opt (fun (e : Codec.entry) -> e.Codec.name = name) (Codec.entries ())
+      with
+      | None -> Alcotest.failf "%s missing from the codec registry" name
+      | Some e -> checki (name ^ " wire tag") tag e.Codec.tag)
+    [ ("ctl.done", 0x48); ("ctl.bye", 0x49) ]
+
 let test_unique_tags_and_names () =
-  Codecs.ensure ();
+  ensure_all ();
   let entries = Codec.entries () in
   let tags = List.map (fun (e : Codec.entry) -> e.Codec.tag) entries in
   let names = List.map (fun (e : Codec.entry) -> e.Codec.name) entries in
@@ -81,7 +99,7 @@ let test_unique_tags_and_names () =
   List.iter (fun t -> checkb "tag in range" true (t >= 0 && t <= 255)) tags
 
 let test_unregistered_payload () =
-  Codecs.ensure ();
+  ensure_all ();
   let module M = struct
     type Ics_net.Message.payload += Never_registered
   end in
@@ -91,13 +109,13 @@ let test_unregistered_payload () =
     | exception Codec.Error _ -> true)
 
 let frame_for payload =
-  Codecs.ensure ();
+  ensure_all ();
   let w = Buffer.create 256 in
   let body_len = encode_frame_legacy w ~src:1 ~dst:2 ~layer:"consensus" payload in
   (Buffer.contents w, body_len)
 
 let test_frame_roundtrip () =
-  Codecs.ensure ();
+  ensure_all ();
   let rng = Rng.create 0xF4A3EL in
   List.iter
     (fun (e : Codec.entry) ->
@@ -182,7 +200,7 @@ let test_corrupt_frames () =
     (Codec.entries ())
 
 let test_unknown_tag_rejected () =
-  Codecs.ensure ();
+  ensure_all ();
   let used =
     List.map (fun (e : Codec.entry) -> e.Codec.tag) (Codec.entries ())
   in
@@ -197,7 +215,7 @@ let test_unknown_tag_rejected () =
     | exception Codec.Error _ -> true)
 
 let test_fuzz_decode_never_crashes () =
-  Codecs.ensure ();
+  ensure_all ();
   let rng = Rng.create 0x5EEDL in
   for _ = 1 to 2_000 do
     let len = Rng.int rng 64 in
@@ -266,7 +284,7 @@ let test_bq_ensure_advance () =
    the outbound queue exactly as it was, not with a partial frame that
    would desynchronize the TCP stream. *)
 let test_encode_frame_error_truncates () =
-  Codecs.ensure ();
+  ensure_all ();
   let module M = struct
     type Ics_net.Message.payload += Unframeable
   end in
@@ -284,7 +302,7 @@ let test_encode_frame_error_truncates () =
    head pushed off physical zero so logical-offset arithmetic is
    actually exercised. *)
 let test_encode_into_matches_legacy () =
-  Codecs.ensure ();
+  ensure_all ();
   let rng = Rng.create 0xB0A7L in
   List.iter
     (fun (e : Codec.entry) ->
@@ -324,7 +342,7 @@ let test_encode_into_matches_legacy () =
    chunk size may yield a decode error, a lost frame, or a leftover
    byte. *)
 let test_partial_frame_chunked_decode () =
-  Codecs.ensure ();
+  ensure_all ();
   let rng = Rng.create 0xC4A2L in
   let entries = Codec.entries () in
   let payloads = List.map (fun (e : Codec.entry) -> e.Codec.gen rng) entries in
@@ -462,6 +480,7 @@ let suites =
       [
         Alcotest.test_case "round-trip every constructor" `Quick test_roundtrip_all;
         Alcotest.test_case "tags and names unique" `Quick test_unique_tags_and_names;
+        Alcotest.test_case "ctl tags registered" `Quick test_ctl_tags_registered;
         Alcotest.test_case "unregistered payload rejected" `Quick test_unregistered_payload;
         Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
         Alcotest.test_case "truncated frames rejected" `Quick test_truncated_frames;

@@ -391,6 +391,62 @@ let test_determinism algo () =
     (transcript algo 42L);
   checkb "transcripts non-empty" true (transcript algo 42L <> [])
 
+(* The undecided-instance count: one per open instance, joins included,
+   back to zero once everything decides.  With a 1 ms constant delay and
+   only p0 proposing (at t=1), p1 and p2 have joined by t=2 and nothing
+   has decided by t=2.5 in any of the three algorithms (indirect, so MR
+   waits for all three relays; everyone holds the payload). *)
+let test_undecided_count algo () =
+  let h = mk ~algo ~indirect:true () in
+  List.iter (fun p -> give h p (mid 0 0)) [ 0; 1; 2 ];
+  let counts () = List.map h.handle.Intf.undecided [ 0; 1; 2 ] in
+  let check_at ~until expect =
+    Engine.run ~until h.engine;
+    Alcotest.(check (list int))
+      (Printf.sprintf "undecided at t=%g" until)
+      expect (counts ())
+  in
+  propose_at h ~at:1.0 0 1 (Proposal.on_ids [ mid 0 0 ]);
+  check_at ~until:0.5 [ 0; 0; 0 ];
+  check_at ~until:1.5 [ 1; 0; 0 ];
+  check_at ~until:2.5 [ 1; 1; 1 ];
+  Engine.run h.engine;
+  check_uniform_agreement h 1 ~expect_deciders:3;
+  Alcotest.(check (list int)) "undecided after the decisions" [ 0; 0; 0 ] (counts ());
+  (* A decision reaching a process that never heard of the instance
+     creates it decided: the count does not move. *)
+  Ics_core.Codecs.ensure ();
+  let decide_name =
+    match algo with `Ct -> "ct.decide" | `Mr -> "mr.decide" | `Lb -> "lb.decide"
+  in
+  let e =
+    List.find
+      (fun (e : Ics_codec.Codec.entry) -> e.name = decide_name)
+      (Ics_codec.Codec.entries ())
+  in
+  let payload = e.gen (Ics_prelude.Rng.create 7L) in
+  let layer = Transport.intern h.transport "consensus" in
+  Transport.send h.transport ~src:0 ~dst:2 ~layer ~body_bytes:16 payload;
+  Engine.run h.engine;
+  checkb "adopted instance known" true
+    (List.exists (fun k -> k <> 1 && h.handle.Intf.has_instance 2 k) (List.init 100 Fun.id));
+  Alcotest.(check (list int)) "adopting a decision opens nothing" [ 0; 0; 0 ] (counts ())
+
+(* CT's remote sends by kind, with only p0 proposing: p0's round-1
+   proposal reaches two peers, p0's decision floods to two and each
+   relays it to the one peer it did not hear it from, and there is no
+   announce (unbatched).  A send to oneself is not counted. *)
+let test_ct_send_counters () =
+  let h = mk ~algo:`Ct ~indirect:false () in
+  propose_at h ~at:1.0 0 1 (Proposal.on_ids [ mid 0 0 ]);
+  Engine.run h.engine;
+  let c = h.handle.Intf.counters () in
+  let get k = List.assoc k c in
+  checki "announce" 0 (get "sent.est.r1");
+  checki "round-1 proposal" 2 (get "sent.prop.r1");
+  checki "decision flood" 4 (get "sent.decide");
+  checki "acks" 2 (get "sent.ack")
+
 let both name f = [
   Alcotest.test_case ("ct: " ^ name) `Quick (f `Ct);
   Alcotest.test_case ("mr: " ^ name) `Quick (f `Mr);
@@ -425,6 +481,7 @@ let suites =
           both "indirect waits for payload" test_indirect_waits_for_payload;
           both "indirect empty proposal" test_indirect_empty_proposal_trivial;
           both "determinism" test_determinism;
+          both "undecided count" test_undecided_count;
         ] );
     ( "ct",
       [
@@ -435,6 +492,7 @@ let suites =
         Alcotest.test_case "two nacks end the round" `Quick test_ct_two_nacks_end_round;
         Alcotest.test_case "suspected silent replier ends the round" `Quick
           test_ct_suspected_silent_replier_ends_round;
+        Alcotest.test_case "remote sends by kind" `Quick test_ct_send_counters;
       ] );
     ( "mr",
       [

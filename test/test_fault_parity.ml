@@ -50,7 +50,11 @@ let live_node ~self ~listen ~peer_addrs ~epoch ~dir =
   Transport.register transport self ~layer (fun msg ->
       match msg.Message.payload with FP.Probe _ -> incr received | _ -> ());
   FP.schedule_sends engine transport ~layer ~start:warmup_ms ~srcs:[ self ];
-  Socket_transport.run st ~deadline:deadline_ms ~stop:(fun () -> false);
+  ignore
+    (Socket_transport.run st ~deadline:deadline_ms
+       ~stop:(fun () -> false)
+       ~leave:(fun () -> true)
+      : Socket_transport.exit);
   Socket_transport.close st;
   Trace_io.save (trace_path dir self) (Engine.trace engine) ~keep:(fun e ->
       e.Trace.pid = self);

@@ -168,8 +168,11 @@ let test_timer_oversleep () =
           if k + 1 < timer_count then arm (k + 1))
     in
     arm 0;
-    Socket_transport.run st ~deadline:(Clock.now clock +. 5000.0) ~stop:(fun () ->
-        List.length !late_us >= timer_count);
+    ignore
+      (Socket_transport.run st ~deadline:(Clock.now clock +. 5000.0)
+         ~stop:(fun () -> List.length !late_us >= timer_count)
+         ~leave:(fun () -> true)
+        : Socket_transport.exit);
     Socket_transport.close st;
     let late = Array.of_list !late_us in
     Array.sort Float.compare late;
@@ -190,9 +193,65 @@ let test_timer_slack () =
     let engine, clock, st = one_node () in
     let fired = ref false in
     Engine.schedule engine ~at:(Clock.now clock +. 0.2) (fun () -> fired := true);
-    Socket_transport.run st ~deadline:(Clock.now clock +. 1000.0) ~stop:(fun () -> !fired);
+    ignore
+      (Socket_transport.run st ~deadline:(Clock.now clock +. 1000.0)
+         ~stop:(fun () -> !fired)
+         ~leave:(fun () -> true)
+        : Socket_transport.exit);
     Socket_transport.close st;
     checki "timer slack after the loop ran" 1 (Socket_transport.Poll.timer_slack_ns ())
+  end
+
+(* Past its barrier a node waits at most [grace_ms] for a peer that never
+   says Bye: here no Bye ever comes ([leave] never holds), and the loop
+   returns at the barrier plus the cap, not at the deadline. *)
+let test_grace_caps_silent_peer () =
+  if Cluster.supported () then begin
+    let engine, clock, st = one_node () in
+    let barrier = ref false and barrier_at = ref 0.0 in
+    Engine.schedule engine ~at:(Clock.now clock +. 10.0) (fun () ->
+        barrier := true;
+        barrier_at := Clock.now clock);
+    let ended =
+      Socket_transport.run st ~deadline:(Clock.now clock +. 5000.0)
+        ~stop:(fun () -> !barrier)
+        ~leave:(fun () -> false)
+    in
+    let waited = Clock.now clock -. !barrier_at in
+    Socket_transport.close st;
+    checkb "left on the cap" true (ended.Socket_transport.why = `Grace);
+    let cap = Socket_transport.grace_ms in
+    List.iter
+      (fun (what, ms) ->
+        if ms < cap || ms > cap +. 100.0 then
+          Alcotest.failf "%s %.1f ms, expected the %.0f ms cap" what ms cap)
+      [ ("linger", ended.Socket_transport.linger_ms); ("barrier to return", waited) ]
+  end
+
+(* A clean one-message n=3 cluster: every node leaves through the Bye
+   path about one round trip after the last peer is done, so the whole
+   Cluster.run (fork, warm-up, barrier, merge, check) returns within
+   warm-up + 150 ms.  A fixed 250 ms linger after the barrier needs about
+   warm-up + 265 ms. *)
+let test_cluster_leaves_on_bye () =
+  if Cluster.supported () then begin
+    let profile = { Profile.default with Profile.count = 1 } in
+    let t0 = Unix.gettimeofday () in
+    match
+      Cluster.run
+        { Cluster.default with Cluster.node = { Node.default_workload with Node.profile } }
+    with
+    | Error _ -> ()
+    | Ok o ->
+        let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+        checkb "cluster ok" true (Cluster.ok o);
+        Alcotest.(check (list (pair string int)))
+          "leave reasons"
+          [ ("bye", 3); ("grace", 0); ("deadline", 0); ("crashed", 0) ]
+          (List.map (fun (l, c) -> (Node.leave_to_string l, c)) o.Cluster.leaves);
+        let bound = profile.Profile.warmup_ms +. 150.0 in
+        if wall_ms > bound then
+          Alcotest.failf "Cluster.run took %.0f ms, bound %.0f ms" wall_ms bound
   end
 
 (* Fork a real 3-node loopback cluster and let the checker judge the
@@ -235,9 +294,11 @@ let suites =
         Alcotest.test_case "poll timeout in microseconds" `Quick test_timeout_us;
         Alcotest.test_case "timer oversleep" `Quick test_timer_oversleep;
         Alcotest.test_case "timer slack" `Quick test_timer_slack;
+        Alcotest.test_case "grace caps a silent peer" `Quick test_grace_caps_silent_peer;
       ] );
     ( "live-cluster",
       [
+        Alcotest.test_case "clean cluster leaves on Bye" `Slow test_cluster_leaves_on_bye;
         cluster_case "ct flood" (small 8);
         cluster_case "mr flood"
           (with_profile (small 8) (fun p -> { p with Profile.algo = Stack.Mr }));
