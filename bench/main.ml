@@ -352,25 +352,25 @@ let drop_plan p =
   else [ Nemesis.Drop { link = Nemesis.any_link; prob = p; window = Nemesis.always } ]
 
 (* One simulated lossy-link cell: indirect consensus, n=3, 200 msg/s, 64B
-   over a 1 ms constant-delay model, with [drop_plan p] compiled by the
-   Nemesis under [plan_seed] and healed by the retransmission channel.
-   Returns the run with its drop, retransmit and ack counts. *)
+   over a 1 ms constant-delay model, with [drop_plan p] installed on the
+   stack's transport under [plan_seed] and healed by the retransmission
+   channel — the middleware a live node installs.  Returns the run with
+   its drop, retransmit and ack counts. *)
 let lossy_cell ~quick ~plan_seed p =
   let counters = ref None in
-  let setup =
-    Stack.Custom
-      {
-        name = Printf.sprintf "lossy-%.2f" p;
-        build =
-          (fun ~n ->
-            let base = Ics_net.Model.constant ~delay:1.0 ~n ~seed:4242L () in
-            let lossy, fs = Nemesis.apply ~seed:plan_seed ~plan:(drop_plan p) ~base () in
-            let model, rs = Retransmit.wrap lossy in
-            counters := Some (fs, rs);
-            (model, Ics_net.Host.instant));
-      }
+  let prepare (stack : Stack.t) =
+    counters :=
+      Some
+        (Nemesis.install stack.Stack.transport ~seed:plan_seed ~plan:(drop_plan p)
+           ~retransmit:true)
   in
-  let config = { Stack.abcast_indirect with Stack.setup; fd_kind = Stack.Oracle 10.0 } in
+  let config =
+    {
+      Stack.abcast_indirect with
+      Stack.setup = Stack.Ideal_lan { delay = 1.0; jitter = 0.0 };
+      fd_kind = Stack.Oracle 10.0;
+    }
+  in
   let scale = if quick then 0.25 else 1.0 in
   let load =
     {
@@ -380,14 +380,10 @@ let lossy_cell ~quick ~plan_seed p =
       warmup = 500.0;
     }
   in
-  let r = Experiment.run config load in
-  match !counters with
-  | Some (fs, rs) ->
-      ( r,
-        Ics_net.Model.Fault_stats.total_drops fs,
-        rs.Retransmit.retransmits,
-        rs.Retransmit.acks_sent )
-  | None -> (r, 0, 0, 0)
+  let r = Experiment.run ~prepare config load in
+  let fs, ch = Option.get !counters in
+  let rs = Retransmit.channel_stats (Option.get ch) in
+  (r, Ics_net.Model.Fault_stats.total_drops fs, rs.Retransmit.retransmits, rs.Retransmit.acks_sent)
 
 let per_abcast count (r : Experiment.result) =
   float_of_int count /. float_of_int (max 1 r.Experiment.abroadcasts)
@@ -424,13 +420,14 @@ let run_faults ~quick =
 (* --- Fault injection on the live backend ---------------------------------- *)
 
 (* The lossy-link experiment replayed on real sockets: the same Nemesis
-   drop plans, compiled by the same interposer, healed by the same
-   retransmission channel — but over loopback TCP with forked OS
-   processes.  The sim column is virtual time under a 1 ms constant-delay
-   model; the live column is wall clock on loopback, so magnitudes differ
-   by design and the comparison is about shape: latency degrading
-   gracefully with drop-p, retransmissions tracking the loss rate, and
-   the checker staying green on both backends. *)
+   drop plans, installed by the same [Nemesis.install] as the sim column
+   (same fault middleware, same per-link draws, same retransmission
+   channel) — but over loopback TCP with forked OS processes.  The sim
+   column is virtual time under a 1 ms constant-delay model; the live
+   column is wall clock on loopback, so magnitudes differ by design and
+   the comparison is about shape: latency degrading gracefully with
+   drop-p, retransmissions tracking the loss rate, and the checker
+   staying green on both backends. *)
 let run_faults_live ~quick =
   section
     "Fault injection, live backend: seeded drops on loopback TCP (indirect, n=3, 64B)";

@@ -431,8 +431,9 @@ let chaos_cmd =
       & info [ "live" ]
           ~doc:
             "Run each cell as a forked loopback-TCP cluster instead of a \
-             simulation: the same seeded plan drives each node's transport \
-             interposer and the merged trace goes through the same checker. \
+             simulation: each node installs the same seeded plan through the \
+             same fault middleware as a simulated cell, and the merged trace \
+             goes through the same checker. \
              Exit 2 when the environment cannot create loopback sockets.")
   in
   let replay_check =

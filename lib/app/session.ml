@@ -65,7 +65,6 @@ let create host ~n ~home ~clients ~requests ~retry_ms =
   }
 
 let count t = Array.length t.sessions
-let done_count t = t.completed
 let all_done t = t.completed = Array.length t.sessions
 
 let rec submit_now t s =

@@ -31,5 +31,4 @@ val on_applied : t -> client:int -> req:int -> unit
 (** Feed every application at this replica; foreign clients are ignored. *)
 
 val count : t -> int
-val done_count : t -> int
 val all_done : t -> bool

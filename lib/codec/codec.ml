@@ -100,7 +100,6 @@ let dec_msg_id r =
    big-endian u32 halves — Prim has no 64-bit primitive); a blob of zero
    encodes exactly like the pre-app all-zero filler, so content-free
    messages are byte-identical to what they always were. *)
-let app_msg_bytes (m : App_msg.t) = msg_id_bytes + 4 + 8 + m.App_msg.body_bytes
 
 let enc_app_msg w (m : App_msg.t) =
   enc_msg_id w m.App_msg.id;

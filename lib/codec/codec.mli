@@ -72,10 +72,6 @@ val enc_msg_id : Prim.writer -> Msg_id.t -> unit
 val dec_msg_id : Prim.reader -> Msg_id.t
 val gen_msg_id : Rng.t -> Msg_id.t
 
-val app_msg_bytes : App_msg.t -> int
-(** [msg_id_bytes + 4 + 8 + m.body_bytes]: the declared application bytes
-    are carried as real filler bytes on the wire. *)
-
 val enc_app_msg : Prim.writer -> App_msg.t -> unit
 val dec_app_msg : Prim.reader -> App_msg.t
 val gen_app_msg : Rng.t -> App_msg.t

@@ -81,13 +81,8 @@ let to_name table v =
   fst (List.find (fun (_, v') -> v' = v) table)
 
 let algo_to_string a = to_name algos a
-let algo_of_string s = List.assoc_opt s algos
 let ordering_to_string o = to_name orderings o
-let ordering_of_string s = List.assoc_opt s orderings
 let broadcast_to_string b = to_name broadcasts b
-let broadcast_of_string s = List.assoc_opt s broadcasts
-let app_to_string a = to_name apps a
-let app_of_string s = List.assoc_opt s apps
 
 (* ------------------------------------------------------------------ *)
 (* The flag table.                                                    *)

@@ -62,13 +62,8 @@ val orderings : (string * Abcast.ordering) list
 val broadcasts : (string * broadcast_kind) list
 val apps : (string * app_kind) list
 val algo_to_string : algo -> string
-val algo_of_string : string -> algo option
 val ordering_to_string : Abcast.ordering -> string
-val ordering_of_string : string -> Abcast.ordering option
 val broadcast_to_string : broadcast_kind -> string
-val broadcast_of_string : string -> broadcast_kind option
-val app_to_string : app_kind -> string
-val app_of_string : string -> app_kind option
 
 val describe : t -> string
 (** e.g. ["ct/indirect/flood n=3"]. *)

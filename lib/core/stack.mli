@@ -138,9 +138,11 @@ val utilization : ?horizon:Time.t -> t -> (string * float) list
     so far) — the direct way to see what saturates in a saturated run. *)
 
 val fault_counters : t -> (string * int) list
-(** Injected-fault counters of the stack's network model (scripted rules or
-    a nemesis plan): drops, duplicates, delays, partition drops, per-layer
-    drops.  Empty when the model injects no faults. *)
+(** Injected-fault counters of the stack's network model — the
+    [?rule] adversary of {!create}: drops, delays, per-layer drops.  Empty
+    when the model injects no faults.  A seeded fault plan is transport
+    middleware, not a model: its counters are the record
+    [Ics_faults.Nemesis.install] returns. *)
 
 val describe : t -> string
 (** e.g. ["abcast(indirect, ct-indirect, rb-flood(O(n^2)), setup1, n=3)"]. *)

@@ -1,4 +1,3 @@
-module Engine = Ics_sim.Engine
 module Time = Ics_sim.Time
 module Pid = Ics_sim.Pid
 module Trace = Ics_sim.Trace
@@ -6,6 +5,8 @@ module Rng = Ics_prelude.Rng
 module Model = Ics_net.Model
 module Message = Ics_net.Message
 module Env = Ics_net.Env
+module Transport = Ics_net.Transport
+module Retransmit = Ics_net.Retransmit
 
 type window = { from_t : Time.t; until_t : Time.t }
 
@@ -176,89 +177,7 @@ let shift plan ~by =
       | Crash { pid; at } -> Crash { pid; at = Time.( + ) at by })
     plan
 
-let apply ?engine ~seed ~plan ~base () =
-  let rng = Rng.create seed in
-  let stats = Model.Fault_stats.create () in
-  (* Scheduled clauses (crashes, partition trace markers) need an engine at
-     build time; probabilistic clauses do not — [engine] is optional so
-     engineless harnesses (bench table builders) can still use lossy plans. *)
-  (match engine with
-  | None -> ()
-  | Some engine ->
-      List.iter
-        (fun clause ->
-          match clause with
-          | Crash { pid; at } ->
-              Engine.schedule engine ~at (fun () ->
-                  if Engine.is_alive engine pid then (
-                    stats.Model.Fault_stats.crashes <-
-                      stats.Model.Fault_stats.crashes + 1;
-                    Engine.crash engine pid))
-          | Partition { groups; window } ->
-              let name = partition_name groups in
-              Engine.schedule engine ~at:window.from_t (fun () ->
-                  Engine.record engine 0 (Trace.Partition_start name));
-              if window.until_t < infinity then
-                Engine.schedule engine ~at:window.until_t (fun () ->
-                    Engine.record engine 0 (Trace.Partition_heal name))
-          | Isolate { pid; window; _ } ->
-              let name = Printf.sprintf "isolate(p%d)" pid in
-              Engine.schedule engine ~at:window.from_t (fun () ->
-                  Engine.record engine 0 (Trace.Partition_start name));
-              if window.until_t < infinity then
-                Engine.schedule engine ~at:window.until_t (fun () ->
-                    Engine.record engine 0 (Trace.Partition_heal name))
-          | Drop _ | Duplicate _ | Delay _ | Slow _ -> ())
-        plan);
-  let send engine msg ~arrive =
-    let now = Engine.now engine in
-    if cut_by_partition plan now msg then (
-      stats.Model.Fault_stats.partition_drops <-
-        stats.Model.Fault_stats.partition_drops + 1;
-      Model.Fault_stats.count_layer_drop stats (Message.layer_name msg);
-      Engine.record engine msg.Message.src (Trace.Net_drop msg.Message.dst))
-    else begin
-      let dropped, dup, extra =
-        draw ~plan ~rng ~now msg
-          ~on_delay:(fun () ->
-            stats.Model.Fault_stats.delays <-
-              stats.Model.Fault_stats.delays + 1;
-            Engine.record engine msg.Message.src
-              (Trace.Net_delay msg.Message.dst))
-          ~on_slow:(fun () ->
-            stats.Model.Fault_stats.slowdowns <-
-              stats.Model.Fault_stats.slowdowns + 1)
-      in
-      if dropped then begin
-        stats.Model.Fault_stats.drops <- stats.Model.Fault_stats.drops + 1;
-        Model.Fault_stats.count_layer_drop stats (Message.layer_name msg);
-        Engine.record engine msg.Message.src (Trace.Net_drop msg.Message.dst)
-      end
-      else begin
-        let forward () =
-          Model.send base engine msg ~arrive;
-          if dup then begin
-            stats.Model.Fault_stats.dups <- stats.Model.Fault_stats.dups + 1;
-            Engine.record engine msg.Message.src
-              (Trace.Net_dup msg.Message.dst);
-            Model.send base engine msg ~arrive
-          end
-        in
-        if extra > Time.zero then Engine.after engine ~delay:extra forward
-        else forward ()
-      end
-    end
-  in
-  let model =
-    Model.make ~faults:stats
-      ~name:("nemesis(" ^ Model.name base ^ ")")
-      ~resources:(Model.resources base) send
-  in
-  (model, stats)
-
-(* Backend-neutral sibling of [apply]: instead of wrapping a network
-   model, compile the plan into a {!Transport.interpose} middleware that
-   draws its randomness from per-(src, dst) streams.  Per-link seeding is
+(* Fault draws come from per-(src, dst) streams.  Per-link seeding is
    what makes the sim and live backends agree: the k-th message on a link
    sees the same decisions no matter how sends from different processes
    interleave, and a live node that only ever observes its own outbound
@@ -278,7 +197,14 @@ let link_rngs seed =
         Hashtbl.add rngs key rng;
         rng
 
-let interposer ?self ~env ~seed ~plan () =
+(* The plan becomes outbound transport middleware: every remote send
+   consults it, and scheduled clauses go through the transport's [Env].
+   The one layering rule of the fault plane lives here: the fault
+   middleware goes in first, the retransmission channel last (outermost),
+   so every retry and every ack traverses the faults exactly like a first
+   transmission. *)
+let install ?self transport ~seed ~plan ~retransmit =
+  let env = Transport.env transport in
   let stats = Model.Fault_stats.create () in
   let rng_for = link_rngs seed in
   let local pid = match self with None -> true | Some p -> p = pid in
@@ -357,4 +283,8 @@ let interposer ?self ~env ~seed ~plan () =
       end
     end
   in
-  (middleware, stats)
+  Transport.interpose transport middleware;
+  let channel =
+    if retransmit then Some (Retransmit.install transport) else None
+  in
+  (stats, channel)

@@ -1,26 +1,27 @@
-(** Composable, seeded fault injection over any network model.
+(** Composable, seeded fault injection, installed as transport
+    middleware.
 
     A {e plan} is a list of declarative fault clauses — probabilistic
     per-link drop/duplicate/delay, deterministic slowdown windows,
     symmetric partitions with scheduled heal, per-process isolation, and
-    scheduled crashes.  {!apply} compiles a plan into a {!Model.t} wrapper
-    around any base model: every message consults the plan, all random
-    choices come from one RNG derived from [seed] (same seed + same plan +
-    same run ⇒ bit-identical faults), every injected fault is recorded in
-    the engine trace ({!Trace.Net_drop}, {!Trace.Net_dup},
-    {!Trace.Net_delay}, {!Trace.Partition_start}/[_heal]) and counted in
-    the returned {!Model.Fault_stats}.
+    scheduled crashes.  {!install} compiles a plan into outbound
+    middleware on a {!Ics_net.Transport.t}, simulated or live: every
+    remote send consults the plan, random choices come from per-(src, dst)
+    streams derived from [seed] (same seed + same plan + same per-link
+    message sequence ⇒ identical faults, on either backend), every
+    injected fault is recorded in the trace ({!Trace.Net_drop},
+    {!Trace.Net_dup}, {!Trace.Net_delay}, {!Trace.Partition_start}/[_heal])
+    and counted in the returned {!Model.Fault_stats}.
 
     The nemesis models a {e fair-lossy} environment: it may lose, duplicate,
     reorder (via random extra delay) and slow messages, but it never
-    corrupts them and never forges them.  Layer it under {!Retransmit.wrap}
-    to recover the quasi-reliable channels the protocol stack assumes. *)
+    corrupts them and never forges them.  [~retransmit:true] layers the
+    {!Ics_net.Retransmit} channel over it to recover the quasi-reliable
+    channels the protocol stack assumes. *)
 
-module Engine = Ics_sim.Engine
 module Time = Ics_sim.Time
 module Pid = Ics_sim.Pid
 module Model = Ics_net.Model
-module Env = Ics_net.Env
 
 (** {1 Plan grammar} *)
 
@@ -61,7 +62,8 @@ type clause =
           asymmetric partition: the victim hears everyone but nobody hears
           it *)
   | Crash of { pid : Pid.t; at : Time.t }
-      (** schedule a crash-stop failure (requires [?engine] in {!apply}) *)
+      (** schedule a crash-stop failure (on a live node, only when [pid]
+          is the node itself) *)
 
 type plan = clause list
 
@@ -79,41 +81,30 @@ val shift : plan -> by:Time.t -> plan
     run-relative time past its warm-up/connect phase.
     @raise Invalid_argument on negative [by]. *)
 
-(** {1 Applying a plan} *)
+(** {1 Installing a plan} *)
 
-val apply :
-  ?engine:Engine.t ->
-  seed:int64 ->
-  plan:plan ->
-  base:Model.t ->
-  unit ->
-  Model.t * Model.Fault_stats.t
-(** Wrap [base] with the plan's faults.  [engine] is needed to schedule
-    [Crash] clauses and partition trace markers at build time; plans with
-    only probabilistic clauses work without it (engineless bench
-    harnesses).  Probabilistic clauses draw from a dedicated RNG seeded
-    with [seed] in fixed plan order per message, so fault decisions are a
-    deterministic function of (seed, plan, message sequence) and replays
-    are bit-identical.  The returned stats record is also reachable
-    through {!Model.fault_stats} on the wrapped model (and so through
-    [Stack.fault_counters]). *)
-
-val interposer :
+val install :
   ?self:Pid.t ->
-  env:Env.t ->
+  Ics_net.Transport.t ->
   seed:int64 ->
   plan:plan ->
-  unit ->
-  ((Ics_net.Message.t -> unit) -> Ics_net.Message.t -> unit) * Model.Fault_stats.t
-(** Backend-neutral sibling of {!apply}: compile the plan into an outbound
-    middleware for {!Ics_net.Transport.interpose}, drawing every random
-    choice from a per-(src, dst) RNG stream derived from [seed].  Per-link
-    streams are what make the two backends agree: the k-th message on a
-    link sees the same drop/dup/delay decisions whether all links run in
-    one simulated process or each live node only observes its own outbound
-    links — so a seeded plan produces identical {!Model.Fault_stats}
-    counters on both.  [self] scopes side effects for a live node: [Crash]
-    clauses fire only for [self], and partition trace markers are emitted
-    only by node 0 ([None] keeps whole-cluster behaviour for the sim
-    backend).  Clause scheduling, trace recording and crash delivery all go
-    through [env], never through a concrete engine. *)
+  retransmit:bool ->
+  Model.Fault_stats.t * Ics_net.Retransmit.channel option
+(** Compile [plan] into fault middleware on the transport and, when
+    [retransmit] is set, install the {!Ics_net.Retransmit} channel
+    outermost — the fault plane's one layering rule, so every retry and
+    ack traverses the faults.  Returns the fault counters and the channel
+    ([None] without [retransmit]).
+
+    Probabilistic clauses draw from a per-(src, dst) RNG stream derived
+    from [seed], in fixed plan order per message.  Per-link streams are
+    what make the two backends agree: the k-th message on a link sees the
+    same drop/dup/delay decisions whether all links run in one simulated
+    process or each live node only observes its own outbound links — so a
+    seeded plan produces identical {!Model.Fault_stats} counters on both.
+    [self] scopes side effects for a live node: [Crash] clauses fire only
+    for [self], and partition trace markers are emitted only by node 0
+    ([None] keeps whole-cluster behaviour for the sim backend).  Clause
+    scheduling, trace recording and crash delivery all go through the
+    transport's {!Ics_net.Env}, never through a concrete engine, so
+    install after any {!Ics_net.Transport.set_env}. *)

@@ -6,9 +6,9 @@ module Variate = Ics_prelude.Variate
 
 type send_fn = Engine.t -> Message.t -> arrive:(unit -> unit) -> unit
 
-(* Shared accounting for every fault-injecting wrapper ({!scripted} here,
-   [Nemesis] in ics_faults): one counter record, so a stack exposes the
-   same stats whatever injected the faults. *)
+(* Shared accounting for every fault source ({!scripted} here, the
+   [Nemesis] middleware in ics_faults): one counter record, so a run
+   exposes the same stats whatever injected the faults. *)
 module Fault_stats = struct
   type t = {
     mutable drops : int;
@@ -74,8 +74,6 @@ let name t = t.name
 let send t engine msg ~arrive = t.send engine msg ~arrive
 let resources t = t.resources
 let fault_stats t = t.faults
-
-let make ?faults ~name ~resources send = { name; send; resources; faults }
 
 type net_params = { net_fixed : Time.t; net_per_byte : Time.t }
 

@@ -16,7 +16,9 @@
     {!constant} (fixed delay, optional jitter, FIFO-clamped per channel) is
     for algorithm-level tests where timing must be trivial, and
     {!scripted} wraps any model with per-message drop/delay rules to build
-    the adversarial executions of §2.2 and §3.3.2. *)
+    the adversarial executions of §2.2 and §3.3.2.  Seeded fault plans are
+    not models: [Ics_faults.Nemesis.install] compiles them into
+    {!Transport} middleware, which the simulated and live backends share. *)
 
 module Engine = Ics_sim.Engine
 module Time = Ics_sim.Time
@@ -24,11 +26,9 @@ module Resource = Ics_sim.Resource
 
 type t
 
-type send_fn = Engine.t -> Message.t -> arrive:(unit -> unit) -> unit
-
-(** Counters shared by every fault-injecting model wrapper ({!scripted}
-    here, the nemesis in [Ics_faults]), so stacks report injected faults
-    uniformly whatever produced them. *)
+(** Injected-fault counters, shared by the {!scripted} wrapper here and
+    the fault plans [Ics_faults.Nemesis.install] compiles into transport
+    middleware, so every fault source reports in one shape. *)
 module Fault_stats : sig
   type t = {
     mutable drops : int;  (** probabilistic/scripted losses *)
@@ -62,12 +62,8 @@ val resources : t -> Resource.t list
 (** The model's internal resources, for utilization reports. *)
 
 val fault_stats : t -> Fault_stats.t option
-(** The model's injected-fault counters, when it is a fault-injecting
-    wrapper (or wraps one that propagates them). *)
-
-val make : ?faults:Fault_stats.t -> name:string -> resources:Resource.t list -> send_fn -> t
-(** Build a model from a raw send function — the extension point used by
-    channel adapters ({!Retransmit}) and the fault nemesis. *)
+(** The model's injected-fault counters, when it is a {!scripted}
+    wrapper. *)
 
 (** {1 Constructors} *)
 

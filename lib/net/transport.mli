@@ -63,8 +63,9 @@ val interpose : t -> ((Message.t -> unit) -> Message.t -> unit) -> unit
     return the new send function.  Remote sends traverse the chain after
     sender-side accounting and (sim) serialization; local and self-
     addressed sends bypass it, matching the network model's scope.  The
-    last middleware installed is outermost — install fault interposers
-    before reliability layers so retries traverse the faults. *)
+    last middleware installed is outermost — fault interposers go in
+    before the reliability channel so retries traverse the faults, the
+    order [Ics_faults.Nemesis.install] fixes. *)
 
 val interpose_inbound : t -> ((Message.t -> unit) -> Message.t -> unit) -> unit
 (** Install receive-side middleware around handler dispatch; messages

@@ -32,7 +32,6 @@ let add t x =
   end
 
 let count t = t.total
-let bucket_count t = Array.length t.counts
 
 let bucket t i =
   if i < 0 || i >= Array.length t.counts then invalid_arg "Histogram.bucket";

@@ -10,7 +10,6 @@ val create : lo:float -> hi:float -> buckets:int -> t
 
 val add : t -> float -> unit
 val count : t -> int
-val bucket_count : t -> int
 
 val bucket : t -> int -> int
 (** Count of the i-th bucket (0-based). @raise Invalid_argument if out of

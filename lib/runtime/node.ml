@@ -154,25 +154,16 @@ let run ~epoch ~listen ~peer_addrs config =
     Socket_transport.create ~engine ~clock ~self:config.self ~listen ~peer_addrs ()
   in
   let transport = Socket_transport.transport st in
-  (* Middleware order matters: faults first, the retransmission channel
-     last (outermost), so every retry traverses the faults — same layering
-     as the simulated chaos stack (nemesis under Retransmit). *)
-  let fstats =
+  let fstats, retx =
     match config.plan with
-    | [] -> None
+    | [] -> (None, None)
     | plan ->
-        let plan = Nemesis.shift plan ~by:p.Profile.warmup_ms in
-        let mw, stats =
-          Nemesis.interposer ~self:config.self ~env:(Transport.env transport)
-            ~seed:config.plan_seed ~plan ()
+        let stats, retx =
+          Nemesis.install ~self:config.self transport ~seed:config.plan_seed
+            ~plan:(Nemesis.shift plan ~by:p.Profile.warmup_ms)
+            ~retransmit:config.retransmit
         in
-        Transport.interpose transport mw;
-        Some stats
-  in
-  let retx =
-    if config.plan <> [] && config.retransmit then
-      Some (Retransmit.install transport)
-    else None
+        (Some stats, retx)
   in
   let fd =
     Failure_detector.heartbeat transport ~period:p.Profile.hb_period_ms

@@ -5,12 +5,12 @@
     timer heap, driven by the real clock; remote sends leave through the
     codec and the TCP mesh.
 
-    Fault plane: when [plan] is non-empty the node compiles it into the
-    backend-neutral {!Ics_faults.Nemesis.interposer} (scoped to this
-    node's outbound links and its own crash clauses) and — unless
-    [retransmit] is off — installs the wire retransmission channel
-    ({!Ics_net.Retransmit.install}) outermost, so retries traverse the
-    injected faults exactly as in the simulated chaos stack.
+    Fault plane: when [plan] is non-empty the node hands it, shifted past
+    [warmup_ms], to {!Ics_faults.Nemesis.install} (scoped to this node's
+    outbound links and its own crash clauses), with the retransmission
+    channel unless [retransmit] is off — the same installer, and so the
+    same middleware and per-link fault draws, as a simulated chaos
+    cell.
 
     Termination: with the legacy workload each node A-broadcasts
     [profile.count] messages ([gap_ms] apart, after [warmup_ms]) and

@@ -17,6 +17,5 @@ val of_us : float -> t
 val of_s : float -> t
 (** Seconds to milliseconds. *)
 
-val to_ms : t -> float
 val pp : Format.formatter -> t -> unit
 (** Renders as [12.345ms]. *)

@@ -5,7 +5,6 @@ module Rng = Ics_prelude.Rng
 module Table = Ics_prelude.Table
 module Model = Ics_net.Model
 module Retransmit = Ics_net.Retransmit
-module Host = Ics_net.Host
 module Nemesis = Ics_faults.Nemesis
 module Stack = Ics_core.Stack
 module Abcast = Ics_core.Abcast
@@ -186,23 +185,15 @@ let cell_profile ~batching ~app stack ~n =
     body_bytes = 32;
   }
 
+(* Both backends hand a cell's plan to [Nemesis.install] under this seed,
+   so a (stack, plan, seed) cell draws the same per-link fault streams
+   either way. *)
+let plan_seed seed = Int64.add seed 0x5DEECE66DL
+
 let run_one_sim ?(batching = Abcast.no_batching) ?(app = false) ~retransmit ?n
     stack plan_kind ~seed =
   let n = match n with Some n -> n | None -> default_n stack in
   let plan = gen_plan plan_kind ~n ~seed in
-  let engine = Engine.create ~seed ~trace:`On ~n () in
-  let base =
-    Model.constant ~delay:1.0 ~n ~seed:(Int64.add seed 7919L) ()
-  in
-  let lossy, fstats =
-    Nemesis.apply ~engine ~seed:(Int64.add seed 0x5DEECE66DL) ~plan ~base ()
-  in
-  let model, rstats =
-    if retransmit then
-      let m, s = Retransmit.wrap lossy in
-      (m, Some s)
-    else (lossy, None)
-  in
   let algo, ordering = stack_shape stack in
   let config =
     {
@@ -212,9 +203,7 @@ let run_one_sim ?(batching = Abcast.no_batching) ?(app = false) ~retransmit ?n
       algo;
       ordering;
       batching;
-      setup =
-        Stack.Custom
-          { name = "chaos"; build = (fun ~n:_ -> (model, Host.instant)) };
+      setup = Stack.Ideal_lan { delay = 1.0; jitter = 0.0 };
       fd_kind = Stack.Oracle 10.0;
       trace = `On;
     }
@@ -223,7 +212,12 @@ let run_one_sim ?(batching = Abcast.no_batching) ?(app = false) ~retransmit ?n
   let on_deliver p m =
     if Array.length !hosts > 0 then App_host.on_deliver !hosts.(p) m
   in
-  let stack_t = Stack.create ~engine ~on_deliver config in
+  let stack_t = Stack.create ~on_deliver config in
+  let engine = stack_t.Stack.engine in
+  let fstats, retx =
+    Nemesis.install stack_t.Stack.transport ~seed:(plan_seed seed) ~plan
+      ~retransmit
+  in
   if app then begin
     let profile = cell_profile ~batching ~app stack ~n in
     hosts :=
@@ -284,7 +278,9 @@ let run_one_sim ?(batching = Abcast.no_batching) ?(app = false) ~retransmit ?n
     blocked;
     faults = Model.Fault_stats.to_list fstats;
     retx =
-      (match rstats with Some s -> Retransmit.stats_to_list s | None -> []);
+      (match retx with
+      | Some ch -> Retransmit.stats_to_list (Retransmit.channel_stats ch)
+      | None -> []);
     fingerprint;
   }
 
@@ -310,7 +306,7 @@ let run_one_live ?(batching = Abcast.no_batching) ?(app = false) ~retransmit ?n
         };
       seed;
       plan;
-      plan_seed = Int64.add seed 0x5DEECE66DL;
+      plan_seed = plan_seed seed;
       retransmit;
       chaos_workload = true;
     }

@@ -1,7 +1,8 @@
 (** Seeded chaos sweep: protocol stacks × fault plans × seeds × backends.
 
-    Each run builds a full stack over a nemesis-faulted network (optionally
-    healed by {!Ics_net.Retransmit}), injects a small deterministic
+    Each run builds a full stack, installs the cell's fault plan on its
+    transport with {!Ics_faults.Nemesis.install} (optionally healed by
+    the {!Ics_net.Retransmit} channel), injects a small deterministic
     workload, runs to quiescence and validates the trace with
     {!Checker.check_all_abcast}.  On the [`Sim] backend everything — fault
     plan, fault decisions, workload timing — is a pure function of the
@@ -10,12 +11,13 @@
     gives an equal {!result.fingerprint}).
 
     The [`Live] backend runs the same cell as a forked loopback-TCP
-    cluster ({!Ics_runtime.Cluster}): the same generated plan is compiled
-    into each node's transport interposer, the per-node traces are merged
-    and judged by the same full checker battery, and the summed fault
-    counters are — by per-link seeding — equal to what one simulation of
-    the plan produces.  Live scheduling is real, so only the fault
-    decisions and counters are deterministic, not the trace fingerprint.
+    cluster ({!Ics_runtime.Cluster}): each node installs the same
+    generated plan under the same plan seed through the same
+    {!Ics_faults.Nemesis.install}, so the k-th frame on a link draws the
+    same fault decision on both backends; the per-node traces are merged
+    and judged by the same full checker battery.  Live scheduling is
+    real, so which frame is the k-th on a link — and hence the trace
+    fingerprint — is not deterministic there.
 
     The sweep's purpose is asymmetric: the indirect-consensus stacks must
     stay clean under every plan, while the known-faulty consensus-on-ids
@@ -100,10 +102,10 @@ val run_one :
     slot [i] is one-request client [i]) and adds the application battery
     to the verdict — a cell where ordered commands never take effect then
     fails semantically, not just at the message level.  [retransmit]
-    (default true) heals the faulted wire —
-    {!Ics_net.Retransmit.wrap} over the nemesis model in simulation, the
-    acknowledged wire channel ({!Ics_net.Retransmit.install}) on live
-    nodes; [n] defaults per stack ({!default_n}).
+    (default true) heals the faulted wire with the acknowledged
+    retransmission channel, installed outermost by
+    {!Ics_faults.Nemesis.install} on either backend; [n] defaults per
+    stack ({!default_n}).
     @raise Failure on [`Live] when {!Ics_runtime.Cluster.supported} is
     false. *)
 

@@ -9,8 +9,6 @@ let pp_verdict ppf v =
     (if v.holds then "PASS" else "FAIL")
     v.id v.statement v.detail
 
-let all_hold = List.for_all (fun v -> v.holds)
-
 (* One measured latency point.  Durations follow Figures.load_for so claim
    numbers line up with the figure tables. *)
 let latency ?(quick = false) ~seed config ~tput ~size =

@@ -20,4 +20,3 @@ val verify : ?quick:bool -> ?seed:int64 -> unit -> verdict list
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
-val all_hold : verdict list -> bool

@@ -34,7 +34,7 @@ type result = {
 
 let drain_horizon = 60_000.0
 
-let run ?(check = false) ?seed config load =
+let run ?(check = false) ?seed ?(prepare = ignore) config load =
   if load.throughput <= 0.0 then invalid_arg "Experiment.run: throughput <= 0";
   if load.warmup >= load.duration then invalid_arg "Experiment.run: warmup >= duration";
   let config =
@@ -60,6 +60,7 @@ let run ?(check = false) ?seed config load =
         end
   in
   let stack = Stack.create ~on_deliver config in
+  prepare stack;
   stack_ref := Some stack;
   let engine = stack.Stack.engine in
   let n = config.Stack.n in

@@ -39,8 +39,11 @@ type result = {
       (** consensus round counters ({!Ics_core.Abcast.consensus_counters}) *)
 }
 
-val run : ?check:bool -> ?seed:int64 -> Stack.config -> load -> result
-(** Run one configuration under one load.  The simulation runs until all
+val run :
+  ?check:bool -> ?seed:int64 -> ?prepare:(Stack.t -> unit) -> Stack.config -> load -> result
+(** Run one configuration under one load.  [prepare] (default no-op) runs
+    on the freshly built stack before any arrival is scheduled — e.g. to
+    install a fault plan on its transport.  The simulation runs until all
     events drain or a horizon of [duration + 60 s] passes.  With
     [~check:true] the full trace is validated with
     {!Ics_checker.Checker.check_all_abcast} (expensive — test-sized runs

@@ -1,11 +1,11 @@
 (* Cross-backend fault parity: one fixed probe workload under one fixed
    drop+partition plan, runnable on the simulated transport and — from
-   the test suite — as a forked loopback cluster.  The interposer draws
-   from per-(src, dst) streams, so the k-th probe on a link must see the
-   same fate on both backends; the fault counters (summed per-node for
-   the live run) and the per-destination receipt counts are the
-   invariant.  No retransmission: the raw fault decisions are the thing
-   under test. *)
+   the test suite — as a forked loopback cluster.  The fault middleware
+   draws from per-(src, dst) streams, so the k-th probe on a link must
+   see the same fate on both backends; the fault counters (summed
+   per-node for the live run) and the per-destination receipt counts are
+   the invariant.  No retransmission: the raw fault decisions are the
+   thing under test. *)
 
 module Engine = Ics_sim.Engine
 module Transport = Ics_net.Transport
@@ -73,10 +73,7 @@ let sim () =
   let engine = Engine.create ~seed ~trace:`On ~n () in
   let model = Model.constant ~delay:1.0 ~n ~seed:(Int64.add seed 7919L) () in
   let transport = Transport.create engine ~model ~host:Host.instant in
-  let mw, stats =
-    Nemesis.interposer ~env:(Transport.env transport) ~seed ~plan ()
-  in
-  Transport.interpose transport mw;
+  let stats, _ = Nemesis.install transport ~seed ~plan ~retransmit:false in
   let layer = Transport.intern transport layer_name in
   let received = Array.make n 0 in
   for pid = 0 to n - 1 do

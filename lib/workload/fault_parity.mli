@@ -2,8 +2,8 @@
 
     A fixed workload ({!probes} probes on every directed link of an
     {!n}-process mesh) under a fixed always-on drop + partition {!plan},
-    with the {!Ics_faults.Nemesis.interposer} installed as transport
-    middleware and no retransmission.  Because the interposer draws from
+    installed as transport middleware by {!Ics_faults.Nemesis.install}
+    without retransmission.  Because the middleware draws from
     per-(src, dst) streams seeded only by ({!seed}, link), the k-th probe
     on a link meets the same fate whether all links run in one simulated
     process ({!sim}) or each link's source is a separate OS process (the

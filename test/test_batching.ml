@@ -301,7 +301,7 @@ let test_termination_only_label () =
   let gap =
     Chaos.run_one
       ~batching:{ Abcast.batch = 8; pipeline = 2; flush_ms = 1.0 }
-      Chaos.Ct_indirect Chaos.Storm ~seed:6L
+      Chaos.Ct_indirect Chaos.Storm ~seed:8L
   in
   let safety = Chaos.run_one Chaos.Ct_on_ids Chaos.Blackout ~seed:1L in
   let label r =

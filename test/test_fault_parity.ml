@@ -40,11 +40,10 @@ let live_node ~self ~listen ~peer_addrs ~epoch ~dir =
     Socket_transport.create ~engine ~clock ~self ~listen ~peer_addrs ()
   in
   let transport = Socket_transport.transport st in
-  let mw, stats =
-    Nemesis.interposer ~self ~env:(Transport.env transport) ~seed:FP.seed
-      ~plan:FP.plan ()
+  let stats, _ =
+    Nemesis.install ~self transport ~seed:FP.seed ~plan:FP.plan
+      ~retransmit:false
   in
-  Transport.interpose transport mw;
   let layer = Transport.intern transport FP.layer_name in
   let received = ref 0 in
   Transport.register transport self ~layer (fun msg ->

@@ -7,7 +7,8 @@ module Time = Ics_sim.Time
 module Trace = Ics_sim.Trace
 module Model = Ics_net.Model
 module Message = Ics_net.Message
-module Layer = Ics_net.Layer
+module Transport = Ics_net.Transport
+module Host = Ics_net.Host
 module Retransmit = Ics_net.Retransmit
 module Nemesis = Ics_faults.Nemesis
 module Stack = Ics_core.Stack
@@ -18,41 +19,60 @@ module Chaos = Ics_workload.Chaos
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-let msg ?(layer = "test") ~src ~dst () =
-  {
-    Message.src;
-    dst;
-    layer = Layer.unregistered layer;
-    payload = Message.Ping;
-    body_bytes = 8;
-    sent_at = 0.0;
-  }
+(* The fault plane is transport middleware, so these cases drive the
+   code a live node runs: [Nemesis.install] over a simulated transport
+   (1 ms constant links, zero-cost hosts), probes on one "test" layer. *)
 
-let mk_base n = Model.constant ~delay:1.0 ~n ~seed:1L ()
+type Message.payload += Probe of int
+
+type rig = {
+  e : Engine.t;
+  faults : Model.Fault_stats.t;
+  channel : Retransmit.channel option;
+  send : src:Pid.t -> dst:Pid.t -> int -> unit;
+  got : (Pid.t * Pid.t * int) list ref;  (** (src, dst, probe), newest first *)
+}
+
+let rig ?(retransmit = false) ?(seed = 1L) ~n plan =
+  let e = Engine.create ~n () in
+  let t =
+    Transport.create e ~model:(Model.constant ~delay:1.0 ~n ~seed:1L ()) ~host:Host.instant
+  in
+  let faults, channel = Nemesis.install t ~seed ~plan ~retransmit in
+  let layer = Transport.intern t "test" in
+  let got = ref [] in
+  for p = 0 to n - 1 do
+    Transport.register t p ~layer (fun msg ->
+        match msg.Message.payload with
+        | Probe k -> got := (msg.Message.src, msg.Message.dst, k) :: !got
+        | _ -> ())
+  done;
+  let send ~src ~dst k = Transport.send t ~src ~dst ~layer ~body_bytes:8 (Probe k) in
+  { e; faults; channel; send; got }
+
+let send_at r ~at ~src ~dst k = Engine.schedule r.e ~at (fun () -> r.send ~src ~dst k)
+let probes r = List.rev_map (fun (_, _, k) -> k) !(r.got)
+
+let count_trace r f =
+  List.length (Trace.filter (Engine.trace r.e) (fun ev -> f ev.Trace.kind))
+
+let channel_stats r = Retransmit.channel_stats (Option.get r.channel)
+let drop_all = Nemesis.Drop { link = Nemesis.any_link; prob = 1.0; window = Nemesis.always }
 
 (* --- Nemesis ------------------------------------------------------------- *)
 
 let test_drop_all () =
-  let e = Engine.create ~n:2 () in
-  let model, stats =
-    Nemesis.apply ~engine:e ~seed:1L
-      ~plan:[ Nemesis.Drop { link = Nemesis.any_link; prob = 1.0; window = Nemesis.always } ]
-      ~base:(mk_base 2) ()
-  in
-  let arrived = ref 0 in
-  for _ = 1 to 5 do
-    Model.send model e (msg ~src:0 ~dst:1 ()) ~arrive:(fun () -> incr arrived)
+  let r = rig ~n:2 [ drop_all ] in
+  for k = 1 to 5 do
+    r.send ~src:0 ~dst:1 k
   done;
-  Engine.run e;
-  checki "nothing arrives" 0 !arrived;
-  checki "all drops counted" 5 stats.Model.Fault_stats.drops;
+  Engine.run r.e;
+  checki "nothing arrives" 0 (List.length !(r.got));
+  checki "all drops counted" 5 r.faults.Model.Fault_stats.drops;
   checki "drops recorded in trace" 5
-    (List.length
-       (Trace.filter (Engine.trace e) (fun ev ->
-            match ev.Trace.kind with Trace.Net_drop _ -> true | _ -> false)))
+    (count_trace r (function Trace.Net_drop _ -> true | _ -> false))
 
 let test_partition_cuts_cross_group_only () =
-  let e = Engine.create ~n:4 () in
   let plan =
     [
       Nemesis.Partition
@@ -62,78 +82,59 @@ let test_partition_cuts_cross_group_only () =
         };
     ]
   in
-  let model, stats = Nemesis.apply ~engine:e ~seed:1L ~plan ~base:(mk_base 4) () in
-  let arrived = ref [] in
-  let send ~at ~src ~dst =
-    Engine.schedule e ~at (fun () ->
-        Model.send model e (msg ~src ~dst ()) ~arrive:(fun () ->
-            arrived := (src, dst) :: !arrived))
-  in
-  send ~at:1.0 ~src:0 ~dst:1;  (* same group: passes *)
-  send ~at:1.0 ~src:0 ~dst:2;  (* cross group: cut *)
-  send ~at:1.0 ~src:3 ~dst:1;  (* cross group, other direction: cut *)
-  send ~at:150.0 ~src:0 ~dst:2;  (* after heal: passes *)
-  Engine.run e;
-  checki "two arrivals" 2 (List.length !arrived);
-  checki "two partition drops" 2 stats.Model.Fault_stats.partition_drops;
-  let marker k =
-    List.length (Trace.filter (Engine.trace e) (fun ev -> ev.Trace.kind = k))
-  in
+  let r = rig ~n:4 plan in
+  send_at r ~at:1.0 ~src:0 ~dst:1 1;  (* same group: passes *)
+  send_at r ~at:1.0 ~src:0 ~dst:2 2;  (* cross group: cut *)
+  send_at r ~at:1.0 ~src:3 ~dst:1 3;  (* cross group, other direction: cut *)
+  send_at r ~at:150.0 ~src:0 ~dst:2 4;  (* after heal: passes *)
+  Engine.run r.e;
+  checki "two arrivals" 2 (List.length !(r.got));
+  checki "two partition drops" 2 r.faults.Model.Fault_stats.partition_drops;
+  let marker k = count_trace r (fun kind -> kind = k) in
   checki "partition start traced" 1 (marker (Trace.Partition_start "{0 1}|{2 3}"));
   checki "partition heal traced" 1 (marker (Trace.Partition_heal "{0 1}|{2 3}"))
 
 let test_isolate_outbound_only () =
-  let e = Engine.create ~n:3 () in
   let plan =
     [
       Nemesis.Isolate
         { pid = 1; inbound = false; outbound = true; window = Nemesis.always };
     ]
   in
-  let model, stats = Nemesis.apply ~engine:e ~seed:1L ~plan ~base:(mk_base 3) () in
-  let arrived = ref [] in
-  let send ~src ~dst =
-    Model.send model e (msg ~src ~dst ()) ~arrive:(fun () ->
-        arrived := (src, dst) :: !arrived)
-  in
-  send ~src:1 ~dst:0;  (* outbound from the victim: cut *)
-  send ~src:0 ~dst:1;  (* inbound to the victim: passes (asymmetric) *)
-  Engine.run e;
-  Alcotest.(check (list (pair int int))) "only inbound arrives" [ (0, 1) ] !arrived;
-  checki "one partition drop" 1 stats.Model.Fault_stats.partition_drops
+  let r = rig ~n:3 plan in
+  r.send ~src:1 ~dst:0 1;  (* outbound from the victim: cut *)
+  r.send ~src:0 ~dst:1 2;  (* inbound to the victim: passes (asymmetric) *)
+  Engine.run r.e;
+  Alcotest.(check (list (pair int int))) "only inbound arrives" [ (0, 1) ]
+    (List.map (fun (src, dst, _) -> (src, dst)) !(r.got));
+  checki "one partition drop" 1 r.faults.Model.Fault_stats.partition_drops
 
 let test_crash_clause () =
-  let e = Engine.create ~n:3 () in
-  let _, stats =
-    Nemesis.apply ~engine:e ~seed:1L
-      ~plan:[ Nemesis.Crash { pid = 1; at = 5.0 } ]
-      ~base:(mk_base 3) ()
-  in
-  Engine.run e;
-  checkb "p1 dead" false (Engine.is_alive e 1);
-  checki "crash counted" 1 stats.Model.Fault_stats.crashes
+  let r = rig ~n:3 [ Nemesis.Crash { pid = 1; at = 5.0 } ] in
+  Engine.run r.e;
+  checkb "p1 dead" false (Engine.is_alive r.e 1);
+  checki "crash counted" 1 r.faults.Model.Fault_stats.crashes
 
 let test_nemesis_deterministic () =
-  let outcomes seed =
-    let e = Engine.create ~n:2 () in
-    let model, stats =
-      Nemesis.apply ~engine:e ~seed
-        ~plan:
-          [ Nemesis.Drop { link = Nemesis.any_link; prob = 0.5; window = Nemesis.always } ]
-        ~base:(mk_base 2) ()
-    in
-    let arrived = ref 0 in
-    for _ = 1 to 40 do
-      Model.send model e (msg ~src:0 ~dst:1 ()) ~arrive:(fun () -> incr arrived)
+  let coin = Nemesis.Drop { link = Nemesis.any_link; prob = 0.5; window = Nemesis.always } in
+  let outcomes ?(both_ways = false) seed =
+    let r = rig ~seed ~n:2 [ coin ] in
+    for k = 1 to 40 do
+      r.send ~src:0 ~dst:1 k;
+      if both_ways then r.send ~src:1 ~dst:0 k
     done;
-    Engine.run e;
-    (!arrived, stats.Model.Fault_stats.drops)
+    Engine.run r.e;
+    let forward = List.filter_map (fun (src, _, k) -> if src = 0 then Some k else None) !(r.got) in
+    (forward, r.faults.Model.Fault_stats.drops)
   in
   let a1 = outcomes 7L and a2 = outcomes 7L in
-  Alcotest.(check (pair int int)) "same seed, same faults" a1 a2;
+  Alcotest.(check (pair (list int) int)) "same seed, same faults" a1 a2;
   let arrived, drops = a1 in
-  checki "partial loss" 40 (arrived + drops);
-  checkb "some dropped, some passed" true (arrived > 0 && drops > 0)
+  checki "partial loss" 40 (List.length arrived + drops);
+  checkb "some dropped, some passed" true (arrived <> [] && drops > 0);
+  (* Draws are per link: traffic on 1->0 leaves 0->1's fates unchanged. *)
+  Alcotest.(check (list int)) "reverse traffic leaves the link's draws alone" arrived
+    (fst (outcomes ~both_ways:true 7L))
 
 let test_plan_pp () =
   let plan =
@@ -155,99 +156,98 @@ let test_plan_pp () =
 (* --- Retransmission channel ---------------------------------------------- *)
 
 let test_retransmit_lossless_passthrough () =
-  let e = Engine.create ~n:2 () in
-  let model, stats = Retransmit.wrap (mk_base 2) in
-  let order = ref [] in
-  for i = 1 to 5 do
-    Model.send model e (msg ~src:0 ~dst:1 ()) ~arrive:(fun () -> order := i :: !order)
+  let r = rig ~retransmit:true ~n:2 [] in
+  for k = 1 to 5 do
+    r.send ~src:0 ~dst:1 k
   done;
-  Engine.run ~until:200.0 e;
-  Alcotest.(check (list int)) "in order, exactly once" [ 1; 2; 3; 4; 5 ] (List.rev !order);
+  Engine.run ~until:200.0 r.e;
+  let stats = channel_stats r in
+  Alcotest.(check (list int)) "in order, exactly once" [ 1; 2; 3; 4; 5 ] (probes r);
   checki "no retransmits on a clean link" 0 stats.Retransmit.retransmits;
   checki "one transmission per message" 5 stats.Retransmit.transmissions;
-  checki "queue drained" 0 (Engine.pending e)
+  checki "queue drained" 0 (Engine.pending r.e)
 
 let test_retransmit_recovers_from_drop_window () =
-  let e = Engine.create ~n:2 () in
-  let lossy, _ =
-    Nemesis.apply ~engine:e ~seed:1L
-      ~plan:
-        [
-          Nemesis.Drop
-            {
-              link = Nemesis.any_link;
-              prob = 1.0;
-              window = Nemesis.window ~from_t:0.0 ~until_t:12.0;
-            };
-        ]
-      ~base:(mk_base 2) ()
+  let plan =
+    [
+      Nemesis.Drop
+        {
+          link = Nemesis.any_link;
+          prob = 1.0;
+          window = Nemesis.window ~from_t:0.0 ~until_t:12.0;
+        };
+    ]
   in
-  let model, stats = Retransmit.wrap lossy in
-  let order = ref [] in
-  Engine.schedule e ~at:1.0 (fun () ->
-      for i = 1 to 3 do
-        Model.send model e (msg ~src:0 ~dst:1 ()) ~arrive:(fun () -> order := i :: !order)
+  let r = rig ~retransmit:true ~n:2 plan in
+  Engine.schedule r.e ~at:1.0 (fun () ->
+      for k = 1 to 3 do
+        r.send ~src:0 ~dst:1 k
       done);
-  Engine.run ~until:500.0 e;
+  Engine.run ~until:500.0 r.e;
   Alcotest.(check (list int)) "all delivered in order after the window"
-    [ 1; 2; 3 ] (List.rev !order);
-  checkb "recovery needed retransmits" true (stats.Retransmit.retransmits > 0);
-  checki "queue drained" 0 (Engine.pending e)
+    [ 1; 2; 3 ] (probes r);
+  checkb "recovery needed retransmits" true ((channel_stats r).Retransmit.retransmits > 0);
+  checki "queue drained" 0 (Engine.pending r.e)
 
 let test_retransmit_restores_order () =
-  let e = Engine.create ~n:2 () in
-  (* Slow only the first send by 5 ms: it enters the base model after the
+  (* Slow only the first send by 5 ms: it reaches the wire after the
      second one and arrives out of order underneath the channel. *)
-  let lossy, _ =
-    Nemesis.apply ~engine:e ~seed:1L
-      ~plan:
-        [
-          Nemesis.Slow
-            {
-              link = Nemesis.any_link;
-              extra = 5.0;
-              window = Nemesis.window ~from_t:0.0 ~until_t:2.0;
-            };
-        ]
-      ~base:(mk_base 2) ()
+  let plan =
+    [
+      Nemesis.Slow
+        {
+          link = Nemesis.any_link;
+          extra = 5.0;
+          window = Nemesis.window ~from_t:0.0 ~until_t:2.0;
+        };
+    ]
   in
-  let model, stats = Retransmit.wrap lossy in
-  let order = ref [] in
-  Engine.schedule e ~at:1.0 (fun () ->
-      Model.send model e (msg ~src:0 ~dst:1 ()) ~arrive:(fun () -> order := 1 :: !order));
-  Engine.schedule e ~at:3.0 (fun () ->
-      Model.send model e (msg ~src:0 ~dst:1 ()) ~arrive:(fun () -> order := 2 :: !order));
-  Engine.run ~until:100.0 e;
-  Alcotest.(check (list int)) "FIFO restored" [ 1; 2 ] (List.rev !order);
-  checkb "second frame was held" true (stats.Retransmit.held_out_of_order > 0)
+  let r = rig ~retransmit:true ~n:2 plan in
+  send_at r ~at:1.0 ~src:0 ~dst:1 1;
+  send_at r ~at:3.0 ~src:0 ~dst:1 2;
+  Engine.run ~until:100.0 r.e;
+  Alcotest.(check (list int)) "FIFO restored" [ 1; 2 ] (probes r);
+  checkb "second frame was held" true ((channel_stats r).Retransmit.held_out_of_order > 0)
 
 let test_retransmit_purges_on_crash () =
-  let e = Engine.create ~n:2 () in
-  let lossy, _ =
-    Nemesis.apply ~engine:e ~seed:1L
-      ~plan:[ Nemesis.Drop { link = Nemesis.any_link; prob = 1.0; window = Nemesis.always } ]
-      ~base:(mk_base 2) ()
-  in
-  let model, _ = Retransmit.wrap lossy in
-  let arrived = ref 0 in
-  Engine.schedule e ~at:1.0 (fun () ->
-      Model.send model e (msg ~src:0 ~dst:1 ()) ~arrive:(fun () -> incr arrived));
-  Engine.crash_at e 1 ~at:20.0;
+  let r = rig ~retransmit:true ~n:2 [ drop_all ] in
+  send_at r ~at:1.0 ~src:0 ~dst:1 1;
+  Engine.crash_at r.e 1 ~at:20.0;
   (* The destination is dead and every frame is dropped: without the
      crash-stop purge the retry loop would keep the queue non-empty
      forever and this horizon-less drain would never return. *)
-  Engine.run ~until:100.0 e;
-  Engine.run e;
-  checki "nothing delivered" 0 !arrived;
-  checki "queue fully drained" 0 (Engine.pending e)
+  Engine.run ~until:100.0 r.e;
+  Engine.run r.e;
+  checki "nothing delivered" 0 (List.length !(r.got));
+  checki "queue fully drained" 0 (Engine.pending r.e)
 
-let test_retransmit_validates_params () =
-  Alcotest.check_raises "bad params"
-    (Invalid_argument "Retransmit.wrap: bad params") (fun () ->
-      ignore
-        (Retransmit.wrap
-           ~params:{ Retransmit.default_params with backoff = 0.5 }
-           (mk_base 2)))
+(* [install]'s layering rule: the channel sits outside the faults, so a
+   retry inside a drop window is dropped — and counted — like the first
+   transmission.  One frame sent at 1 ms under a 30 ms blackout goes out
+   at 1, 9 (RTO 8) and 25 (RTO 16), all dropped, and lands at 57.  With
+   the channel inside the faults, the first drop would lose the frame
+   for good. *)
+let test_retries_traverse_faults () =
+  let plan =
+    [
+      Nemesis.Drop
+        {
+          link = Nemesis.any_link;
+          prob = 1.0;
+          window = Nemesis.window ~from_t:0.0 ~until_t:30.0;
+        };
+    ]
+  in
+  let r = rig ~retransmit:true ~n:2 plan in
+  send_at r ~at:1.0 ~src:0 ~dst:1 1;
+  Engine.run ~until:500.0 r.e;
+  let stats = channel_stats r in
+  Alcotest.(check (list int)) "delivered once the window closes" [ 1 ] (probes r);
+  checki "retries in the window" 3 stats.Retransmit.retransmits;
+  checki "every transmission in the window dropped" 3 r.faults.Model.Fault_stats.drops;
+  checki "each drop traced" 3
+    (count_trace r (function Trace.Net_drop _ -> true | _ -> false));
+  checki "queue drained" 0 (Engine.pending r.e)
 
 (* --- Scripted-rule fault counters (Stack.fault_counters) ------------------ *)
 
@@ -391,7 +391,7 @@ let test_chaos_jobs_fingerprint_identical () =
   let seq = fingerprints 1 in
   checki "one fingerprint per run" 8 (List.length seq);
   Alcotest.(check string) "first run matches the single-domain pin"
-    "4bc2be962988606fdb1a205603e94b6f" (List.hd seq);
+    "9c012a211a166edb5367ce0d900752e9" (List.hd seq);
   match Unix.fork () with
   | 0 ->
       let status =
@@ -438,7 +438,7 @@ let suites =
           test_retransmit_recovers_from_drop_window;
         Alcotest.test_case "restores FIFO order" `Quick test_retransmit_restores_order;
         Alcotest.test_case "purges on crash" `Quick test_retransmit_purges_on_crash;
-        Alcotest.test_case "validates params" `Quick test_retransmit_validates_params;
+        Alcotest.test_case "retries traverse the faults" `Quick test_retries_traverse_faults;
       ] );
     ( "fault-accounting",
       [
