@@ -1,6 +1,6 @@
 # Convenience targets; `make verify` is the pre-merge gate.
 
-.PHONY: all build test bench bench-smoke chaos chaos-smoke jobs-smoke chaos-live-smoke cluster-smoke saturation-smoke service-smoke lint lint-report verify clean
+.PHONY: all build test bench claims bench-smoke chaos chaos-smoke jobs-smoke chaos-live-smoke cluster-smoke saturation-smoke service-smoke lint lint-report verify clean
 
 all: build
 
@@ -13,6 +13,11 @@ test:
 # The paper's evaluation: every figure, scenario and ablation (~minutes).
 bench:
 	dune exec bench/main.exe
+
+# The paper's shape claims at full length (~2 s): exit 1 if any fails.
+# `dune runtest` checks them only at quarter length.
+claims:
+	dune exec bench/main.exe -- claims
 
 # The repo benchmark (bench/suite) at about 1/20 size, one repetition:
 # gates the checker, quiescence and replay on all four workloads (~4 s;
@@ -90,7 +95,7 @@ lint-report:
 	dune exec bin/ics_lint.exe -- --root . --format sarif > _build/lint.sarif; \
 	rc=$$?; echo "lint-report: _build/lint.sarif"; exit $$rc
 
-verify: build test lint lint-report bench-smoke chaos-smoke jobs-smoke chaos-live-smoke cluster-smoke saturation-smoke service-smoke
+verify: build test claims lint lint-report bench-smoke chaos-smoke jobs-smoke chaos-live-smoke cluster-smoke saturation-smoke service-smoke
 
 clean:
 	dune clean

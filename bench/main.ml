@@ -17,8 +17,9 @@
                                          # micro, saturation, service
                                          # (combinable)
 
-   An unknown section name is a usage error (exit 2).  The program only
-   prints; it writes no files.  Implementation costs (wall clock,
+   An unknown section name is a usage error (exit 2); a claim that does
+   not hold exits 1 once every requested section has run.  The program
+   only prints; it writes no files.  Implementation costs (wall clock,
    allocation, per-layer and codec timings, repeated and recorded with
    the host) are measured by the repo benchmark, `ics_bench run` and
    `ics_bench compare` (bench/suite/README.md). *)
@@ -36,6 +37,9 @@ module Node = Ics_runtime.Node
 module Cluster = Ics_runtime.Cluster
 
 let section title = Format.printf "@.##### %s #####@.@." title
+
+(* Set by a machine-checked section that fails; the program exits 1. *)
+let failed = ref false
 
 (* --- The paper's figures ------------------------------------------------ *)
 
@@ -530,9 +534,9 @@ let run_claims ~quick =
   section "Shape claims: the paper's conclusions, machine-checked";
   let verdicts = Ics_workload.Claims.verify ~quick () in
   List.iter (fun v -> Format.printf "%a@." Ics_workload.Claims.pp_verdict v) verdicts;
-  Format.printf "@.%d/%d claims hold.@."
-    (List.length (List.filter (fun v -> v.Ics_workload.Claims.holds) verdicts))
-    (List.length verdicts)
+  let holding = List.length (List.filter (fun v -> v.Ics_workload.Claims.holds) verdicts) in
+  Format.printf "@.%d/%d claims hold.@." holding (List.length verdicts);
+  if holding < List.length verdicts then failed := true
 
 (* --- Saturation: offered-load knee curves -------------------------------- *)
 
@@ -709,4 +713,5 @@ let () =
         (String.concat ", " (List.map fst sections));
       exit 2);
   List.iter (fun (name, run) -> if only = [] || List.mem name only then run ()) sections;
-  Format.printf "@.done.@."
+  Format.printf "@.done.@.";
+  if !failed then exit 1

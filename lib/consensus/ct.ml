@@ -6,8 +6,10 @@ module Message = Ics_net.Message
 module Host = Ics_net.Host
 module Failure_detector = Ics_fd.Failure_detector
 
+(* [Est.suspicion]: the sender left round [r - 1] on suspecting its
+   coordinator, not on that round's proposal or phase-4 outcome. *)
 type Message.payload +=
-  | Est of { k : int; r : int; est : Proposal.t; ts : int }
+  | Est of { k : int; r : int; est : Proposal.t; ts : int; suspicion : bool }
   | Prop of { k : int; r : int; est : Proposal.t }
   | Ack of { k : int; r : int; ok : bool }
   | Decide of { k : int; est : Proposal.t }
@@ -15,7 +17,7 @@ type Message.payload +=
 type config = { layer : string; rcv : Consensus_intf.rcv option }
 
 (* Exact encoded body sizes (tag byte + fields + proposal). *)
-let est_bytes est = 13 + Proposal.encoded_bytes est
+let est_bytes est = 14 + Proposal.encoded_bytes est
 let prop_bytes est = 9 + Proposal.encoded_bytes est
 let ack_bytes = 10
 let decide_bytes est = 5 + Proposal.encoded_bytes est
@@ -30,19 +32,28 @@ let register_codec () =
     ~fits:(function Est _ -> true | _ -> false)
     ~size:(function Est { est; _ } -> est_bytes est | _ -> assert false)
     ~encode_into:(fun w -> function
-      | Est { k; r; est; ts } ->
+      | Est { k; r; est; ts; suspicion } ->
           Prim.u32 w k;
           Prim.u32 w r;
           Prim.u32 w ts;
+          Prim.bool w suspicion;
           Proposal.encode w est
       | _ -> assert false)
     ~dec:(fun rd ->
       let k = Prim.r_u32 rd in
       let r = Prim.r_u32 rd in
       let ts = Prim.r_u32 rd in
-      Est { k; r; est = Proposal.decode rd; ts })
+      let suspicion = Prim.r_bool rd in
+      Est { k; r; est = Proposal.decode rd; ts; suspicion })
     ~gen:(fun rng ->
-      Est { k = gen_k rng; r = gen_r rng; est = Proposal.gen rng; ts = Rng.int rng 8 });
+      Est
+        {
+          k = gen_k rng;
+          r = gen_r rng;
+          est = Proposal.gen rng;
+          ts = Rng.int rng 8;
+          suspicion = Rng.bool rng;
+        });
   Codec.register ~tag:0x21 ~name:"ct.prop"
     ~fits:(function Prop _ -> true | _ -> false)
     ~size:(function Prop { est; _ } -> prop_bytes est | _ -> assert false)
@@ -101,6 +112,8 @@ type inst = {
   est_in : (int, (Pid.t * int * Proposal.t) list ref) Hashtbl.t;
   prop_in : (int, Proposal.t) Hashtbl.t;
   replies_in : (int, replies) Hashtbl.t;  (* round -> phase-3 replies *)
+  mutable prop_out : (int * Proposal.t) list;
+      (* round (> 1) -> own proposal, answered to a late estimate *)
 }
 
 (* The coordinator's tally of one round's phase-3 replies, one per
@@ -108,7 +121,8 @@ type inst = {
 and replies = { replied : bool array; mutable acks : int }
 
 (* Decisions the coordinator reached on a majority of acks, by the round
-   it reached them in, phase-3 nacks sent, and remote sends by message
+   it reached them in, phase-3 nacks sent, catch-ups (rounds left on a
+   peer's next-round estimate), and remote sends by message
    kind and round (all processes of the handle; a live node's handle runs
    one).  A round-1 estimate is the announce. *)
 type counters = {
@@ -116,6 +130,7 @@ type counters = {
   mutable round2 : int;
   mutable round3_plus : int;
   mutable nacks : int;
+  mutable catch_ups : int;
   mutable est_r1 : int;
   mutable est_r2_plus : int;
   mutable prop_r1 : int;
@@ -158,6 +173,7 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
       round2 = 0;
       round3_plus = 0;
       nacks = 0;
+      catch_ups = 0;
       est_r1 = 0;
       est_r2_plus = 0;
       prop_r1 = 0;
@@ -183,9 +199,16 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
     count_sent payload (if Pid.equal src dst then 0 else 1);
     Transport.send transport ~src ~dst ~layer ~body_bytes:bytes payload
   in
-  let send_all ~src ~bytes payload =
-    count_sent payload (n - 1);
-    Transport.send_to_all transport ~src ~layer ~body_bytes:bytes payload
+  (* A multicast lists the processes [src] suspects after every other
+     destination: the same frames go out, but those a live peer can use
+     leave [src]'s CPU first.  Without suspicions the order is [dsts]'s. *)
+  let multicast ~src ~dsts ~bytes payload =
+    let trusted, suspected =
+      List.partition (fun q -> not (Failure_detector.is_suspected fd ~by:src q)) dsts
+    in
+    let dsts = trusted @ suspected in
+    count_sent payload (List.length dsts - if List.exists (Pid.equal src) dsts then 1 else 0);
+    Transport.multicast transport ~src ~dsts ~layer ~body_bytes:bytes payload
   in
 
   (* Evaluate the rcv predicate (indirect variant), charging its CPU cost;
@@ -205,25 +228,24 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
       procs.(p).undecided <- procs.(p).undecided - 1;
       inst.waiting_prop <- false;
       inst.coord <- Not_coordinator;
+      (* The decision reaches every process: no estimate needs an answer. *)
+      inst.prop_out <- [];
       let dsts =
         List.filter
           (fun q -> match relay_from with Some src -> not (Pid.equal q src) | None -> true)
           (Pid.others ~n p)
       in
-      let decide = Decide { k = inst.k; est } in
-      count_sent decide (List.length dsts);
-      Transport.multicast transport ~src:p ~dsts ~layer
-        ~body_bytes:(decide_bytes est) decide;
+      multicast ~src:p ~dsts ~bytes:(decide_bytes est) (Decide { k = inst.k; est });
       Engine.record engine p (Trace.Decide (inst.k, Proposal.ids est));
       cb.on_decide p inst.k est
     end
   in
 
-  (* Phase 3 reply to the coordinator of the current round. *)
-  let reply p inst ~ok =
+  (* Phase 3 reply to the coordinator of round [r]. *)
+  let reply p inst ~r ~ok =
     if not ok then counters.nacks <- counters.nacks + 1;
-    send ~src:p ~dst:(Pid.coordinator ~n ~round:inst.r) ~bytes:ack_bytes
-      (Ack { k = inst.k; r = inst.r; ok })
+    send ~src:p ~dst:(Pid.coordinator ~n ~round:r) ~bytes:ack_bytes
+      (Ack { k = inst.k; r; ok })
   in
 
   (* Phase 4 check: the coordinator decides on a majority of acks, and
@@ -255,7 +277,11 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
     | Not_coordinator | Collecting -> ()
 
   (* Phase 2, rounds > 1: with a majority of estimates in hand, propose one
-     carrying the largest timestamp. *)
+     carrying the largest timestamp — to this process and the senders of
+     those estimates only.  Every other process that enters the round
+     sends its estimate here too and is answered with the recorded
+     proposal (the [Est] handler), so a process that has decided or moved
+     on is not sent a frame it would drop. *)
   and coord_check_estimates p inst =
     match inst.coord with
     | Collecting ->
@@ -268,7 +294,13 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
               (List.hd ests) (List.tl ests)
           in
           inst.coord <- Waiting_acks best;
-          send_all ~src:p ~bytes:(prop_bytes best)
+          inst.prop_out <- (inst.r, best) :: inst.prop_out;
+          multicast ~src:p
+            ~dsts:
+              (List.filter
+                 (fun q -> Pid.equal q p || List.exists (fun (s, _, _) -> Pid.equal s q) ests)
+                 (Pid.all ~n))
+            ~bytes:(prop_bytes best)
             (Prop { k = inst.k; r = inst.r; est = best });
           coord_check_acks p inst
         end
@@ -284,7 +316,7 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
         inst.estimate <- est;
         inst.ts <- inst.r
       end;
-      reply p inst ~ok;
+      reply p inst ~r:inst.r ~ok;
       if not (Pid.equal p c) then advance_round p inst
     end
 
@@ -296,24 +328,23 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
     | None ->
         if Failure_detector.is_suspected fd ~by:p c then begin
           inst.waiting_prop <- false;
-          reply p inst ~ok:false;
-          if not (Pid.equal p c) then advance_round p inst
+          if Pid.equal p c then reply p inst ~r:inst.r ~ok:false else give_up p inst
         end
 
-  and start_round p inst =
+  and start_round ?(suspicion = false) p inst =
     if not inst.decided then begin
       let c = Pid.coordinator ~n ~round:inst.r in
       (* Phase 1: send the timestamped estimate to the coordinator. *)
       if inst.r > 1 then
         send ~src:p ~dst:c ~bytes:(est_bytes inst.estimate)
-          (Est { k = inst.k; r = inst.r; est = inst.estimate; ts = inst.ts });
+          (Est { k = inst.k; r = inst.r; est = inst.estimate; ts = inst.ts; suspicion });
       (* Phase 2 entry for the coordinator. *)
       if Pid.equal p c then begin
         if inst.r = 1 then begin
           (* First round: the coordinator proposes its own estimate without
              gathering (Algorithm 2 line 20). *)
           inst.coord <- Waiting_acks inst.estimate;
-          send_all ~src:p ~bytes:(prop_bytes inst.estimate)
+          multicast ~src:p ~dsts:(Pid.all ~n) ~bytes:(prop_bytes inst.estimate)
             (Prop { k = inst.k; r = 1; est = inst.estimate })
         end
         else begin
@@ -327,13 +358,22 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
       coord_check_acks p inst
     end
 
-  and advance_round p inst =
+  and advance_round ?suspicion p inst =
     if not inst.decided then begin
       inst.r <- inst.r + 1;
       inst.coord <- Not_coordinator;
       inst.waiting_prop <- false;
-      start_round p inst
+      start_round ?suspicion p inst
     end
+
+  (* Leave phase 3 of the current round without a proposal: enter the
+     next round first, then nack the one given up, so the new round's
+     frames leave this CPU ahead of the nack to a coordinator that is
+     suspected (or that a peer has given up). *)
+  and give_up p inst =
+    let r = inst.r in
+    advance_round ~suspicion:true p inst;
+    reply p inst ~r ~ok:false
   in
 
   let new_instance p k estimate =
@@ -349,6 +389,7 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
         est_in = Hashtbl.create 8;
         prop_in = Hashtbl.create 8;
         replies_in = Hashtbl.create 8;
+        prop_out = [];
       }
     in
     Hashtbl.add procs.(p).instances k inst;
@@ -371,7 +412,7 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
 
   let on_message p (msg : Message.t) =
     match msg.payload with
-    | Est { k; r; est; ts } ->
+    | Est { k; r; est; ts; suspicion } ->
         let inst =
           (* Announce path: a round-1 estimate reaching the round-1
              coordinator before it knows the instance seeds its join.  The
@@ -393,10 +434,38 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
           end
           else get_inst p k
         in
-        if (not inst.decided) && r >= inst.r then begin
-          let l = get_list inst.est_in r in
-          l := (msg.src, ts, est) :: !l;
-          if r = inst.r then coord_check_estimates p inst
+        if not inst.decided then begin
+          match List.assoc_opt r inst.prop_out with
+          | Some value ->
+              (* This process has proposed in round r, possibly left it
+                 since: answer the late estimate with that proposal (a
+                 duplicate answer is dropped by its receiver). *)
+              send ~src:p ~dst:msg.src ~bytes:(prop_bytes value) (Prop { k; r; est = value })
+          | None ->
+              if r >= inst.r then begin
+                let l = get_list inst.est_in r in
+                l := (msg.src, ts, est) :: !l;
+                if r = inst.r then coord_check_estimates p inst
+                else if
+                  (* Catch-up: the sender gave the current round up on
+                     suspecting its coordinator, so that coordinator has
+                     lost a vote; a non-coordinator still waiting for its
+                     proposal follows the sender into the next round,
+                     which this process coordinates.  Only on a suspicion:
+                     a sender that nacked a proposal for a missing payload
+                     leaves the coordinator alive and able to decide with
+                     this process's ack.  Only the next round: this process
+                     has sent every estimate up to its current round, and
+                     skipping a round would withhold that round's from its
+                     coordinator. *)
+                  suspicion && inst.waiting_prop && r = inst.r + 1
+                  && not (Pid.equal p (Pid.coordinator ~n ~round:inst.r))
+                then begin
+                  counters.catch_ups <- counters.catch_ups + 1;
+                  inst.waiting_prop <- false;
+                  give_up p inst
+                end
+              end
         end
     | Prop { k; r; est } ->
         let inst = get_inst p k in
@@ -430,7 +499,10 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
 
   let on_suspect p suspect =
     (* Key-sorted: bucket-order iteration would make the ack/round-advance
-       order — and hence the trace — depend on hashing internals. *)
+       order — and hence the trace — depend on hashing internals.  The
+       nacks to the suspect go out after every instance's next round has
+       sent its frames. *)
+    let nacks = ref [] in
     Ics_prelude.Sorted_tbl.iter ~cmp:Int.compare
       (fun _ inst ->
         if
@@ -438,14 +510,15 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
           && Pid.equal (Pid.coordinator ~n ~round:inst.r) suspect
         then begin
           inst.waiting_prop <- false;
-          reply p inst ~ok:false;
-          advance_round p inst
+          nacks := (inst, inst.r) :: !nacks;
+          advance_round ~suspicion:true p inst
         end
         else
           (* A coordinator waiting on a silent replier that is now
              suspected may have lost its majority. *)
           coord_check_acks p inst)
-      procs.(p).instances
+      procs.(p).instances;
+    List.iter (fun (inst, r) -> reply p inst ~r ~ok:false) (List.rev !nacks)
   in
 
   List.iter
@@ -471,7 +544,7 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
         let c = Pid.coordinator ~n ~round:1 in
         if not (Pid.equal p c) then
           send ~src:p ~dst:c ~bytes:(est_bytes inst.estimate)
-            (Est { k; r = 1; est = inst.estimate; ts = inst.ts })
+            (Est { k; r = 1; est = inst.estimate; ts = inst.ts; suspicion = false })
       end
     end
   in
@@ -485,6 +558,7 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
       ("decisions.round2", c.round2);
       ("decisions.round3+", c.round3_plus);
       ("nacks", c.nacks);
+      ("catch_ups", c.catch_ups);
       ("sent.est.r1", c.est_r1);
       ("sent.est.r2+", c.est_r2_plus);
       ("sent.prop.r1", c.prop_r1);

@@ -5,11 +5,14 @@
     Round [r] at process [p]:
 
     + {e Phase 1} (if [r > 1]): [p] sends its timestamped estimate to the
-      round's coordinator.
+      round's coordinator, flagged when [p] left round [r-1] on
+      suspecting that round's coordinator.
     + {e Phase 2} (coordinator): in round 1 the coordinator proposes its own
-      estimate; in later rounds it gathers ⌈(n+1)/2⌉ estimates and proposes
-      one with the largest timestamp.  The proposal is sent to all
-      (including itself).
+      estimate to all (including itself); in later rounds it gathers
+      ⌈(n+1)/2⌉ estimates and proposes one with the largest timestamp to
+      itself and the senders of the estimates it holds, recording the
+      proposal so that a round-[r] estimate arriving later — even after
+      it has left round [r] — is answered with it.
     + {e Phase 3}: [p] waits for the coordinator's proposal or a suspicion
       from its failure detector.  On a proposal: the {b original} variant
       always adopts it (estimate ← proposal, timestamp ← r) and acks; the
@@ -17,9 +20,16 @@
       without adopting when payloads are missing (Algorithm 2 lines
       25–30) — the coordinator's selected value ({e estimate_c}) thus stays
       distinct from each process's own estimate ({e estimate_p}).  On a
-      suspicion: nack.  Non-coordinators then move to round [r+1].
+      suspicion: nack.  Non-coordinators then move to round [r+1].  A
+      non-coordinator that receives a flagged round-[r+1] estimate (its
+      sender suspected this round's coordinator) nacks round [r] and
+      enters [r+1] ({e catch-up}); it never skips a round.
     + {e Phase 4} (coordinator): wait for ⌈(n+1)/2⌉ acks (then R-broadcast
-      the decision) or a single nack (then move to round [r+1]).
+      the decision), or move to round [r+1] once a majority of acks is out
+      of reach (nacks and suspected silent repliers).
+
+    Multicasts list the processes the sender suspects last, and nacks to
+    a suspected coordinator leave after the next round's sends.
 
     Decisions are disseminated by flooding ("R-broadcast the decide
     message"), so a coordinator crash after deciding cannot block anyone.

@@ -425,11 +425,13 @@ let test_partial_frame_chunked_decode () =
    Host.instant, where timing is size-independent — so they must survive
    the switch to real encoded sizes bit-for-bit.  If one of these moves,
    either the trace format changed (update EXPERIMENTS.md) or scheduling
-   behaviour drifted (a real regression).  They were re-captured once, when
-   the simulated cells moved onto the transport fault middleware (per-link
-   fault draws instead of one run-wide stream), after --replay-check and
-   --jobs-check passed and with every cell's verdict and violated
-   properties unchanged. *)
+   behaviour drifted (a real regression).  They were re-captured twice,
+   each time after --replay-check and --jobs-check passed and with every
+   cell's verdict and violated properties unchanged: when the simulated
+   cells moved onto the transport fault middleware (per-link fault draws
+   instead of one run-wide stream), and when CT's rounds r > 1 began
+   proposing only to the processes whose estimate they hold (the CT
+   digests; MR's and the on-ids blackout's did not move). *)
 let test_sim_fingerprints_pinned () =
   let cases =
     (* [run_one]'s [?batching] defaults to [Abcast.no_batching], so these
@@ -438,19 +440,19 @@ let test_sim_fingerprints_pinned () =
        code path that happens to agree — it is what the batched
        reduction degenerates to, and these pins hold it there. *)
     [
-      (Chaos.Ct_indirect, Chaos.Drop, 2L, "9c012a211a166edb5367ce0d900752e9");
+      (Chaos.Ct_indirect, Chaos.Drop, 2L, "3a2666aa8bedd711ed03ce11ccd85e55");
       (Chaos.Mr_indirect, Chaos.Mixed, 3L, "86d134dc9abc81edd940f07886601d4f");
       (Chaos.Ct_on_ids, Chaos.Blackout, 3L, "b9d2451135022bbda1037c5f6f3fe787");
       (* Storm drives the suspicion path hardest — these pin the
          Sorted_tbl rewrite of on_suspect/on_fd_change: digests captured
          under bucket-order Hashtbl.iter must hold under key-sorted
          iteration, proving insertion order coincided with key order. *)
-      (Chaos.Ct_indirect, Chaos.Storm, 2L, "02e69a49ecb80ede709d7844ae88b5cc");
+      (Chaos.Ct_indirect, Chaos.Storm, 2L, "50e0603e8883fad3061b31d87c683077");
       (Chaos.Mr_indirect, Chaos.Storm, 3L, "d2801f770fa391a08ebeae30069d443f");
       (* Same digest as ct-indirect above: the two orderings take
          identical steps in this run, as they do in 144 of storm seeds
          1-200. *)
-      (Chaos.Ct_on_ids, Chaos.Storm, 2L, "02e69a49ecb80ede709d7844ae88b5cc");
+      (Chaos.Ct_on_ids, Chaos.Storm, 2L, "50e0603e8883fad3061b31d87c683077");
     ]
   in
   List.iter

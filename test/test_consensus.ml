@@ -102,14 +102,21 @@ type harness = {
   handle : Intf.handle;
   decisions : (Pid.t * int * Proposal.t) list ref;
   holds : (Pid.t * Msg_id.t, unit) Hashtbl.t;  (* payload possession for rcv *)
+  control : Fd.Control.t option;  (* the detector, when [~manual] *)
 }
 
-let mk ?(n = 3) ?(jitter = 0.0) ?(seed = 1L) ?fd_delay ?manual_fd ~algo ~indirect () =
+(* [~manual]: suspicions come only from [suspect]; otherwise an oracle
+   detector reports each crash after [fd_delay].  [rule] scripts the
+   network (delays, drops) on top of the 1 ms constant model. *)
+let mk ?(n = 3) ?(jitter = 0.0) ?(seed = 1L) ?fd_delay ?(manual = false) ?rule ~algo ~indirect
+    () =
   let engine = Engine.create ~seed ~n () in
   let model = Model.constant ~jitter ~delay:1.0 ~n ~seed () in
+  let model = match rule with Some rule -> Model.scripted ~base:model ~rule | None -> model in
   let transport = Transport.create engine ~model ~host:Host.instant in
+  let control = if manual then Some (Fd.manual engine) else None in
   let fd =
-    match manual_fd with
+    match control with
     | Some ctl -> Fd.Control.fd ctl
     | None -> Fd.oracle engine ~detection_delay:(Option.value fd_delay ~default:20.0)
   in
@@ -129,9 +136,13 @@ let mk ?(n = 3) ?(jitter = 0.0) ?(seed = 1L) ?fd_delay ?manual_fd ~algo ~indirec
     | `Mr -> Mr.create transport fd { Mr.layer = "consensus"; rcv } callbacks
     | `Lb -> Lb.create transport fd { Lb.layer = "consensus"; rcv } callbacks
   in
-  { engine; transport; handle; decisions; holds }
+  { engine; transport; handle; decisions; holds; control }
 
 let give h p id = Hashtbl.replace h.holds (p, id) ()
+
+let suspect_at h ~at ~observer target =
+  Engine.schedule h.engine ~at (fun () ->
+      Fd.Control.suspect (Option.get h.control) ~observer target)
 
 let propose_at h ~at p k prop =
   Engine.schedule h.engine ~at (fun () -> h.handle.Intf.propose p k prop)
@@ -447,6 +458,194 @@ let test_ct_send_counters () =
   checki "decision flood" 4 (get "sent.decide");
   checki "acks" 2 (get "sent.ack")
 
+(* CT's thrifty rounds.  Frames are logged as they leave their sender
+   for the wire, and read back from their encoding: kind, round (0 for a
+   decision) and an ack's verdict. *)
+type frame = { at : float; src : Pid.t; dst : Pid.t; kind : string; round : int; ok : bool }
+
+let ct_frame (m : Ics_net.Message.t) =
+  let module Prim = Ics_codec.Prim in
+  let w = Ics_codec.Bq.create 64 in
+  Ics_codec.Codec.encode_payload w m.payload;
+  let rd = Prim.reader (Ics_codec.Bq.contents w) in
+  let kind =
+    match Prim.r_u8 rd with
+    | 0x20 -> "est"
+    | 0x21 -> "prop"
+    | 0x22 -> "ack"
+    | 0x23 -> "decide"
+    | tag -> Alcotest.failf "not a CT frame (tag %#x)" tag
+  in
+  let _k = Prim.r_u32 rd in
+  let round = if kind = "decide" then 0 else Prim.r_u32 rd in
+  let ok = kind = "ack" && Prim.r_bool rd in
+  (kind, round, ok)
+
+let wire_log h =
+  Ics_core.Codecs.ensure ();
+  let log = ref [] in
+  Transport.interpose h.transport (fun next (m : Ics_net.Message.t) ->
+      let kind, round, ok = ct_frame m in
+      log := { at = Engine.now h.engine; src = m.src; dst = m.dst; kind; round; ok } :: !log;
+      next m);
+  fun () -> List.rev !log
+
+let frames ?src ?kind ?round log =
+  List.filter
+    (fun f ->
+      Option.fold ~none:true ~some:(Pid.equal f.src) src
+      && Option.fold ~none:true ~some:(String.equal f.kind) kind
+      && Option.fold ~none:true ~some:(Int.equal f.round) round)
+    log
+
+let describe fs =
+  List.map (fun f -> Printf.sprintf "%s%d %d->%d" f.kind f.round f.src f.dst) fs
+
+let test_ct_round2_proposal_to_estimators () =
+  (* Fault-free: p1 and p2 ack p0's round-1 proposal and open round 2,
+     so p1 (its coordinator) holds its own and p2's estimates; p0 decides
+     round 1 and sends none.  The round-2 proposal goes to p2 alone. *)
+  let h = mk ~algo:`Ct ~indirect:false () in
+  let log = wire_log h in
+  let v = Proposal.on_ids [ mid 0 0 ] in
+  List.iter (fun p -> propose_at h ~at:1.0 p 1 v) [ 0; 1; 2 ];
+  Engine.run h.engine;
+  check_uniform_agreement h 1 ~expect_deciders:3;
+  Alcotest.(check (list string)) "round-2 estimates" [ "est2 2->1" ]
+    (describe (frames ~kind:"est" ~round:2 (log ())));
+  Alcotest.(check (list string)) "round-2 proposals" [ "prop2 1->2" ]
+    (describe (frames ~kind:"prop" ~round:2 (log ())));
+  checki "counted once" 1 (ct_counter h "sent.prop.r2+")
+
+let test_ct_late_estimate_answered () =
+  (* p1 and p2 falsely suspect p0 at t = 1.5 and open round 2; their
+     round-1 nacks reach p0 only at t = 5.5.  p1 proposes round 2 to p2
+     alone; p2 (no payload until t = 5) nacks, and p1 leaves for round 3
+     at t = 4.5.  p0 then gives round 1 up, and its round-2 estimate
+     reaches p1 at t = 6.5: p1 answers with the proposal it recorded, and
+     p0 acks round 2 before round 3's decision reaches it at t = 8.5.
+     Without the answer p0 waits for a proposal that never comes. *)
+  let rule (m : Ics_net.Message.t) =
+    if Pid.equal m.dst 0 && ct_frame m = ("ack", 1, false) then Model.Delay_by 3.0 else Model.Pass
+  in
+  let h = mk ~algo:`Ct ~indirect:true ~manual:true ~rule () in
+  let log = wire_log h in
+  let id = mid 0 0 in
+  let v = Proposal.on_ids [ id ] in
+  give h 0 id;
+  give h 1 id;
+  List.iter (fun p -> propose_at h ~at:1.0 p 1 v) [ 0; 1; 2 ];
+  suspect_at h ~at:1.5 ~observer:1 0;
+  suspect_at h ~at:1.5 ~observer:2 0;
+  Engine.schedule h.engine ~at:5.0 (fun () -> give h 2 id);
+  Engine.run ~until:100.0 h.engine;
+  check_uniform_agreement h 1 ~expect_deciders:3;
+  let from_p1 = describe (frames ~src:1 (log ())) in
+  let index s =
+    let rec go i = function
+      | [] -> Alcotest.failf "%s not sent: %s" s (String.concat ", " from_p1)
+      | x :: rest -> if String.equal x s then i else go (i + 1) rest
+    in
+    go 0 from_p1
+  in
+  checkb "p1 answers p0 after leaving round 2" true (index "est3 1->2" < index "prop2 1->0");
+  let p0_acks = frames ~src:0 ~kind:"ack" ~round:2 (log ()) in
+  Alcotest.(check (list string)) "p0 acks round 2" [ "ack2 0->1" ] (describe p0_acks);
+  checkb "with the payload" true (List.for_all (fun f -> f.ok) p0_acks);
+  checkb "before the decision reaches p0" true
+    (List.for_all (fun f -> f.at < 8.5) p0_acks)
+
+let test_ct_catch_up_on_peer_suspicion () =
+  (* p0 is dead from the start; only p2's detector reports it (t = 2).
+     p2 gives round 1 up in all three instances and sends p1 (round 2's
+     coordinator) estimates with ts 0.  p1, still waiting for p0's
+     proposal, follows into round 2 and decides every instance at t = 5,
+     though its own detector never fires. *)
+  let h = mk ~algo:`Ct ~indirect:true ~manual:true () in
+  Engine.crash_at h.engine 0 ~at:0.5;
+  for k = 1 to 3 do
+    let id = mid 1 k in
+    give h 1 id;
+    give h 2 id;
+    List.iter (fun p -> propose_at h ~at:1.0 p k (Proposal.on_ids [ id ])) [ 1; 2 ]
+  done;
+  suspect_at h ~at:2.0 ~observer:2 0;
+  Engine.schedule h.engine ~at:5.5 (fun () ->
+      for k = 1 to 3 do
+        checkb (Printf.sprintf "p1 decided instance %d by t = 5.5" k) true
+          (List.mem_assoc 1 (decisions_for h k))
+      done);
+  Engine.run ~until:100.0 h.engine;
+  for k = 1 to 3 do
+    check_uniform_agreement h k ~expect_deciders:2
+  done;
+  checki "one catch-up per instance" 3 (ct_counter h "catch_ups");
+  checki "decided in round 2" 3 (ct_counter h "decisions.round2")
+
+let test_ct_catch_up_never_skips_a_round () =
+  (* n = 5 with p0 and p4 dead.  p3 suspects p0 (t = 2) and sends p1 its
+     round-2 estimate; p1 catches up into round 2, holding 2 of the 3
+     estimates it needs.  p3 then falsely suspects p1 (t = 3.5) and sends
+     p2 its round-3 estimate with ts 0, while p2 still waits on p0 in
+     round 1.  Were p2 to jump to round 3, it would never send p1 a
+     round-2 estimate: p1 would collect in round 2 and p2 in round 3
+     forever.  Stepping one round at a time, p2 waits for its own
+     detector (t = 10), feeds p1 the third round-2 estimate, and the
+     three live processes decide. *)
+  let h = mk ~n:5 ~algo:`Ct ~indirect:false ~manual:true () in
+  Engine.crash_at h.engine 0 ~at:0.5;
+  Engine.crash_at h.engine 4 ~at:0.5;
+  List.iter (fun p -> propose_at h ~at:1.0 p 1 (Proposal.on_ids [ mid p 1 ])) [ 1; 2; 3 ];
+  suspect_at h ~at:2.0 ~observer:3 0;
+  suspect_at h ~at:3.5 ~observer:3 1;
+  List.iter
+    (fun observer ->
+      List.iter (fun dead -> suspect_at h ~at:10.0 ~observer dead) [ 0; 4 ])
+    [ 1; 2; 3 ];
+  Engine.run ~until:200.0 h.engine;
+  check_uniform_agreement h 1 ~expect_deciders:3;
+  checki "p1 caught up" 1 (ct_counter h "catch_ups")
+
+let test_ct_no_catch_up_on_payload_nack () =
+  (* p0's round-1 proposal reaches p1 3 ms late.  p2 lacks the payload,
+     nacks round 1 and sends p1 its round-2 estimate with ts 0 — which
+     says p2 left round 1 on a nack, not on a suspicion.  p1 keeps
+     waiting, acks the late proposal, and round 1 decides. *)
+  let rule (m : Ics_net.Message.t) =
+    if Pid.equal m.dst 1 && ct_frame m = ("prop", 1, false) then Model.Delay_by 3.0 else Model.Pass
+  in
+  let h = mk ~algo:`Ct ~indirect:true ~manual:true ~rule () in
+  let id = mid 0 0 in
+  give h 0 id;
+  give h 1 id;
+  List.iter (fun p -> propose_at h ~at:1.0 p 1 (Proposal.on_ids [ id ])) [ 0; 1; 2 ];
+  Engine.run ~until:100.0 h.engine;
+  check_uniform_agreement h 1 ~expect_deciders:3;
+  checki "no catch-up" 0 (ct_counter h "catch_ups");
+  checki "decided in round 1" 1 (ct_counter h "decisions.round1")
+
+let test_ct_suspects_last () =
+  (* p0 is dead; p1 then p2 suspect it at t = 2 with instances 1 and 2
+     open.  p2 sends both round-2 estimates to p1 before its round-1
+     nacks to p0; p1, whose detector now names p0, floods each decision
+     to p2 before p0. *)
+  let h = mk ~algo:`Ct ~indirect:false ~manual:true () in
+  let log = wire_log h in
+  Engine.crash_at h.engine 0 ~at:0.5;
+  for k = 1 to 2 do
+    List.iter (fun p -> propose_at h ~at:1.0 p k (Proposal.on_ids [ mid p k ])) [ 1; 2 ]
+  done;
+  suspect_at h ~at:2.0 ~observer:1 0;
+  suspect_at h ~at:2.0 ~observer:2 0;
+  Engine.run ~until:100.0 h.engine;
+  List.iter (fun k -> check_uniform_agreement h k ~expect_deciders:2) [ 1; 2 ];
+  Alcotest.(check (list string)) "p2 on suspecting p0"
+    [ "est2 2->1"; "est2 2->1"; "ack1 2->0"; "ack1 2->0" ]
+    (describe (List.filter (fun f -> f.at = 2.0) (frames ~src:2 (log ()))));
+  Alcotest.(check (list string)) "p1's decision floods"
+    [ "decide0 1->2"; "decide0 1->0"; "decide0 1->2"; "decide0 1->0" ]
+    (describe (frames ~src:1 ~kind:"decide" (log ())))
+
 let both name f = [
   Alcotest.test_case ("ct: " ^ name) `Quick (f `Ct);
   Alcotest.test_case ("mr: " ^ name) `Quick (f `Mr);
@@ -493,6 +692,17 @@ let suites =
         Alcotest.test_case "suspected silent replier ends the round" `Quick
           test_ct_suspected_silent_replier_ends_round;
         Alcotest.test_case "remote sends by kind" `Quick test_ct_send_counters;
+        Alcotest.test_case "round-2 proposal goes to its estimators" `Quick
+          test_ct_round2_proposal_to_estimators;
+        Alcotest.test_case "late estimate answered with the recorded proposal" `Quick
+          test_ct_late_estimate_answered;
+        Alcotest.test_case "catch-up on a peer's suspicion" `Quick
+          test_ct_catch_up_on_peer_suspicion;
+        Alcotest.test_case "catch-up never skips a round" `Quick
+          test_ct_catch_up_never_skips_a_round;
+        Alcotest.test_case "no catch-up on a payload nack" `Quick
+          test_ct_no_catch_up_on_payload_nack;
+        Alcotest.test_case "suspects last" `Quick test_ct_suspects_last;
       ] );
     ( "mr",
       [

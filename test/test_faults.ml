@@ -391,7 +391,7 @@ let test_chaos_jobs_fingerprint_identical () =
   let seq = fingerprints 1 in
   checki "one fingerprint per run" 8 (List.length seq);
   Alcotest.(check string) "first run matches the single-domain pin"
-    "9c012a211a166edb5367ce0d900752e9" (List.hd seq);
+    "3a2666aa8bedd711ed03ce11ccd85e55" (List.hd seq);
   match Unix.fork () with
   | 0 ->
       let status =
