@@ -60,6 +60,20 @@ let test_saturation_fingerprint_pinned () =
        ~batching:{ Abcast.batch = 8; pipeline = 2; flush_ms = 1.0 }
        ~broadcast:Profile.Ring ())
 
+(* The same cell under MR (its batched path announces with [Nudge]) and
+   under LB (Kick-driven ballots): the saturation pin above covers CT
+   only.  Captured before the three stacks moved onto one instance
+   skeleton, which had to leave them bit-identical. *)
+let test_saturation_fingerprint_pinned_mr_lb () =
+  List.iter
+    (fun (algo, name, expect) ->
+      Alcotest.(check string)
+        ("saturation-smoke cell, " ^ name) expect
+        (Saturation.sim_fingerprint ~seed:1L ~algo ~n:5
+           ~batching:{ Abcast.batch = 8; pipeline = 2; flush_ms = 1.0 }
+           ~broadcast:Profile.Ring ()))
+    [ (Profile.Mr, "mr", "b178042174db73c4ef70a0b79def8047"); (Profile.Lb, "lb", "99b894f60a6c39297493d98073c9fcdc") ]
+
 let delivered stack p = Abcast.delivered_sequence stack.Stack.abcast p
 
 let events stack = Trace.events (Ics_sim.Engine.trace stack.Stack.engine)
@@ -332,6 +346,8 @@ let suites =
           test_ring_pass_precedes_consensus;
         Alcotest.test_case "saturation fingerprint pinned" `Quick
           test_saturation_fingerprint_pinned;
+        Alcotest.test_case "saturation fingerprint pinned (mr, lb)" `Quick
+          test_saturation_fingerprint_pinned_mr_lb;
         Alcotest.test_case "termination-only cells labelled" `Quick
           test_termination_only_label;
       ] );

@@ -41,18 +41,27 @@ let test_lb_stack_good_run () =
   Test_util.assert_clean_verdict "lb good run"
     (Checker.check_all_abcast (Test_util.checker_run stack))
 
+(* p0 leads ballot 0 of every instance; killing it forces p1 to take
+   over via prepare ballots > 0. *)
+let failover_run () =
+  Test_util.run_stack lb_config
+    ~crashes:[ (0, 15.0) ]
+    [ (1.0, 0, 50); (30.0, 1, 50); (40.0, 2, 50) ]
+
 let test_lb_leader_crash_failover () =
-  (* p0 leads ballot 0 of every instance; killing it forces p1 to take
-     over via prepare ballots > 0. *)
-  let stack =
-    Test_util.run_stack lb_config
-      ~crashes:[ (0, 15.0) ]
-      [ (1.0, 0, 50); (30.0, 1, 50); (40.0, 2, 50) ]
-  in
+  let stack = failover_run () in
   let s1 = Abcast.delivered_sequence stack.Stack.abcast 1 in
   checkb "post-crash messages delivered" true (List.length s1 >= 2);
   Test_util.assert_clean_verdict "lb failover"
     (Checker.check_all_abcast (Test_util.checker_run stack))
+
+(* The failover run's trace digest: no chaos pin covers LB, so this one
+   holds its ballots, kicks and decision flood bit-identical. *)
+let test_lb_failover_fingerprint_pinned () =
+  let stack = failover_run () in
+  Alcotest.(check string)
+    "lb failover trace" "b14200054522619d46dfb095810d3a77"
+    (Ics_sim.Trace.fingerprint (Engine.trace stack.Stack.engine))
 
 let test_lb_non_leader_proposer_kicks () =
   (* Only p2 broadcasts: its proposal must still get ordered even though
@@ -177,6 +186,8 @@ let suites =
         Alcotest.test_case "leader estimate" `Quick test_leader_estimate;
         Alcotest.test_case "stack good run" `Quick test_lb_stack_good_run;
         Alcotest.test_case "leader crash failover" `Quick test_lb_leader_crash_failover;
+        Alcotest.test_case "failover fingerprint pinned" `Quick
+          test_lb_failover_fingerprint_pinned;
         Alcotest.test_case "non-leader proposer kicks" `Quick test_lb_non_leader_proposer_kicks;
         Alcotest.test_case "double crash n=5" `Quick test_lb_double_crash_n5;
         Alcotest.test_case "blocks without majority" `Quick test_lb_blocks_without_majority;
