@@ -58,11 +58,14 @@ chaos-live-smoke:
 	dune exec bin/ics_cli.exe -- chaos --live --seeds 1 --stacks ct-indirect,ct-on-ids --plans drop,blackout; \
 	$(call skip_without_sockets,chaos-live-smoke: skipped (no loopback sockets))
 
-# Live 3-node loopback cluster, checker-verified (exit 2 = sandbox has no
-# sockets, which is a skip, not a failure).
+# Live 3-node loopback cluster, checker-verified, once per consensus
+# algorithm (exit 2 = sandbox has no sockets, which is a skip, not a
+# failure).
 cluster-smoke:
-	dune exec bin/ics_cli.exe -- cluster -n 3 --algo ct --broadcast flood --count 10 --timeout 20; \
-	$(call skip_without_sockets,cluster-smoke: skipped (no loopback sockets))
+	for algo in ct mr lb; do \
+	  dune exec bin/ics_cli.exe -- cluster -n 3 --algo $$algo --broadcast flood --count 10 --timeout 20; \
+	  $(call skip_without_sockets,cluster-smoke: $$algo skipped (no loopback sockets)); \
+	done
 
 # Saturation knee smoke: a tiny offered-load sweep of the batched/
 # pipelined/ring stack, replay-checked for sim determinism with every

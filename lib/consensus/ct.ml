@@ -1,9 +1,6 @@
-module Engine = Ics_sim.Engine
 module Pid = Ics_sim.Pid
-module Trace = Ics_sim.Trace
 module Transport = Ics_net.Transport
 module Message = Ics_net.Message
-module Host = Ics_net.Host
 module Failure_detector = Ics_fd.Failure_detector
 
 (* [Est.suspicion]: the sender left round [r - 1] on suspecting its
@@ -14,13 +11,10 @@ type Message.payload +=
   | Ack of { k : int; r : int; ok : bool }
   | Decide of { k : int; est : Proposal.t }
 
-type config = { layer : string; rcv : Consensus_intf.rcv option }
-
 (* Exact encoded body sizes (tag byte + fields + proposal). *)
 let est_bytes est = 14 + Proposal.encoded_bytes est
 let prop_bytes est = 9 + Proposal.encoded_bytes est
 let ack_bytes = 10
-let decide_bytes est = 5 + Proposal.encoded_bytes est
 
 let register_codec () =
   let module Codec = Ics_codec.Codec in
@@ -84,7 +78,7 @@ let register_codec () =
     ~gen:(fun rng -> Ack { k = gen_k rng; r = gen_r rng; ok = Rng.bool rng });
   Codec.register ~tag:0x23 ~name:"ct.decide"
     ~fits:(function Decide _ -> true | _ -> false)
-    ~size:(function Decide { est; _ } -> decide_bytes est | _ -> assert false)
+    ~size:(function Decide { est; _ } -> Instances.decide_bytes est | _ -> assert false)
     ~encode_into:(fun w -> function
       | Decide { k; est } ->
           Prim.u32 w k;
@@ -101,14 +95,12 @@ type coord_phase =
   | Collecting  (* Phase 2, r > 1: gathering estimates *)
   | Waiting_acks of Proposal.t  (* Phase 4: proposal sent, counting replies *)
 
-type inst = {
-  k : int;
-  mutable estimate : Proposal.t;  (* estimate_p *)
+(* An instance's round state; its [estimate] is estimate_p. *)
+type state = {
   mutable ts : int;
   mutable r : int;
   mutable coord : coord_phase;
   mutable waiting_prop : bool;  (* Phase 3 *)
-  mutable decided : bool;
   est_in : (int, (Pid.t * int * Proposal.t) list ref) Hashtbl.t;
   prop_in : (int, Proposal.t) Hashtbl.t;
   replies_in : (int, replies) Hashtbl.t;  (* round -> phase-3 replies *)
@@ -139,34 +131,29 @@ type counters = {
   mutable decides_sent : int;
 }
 
-(* [undecided]: instances this process holds that have not decided. *)
-type proc = { pid : Pid.t; instances : (int, inst) Hashtbl.t; mutable undecided : int }
+let fresh () =
+  {
+    ts = 0;
+    r = 1;
+    coord = Not_coordinator;
+    waiting_prop = false;
+    est_in = Hashtbl.create 8;
+    prop_in = Hashtbl.create 8;
+    replies_in = Hashtbl.create 8;
+    prop_out = [];
+  }
 
-let get_list tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some l -> l
-  | None ->
-      let l = ref [] in
-      Hashtbl.add tbl key l;
-      l
+(* The decision reaches every process: no estimate needs an answer. *)
+let settle s =
+  s.waiting_prop <- false;
+  s.coord <- Not_coordinator;
+  s.prop_out <- []
 
-let get_replies ~n tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some c -> c
-  | None ->
-      let c = { replied = Array.make n false; acks = 0 } in
-      Hashtbl.add tbl key c;
-      c
+let replies n = { replied = Array.make n false; acks = 0 }
 
-let create ?(announce = false) transport fd config (cb : Consensus_intf.callbacks) =
-  let engine = Transport.engine transport in
-  let host = Transport.host transport in
+let create ?(announce = false) transport fd config cb =
   let n = Transport.n transport in
   let majority = Quorum.majority ~n in
-  let layer = Transport.intern transport config.layer in
-  let procs =
-    Array.init n (fun pid -> { pid; instances = Hashtbl.create 16; undecided = 0 })
-  in
   let counters =
     {
       round1 = 0;
@@ -195,54 +182,30 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
     | Decide _ -> c.decides_sent <- c.decides_sent + remote
     | _ -> ()
   in
-  let send ~src ~dst ~bytes payload =
-    count_sent payload (if Pid.equal src dst then 0 else 1);
-    Transport.send transport ~src ~dst ~layer ~body_bytes:bytes payload
-  in
   (* A multicast lists the processes [src] suspects after every other
      destination: the same frames go out, but those a live peer can use
      leave [src]'s CPU first.  Without suspicions the order is [dsts]'s. *)
-  let multicast ~src ~dsts ~bytes payload =
+  let multicast ~src ~dsts ~layer ~body_bytes payload =
     let trusted, suspected =
       List.partition (fun q -> not (Failure_detector.is_suspected fd ~by:src q)) dsts
     in
     let dsts = trusted @ suspected in
     count_sent payload (List.length dsts - if List.exists (Pid.equal src) dsts then 1 else 0);
-    Transport.multicast transport ~src ~dsts ~layer ~body_bytes:bytes payload
+    Transport.multicast transport ~src ~dsts ~layer ~body_bytes payload
   in
-
-  (* Evaluate the rcv predicate (indirect variant), charging its CPU cost;
-     the original variant adopts unconditionally and costs nothing. *)
-  let accepts p (est : Proposal.t) =
-    match config.rcv with
-    | None -> true
-    | Some rcv ->
-        let ids = Proposal.ids est in
-        Transport.charge_cpu transport p (Host.rcv_check_cost host ~ids:(List.length ids));
-        rcv p ids
+  let t =
+    Instances.create transport config cb ~fresh ~settle
+      ~decide:(fun k est -> Decide { k; est })
+      ~multicast
   in
-
-  let decide_flood p inst est ~relay_from =
-    if not inst.decided then begin
-      inst.decided <- true;
-      procs.(p).undecided <- procs.(p).undecided - 1;
-      inst.waiting_prop <- false;
-      inst.coord <- Not_coordinator;
-      (* The decision reaches every process: no estimate needs an answer. *)
-      inst.prop_out <- [];
-      let dsts =
-        List.filter
-          (fun q -> match relay_from with Some src -> not (Pid.equal q src) | None -> true)
-          (Pid.others ~n p)
-      in
-      multicast ~src:p ~dsts ~bytes:(decide_bytes est) (Decide { k = inst.k; est });
-      Engine.record engine p (Trace.Decide (inst.k, Proposal.ids est));
-      cb.on_decide p inst.k est
-    end
+  let layer = Instances.layer_id t in
+  let send ~src ~dst ~bytes payload =
+    count_sent payload (if Pid.equal src dst then 0 else 1);
+    Transport.send transport ~src ~dst ~layer ~body_bytes:bytes payload
   in
 
   (* Phase 3 reply to the coordinator of round [r]. *)
-  let reply p inst ~r ~ok =
+  let reply p (inst : state Instances.inst) ~r ~ok =
     if not ok then counters.nacks <- counters.nacks + 1;
     send ~src:p ~dst:(Pid.coordinator ~n ~round:r) ~bytes:ack_bytes
       (Ack { k = inst.k; r; ok })
@@ -253,16 +216,16 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
      acks so far plus every process it does not suspect and has not heard
      from fall short of one.  Nacks and suspicions shrink that bound, so
      it is re-evaluated on each reply and on each new suspicion. *)
-  let rec coord_check_acks p inst =
-    match inst.coord with
+  let rec coord_check_acks p ({ Instances.st = s; _ } as inst) =
+    match s.coord with
     | Waiting_acks proposal ->
-        let rs = get_replies ~n inst.replies_in inst.r in
+        let rs = Instances.find_or_add s.replies_in s.r replies n in
         if rs.acks >= majority then begin
-          (match inst.r with
+          (match s.r with
           | 1 -> counters.round1 <- counters.round1 + 1
           | 2 -> counters.round2 <- counters.round2 + 1
           | _ -> counters.round3_plus <- counters.round3_plus + 1);
-          decide_flood p inst proposal ~relay_from:None
+          Instances.decide t p inst proposal
         end
         else begin
           let pending =
@@ -282,10 +245,10 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
      sends its estimate here too and is answered with the recorded
      proposal (the [Est] handler), so a process that has decided or moved
      on is not sent a frame it would drop. *)
-  and coord_check_estimates p inst =
-    match inst.coord with
+  and coord_check_estimates p ({ Instances.st = s; _ } as inst) =
+    match s.coord with
     | Collecting ->
-        let ests = !(get_list inst.est_in inst.r) in
+        let ests = !(Instances.find_or_add s.est_in s.r ref []) in
         if List.length ests >= majority then begin
           let _, _, best =
             List.fold_left
@@ -293,76 +256,77 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
                 if ts > bts then e else acc)
               (List.hd ests) (List.tl ests)
           in
-          inst.coord <- Waiting_acks best;
-          inst.prop_out <- (inst.r, best) :: inst.prop_out;
+          s.coord <- Waiting_acks best;
+          s.prop_out <- (s.r, best) :: s.prop_out;
           multicast ~src:p
             ~dsts:
               (List.filter
-                 (fun q -> Pid.equal q p || List.exists (fun (s, _, _) -> Pid.equal s q) ests)
+                 (fun q -> Pid.equal q p || List.exists (fun (src, _, _) -> Pid.equal src q) ests)
                  (Pid.all ~n))
-            ~bytes:(prop_bytes best)
-            (Prop { k = inst.k; r = inst.r; est = best });
+            ~layer ~body_bytes:(prop_bytes best)
+            (Prop { k = inst.k; r = s.r; est = best });
           coord_check_acks p inst
         end
     | Not_coordinator | Waiting_acks _ -> ()
 
   (* Phase 3: react to the coordinator's proposal for the current round. *)
-  and handle_prop p inst (est : Proposal.t) =
-    if inst.waiting_prop then begin
-      inst.waiting_prop <- false;
-      let c = Pid.coordinator ~n ~round:inst.r in
-      let ok = accepts p est in
+  and handle_prop p ({ Instances.st = s; _ } as inst) (est : Proposal.t) =
+    if s.waiting_prop then begin
+      s.waiting_prop <- false;
+      let c = Pid.coordinator ~n ~round:s.r in
+      let ok = Instances.rcv_holds t p est in
       if ok then begin
         inst.estimate <- est;
-        inst.ts <- inst.r
+        s.ts <- s.r
       end;
-      reply p inst ~r:inst.r ~ok;
+      reply p inst ~r:s.r ~ok;
       if not (Pid.equal p c) then advance_round p inst
     end
 
-  and enter_phase3 p inst =
-    inst.waiting_prop <- true;
-    let c = Pid.coordinator ~n ~round:inst.r in
-    match Hashtbl.find_opt inst.prop_in inst.r with
+  and enter_phase3 p ({ Instances.st = s; _ } as inst) =
+    s.waiting_prop <- true;
+    let c = Pid.coordinator ~n ~round:s.r in
+    match Hashtbl.find_opt s.prop_in s.r with
     | Some est -> handle_prop p inst est
     | None ->
         if Failure_detector.is_suspected fd ~by:p c then begin
-          inst.waiting_prop <- false;
-          if Pid.equal p c then reply p inst ~r:inst.r ~ok:false else give_up p inst
+          s.waiting_prop <- false;
+          if Pid.equal p c then reply p inst ~r:s.r ~ok:false else give_up p inst
         end
 
-  and start_round ?(suspicion = false) p inst =
+  and start_round ?(suspicion = false) p ({ Instances.st = s; _ } as inst) =
     if not inst.decided then begin
-      let c = Pid.coordinator ~n ~round:inst.r in
+      let c = Pid.coordinator ~n ~round:s.r in
       (* Phase 1: send the timestamped estimate to the coordinator. *)
-      if inst.r > 1 then
+      if s.r > 1 then
         send ~src:p ~dst:c ~bytes:(est_bytes inst.estimate)
-          (Est { k = inst.k; r = inst.r; est = inst.estimate; ts = inst.ts; suspicion });
+          (Est { k = inst.k; r = s.r; est = inst.estimate; ts = s.ts; suspicion });
       (* Phase 2 entry for the coordinator. *)
       if Pid.equal p c then begin
-        if inst.r = 1 then begin
+        if s.r = 1 then begin
           (* First round: the coordinator proposes its own estimate without
              gathering (Algorithm 2 line 20). *)
-          inst.coord <- Waiting_acks inst.estimate;
-          multicast ~src:p ~dsts:(Pid.all ~n) ~bytes:(prop_bytes inst.estimate)
+          s.coord <- Waiting_acks inst.estimate;
+          multicast ~src:p ~dsts:(Pid.all ~n) ~layer
+            ~body_bytes:(prop_bytes inst.estimate)
             (Prop { k = inst.k; r = 1; est = inst.estimate })
         end
         else begin
-          inst.coord <- Collecting;
+          s.coord <- Collecting;
           coord_check_estimates p inst
         end
       end
-      else inst.coord <- Not_coordinator;
+      else s.coord <- Not_coordinator;
       enter_phase3 p inst;
       (* Replies may already be buffered if this process lags behind. *)
       coord_check_acks p inst
     end
 
-  and advance_round ?suspicion p inst =
+  and advance_round ?suspicion p ({ Instances.st = s; _ } as inst) =
     if not inst.decided then begin
-      inst.r <- inst.r + 1;
-      inst.coord <- Not_coordinator;
-      inst.waiting_prop <- false;
+      s.r <- s.r + 1;
+      s.coord <- Not_coordinator;
+      s.waiting_prop <- false;
       start_round ?suspicion p inst
     end
 
@@ -371,81 +335,32 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
      frames leave this CPU ahead of the nack to a coordinator that is
      suspected (or that a peer has given up). *)
   and give_up p inst =
-    let r = inst.r in
+    let r = inst.st.r in
     advance_round ~suspicion:true p inst;
     reply p inst ~r ~ok:false
   in
-
-  let new_instance p k estimate =
-    let inst =
-      {
-        k;
-        estimate;
-        ts = 0;
-        r = 1;
-        coord = Not_coordinator;
-        waiting_prop = false;
-        decided = false;
-        est_in = Hashtbl.create 8;
-        prop_in = Hashtbl.create 8;
-        replies_in = Hashtbl.create 8;
-        prop_out = [];
-      }
-    in
-    Hashtbl.add procs.(p).instances k inst;
-    procs.(p).undecided <- procs.(p).undecided + 1;
-    Engine.record engine p (Trace.Propose (k, Proposal.ids estimate));
-    inst
-  in
-
-  (* Find the instance, joining it (with the AB layer's current candidate
-     value) if an instance-k message reaches a process that has not proposed
-     yet — required for quorum liveness. *)
-  let get_inst p k =
-    match Hashtbl.find_opt procs.(p).instances k with
-    | Some inst -> inst
-    | None ->
-        let inst = new_instance p k (cb.join p k) in
-        start_round p inst;
-        inst
-  in
+  let start p inst = start_round p inst in
 
   let on_message p (msg : Message.t) =
     match msg.payload with
     | Est { k; r; est; ts; suspicion } ->
-        let inst =
-          (* Announce path: a round-1 estimate reaching the round-1
-             coordinator before it knows the instance seeds its join.  The
-             AB layer's join value may be empty under batching (everything
-             fresh already rides other open instances); adopting the
-             announced estimate instead keeps the coordinator from
-             proposing — and the instance from deciding — an empty set. *)
-          if
-            announce && r = 1
-            && (not (Hashtbl.mem procs.(p).instances k))
-            && Pid.equal p (Pid.coordinator ~n ~round:1)
-          then begin
-            let own = cb.join p k in
-            let inst =
-              new_instance p k (if Proposal.is_empty own then est else own)
-            in
-            start_round p inst;
-            inst
-          end
-          else get_inst p k
+        let ({ Instances.st = s; _ } as inst) =
+          if announce && r = 1 && Pid.equal p (Pid.coordinator ~n ~round:1) then
+            Instances.join_announced t ~start p k est
+          else Instances.get_inst t ~start p k
         in
         if not inst.decided then begin
-          match List.assoc_opt r inst.prop_out with
+          match List.assoc_opt r s.prop_out with
           | Some value ->
               (* This process has proposed in round r, possibly left it
                  since: answer the late estimate with that proposal (a
                  duplicate answer is dropped by its receiver). *)
               send ~src:p ~dst:msg.src ~bytes:(prop_bytes value) (Prop { k; r; est = value })
           | None ->
-              if r >= inst.r then begin
-                let l = get_list inst.est_in r in
+              if r >= s.r then begin
+                let l = Instances.find_or_add s.est_in r ref [] in
                 l := (msg.src, ts, est) :: !l;
-                if r = inst.r then coord_check_estimates p inst
+                if r = s.r then coord_check_estimates p inst
                 else if
                   (* Catch-up: the sender gave the current round up on
                      suspecting its coordinator, so that coordinator has
@@ -458,99 +373,62 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
                      has sent every estimate up to its current round, and
                      skipping a round would withhold that round's from its
                      coordinator. *)
-                  suspicion && inst.waiting_prop && r = inst.r + 1
-                  && not (Pid.equal p (Pid.coordinator ~n ~round:inst.r))
+                  suspicion && s.waiting_prop && r = s.r + 1
+                  && not (Pid.equal p (Pid.coordinator ~n ~round:s.r))
                 then begin
                   counters.catch_ups <- counters.catch_ups + 1;
-                  inst.waiting_prop <- false;
+                  s.waiting_prop <- false;
                   give_up p inst
                 end
               end
         end
     | Prop { k; r; est } ->
-        let inst = get_inst p k in
-        if (not inst.decided) && r >= inst.r then begin
-          Hashtbl.replace inst.prop_in r est;
-          if r = inst.r then handle_prop p inst est
+        let ({ Instances.st = s; _ } as inst) = Instances.get_inst t ~start p k in
+        if (not inst.decided) && r >= s.r then begin
+          Hashtbl.replace s.prop_in r est;
+          if r = s.r then handle_prop p inst est
         end
     | Ack { k; r; ok } ->
-        let inst = get_inst p k in
-        if (not inst.decided) && r >= inst.r then begin
-          let rs = get_replies ~n inst.replies_in r in
+        let ({ Instances.st = s; _ } as inst) = Instances.get_inst t ~start p k in
+        if (not inst.decided) && r >= s.r then begin
+          let rs = Instances.find_or_add s.replies_in r replies n in
           if not rs.replied.(msg.src) then begin
             rs.replied.(msg.src) <- true;
             if ok then rs.acks <- rs.acks + 1;
-            if r = inst.r then coord_check_acks p inst
+            if r = s.r then coord_check_acks p inst
           end
         end
-    | Decide { k; est } ->
-        let inst =
-          match Hashtbl.find_opt procs.(p).instances k with
-          | Some inst -> inst
-          | None ->
-              (* A decision can reach a process that never participated:
-                 adopt it without running any round (the flood below
-                 settles the instance at once). *)
-              new_instance p k est
-        in
-        decide_flood p inst est ~relay_from:(Some msg.src)
+    | Decide { k; est } -> Instances.receive_decide t p ~src:msg.src k est
     | _ -> ()
   in
 
   let on_suspect p suspect =
-    (* Key-sorted: bucket-order iteration would make the ack/round-advance
-       order — and hence the trace — depend on hashing internals.  The
-       nacks to the suspect go out after every instance's next round has
-       sent its frames. *)
+    (* The nacks to the suspect go out after every instance's next round
+       has sent its frames. *)
     let nacks = ref [] in
-    Ics_prelude.Sorted_tbl.iter ~cmp:Int.compare
-      (fun _ inst ->
+    Instances.iter t p (fun ({ Instances.st = s; _ } as inst) ->
         if
-          (not inst.decided) && inst.waiting_prop
-          && Pid.equal (Pid.coordinator ~n ~round:inst.r) suspect
+          (not inst.decided) && s.waiting_prop
+          && Pid.equal (Pid.coordinator ~n ~round:s.r) suspect
         then begin
-          inst.waiting_prop <- false;
-          nacks := (inst, inst.r) :: !nacks;
+          s.waiting_prop <- false;
+          nacks := (inst, s.r) :: !nacks;
           advance_round ~suspicion:true p inst
         end
         else
           (* A coordinator waiting on a silent replier that is now
              suspected may have lost its majority. *)
-          coord_check_acks p inst)
-      procs.(p).instances;
+          coord_check_acks p inst);
     List.iter (fun (inst, r) -> reply p inst ~r ~ok:false) (List.rev !nacks)
   in
 
-  List.iter
-    (fun p ->
-      Transport.register transport p ~layer (on_message p);
-      Failure_detector.on_suspect fd ~observer:p (on_suspect p))
-    (Pid.all ~n);
-
-  let propose p k value =
-    if Engine.is_alive engine p && not (Hashtbl.mem procs.(p).instances k) then begin
-      let inst = new_instance p k value in
-      start_round p inst;
-      (* Round-1 non-coordinator proposals are otherwise silent — the
-         coordinator alone multicasts in round 1.  Under batching /
-         pipelining the proposers of an instance can be exactly the
-         non-coordinators (the coordinator's fresh set may be empty), so
-         a silent proposal would deadlock the instance: announce it by
-         sending the phase-1 estimate to the coordinator, which joins and
-         proposes (the r > 1 send, generalized to round 1).  Off by
-         default so the unbatched traffic — and the pinned replay
-         fingerprints — stay byte-identical. *)
-      if announce && (not inst.decided) && inst.r = 1 then begin
-        let c = Pid.coordinator ~n ~round:1 in
-        if not (Pid.equal p c) then
-          send ~src:p ~dst:c ~bytes:(est_bytes inst.estimate)
-            (Est { k; r = 1; est = inst.estimate; ts = inst.ts; suspicion = false })
-      end
-    end
+  (* Round 1's announce is the phase-1 estimate, which rounds r > 1 send
+     anyway, sent to the round-1 coordinator too. *)
+  let announce_est ~src ~dst ({ Instances.st = s; _ } as inst) =
+    if s.r = 1 then
+      send ~src ~dst ~bytes:(est_bytes inst.estimate)
+        (Est { k = inst.k; r = 1; est = inst.estimate; ts = s.ts; suspicion = false })
   in
-  let has_instance p k = Hashtbl.mem procs.(p).instances k in
-  let undecided p = procs.(p).undecided in
-  let name = match config.rcv with None -> "ct" | Some _ -> "ct-indirect" in
   let counters () =
     let c = counters in
     [
@@ -567,4 +445,6 @@ let create ?(announce = false) transport fd config (cb : Consensus_intf.callback
       ("sent.decide", c.decides_sent);
     ]
   in
-  { Consensus_intf.name; propose; has_instance; undecided; counters }
+  Instances.handle t fd ~name:"ct" ~on_message ~on_suspect ~start
+    ~announce:(if announce then Some announce_est else None)
+    ~counters

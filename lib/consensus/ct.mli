@@ -40,28 +40,10 @@
     of the atomic broadcast layer) or passed the [rcv] check — so the
     configuration is v-stable (§3.2.3). *)
 
-module Transport = Ics_net.Transport
-module Failure_detector = Ics_fd.Failure_detector
-
-type config = {
-  layer : string;  (** transport layer name, e.g. ["consensus"] *)
-  rcv : Consensus_intf.rcv option;
-      (** [None]: original algorithm (always adopt — used both for
-          consensus on messages and for the {e faulty} consensus on raw
-          identifiers).  [Some rcv]: the indirect algorithm; each [rcv]
-          evaluation also charges its CPU cost
-          ({!Ics_net.Host.rcv_check_cost}). *)
-}
-
-val create :
-  ?announce:bool ->
-  Transport.t -> Failure_detector.t -> config -> Consensus_intf.callbacks ->
-  Consensus_intf.handle
-(** [announce] (default false): a round-1 non-coordinator proposer also
-    sends its phase-1 estimate to the round-1 coordinator.  Required for
-    termination when instance proposers are chosen by batching /
-    pipelining (the coordinator may never propose the instance itself);
-    off by default so unbatched traffic is unchanged. *)
+val create : Instances.create
+(** [config.rcv = None]: the original algorithm, which always adopts (used
+    both for consensus on messages and for the {e faulty} consensus on
+    raw identifiers); [Some rcv]: Algorithm 2. *)
 
 val register_codec : unit -> unit
 (** Register this layer's payload codecs with {!Ics_codec.Codec}

@@ -1,0 +1,119 @@
+(** Instance plumbing shared by the consensus stacks ({!Ct}, {!Mr}, {!Lb}):
+    everything around the rounds of Algorithms 2 and 3 — the instance
+    tables, joining on the first message, deciding and R-broadcasting the
+    decision, the [rcv] check, the announce path and [propose].  A stack
+    keeps its round state in the instance's [st] field and passes its
+    steps to these functions as arguments. *)
+
+module Pid = Ics_sim.Pid
+module Transport = Ics_net.Transport
+module Message = Ics_net.Message
+module Failure_detector = Ics_fd.Failure_detector
+
+val layer : string
+(** The transport layer every consensus stack runs on: ["consensus"]. *)
+
+val decide_bytes : Proposal.t -> int
+(** Exact encoded body size of every stack's [Decide] payload. *)
+
+type config = {
+  rcv : Consensus_intf.rcv option;
+      (** [None]: the stack's original algorithm (on messages, and the
+          {e faulty} consensus on raw identifiers).  [Some rcv]: its
+          indirect variant, which guards adoption with [rcv]; each [rcv]
+          evaluation also charges its CPU cost
+          ({!Ics_net.Host.rcv_check_cost}). *)
+}
+
+type create =
+  ?announce:bool ->
+  Transport.t -> Failure_detector.t -> config -> Consensus_intf.callbacks ->
+  Consensus_intf.handle
+(** The constructor of a coordinator-driven stack ({!Ct}, {!Mr}).
+
+    [announce] (default false): a round-1 non-coordinator proposer also
+    tells the round-1 coordinator about the instance (CT sends its
+    round-1 estimate, MR a [Nudge] carrying it), and the coordinator
+    joins on it.  Required for termination when instance proposers are
+    chosen by batching / pipelining: the coordinator may never propose
+    the instance itself, and a round-1 non-coordinator is otherwise
+    silent until the coordinator speaks.  Off by default so unbatched
+    traffic, and the pinned replay fingerprints, stay byte-identical.
+    {!Lb} has no such switch: its [Kick] announces every instance. *)
+
+type 'a inst = {
+  k : int;
+  mutable estimate : Proposal.t;
+  mutable decided : bool;
+  st : 'a;  (** the stack's round state *)
+}
+
+type 'a t
+(** The instance tables of all [n] processes of one handle. *)
+
+type multicast =
+  src:Pid.t -> dsts:Pid.t list -> layer:Ics_net.Layer.t -> body_bytes:int ->
+  Message.payload -> unit
+
+val create :
+  Transport.t -> config -> Consensus_intf.callbacks -> fresh:(unit -> 'a) ->
+  settle:('a -> unit) -> decide:(int -> Proposal.t -> Message.payload) ->
+  multicast:multicast -> 'a t
+(** [fresh ()] is a new instance's round state.  [settle st] clears the
+    round state of an instance that has just decided, before its
+    [Decide] leaves.  [decide k v] is the stack's [Decide] payload, sent
+    with [multicast] (for MR and LB, [Transport.multicast transport]). *)
+
+val layer_id : 'a t -> Ics_net.Layer.t
+
+val find_or_add : ('k, 'v) Hashtbl.t -> 'k -> ('a -> 'v) -> 'a -> 'v
+(** [find_or_add tbl key make x]: the value bound to [key], bound to
+    [make x] first if absent (as in [find_or_add tbl r ref \[\]]). *)
+
+val rcv_holds : 'a t -> Pid.t -> Proposal.t -> bool
+(** The paper's [rcv] on a value's ids, charging its CPU cost to the
+    process; always true, and free, in the original variant. *)
+
+val get_inst : 'a t -> start:(Pid.t -> 'a inst -> unit) -> Pid.t -> int -> 'a inst
+(** The process's instance [k]; a process that does not hold it yet joins
+    with [cb.join] and runs [start] (its first round) on it. *)
+
+val join_announced :
+  'a t -> start:(Pid.t -> 'a inst -> unit) -> Pid.t -> int -> Proposal.t -> 'a inst
+(** [get_inst] for the announce path: the round-1 coordinator learns of
+    instance [k] from a proposer's announced estimate.  An empty join
+    value is replaced by that estimate, so the coordinator does not
+    propose, and the instance does not decide, an empty set while the
+    announced ids wait.  The receivers' [rcv] guards still protect No
+    loss although the coordinator may not hold those payloads yet. *)
+
+val decide : 'a t -> Pid.t -> 'a inst -> Proposal.t -> unit
+(** The process decides [v] in the instance (a no-op once decided): it
+    settles the round state, floods [Decide] to every other process,
+    records [Trace.Decide] and calls [cb.on_decide]. *)
+
+val receive_decide : 'a t -> Pid.t -> src:Pid.t -> int -> Proposal.t -> unit
+(** A [Decide] from [src]: decide it too, relaying to everyone but [src].
+    A process that never held the instance adopts the decision without
+    running any round. *)
+
+val iter : 'a t -> Pid.t -> ('a inst -> unit) -> unit
+(** The process's instances in ascending [k]. *)
+
+val handle :
+  'a t ->
+  Failure_detector.t ->
+  name:string ->
+  on_message:(Pid.t -> Message.t -> unit) ->
+  on_suspect:(Pid.t -> Pid.t -> unit) ->
+  start:(Pid.t -> 'a inst -> unit) ->
+  announce:(src:Pid.t -> dst:Pid.t -> 'a inst -> unit) option ->
+  counters:(unit -> (string * int) list) ->
+  Consensus_intf.handle
+(** Installs every process's transport handler and suspicion callback,
+    and returns the stack's handle, named [name], or [name ^ "-indirect"]
+    when [config.rcv] is set.  Its [propose] is a no-op at a crashed
+    process or one that holds the instance already; otherwise it creates
+    the instance and runs [start].  With [announce], a proposer that is
+    not the round-1 coordinator and has not decided then calls it with
+    [dst] = that coordinator. *)

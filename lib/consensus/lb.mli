@@ -35,15 +35,11 @@
 module Transport = Ics_net.Transport
 module Failure_detector = Ics_fd.Failure_detector
 
-type config = {
-  layer : string;
-  rcv : Consensus_intf.rcv option;
-      (** [None]: plain ballot voting.  [Some rcv]: the indirect variant. *)
-}
-
 val create :
-  Transport.t -> Failure_detector.t -> config -> Consensus_intf.callbacks ->
+  Transport.t -> Failure_detector.t -> Instances.config -> Consensus_intf.callbacks ->
   Consensus_intf.handle
+(** [config.rcv = None]: plain ballot voting; [Some rcv]: the indirect
+    variant. *)
 
 val register_codec : unit -> unit
 (** Register this layer's payload codecs with {!Ics_codec.Codec}

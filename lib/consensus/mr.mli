@@ -29,26 +29,10 @@
     identifiers — is exactly [create] with [rcv = None] over id proposals;
     the test suite uses it to reproduce the §3.3.2 counterexample. *)
 
-module Transport = Ics_net.Transport
-module Failure_detector = Ics_fd.Failure_detector
-
-type config = {
-  layer : string;
-  rcv : Consensus_intf.rcv option;
-      (** [None]: original MR (majority quorums, unconditional adoption).
-          [Some rcv]: indirect MR (⌈(2n+1)/3⌉ quorums, guarded adoption). *)
-}
-
-val create :
-  ?announce:bool ->
-  Transport.t -> Failure_detector.t -> config -> Consensus_intf.callbacks ->
-  Consensus_intf.handle
-(** [announce] (default false): a round-1 non-coordinator proposer sends
-    a [Nudge] to the round-1 coordinator, which joins and relays its
-    estimate.  Required for termination when instance proposers are
-    chosen by batching / pipelining (the coordinator may never propose
-    the instance itself); off by default so unbatched traffic is
-    unchanged. *)
+val create : Instances.create
+(** [config.rcv = None]: original MR (majority quorums, unconditional
+    adoption); [Some rcv]: indirect MR (⌈(2n+1)/3⌉ quorums, guarded
+    adoption). *)
 
 val register_codec : unit -> unit
 (** Register this layer's payload codecs with {!Ics_codec.Codec}

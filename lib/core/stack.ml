@@ -80,7 +80,7 @@ let build_model config =
         Host.instant )
   | Custom { build; _ } -> build ~n:config.n
 
-let consensus_layer = "consensus"
+let consensus_layer = Ics_consensus.Instances.layer
 
 (* The protocol wiring above the transport, shared verbatim between the
    simulated stack and the live runtime's per-node stack. *)
@@ -100,14 +100,11 @@ let assemble transport ~fd ~profile ~on_deliver =
     let announce =
       profile.Profile.batch > 1 || profile.Profile.pipeline > 1
     in
+    let config = { Ics_consensus.Instances.rcv } in
     match profile.Profile.algo with
-    | Ct ->
-        Ics_consensus.Ct.create ~announce transport fd
-          { layer = consensus_layer; rcv } callbacks
-    | Mr ->
-        Ics_consensus.Mr.create ~announce transport fd
-          { layer = consensus_layer; rcv } callbacks
-    | Lb -> Ics_consensus.Lb.create transport fd { layer = consensus_layer; rcv } callbacks
+    | Ct -> Ics_consensus.Ct.create ~announce transport fd config callbacks
+    | Mr -> Ics_consensus.Mr.create ~announce transport fd config callbacks
+    | Lb -> Ics_consensus.Lb.create transport fd config callbacks
   in
   Abcast.create ~batching:(Profile.batching profile) transport
     ~ordering:profile.Profile.ordering ~make_broadcast ~make_consensus

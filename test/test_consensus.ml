@@ -14,6 +14,7 @@ module Proposal = Ics_consensus.Proposal
 module Ct = Ics_consensus.Ct
 module Mr = Ics_consensus.Mr
 module Lb = Ics_consensus.Lb
+module Instances = Ics_consensus.Instances
 module Intf = Ics_consensus.Consensus_intf
 
 let checkb = Alcotest.(check bool)
@@ -107,9 +108,10 @@ type harness = {
 
 (* [~manual]: suspicions come only from [suspect]; otherwise an oracle
    detector reports each crash after [fd_delay].  [rule] scripts the
-   network (delays, drops) on top of the 1 ms constant model. *)
-let mk ?(n = 3) ?(jitter = 0.0) ?(seed = 1L) ?fd_delay ?(manual = false) ?rule ~algo ~indirect
-    () =
+   network (delays, drops) on top of the 1 ms constant model.  [announce]
+   is CT's and MR's switch (LB has none). *)
+let mk ?(n = 3) ?(jitter = 0.0) ?(seed = 1L) ?fd_delay ?(manual = false) ?rule ?announce ~algo
+    ~indirect () =
   let engine = Engine.create ~seed ~n () in
   let model = Model.constant ~jitter ~delay:1.0 ~n ~seed () in
   let model = match rule with Some rule -> Model.scripted ~base:model ~rule | None -> model in
@@ -132,9 +134,9 @@ let mk ?(n = 3) ?(jitter = 0.0) ?(seed = 1L) ?fd_delay ?(manual = false) ?rule ~
   in
   let handle =
     match algo with
-    | `Ct -> Ct.create transport fd { Ct.layer = "consensus"; rcv } callbacks
-    | `Mr -> Mr.create transport fd { Mr.layer = "consensus"; rcv } callbacks
-    | `Lb -> Lb.create transport fd { Lb.layer = "consensus"; rcv } callbacks
+    | `Ct -> Ct.create ?announce transport fd { Instances.rcv } callbacks
+    | `Mr -> Mr.create ?announce transport fd { Instances.rcv } callbacks
+    | `Lb -> Lb.create transport fd { Instances.rcv } callbacks
   in
   { engine; transport; handle; decisions; holds; control }
 
@@ -254,6 +256,21 @@ let test_indirect_empty_proposal_trivial algo () =
   List.iter (fun p -> propose_at h ~at:1.0 p 1 Proposal.empty) [ 0; 1; 2 ];
   Engine.run h.engine;
   check_uniform_agreement h 1 ~expect_deciders:3
+
+(* The announce join.  Under batching the round-1 coordinator may learn
+   of an instance only from a non-coordinator's announce, while its own
+   join value is empty (the harness's [join] always is).  It must seed
+   the instance with the announced estimate: every process then decides
+   the announced set, not the empty one. *)
+let test_announce_join_seeds algo () =
+  let h = mk ~announce:true ~algo ~indirect:false () in
+  let v = Proposal.on_ids [ mid 1 0 ] in
+  propose_at h ~at:1.0 1 1 v;
+  Engine.run h.engine;
+  check_uniform_agreement h 1 ~expect_deciders:3;
+  List.iter
+    (fun (_, d) -> checkb "decided the announced set" true (Proposal.equal d v))
+    (decisions_for h 1)
 
 (* CT-specific *)
 
@@ -681,6 +698,12 @@ let suites =
           both "indirect empty proposal" test_indirect_empty_proposal_trivial;
           both "determinism" test_determinism;
           both "undecided count" test_undecided_count;
+          [
+            Alcotest.test_case "ct: announce join seeds an empty join" `Quick
+              (test_announce_join_seeds `Ct);
+            Alcotest.test_case "mr: announce join seeds an empty join" `Quick
+              (test_announce_join_seeds `Mr);
+          ];
         ] );
     ( "ct",
       [

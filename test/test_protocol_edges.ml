@@ -11,6 +11,7 @@ module Fd = Ics_fd.Failure_detector
 module Proposal = Ics_consensus.Proposal
 module Ct = Ics_consensus.Ct
 module Mr = Ics_consensus.Mr
+module Instances = Ics_consensus.Instances
 module Intf = Ics_consensus.Consensus_intf
 module Stack = Ics_core.Stack
 module Experiment = Ics_workload.Experiment
@@ -42,8 +43,8 @@ let mk_manual ?(n = 3) algo =
   in
   let handle =
     match algo with
-    | `Ct -> Ct.create transport fd { Ct.layer = "consensus"; rcv = None } callbacks
-    | `Mr -> Mr.create transport fd { Mr.layer = "consensus"; rcv = None } callbacks
+    | `Ct -> Ct.create transport fd { Instances.rcv = None } callbacks
+    | `Mr -> Mr.create transport fd { Instances.rcv = None } callbacks
   in
   { engine; control; handle; decisions }
 
@@ -138,7 +139,7 @@ let test_ct_lagging_process_catches_up () =
       join = (fun _ _ -> Proposal.empty);
     }
   in
-  let handle = Ct.create transport fd { Ct.layer = "consensus"; rcv = None } callbacks in
+  let handle = Ct.create transport fd { Instances.rcv = None } callbacks in
   let v = Proposal.on_ids [ mid 0 0 ] in
   Engine.schedule engine ~at:1.0 (fun () ->
       List.iter (fun p -> handle.Ics_consensus.Consensus_intf.propose p 1 v) [ 0; 1; 2 ]);
