@@ -8,6 +8,7 @@ module Codec = Ics_codec.Codec
 module Prim = Ics_codec.Prim
 module Codecs = Ics_core.Codecs
 module Chaos = Ics_workload.Chaos
+module Abcast = Ics_core.Abcast
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -464,6 +465,24 @@ let test_sim_fingerprints_pinned () =
         expect r.Chaos.fingerprint)
     cases
 
+(* The six pins above run unbatched and without the app.  These two cover
+   the hosted machine in Ride mode (its submits, applies and state hashes
+   ride the trace) and a batched, pipelined cell, so moving the workload
+   schedule or the app wiring cannot shift either path unnoticed. *)
+let test_app_and_batched_fingerprints_pinned () =
+  let app = Chaos.run_one ~app:true Chaos.Ct_indirect Chaos.Storm ~seed:2L in
+  Alcotest.(check string)
+    "ct-indirect/storm seed 2, app" "ef1879ccfc1f4872f2bcc812b7ae4744"
+    app.Chaos.fingerprint;
+  let batched =
+    Chaos.run_one
+      ~batching:{ Abcast.batch = 4; pipeline = 2; flush_ms = 2.0 }
+      Chaos.Mr_indirect Chaos.Mixed ~seed:3L
+  in
+  Alcotest.(check string)
+    "mr-indirect/mixed seed 3, batch 4 pipeline 2"
+    "016f38db70d2114ab99f1430232282b5" batched.Chaos.fingerprint
+
 (* The fault-parity probe run is deterministic end to end: the interposer
    draws per-link streams, so this digest moving means the middleware's
    draw order (or the trace format) changed — which would also break the
@@ -502,6 +521,8 @@ let suites =
         Alcotest.test_case "in-place encoder matches legacy bytes" `Quick test_encode_into_matches_legacy;
         Alcotest.test_case "chunked partial-frame decode" `Quick test_partial_frame_chunked_decode;
         Alcotest.test_case "sim fingerprints pinned" `Quick test_sim_fingerprints_pinned;
+        Alcotest.test_case "app and batched fingerprints pinned" `Quick
+          test_app_and_batched_fingerprints_pinned;
         Alcotest.test_case "parity fingerprint pinned" `Quick test_parity_fingerprint_pinned;
         Alcotest.test_case "replay check finds no divergence" `Quick test_replay_check_clean;
       ] );
