@@ -51,11 +51,13 @@ rc=$$?; if [ $$rc -eq 2 ]; then echo "$(1)"; elif [ $$rc -ne 0 ]; then exit $$rc
 endef
 
 # Chaos cells as forked loopback-TCP clusters: the seeded plans compiled
-# onto real sockets through the same interposer.  Includes the blackout
-# cell, so the S2.2 ct-on-ids counterexample must reproduce on the live
-# backend too (exit 2 = sandbox has no sockets = skip, not failure).
+# onto real sockets through the same interposer, with the KV machine
+# hosted on every cell's broadcasts (Ride mode) and the app battery in
+# each verdict.  Includes the blackout cell, so the S2.2 ct-on-ids
+# counterexample must reproduce on the live backend too (exit 2 = sandbox
+# has no sockets = skip, not failure).
 chaos-live-smoke:
-	dune exec bin/ics_cli.exe -- chaos --live --seeds 1 --stacks ct-indirect,ct-on-ids --plans drop,blackout; \
+	dune exec bin/ics_cli.exe -- chaos --live --app --seeds 1 --stacks ct-indirect,ct-on-ids --plans drop,blackout; \
 	$(call skip_without_sockets,chaos-live-smoke: skipped (no loopback sockets))
 
 # Live 3-node loopback cluster, checker-verified, once per consensus

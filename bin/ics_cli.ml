@@ -75,15 +75,19 @@ let setup_conv =
       ("ideal", Stack.Ideal_lan { delay = 1.0; jitter = 0.1 });
     ]
 
-let stack_config_of_profile (p : Profile.t) =
-  {
-    Stack.default_config with
-    n = p.Profile.n;
-    algo = p.Profile.algo;
-    ordering = p.Profile.ordering;
-    broadcast = p.Profile.broadcast;
-    batching = Profile.batching p;
-  }
+(* A comma-separated flag value: entries trimmed, empty ones dropped, each
+   parsed by [parse]; the first it rejects exits 2 with [bad entry] on
+   stderr. *)
+let comma_list ~parse ~bad s =
+  String.split_on_char ',' s
+  |> List.map String.trim
+  |> List.filter (fun s -> s <> "")
+  |> List.map (fun entry ->
+         match parse entry with
+         | Some v -> v
+         | None ->
+             Format.eprintf "%s@." (bad entry);
+             exit 2)
 
 (* The consensus layer's counters as one line (CT: coordinator decisions
    by round, nacks sent, remote sends by kind).  Algorithms that keep
@@ -98,7 +102,7 @@ let print_consensus_counters = function
 
 let run_cmd =
   let exec profile setup tput size duration seed check =
-    let config = { (stack_config_of_profile profile) with Stack.setup; seed } in
+    let config = { (Stack.config_of_profile profile) with Stack.setup; seed } in
     let load =
       {
         Experiment.throughput = tput;
@@ -225,7 +229,7 @@ let trace_cmd =
   let exec profile messages crash csv =
     let config =
       {
-        (stack_config_of_profile profile) with
+        (Stack.config_of_profile profile) with
         Stack.setup = Stack.Ideal_lan { delay = 1.0; jitter = 0.0 };
         fd_kind = Stack.Oracle 10.0;
       }
@@ -276,16 +280,7 @@ let chaos_cmd =
     let batching = Profile.batching profile in
     let parse_csv ~what ~of_string ~all s =
       if s = "all" then all
-      else
-        String.split_on_char ',' s
-        |> List.map String.trim
-        |> List.filter (fun s -> s <> "")
-        |> List.map (fun name ->
-               match of_string name with
-               | Some v -> v
-               | None ->
-                   Format.eprintf "unknown %s %s@." what name;
-                   exit 2)
+      else comma_list ~parse:of_string ~bad:(Printf.sprintf "unknown %s %s" what) s
     in
     let stacks =
       parse_csv ~what:"stack" ~of_string:Chaos.stack_of_string
@@ -296,6 +291,10 @@ let chaos_cmd =
         ~all:Chaos.all_plans plans
     in
     let backend = if live then `Live else `Sim in
+    if live && jobs_check then begin
+      Format.eprintf "chaos: --jobs-check needs the sim backend@.";
+      exit 2
+    end;
     if live then require_sockets "chaos";
     if jobs < 1 then begin
       Format.eprintf "chaos: --jobs must be >= 1@.";
@@ -314,10 +313,6 @@ let chaos_cmd =
     in
     Chaos.report ~verbose Format.std_formatter cells;
     if jobs_check then begin
-      if live then begin
-        Format.eprintf "chaos: --jobs-check needs the sim backend@.";
-        exit 2
-      end;
       (* The jobs-determinism fence: the same sweep at --jobs 1 and at
          the requested width must agree on every run's fingerprint, not
          just on the failures the matrix shows. *)
@@ -556,15 +551,10 @@ let cluster_cmd =
 let node_cmd =
   let exec self ports profile epoch trace_out stats_out =
     let ports =
-      String.split_on_char ',' ports
-      |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
-      |> List.map (fun s ->
-             match int_of_string_opt s with
-             | Some p when p > 0 && p < 65536 -> p
-             | _ ->
-                 Format.eprintf "node: bad port %s@." s;
-                 exit 2)
+      comma_list ports
+        ~parse:(fun s ->
+          match int_of_string_opt s with Some p when p > 0 && p < 65536 -> Some p | _ -> None)
+        ~bad:(Printf.sprintf "node: bad port %s")
     in
     let n = List.length ports in
     if n < 2 then begin
@@ -680,15 +670,12 @@ module Saturation = Ics_workload.Saturation
 let bench_cmd =
   let exec profile offered live duration size seed replay_check =
     let loads =
-      String.split_on_char ',' offered
-      |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
-      |> List.map (fun s ->
-             match float_of_string_opt s with
-             | Some v when v > 0.0 && Float.is_finite v -> v
-             | _ ->
-                 Format.eprintf "bench: bad offered load %s@." s;
-                 exit 2)
+      comma_list offered
+        ~parse:(fun s ->
+          match float_of_string_opt s with
+          | Some v when v > 0.0 && Float.is_finite v -> Some v
+          | _ -> None)
+        ~bad:(Printf.sprintf "bench: bad offered load %s")
     in
     if loads = [] then begin
       Format.eprintf "bench: --offered-load is empty@.";

@@ -1,6 +1,6 @@
 (* One replica's application plane, shared verbatim by both backends:
-   the simulated stack installs one per pid on the shared transport, the
-   live runtime installs one in each node process.  Everything ambient —
+   Workload installs one per pid on a simulated run's shared transport,
+   and one in each live node process.  Everything ambient —
    time, timers, liveness, the trace sink, the run horizon — comes
    through the transport's Env seam, which is what makes the hosted
    machine's behaviour (and therefore its state hashes) a function of
@@ -129,9 +129,6 @@ let on_deliver t (m : App_msg.t) =
       | Machine.Duplicate | Machine.Rejected -> ())
 
 let complete t = Machine.cursor t.machine >= t.total
-let total t = t.total
-let machine t = t.machine
-let hash t = Machine.hash t.machine
 
 let sessions_done t =
   match t.sessions with Some s -> Session.all_done s | None -> true

@@ -9,7 +9,6 @@
 
 module Pid = Ics_sim.Pid
 module App_msg = Ics_net.App_msg
-module Machine = Ics_app.Machine
 
 type mode =
   | Service  (** closed-loop sessions drive the workload *)
@@ -44,7 +43,4 @@ val on_deliver : t -> App_msg.t -> unit
 val complete : t -> bool
 (** The whole workload has taken effect at this replica. *)
 
-val total : t -> int
-val machine : t -> Machine.t
-val hash : t -> int64
 val sessions_done : t -> bool

@@ -122,6 +122,16 @@ let profile config =
     flush_ms = config.batching.Abcast.flush_ms;
   }
 
+let config_of_profile (p : Profile.t) =
+  {
+    default_config with
+    n = p.Profile.n;
+    algo = p.Profile.algo;
+    ordering = p.Profile.ordering;
+    broadcast = p.Profile.broadcast;
+    batching = Profile.batching p;
+  }
+
 let create ?engine ?rule ?(on_deliver = fun _ _ -> ()) ?manual_fd config =
   if config.n <= 0 then invalid_arg "Stack.create: n <= 0";
   let engine =

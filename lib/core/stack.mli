@@ -112,6 +112,10 @@ val profile : config -> Profile.t
 (** The {!Profile.t} with this config's shape and default workload
     fields. *)
 
+val config_of_profile : Profile.t -> config
+(** The inverse of {!profile}: {!default_config} with the profile's
+    shape ([n], [algo], [ordering], [broadcast], batching knobs). *)
+
 val create :
   ?engine:Engine.t ->
   ?rule:(Ics_net.Message.t -> Model.action) ->

@@ -3,6 +3,7 @@ module Msg_id = Ics_net.Msg_id
 module Stack = Ics_core.Stack
 module Abcast = Ics_core.Abcast
 module Profile = Ics_core.Profile
+module Workload = Ics_core.Workload
 module Checker = Ics_checker.Checker
 
 type spawn =
@@ -142,6 +143,24 @@ let measure events =
   in
   (duration, summarize_opt !samples, summarize_opt !app_samples, throughput)
 
+let judge ~check profile run =
+  let verdict =
+    match (check, profile.Profile.ordering) with
+    | `All, _ | `By_ordering, Abcast.Indirect_consensus -> Checker.check_all_abcast run
+    | `By_ordering, (Abcast.Consensus_on_messages | Abcast.Consensus_on_ids) ->
+        Checker.check_atomic_broadcast run
+  in
+  (* With an app hosted, its semantic battery judges the run too. *)
+  match profile.Profile.app with
+  | Profile.Kv -> Checker.merge [ verdict; Checker.check_app run ]
+  | Profile.No_app -> verdict
+
+let app_hash run =
+  List.fold_left
+    (fun acc (_, c, h) ->
+      match acc with Some (c0, _) when c0 >= c -> acc | _ -> Some (c, h))
+    None (Checker.Run.app_hashes run)
+
 let fork_children ~config ~dir ~epoch ~listeners ~addrs n =
   flush stdout;
   flush stderr;
@@ -275,27 +294,7 @@ let run config =
     in
     let merged = Trace_io.merge per_node in
     let run = Checker.Run.of_trace merged ~n in
-    let verdict =
-      match (config.check, profile.Profile.ordering) with
-      | `All, _ | `By_ordering, Abcast.Indirect_consensus ->
-          Checker.check_all_abcast run
-      | `By_ordering, (Abcast.Consensus_on_messages | Abcast.Consensus_on_ids)
-        ->
-          Checker.check_atomic_broadcast run
-    in
-    (* With an app hosted, its semantic battery judges the run too. *)
-    let verdict =
-      match profile.Profile.app with
-      | Profile.Kv -> Checker.merge [ verdict; Checker.check_app run ]
-      | Profile.No_app -> verdict
-    in
-    let app_hash =
-      List.fold_left
-        (fun acc (_, c, h) ->
-          match acc with Some (c0, _) when c0 >= c -> acc | _ -> Some (c, h))
-        None
-        (Checker.Run.app_hashes run)
-    in
+    let verdict = judge ~check:config.check profile run in
     let events_list = Trace.events merged in
     let duration_ms, latency, app_latency, throughput_msg_s = measure events_list in
     let delivered_per_node =
@@ -309,14 +308,8 @@ let run config =
     in
     let totals = Trace_io.sum_kv node_stats in
     let count key = Option.value (List.assoc_opt key totals) ~default:0 in
-    let expected_per_node =
-      match profile.Profile.app with
-      | Profile.Kv when not config.node.Node.chaos_workload ->
-          profile.Profile.clients * profile.Profile.requests
-      | _ ->
-          if config.node.Node.chaos_workload then profile.Profile.count
-          else profile.Profile.count * n
-    in
+    let kind = Workload.kind profile ~round_robin:config.node.Node.chaos_workload in
+    let expected_per_node = Workload.expected profile kind in
     let outcome =
       {
         verdict;
@@ -326,7 +319,7 @@ let run config =
         duration_ms;
         latency;
         app_latency;
-        app_hash;
+        app_hash = app_hash run;
         throughput_msg_s;
         events = Trace.length merged;
         faults = split_kv "fault." totals;

@@ -75,6 +75,17 @@ type outcome = {
 val ok : outcome -> bool
 (** Checker verdict passed and every node exited via the done barrier. *)
 
+val judge :
+  check:[ `By_ordering | `All ] ->
+  Ics_core.Profile.t ->
+  Checker.Run.t ->
+  Checker.verdict
+(** The abcast battery [check] picks, plus {!Checker.check_app} when
+    [profile] hosts the app. *)
+
+val app_hash : Checker.Run.t -> (int * int64) option
+(** The deepest state-hash event of a run: (applied cursor, hash). *)
+
 val measure :
   Ics_sim.Trace.event list ->
   float * Ics_prelude.Stats.summary option * Ics_prelude.Stats.summary option * float

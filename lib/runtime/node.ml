@@ -13,6 +13,7 @@ module Nemesis = Ics_faults.Nemesis
 module Codec = Ics_codec.Codec
 module Prim = Ics_codec.Prim
 module Rng = Ics_prelude.Rng
+module Workload = Ics_core.Workload
 
 (* Runtime control plane, two steps on the "ctl" layer — the distributed
    analogue of the simulator's quiescence check, with the run deadline as
@@ -97,48 +98,25 @@ let result_kv r =
   @ List.map (fun (k, v) -> ("retx." ^ k, v)) r.retx
   @ List.map (fun (k, v) -> ("consensus." ^ k, v)) r.consensus
 
-(* The chaos sweep's workload, replayed from the cell seed: every node
-   computes the same round-robin schedule (the RNG is drawn for every slot
-   whether or not it is ours) and fires only the slots it originates.
-   With an app hosted, slot [i] carries command (client = i, req = 0) in
-   its blob — one Create per one-request client, since this open-loop
-   schedule cannot promise per-client FIFO delivery (see App_host).  The
-   machine rides the exact same broadcasts, so the sweep's pinned
-   fingerprints only gain app events, and a cell where commands never
-   take effect fails semantically. *)
-let schedule_chaos engine config abcast =
-  let p = config.profile in
-  let app = match p.Profile.app with Profile.Kv -> true | Profile.No_app -> false in
-  let body_bytes =
-    if app then Ics_core.App_host.body_bytes p else p.Profile.body_bytes
-  in
-  let wrng = Rng.create (Int64.add config.seed 104729L) in
-  let at = ref 1.0 in
-  for i = 0 to p.Profile.count - 1 do
-    let t = !at in
-    if i mod p.Profile.n = config.self then begin
-      let blob = if app then Ics_app.Cmd.pack ~client:i ~req:0 else 0L in
-      Engine.schedule engine ~at:(p.Profile.warmup_ms +. t) (fun () ->
-          if app && Engine.is_alive engine config.self then
-            Engine.record engine config.self (Trace.App_submit (i, 0));
-          ignore
-            (Abcast.abroadcast ~blob abcast ~src:config.self ~body_bytes
-              : Ics_net.App_msg.t))
-    end;
-    at := t +. 2.0 +. Rng.float wrng 4.0
-  done
-
-let schedule_legacy engine config abcast =
-  let p = config.profile in
-  for k = 0 to p.Profile.count - 1 do
-    Engine.schedule engine
-      ~at:(p.Profile.warmup_ms +. (p.Profile.gap_ms *. float_of_int k))
-      (fun () ->
-        ignore
-          (Abcast.abroadcast abcast ~src:config.self
-             ~body_bytes:p.Profile.body_bytes
-            : Ics_net.App_msg.t))
-  done
+(* A cell's plan, shifted past the warm-up with the workload it faults,
+   on [self]'s outbound links (a live node) or on every link (a
+   simulated run sharing one transport). *)
+let install_plan ?self transport config =
+  match config.plan with
+  | [] -> (None, fun () -> ([], []))
+  | plan ->
+      let stats, retx =
+        Nemesis.install ?self transport ~seed:config.plan_seed
+          ~plan:(Nemesis.shift plan ~by:config.profile.Profile.warmup_ms)
+          ~retransmit:config.retransmit
+      in
+      let counters () =
+        ( Model.Fault_stats.to_list stats,
+          match retx with
+          | Some ch -> Retransmit.stats_to_list (Retransmit.channel_stats ch)
+          | None -> [] )
+      in
+      (retx, counters)
 
 let run ~epoch ~listen ~peer_addrs config =
   let p = config.profile in
@@ -154,32 +132,13 @@ let run ~epoch ~listen ~peer_addrs config =
     Socket_transport.create ~engine ~clock ~self:config.self ~listen ~peer_addrs ()
   in
   let transport = Socket_transport.transport st in
-  let fstats, retx =
-    match config.plan with
-    | [] -> (None, None)
-    | plan ->
-        let stats, retx =
-          Nemesis.install ~self:config.self transport ~seed:config.plan_seed
-            ~plan:(Nemesis.shift plan ~by:p.Profile.warmup_ms)
-            ~retransmit:config.retransmit
-        in
-        (Some stats, retx)
-  in
+  let retx, plan_counters = install_plan ~self:config.self transport config in
   let fd =
     Failure_detector.heartbeat transport ~period:p.Profile.hb_period_ms
       ~timeout:p.Profile.hb_timeout_ms
   in
-  let app_mode = match p.Profile.app with Profile.Kv -> true | Profile.No_app -> false in
-  (* Service mode: the closed-loop client plane generates the workload
-     and the barrier is semantic — every command applied here — instead
-     of a delivery count (retries make raw deliveries overshoot). *)
-  let service = app_mode && not config.chaos_workload in
-  let expected =
-    if service then p.Profile.clients * p.Profile.requests
-    else if config.chaos_workload then p.Profile.count
-    else p.Profile.count * n
-  in
-  let delivered = ref 0 in
+  let kind = Workload.kind p ~round_robin:config.chaos_workload in
+  let load = Workload.create p kind ~self:config.self ~seed:config.seed in
   let done_from = Array.make n false in
   let announced = ref false in
   let ctl = Transport.intern transport ctl_layer in
@@ -188,42 +147,23 @@ let run ~epoch ~listen ~peer_addrs config =
       announced := true;
       done_from.(config.self) <- true;
       Transport.send_to_others transport ~src:config.self ~layer:ctl ~body_bytes:5
-        (Done !delivered)
+        (Done (Workload.delivered load))
     end
-  in
-  let host = ref None in
-  let barrier_reached () =
-    match !host with
-    | Some h when service -> Ics_core.App_host.complete h
-    | _ -> !delivered >= expected
   in
   let on_deliver pid m =
     if Pid.equal pid config.self then begin
-      incr delivered;
-      (match !host with Some h -> Ics_core.App_host.on_deliver h m | None -> ());
-      if barrier_reached () then announce ()
+      Workload.on_deliver load m;
+      if Workload.complete load then announce ()
     end
   in
   let abcast = Stack.assemble transport ~fd ~profile:p ~on_deliver in
-  if app_mode then begin
-    let mode =
-      if service then Ics_core.App_host.Service else Ics_core.App_host.Ride
-    in
-    let h =
-      Ics_core.App_host.install transport ~abcast ~profile:p ~self:config.self ~mode
-    in
-    host := Some h;
-    if service then
-      Ics_core.App_host.start h ~at:p.Profile.warmup_ms ~over_ms:200.0
-  end;
+  Workload.install load transport ~abcast;
   let bye_from = Array.make n false in
   Transport.register transport config.self ~layer:ctl (fun msg ->
       match msg.Message.payload with
       | Done _ -> done_from.(msg.Message.src) <- true
       | Bye -> bye_from.(msg.Message.src) <- true
       | _ -> ());
-  if config.chaos_workload then schedule_chaos engine config abcast
-  else if not service then schedule_legacy engine config abcast;
   let all_done () = !announced && Array.for_all Fun.id done_from in
   (* A plan-scheduled crash of our own pid is process death: leave the
      loop instead of idling to the deadline as a zombie. *)
@@ -277,9 +217,10 @@ let run ~epoch ~listen ~peer_addrs config =
   let ended = Socket_transport.run st ~deadline:p.Profile.deadline_ms ~stop ~leave in
   let clean = all_done () in
   Socket_transport.close st;
+  let faults, retx_counts = plan_counters () in
   {
-    delivered = !delivered;
-    expected;
+    delivered = Workload.delivered load;
+    expected = Workload.expected p kind;
     clean_exit = clean;
     leave =
       (if not (alive ()) then On_crash
@@ -290,12 +231,8 @@ let run ~epoch ~listen ~peer_addrs config =
          | `Deadline -> On_deadline);
     linger_ms = ended.Socket_transport.linger_ms;
     net = Socket_transport.stats st;
-    faults =
-      (match fstats with Some s -> Model.Fault_stats.to_list s | None -> []);
-    retx =
-      (match retx with
-      | Some ch -> Retransmit.stats_to_list (Retransmit.channel_stats ch)
-      | None -> []);
+    faults;
+    retx = retx_counts;
     consensus = Abcast.consensus_counters abcast;
     trace = Engine.trace engine;
   }

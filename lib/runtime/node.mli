@@ -12,13 +12,13 @@
     same middleware and per-link fault draws, as a simulated chaos
     cell.
 
-    Termination: with the legacy workload each node A-broadcasts
-    [profile.count] messages ([gap_ms] apart, after [warmup_ms]) and
-    expects [count * n] deliveries; with [chaos_workload] the cluster
-    replays the chaos sweep's seeded round-robin schedule ([count] total
-    messages).  When a node has A-delivered everything it announces
-    [Done] on the ["ctl"] layer; once every peer has announced too it is
-    past the barrier.  From then on it says [Bye] as soon as it holds no
+    Termination: the node runs the {!Ics_core.Workload} that [profile]
+    and [chaos_workload] pick, as a simulated run
+    ({!Ics_workload.Run.sim}) does on every pid, and waits for
+    {!Ics_core.Workload.expected} deliveries (or applied commands).
+    When a node has everything it waits for it announces [Done] on the
+    ["ctl"] layer; once every peer has announced too it is past the
+    barrier.  From then on it says [Bye] as soon as it holds no
     undecided consensus instance, and it leaves once every peer has said
     Bye — or {!Socket_transport.grace_ms} after the barrier if one never
     does, at [deadline_ms], or when a plan clause crashes its own pid
@@ -56,6 +56,15 @@ type config = {
 
 val default_workload : config
 (** [Profile.default] shape and workload, no fault plan. *)
+
+val install_plan :
+  ?self:int ->
+  Ics_net.Transport.t ->
+  config ->
+  Ics_net.Retransmit.channel option * (unit -> (string * int) list * (string * int) list)
+(** Install [plan] as above, or over a simulated run's whole transport
+    without [self]; returns the retransmission channel and a reader of
+    the fault and retransmission counters ([[]] where none). *)
 
 (** How a node's event loop ended. *)
 type leave =

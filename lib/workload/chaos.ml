@@ -1,16 +1,11 @@
 module Engine = Ics_sim.Engine
 module Time = Ics_sim.Time
-module Pid = Ics_sim.Pid
 module Rng = Ics_prelude.Rng
 module Table = Ics_prelude.Table
-module Model = Ics_net.Model
-module Retransmit = Ics_net.Retransmit
 module Nemesis = Ics_faults.Nemesis
 module Stack = Ics_core.Stack
 module Abcast = Ics_core.Abcast
 module Profile = Ics_core.Profile
-module App_host = Ics_core.App_host
-module Cmd = Ics_app.Cmd
 module Checker = Ics_checker.Checker
 module Node = Ics_runtime.Node
 module Cluster = Ics_runtime.Cluster
@@ -139,8 +134,6 @@ type result = {
   plan : Nemesis.plan;
   verdict : Checker.verdict;
   quiescent : bool;
-  delivered : int;
-  blocked : int;
   faults : (string * int) list;
   retx : (string * int) list;
   fingerprint : string;
@@ -151,138 +144,10 @@ let passed r = Checker.ok r.verdict && r.quiescent
 let horizon = 5_000.0
 let messages = 10
 
-(* The (algorithm, ordering) pair a stack kind names — shared by both
-   backends so a cell means the same protocol either way. *)
-let stack_shape = function
-  | Ct_indirect -> (Stack.Ct, Abcast.Indirect_consensus)
-  | Mr_indirect -> (Stack.Mr, Abcast.Indirect_consensus)
-  | Ct_on_ids -> (Stack.Ct, Abcast.Consensus_on_ids)
-
-(* App-on-top cells host the KV machine on the exact same chaos
-   broadcasts (Ride mode: slot i = one-request client i), so a cell where
-   ordered commands never take effect fails *semantically* — via
-   app.progress and state-hash agreement — not just via the message-level
-   battery.  The app fields are cell constants and one [cell_profile]
-   serves both backends, so a (stack, plan, seed) cell means the same run
-   either way. *)
-let app_seed = 42
-let app_hash_every = 4
-
-let cell_profile ~batching ~app stack ~n =
-  let algo, ordering = stack_shape stack in
-  {
-    Profile.default with
-    Profile.n;
-    algo;
-    ordering;
-    batch = batching.Abcast.batch;
-    pipeline = batching.Abcast.pipeline;
-    flush_ms = batching.Abcast.flush_ms;
-    app = (if app then Profile.Kv else Profile.No_app);
-    app_seed;
-    hash_every = app_hash_every;
-    count = messages;
-    body_bytes = 32;
-  }
-
 (* Both backends hand a cell's plan to [Nemesis.install] under this seed,
    so a (stack, plan, seed) cell draws the same per-link fault streams
    either way. *)
 let plan_seed seed = Int64.add seed 0x5DEECE66DL
-
-let run_one_sim ?(batching = Abcast.no_batching) ?(app = false) ~retransmit ?n
-    stack plan_kind ~seed =
-  let n = match n with Some n -> n | None -> default_n stack in
-  let plan = gen_plan plan_kind ~n ~seed in
-  let algo, ordering = stack_shape stack in
-  let config =
-    {
-      Stack.default_config with
-      n;
-      seed;
-      algo;
-      ordering;
-      batching;
-      setup = Stack.Ideal_lan { delay = 1.0; jitter = 0.0 };
-      fd_kind = Stack.Oracle 10.0;
-      trace = `On;
-    }
-  in
-  let hosts = ref [||] in
-  let on_deliver p m =
-    if Array.length !hosts > 0 then App_host.on_deliver !hosts.(p) m
-  in
-  let stack_t = Stack.create ~on_deliver config in
-  let engine = stack_t.Stack.engine in
-  let fstats, retx =
-    Nemesis.install stack_t.Stack.transport ~seed:(plan_seed seed) ~plan
-      ~retransmit
-  in
-  if app then begin
-    let profile = cell_profile ~batching ~app stack ~n in
-    hosts :=
-      Array.init n (fun p ->
-          App_host.install stack_t.Stack.transport ~abcast:stack_t.Stack.abcast
-            ~profile ~self:p ~mode:App_host.Ride)
-  end;
-  (* Deterministic workload: [messages] abroadcasts, origin 0 first (the
-     blackout victim must originate), then round-robin at seeded spacing.
-     With the app hosted, slot [i] carries command (client = i, req = 0)
-     in its blob — the broadcasts themselves are unchanged. *)
-  let wrng = Rng.create (Int64.add seed 104729L) in
-  let at = ref 1.0 in
-  for i = 0 to messages - 1 do
-    let t = !at in
-    let src = i mod n in
-    let blob = if app then Cmd.pack ~client:i ~req:0 else 0L in
-    Engine.schedule engine ~at:t (fun () ->
-        if app && Engine.is_alive engine src then
-          Engine.record engine src (Ics_sim.Trace.App_submit (i, 0));
-        ignore (Stack.abroadcast ~blob stack_t ~src ~body_bytes:32));
-    at := t +. 2.0 +. Rng.float wrng 4.0
-  done;
-  Stack.run ~until:horizon stack_t;
-  let quiescent = Engine.pending engine = 0 in
-  let trace = Engine.trace engine in
-  let run = Checker.Run.of_trace trace ~n in
-  let verdict =
-    if app then
-      Checker.merge [ Checker.check_all_abcast run; Checker.check_app run ]
-    else Checker.check_all_abcast run
-  in
-  let correct = Checker.Run.correct run in
-  let delivered =
-    List.fold_left
-      (fun acc p ->
-        acc + List.length (Abcast.delivered_sequence stack_t.Stack.abcast p))
-      0 correct
-  in
-  let blocked =
-    List.length
-      (List.filter
-         (fun p -> Abcast.blocked_head stack_t.Stack.abcast p <> None)
-         correct)
-  in
-  let fingerprint = Ics_sim.Trace.fingerprint trace in
-  {
-    backend = `Sim;
-    stack;
-    plan_kind;
-    n;
-    seed;
-    retransmit;
-    plan;
-    verdict;
-    quiescent;
-    delivered;
-    blocked;
-    faults = Model.Fault_stats.to_list fstats;
-    retx =
-      (match retx with
-      | Some ch -> Retransmit.stats_to_list (Retransmit.channel_stats ch)
-      | None -> []);
-    fingerprint;
-  }
 
 (* Live cells reuse the sim plan timeline (fault windows in the first few
    tens of ms) shifted past connection warm-up by Node.run itself; the
@@ -291,60 +156,98 @@ let run_one_sim ?(batching = Abcast.no_batching) ?(app = false) ~retransmit ?n
 let live_warmup_ms = 400.0
 let live_deadline_ms = 2_500.0
 
-let run_one_live ?(batching = Abcast.no_batching) ?(app = false) ~retransmit ?n
-    stack plan_kind ~seed =
-  let n = match n with Some n -> n | None -> default_n stack in
-  let plan = gen_plan plan_kind ~n ~seed in
-  let node =
+(* One cell, one Node.config on either backend: the workload is the
+   seeded round-robin schedule (origin 0 first, so the blackout victim
+   originates), and only the live warm-up and deadline differ.
+   App-on-top cells host the KV machine on the exact same broadcasts
+   (Ride mode: slot i = one-request client i), so a cell where ordered
+   commands never take effect fails *semantically* — via app.progress
+   and state-hash agreement — not just via the message-level battery.
+   The app fields are cell constants, so a (stack, plan, seed) cell means
+   the same run either way. *)
+let cell_node ~backend ~batching ~app ~retransmit ~n stack plan ~seed =
+  let algo, ordering =
+    match stack with
+    | Ct_indirect -> (Stack.Ct, Abcast.Indirect_consensus)
+    | Mr_indirect -> (Stack.Mr, Abcast.Indirect_consensus)
+    | Ct_on_ids -> (Stack.Ct, Abcast.Consensus_on_ids)
+  in
+  let profile =
     {
-      Node.default_workload with
-      Node.profile =
-        {
-          (cell_profile ~batching ~app stack ~n) with
-          Profile.warmup_ms = live_warmup_ms;
-          deadline_ms = live_deadline_ms;
-        };
-      seed;
-      plan;
-      plan_seed = plan_seed seed;
-      retransmit;
-      chaos_workload = true;
+      Profile.default with
+      Profile.n;
+      algo;
+      ordering;
+      batch = batching.Abcast.batch;
+      pipeline = batching.Abcast.pipeline;
+      flush_ms = batching.Abcast.flush_ms;
+      app = (if app then Profile.Kv else Profile.No_app);
+      app_seed = 42;
+      hash_every = 4;
+      count = messages;
+      body_bytes = 32;
+      warmup_ms = 0.0;
     }
   in
-  match
-    Run.live ~attempts:1
-      ~latency:(fun (o : Cluster.outcome) -> o.latency)
-      ~stop:Cluster.ok node
-  with
-  | Error reason -> failwith ("chaos live backend: " ^ reason)
-  | Ok o ->
-      (* The live analogue of a drained event queue: every node exited on
-         its own (barrier or deadline), none died or had to be killed. *)
-      let quiescent =
-        Array.for_all (fun c -> c = 0 || c = 10) o.Cluster.exits
-      in
-      {
-        backend = `Live;
-        stack;
-        plan_kind;
-        n;
-        seed;
-        retransmit;
-        plan;
-        verdict = o.Cluster.verdict;
-        quiescent;
-        delivered = Array.fold_left ( + ) 0 o.Cluster.delivered_per_node;
-        blocked = 0;
-        faults = o.Cluster.faults;
-        retx = o.Cluster.retx;
-        fingerprint = "";
-      }
+  {
+    Node.default_workload with
+    Node.profile =
+      (match backend with
+      | `Sim -> profile
+      | `Live ->
+          { profile with Profile.warmup_ms = live_warmup_ms; deadline_ms = live_deadline_ms });
+    seed;
+    plan;
+    plan_seed = plan_seed seed;
+    retransmit;
+    chaos_workload = true;
+  }
 
-let run_one ?(backend = `Sim) ?batching ?app ?(retransmit = true) ?n stack
-    plan_kind ~seed =
+let run_one ?(backend = `Sim) ?(batching = Abcast.no_batching) ?(app = false)
+    ?(retransmit = true) ?n stack plan_kind ~seed =
+  let n = match n with Some n -> n | None -> default_n stack in
+  let plan = gen_plan plan_kind ~n ~seed in
+  let node = cell_node ~backend ~batching ~app ~retransmit ~n stack plan ~seed in
+  let result ~verdict ~quiescent ~faults ~retx ~fingerprint =
+    {
+      backend;
+      stack;
+      plan_kind;
+      n;
+      seed;
+      retransmit;
+      plan;
+      verdict;
+      quiescent;
+      faults;
+      retx;
+      fingerprint;
+    }
+  in
   match backend with
-  | `Sim -> run_one_sim ?batching ?app ~retransmit ?n stack plan_kind ~seed
-  | `Live -> run_one_live ?batching ?app ~retransmit ?n stack plan_kind ~seed
+  | `Sim ->
+      let s =
+        Run.sim
+          ~setup:(Stack.Ideal_lan { delay = 1.0; jitter = 0.0 })
+          ~fd:(Stack.Oracle 10.0) ~horizon node
+      in
+      result ~verdict:s.Run.verdict ~quiescent:s.Run.quiescent ~faults:s.Run.faults
+        ~retx:s.Run.retx
+        ~fingerprint:(Ics_sim.Trace.fingerprint (Engine.trace s.Run.stack.Stack.engine))
+  | `Live -> (
+      match
+        Run.live ~attempts:1
+          ~latency:(fun (o : Cluster.outcome) -> o.latency)
+          ~stop:Cluster.ok node
+      with
+      | Error reason -> failwith ("chaos live backend: " ^ reason)
+      | Ok o ->
+          (* The live analogue of a drained event queue: every node exited
+             on its own (barrier or deadline), none died or had to be
+             killed. *)
+          result ~verdict:o.Cluster.verdict
+            ~quiescent:(Array.for_all (fun c -> c = 0 || c = 10) o.Cluster.exits)
+            ~faults:o.Cluster.faults ~retx:o.Cluster.retx ~fingerprint:"")
 
 let replay_hint r =
   Printf.sprintf

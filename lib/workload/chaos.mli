@@ -71,8 +71,6 @@ type result = {
   plan : Nemesis.plan;
   verdict : Checker.verdict;
   quiescent : bool;  (** did the event queue drain before the horizon *)
-  delivered : int;  (** adeliveries summed over correct processes *)
-  blocked : int;  (** correct processes stuck on an undeliverable head *)
   faults : (string * int) list;  (** nemesis counters, {!Stack.fault_counters} format *)
   retx : (string * int) list;  (** retransmission-channel counters; [[]] without it *)
   fingerprint : string;  (** digest of the rendered trace — replay witness;

@@ -1,21 +1,25 @@
 (* The shared half of every workload point: one Setup-2 stack config,
-   one live runner, one replay check.  Each workload keeps only what is
-   its own — the workload and its stop rule. *)
+   one runner per backend for the same Node.config, one replay check.
+   Each workload keeps only what is its own — its Node.config and its
+   stop rule. *)
 
+module Engine = Ics_sim.Engine
+module Time = Ics_sim.Time
 module Stats = Ics_prelude.Stats
 module Stack = Ics_core.Stack
+module Workload = Ics_core.Workload
+module Checker = Ics_checker.Checker
 module Abcast = Ics_core.Abcast
 module Profile = Ics_core.Profile
 module Node = Ics_runtime.Node
 module Cluster = Ics_runtime.Cluster
 
-let setup2 ?(seed = 1L) ?(algo = Profile.Ct)
+let setup2 ?(algo = Profile.Ct)
     ?(ordering = Abcast.Indirect_consensus) ?(broadcast = Profile.Flood)
     ?(batching = Abcast.no_batching) ~n () =
   {
     Stack.default_config with
     Stack.n;
-    seed;
     algo;
     ordering;
     broadcast;
@@ -60,6 +64,41 @@ let live ~attempts ~latency ~stop node =
       | Ok o -> go (k + 1) (better o best)
   in
   Result.bind (once ()) (go 1)
+
+type sim = {
+  stack : Stack.t;
+  loads : Workload.t array;
+  run : Checker.Run.t;
+  verdict : Checker.verdict;
+  quiescent : bool;
+  faults : (string * int) list;
+  retx : (string * int) list;
+}
+
+(* The workloads exist before the stack so its delivery callback can
+   feed them; they schedule nothing until installed, after the plan, in
+   pid order. *)
+let sim ?ramp_ms ~setup ~fd ~horizon (node : Node.config) =
+  let p = node.Node.profile in
+  let kind = Workload.kind p ~round_robin:node.Node.chaos_workload in
+  let loads =
+    Array.init p.Profile.n (fun self -> Workload.create p kind ~self ~seed:node.Node.seed)
+  in
+  let config =
+    { (Stack.config_of_profile p) with Stack.seed = node.Node.seed; setup; fd_kind = fd }
+  in
+  let stack =
+    Stack.create ~on_deliver:(fun pid m -> Workload.on_deliver loads.(pid) m) config
+  in
+  let _, plan_counters = Node.install_plan stack.Stack.transport node in
+  Array.iter
+    (fun w -> Workload.install ?ramp_ms w stack.Stack.transport ~abcast:stack.Stack.abcast)
+    loads;
+  Stack.run ~until:horizon stack;
+  let quiescent = Engine.pending stack.Stack.engine = 0 in
+  let run = Checker.Run.of_trace (Engine.trace stack.Stack.engine) ~n:p.Profile.n in
+  let faults, retx = plan_counters () in
+  { stack; loads; run; verdict = Cluster.judge ~check:`All p run; quiescent; faults; retx }
 
 let replay fingerprint =
   let first = fingerprint () in

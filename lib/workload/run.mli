@@ -1,20 +1,24 @@
 (** The plumbing every workload point shares, written once.
 
     Chaos, saturation and service each run points on two backends.  What
-    differs between them is the workload and the rule for a good point;
-    what they share lives here: the Setup-2 stack config a sim point runs
-    on (and a live point derives its profile from), the live runner with
-    its best-of-k retry, and the run-twice replay check. *)
+    differs between them is the {!Node.config} a point runs and the rule
+    for a good point; what they share lives here: the Setup-2 stack
+    config (a live point derives its profile from it), one runner per
+    backend for the same {!Node.config} — {!sim} and {!live}, each
+    installing the per-process {!Ics_core.Workload} — and the run-twice
+    replay check. *)
 
+module Time = Ics_sim.Time
 module Stats = Ics_prelude.Stats
 module Stack = Ics_core.Stack
+module Workload = Ics_core.Workload
+module Checker = Ics_checker.Checker
 module Abcast = Ics_core.Abcast
 module Profile = Ics_core.Profile
 module Node = Ics_runtime.Node
 module Cluster = Ics_runtime.Cluster
 
 val setup2 :
-  ?seed:int64 ->
   ?algo:Profile.algo ->
   ?ordering:Abcast.ordering ->
   ?broadcast:Profile.broadcast_kind ->
@@ -22,8 +26,8 @@ val setup2 :
   n:int ->
   unit ->
   Stack.config
-(** Setup 2 (1 Gb/s switched, P4 hosts) stack config.  Defaults: seed 1,
-    CT, indirect consensus, flood, no batching. *)
+(** Setup 2 (1 Gb/s switched, P4 hosts) stack config.  Defaults: CT,
+    indirect consensus, flood, no batching. *)
 
 val live_profile : Profile.t -> window_ms:float -> Profile.t
 (** The profile of a measured live point: a 400 ms connection warm-up,
@@ -43,6 +47,31 @@ val live :
     then the one with the lower p99 of [latency].  [Error reason] only
     when the first attempt cannot run sockets; a later environment
     failure keeps what already ran. *)
+
+(** A finished simulated run; [faults] and [retx] are [[]] without a
+    plan. *)
+type sim = {
+  stack : Stack.t;
+  loads : Workload.t array;  (** indexed by pid *)
+  run : Checker.Run.t;
+  verdict : Checker.verdict;
+  quiescent : bool;  (** the event queue drained before the horizon *)
+  faults : (string * int) list;
+  retx : (string * int) list;
+}
+
+val sim :
+  ?ramp_ms:float ->
+  setup:Stack.setup ->
+  fd:Stack.fd_kind ->
+  horizon:Time.t ->
+  Node.config ->
+  sim
+(** The simulated twin of {!live}: the stack [node]'s profile describes,
+    seeded with [node.seed], on [setup] with the [fd] detector; [node]'s
+    plan ({!Node.install_plan}) and the workload a live node of [node]
+    runs, on every pid; run to [horizon] and judged with
+    {!Cluster.judge} [`All].  [self] is ignored. *)
 
 val replay : (unit -> string) -> (string, string * string) result
 (** Compute the fingerprint twice; [Ok fingerprint] iff both runs agree,

@@ -125,7 +125,7 @@ let sim_point ?(seed = 1L) ?(body_bytes = 32) ?(duration_ms = 4_000.0)
 
 let sim_curve ?seed ?algo ?ordering ?body_bytes ?duration_ms ~n ~batching
     ~broadcast offered_loads =
-  let config = Run.setup2 ?seed ?algo ?ordering ~broadcast ~batching ~n () in
+  let config = Run.setup2 ?algo ?ordering ~broadcast ~batching ~n () in
   {
     backend = `Sim;
     n;
@@ -151,6 +151,19 @@ let live_of_outcome offered (o : Cluster.outcome) =
     delivered = Array.fold_left ( + ) 0 o.Cluster.delivered_per_node;
   }
 
+(* [offered] msg/s cluster-wide for [duration_ms], as each node's even
+   share: the profile a saturation cell runs on either backend. *)
+let slots_profile config ~offered ~duration_ms ~body_bytes =
+  let n = config.Stack.n in
+  let per_node = offered /. float_of_int n in
+  {
+    (Stack.profile config) with
+    Profile.count =
+      max 1 (int_of_float (Float.round (offered *. duration_ms /. 1000.0 /. float_of_int n)));
+    body_bytes;
+    gap_ms = 1000.0 /. per_node;
+  }
+
 (* A fixed arrival window: each node broadcasts its share of [offered] at
    even gaps for [duration_ms], then the cluster drains to the delivery
    barrier (or times out, which marks the point un-clean).  The drain
@@ -163,18 +176,9 @@ let live_point ?(seed = 1L) ?algo ?ordering ?(body_bytes = 32)
     ?(duration_ms = 2_000.0) ?(drain_ms = 10_000.0) ?(attempts = 1) ~n
     ~batching ~broadcast offered =
   let config = Run.setup2 ?algo ?ordering ~broadcast ~batching ~n () in
-  let per_node = offered /. float_of_int n in
-  let count =
-    int_of_float (Float.round (offered *. duration_ms /. 1000.0 /. float_of_int n))
-  in
   let profile =
     Run.live_profile
-      {
-        (Stack.profile config) with
-        Profile.count = max 1 count;
-        body_bytes;
-        gap_ms = 1000.0 /. per_node;
-      }
+      (slots_profile config ~offered ~duration_ms ~body_bytes)
       ~window_ms:(duration_ms +. drain_ms)
   in
   Run.live ~attempts
@@ -204,17 +208,16 @@ let live_curve ?seed ?algo ?ordering ?body_bytes ?duration_ms ?drain_ms
    to the batched/pipelined/ring configuration. *)
 let sim_fingerprint ?(seed = 11L) ?algo ?ordering ?(offered = 400.0)
     ?(duration_ms = 1_000.0) ~n ~batching ~broadcast () =
-  let stack = Stack.create (Run.setup2 ~seed ?algo ?ordering ~broadcast ~batching ~n ()) in
-  let engine = stack.Stack.engine in
-  let gap = 1000.0 /. (offered /. float_of_int n) in
-  let per_node = int_of_float (Float.round (duration_ms /. gap)) in
-  for k = 0 to (per_node * n) - 1 do
-    Engine.schedule engine
-      ~at:(10.0 +. (gap *. float_of_int (k / n)))
-      (fun () -> ignore (Stack.abroadcast stack ~src:(k mod n) ~body_bytes:32))
-  done;
-  Stack.run ~until:(duration_ms +. 10_000.0) stack;
-  Ics_sim.Trace.fingerprint (Engine.trace engine)
+  let config = Run.setup2 ?algo ?ordering ~broadcast ~batching ~n () in
+  let profile =
+    { (slots_profile config ~offered ~duration_ms ~body_bytes:32) with Profile.warmup_ms = 10.0 }
+  in
+  let s =
+    Run.sim ~setup:config.Stack.setup ~fd:config.Stack.fd_kind
+      ~horizon:(duration_ms +. 10_000.0)
+      { Node.default_workload with Node.profile; seed }
+  in
+  Ics_sim.Trace.fingerprint (Engine.trace s.Run.stack.Stack.engine)
 
 let replay_check ?seed ?algo ?ordering ?offered ?duration_ms ~n ~batching
     ~broadcast () =

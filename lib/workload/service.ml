@@ -16,7 +16,7 @@ module Stack = Ics_core.Stack
 module Abcast = Ics_core.Abcast
 module Profile = Ics_core.Profile
 module App_host = Ics_core.App_host
-module Machine = Ics_app.Machine
+module Workload = Ics_core.Workload
 module Checker = Ics_checker.Checker
 module Node = Ics_runtime.Node
 module Cluster = Ics_runtime.Cluster
@@ -61,81 +61,62 @@ let pp_point ppf p =
     p.latency.Stats.p99 (status p)
     (match p.hash with Some (c, h) -> Printf.sprintf " (hash %Lx @ %d)" h c | None -> "")
 
-(* The profile both backends run: the config's stack shape plus the
-   closed-loop KV workload. *)
-let app_profile config ~clients ~requests ~app_seed ~hash_every ~retry_ms =
+(* A point from what both backends measure. *)
+let point backend ~n ~clients ~requests ~achieved ~latency ~verdict ~clean ~hash =
   {
-    (Stack.profile config) with
-    Profile.app = Profile.Kv;
+    backend;
+    n;
     clients;
     requests;
-    app_seed;
-    hash_every;
-    retry_ms;
-    count = clients * requests;
-    body_bytes = 32;
+    commands = clients * requests;
+    achieved;
+    latency = Option.value latency ~default:Stats.empty_summary;
+    checker_ok = Checker.ok verdict;
+    clean;
+    hash;
+  }
+
+(* The node config both backends run: the config's stack shape plus the
+   closed-loop KV workload.  Sessions start 10 ms in on the simulator;
+   [Run.live_profile] moves the start past connection warm-up. *)
+let app_node config ~seed ~clients ~requests ~app_seed ~hash_every ~retry_ms =
+  {
+    Node.default_workload with
+    Node.profile =
+      {
+        (Stack.profile config) with
+        Profile.app = Profile.Kv;
+        clients;
+        requests;
+        app_seed;
+        hash_every;
+        retry_ms;
+        count = clients * requests;
+        body_bytes = 32;
+        warmup_ms = 10.0;
+      };
+    seed;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Simulated service point.                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Assemble a stack, install an App_host per replica (Service mode: the
-   hosts own the client sessions), start the sessions staggered over
-   [ramp_ms], and run to the horizon.  The hosts are wired through a ref
-   because they need the stack's abcast, which does not exist until
-   [Stack.create] returns — deliveries cannot race the assignment, the
-   engine only runs inside [Stack.run]. *)
-let simulate config ~profile ~ramp_ms ~horizon_ms =
-  let hosts = ref [||] in
-  let on_deliver p m =
-    if Array.length !hosts > 0 then App_host.on_deliver !hosts.(p) m
-  in
-  let stack = Stack.create ~on_deliver config in
-  hosts :=
-    Array.init config.Stack.n (fun p ->
-        App_host.install stack.Stack.transport ~abcast:stack.Stack.abcast
-          ~profile ~self:p ~mode:App_host.Service);
-  Array.iter (fun h -> App_host.start h ~at:10.0 ~over_ms:ramp_ms) !hosts;
-  Stack.run ~until:horizon_ms stack;
-  (Engine.trace stack.Stack.engine, !hosts)
-
 let sim_point ?(seed = 1L) ?algo ?ordering ?batching ?(app_seed = 42)
     ?(hash_every = 1024) ?(retry_ms = 500.0) ?(ramp_ms = 1_000.0)
     ?(horizon_ms = 120_000.0) ~n ~clients ~requests () =
-  let config = Run.setup2 ~seed ?algo ?ordering ?batching ~n () in
-  let profile = app_profile config ~clients ~requests ~app_seed ~hash_every ~retry_ms in
-  let trace, hosts = simulate config ~profile ~ramp_ms ~horizon_ms in
-  let run = Checker.Run.of_trace trace ~n in
-  let verdict =
-    Checker.merge [ Checker.check_all_abcast run; Checker.check_app run ]
+  let config = Run.setup2 ?algo ?ordering ?batching ~n () in
+  let node = app_node config ~seed ~clients ~requests ~app_seed ~hash_every ~retry_ms in
+  let s =
+    Run.sim ~ramp_ms ~setup:config.Stack.setup ~fd:config.Stack.fd_kind ~horizon:horizon_ms node
   in
-  let _, _, app_lat, throughput = Cluster.measure (Trace.events trace) in
-  let clean =
-    Array.for_all App_host.complete hosts
-    && Array.for_all App_host.sessions_done hosts
+  let _, _, app_lat, throughput =
+    Cluster.measure (Trace.events (Engine.trace s.Run.stack.Stack.engine))
   in
-  let hash =
-    Array.fold_left
-      (fun best h ->
-        let c = Machine.cursor (App_host.machine h) in
-        match best with
-        | Some (cb, _) when cb >= c -> best
-        | _ -> Some (c, App_host.hash h))
-      None hosts
-  in
-  {
-    backend = `Sim;
-    n;
-    clients;
-    requests;
-    commands = clients * requests;
-    achieved = throughput;
-    latency = Option.value app_lat ~default:Stats.empty_summary;
-    checker_ok = Checker.ok verdict;
-    clean;
-    hash;
-  }
+  let sessions_done w = Option.fold ~none:false ~some:App_host.sessions_done (Workload.host w) in
+  let clean = Array.for_all (fun w -> Workload.complete w && sessions_done w) s.Run.loads in
+  point `Sim ~n ~clients ~requests ~achieved:throughput ~latency:app_lat ~verdict:s.Run.verdict
+    ~clean ~hash:(Cluster.app_hash s.Run.run)
 
 (* ------------------------------------------------------------------ *)
 (* Live service point.                                                *)
@@ -148,28 +129,15 @@ let live_point ?(seed = 1L) ?algo ?ordering ?batching ?(app_seed = 42)
     ?(hash_every = 1024) ?(retry_ms = 500.0) ?(deadline_ms = 20_000.0)
     ?(attempts = 1) ~n ~clients ~requests () =
   let config = Run.setup2 ?algo ?ordering ?batching ~n () in
-  let profile =
-    Run.live_profile
-      (app_profile config ~clients ~requests ~app_seed ~hash_every ~retry_ms)
-      ~window_ms:deadline_ms
-  in
+  let node = app_node config ~seed ~clients ~requests ~app_seed ~hash_every ~retry_ms in
   Run.live ~attempts
     ~latency:(fun o -> o.Cluster.app_latency)
     ~stop:Cluster.ok
-    { Node.default_workload with Node.profile; seed }
+    { node with Node.profile = Run.live_profile node.Node.profile ~window_ms:deadline_ms }
   |> Result.map (fun (o : Cluster.outcome) ->
-         {
-           backend = `Live;
-           n;
-           clients;
-           requests;
-           commands = clients * requests;
-           achieved = o.Cluster.throughput_msg_s;
-           latency = Option.value o.Cluster.app_latency ~default:Stats.empty_summary;
-           checker_ok = Checker.ok o.Cluster.verdict;
-           clean = Cluster.ok o;
-           hash = o.Cluster.app_hash;
-         })
+         point `Live ~n ~clients ~requests ~achieved:o.Cluster.throughput_msg_s
+           ~latency:o.Cluster.app_latency ~verdict:o.Cluster.verdict ~clean:(Cluster.ok o)
+           ~hash:o.Cluster.app_hash)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism gate.                                                  *)
@@ -180,13 +148,15 @@ let live_point ?(seed = 1L) ?algo ?ordering ?batching ?(app_seed = 42)
    state hashes included. *)
 let sim_fingerprint ?(seed = 11L) ?algo ?ordering ?batching ?(clients = 24)
     ?(requests = 3) ~n () =
-  let config = Run.setup2 ~seed ?algo ?ordering ?batching ~n () in
-  let profile =
-    app_profile config ~clients ~requests ~app_seed:42 ~hash_every:16
-      ~retry_ms:500.0
+  let config = Run.setup2 ?algo ?ordering ?batching ~n () in
+  let node =
+    app_node config ~seed ~clients ~requests ~app_seed:42 ~hash_every:16 ~retry_ms:500.0
   in
-  let trace, _ = simulate config ~profile ~ramp_ms:200.0 ~horizon_ms:60_000.0 in
-  Trace.fingerprint trace
+  let s =
+    Run.sim ~ramp_ms:200.0 ~setup:config.Stack.setup ~fd:config.Stack.fd_kind
+      ~horizon:60_000.0 node
+  in
+  Trace.fingerprint (Engine.trace s.Run.stack.Stack.engine)
 
 let replay_check ?seed ?algo ?ordering ?batching ?clients ?requests ~n () =
   Run.replay (fun () ->

@@ -11,11 +11,11 @@
     battery — probe outcomes, exactly-once dedup, per-client order,
     state-hash agreement across replicas, and progress.
 
-    Sim points assemble a {!Ics_core.Stack} with one
-    {!Ics_core.App_host} per replica; live points run a real loopback
-    {!Ics_runtime.Cluster} whose nodes host the same App_host code via
-    the Env seam.  Per seed, the final state hash must be bit-identical
-    across backends ({!hash_match}). *)
+    A point is one {!Ics_runtime.Node.config}: {!Run.sim} hosts an
+    {!Ics_core.App_host} per replica on the simulator, {!Run.live} runs
+    it as a loopback {!Ics_runtime.Cluster} whose nodes host the same
+    code via the Env seam.  Per seed, the final state hash must be
+    bit-identical across backends ({!hash_match}). *)
 
 module Stats = Ics_prelude.Stats
 module Abcast = Ics_core.Abcast

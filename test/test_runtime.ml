@@ -282,8 +282,50 @@ let small count =
 let with_profile config f =
   { config with Node.profile = f config.Node.profile }
 
+(* The CLI binary next to this test executable (test/dune makes it a
+   dependency), run with stdout and stderr captured. *)
+let run_cli args =
+  let cli =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/ics_cli.exe"
+  in
+  let out = Filename.temp_file "ics-cli" ".out" in
+  let err = Filename.temp_file "ics-cli" ".err" in
+  let open_w f = Unix.openfile f [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let fd_out = open_w out and fd_err = open_w err in
+  let pid =
+    Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin fd_out fd_err
+  in
+  Unix.close fd_out;
+  Unix.close fd_err;
+  let code =
+    match snd (Unix.waitpid [] pid) with Unix.WEXITED c -> c | _ -> -1
+  in
+  let read f =
+    let s = In_channel.with_open_bin f In_channel.input_all in
+    Sys.remove f;
+    s
+  in
+  (code, read out, read err)
+
+(* A flag conflict is a usage error: it must exit 2 before the live sweep
+   forks a single cluster, so nothing reaches stdout. *)
+let test_cli_live_jobs_check_rejected () =
+  let code, out, err =
+    run_cli
+      [ "chaos"; "--live"; "--jobs-check"; "--seeds"; "1"; "--stacks"; "ct-indirect";
+        "--plans"; "drop" ]
+  in
+  checki "exit code" 2 code;
+  Alcotest.(check string) "no sweep output" "" out;
+  Alcotest.(check string) "message" "chaos: --jobs-check needs the sim backend\n" err
+
 let suites =
   [
+    ( "cli",
+      [
+        Alcotest.test_case "chaos --live --jobs-check exits 2 up front" `Quick
+          test_cli_live_jobs_check_rejected;
+      ] );
     ( "runtime",
       [
         Alcotest.test_case "clock monotone" `Quick test_clock_monotone;
