@@ -33,9 +33,13 @@ chaos:
 
 # Quick sweep for the pre-merge gate (a few seconds).  --replay-check reruns
 # one seed per cell and fails on any fingerprint divergence, so the replay
-# commands the sweep prints stay trustworthy.
+# commands the sweep prints stay trustworthy.  The n=5 sweeps, unbatched
+# and batched, cover the traffic shapes only n >= 4 and pipelining make:
+# later round coordinators, and several open instances per step.
 chaos-smoke:
 	dune exec bin/ics_cli.exe -- chaos --seeds 5 --replay-check
+	dune exec bin/ics_cli.exe -- chaos -n 5 --seeds 3 --replay-check
+	dune exec bin/ics_cli.exe -- chaos -n 5 --seeds 3 --replay-check --batch 8 --pipeline 2 --flush 1
 
 # Parallel-sweep determinism fence: a tiny sweep run at --jobs 1 and
 # --jobs 2, every trace fingerprint compared — any divergence means

@@ -90,8 +90,8 @@ let comma_list ~parse ~bad s =
              exit 2)
 
 (* The consensus layer's counters as one line (CT: coordinator decisions
-   by round, nacks sent, remote sends by kind).  Algorithms that keep
-   none (MR, LB) print nothing. *)
+   by round, nacks sent, remote sends by kind; every stack: the frames
+   its sends went out in). *)
 let print_consensus_counters = function
   | [] -> ()
   | counters ->

@@ -37,8 +37,9 @@ type handle = {
           decides; an instance created by adopting a decision starts
           decided.  Zero means [p] owes no peer any decision flood. *)
   counters : unit -> (string * int) list;
-      (** Per-round protocol counters, as (name, count) pairs: CT reports
-          its coordinators' decisions by round, the nacks it sent and its
-          remote sends by message kind; empty for algorithms that keep
-          none. *)
+      (** Protocol counters, as (name, count) pairs: CT reports its
+          coordinators' decisions by round, the nacks it sent and its
+          remote payloads by message kind; every stack ends with
+          [frames], the consensus frames it sent to other processes (one
+          per destination per step, {!Instances}). *)
 }

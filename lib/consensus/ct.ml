@@ -169,45 +169,28 @@ let create ?(announce = false) transport fd config cb =
       decides_sent = 0;
     }
   in
-  (* [remote] copies of [payload] leave for other processes; a send to
-     oneself never reaches the wire and is not counted. *)
-  let count_sent payload remote =
+  (* One copy of [payload] queued for another process; a send to oneself
+     never reaches the wire and is not counted. *)
+  let count_sent payload =
     let c = counters in
     match payload with
-    | Est { r = 1; _ } -> c.est_r1 <- c.est_r1 + remote
-    | Est _ -> c.est_r2_plus <- c.est_r2_plus + remote
-    | Prop { r = 1; _ } -> c.prop_r1 <- c.prop_r1 + remote
-    | Prop _ -> c.prop_r2_plus <- c.prop_r2_plus + remote
-    | Ack _ -> c.acks_sent <- c.acks_sent + remote
-    | Decide _ -> c.decides_sent <- c.decides_sent + remote
+    | Est { r = 1; _ } -> c.est_r1 <- c.est_r1 + 1
+    | Est _ -> c.est_r2_plus <- c.est_r2_plus + 1
+    | Prop { r = 1; _ } -> c.prop_r1 <- c.prop_r1 + 1
+    | Prop _ -> c.prop_r2_plus <- c.prop_r2_plus + 1
+    | Ack _ -> c.acks_sent <- c.acks_sent + 1
+    | Decide _ -> c.decides_sent <- c.decides_sent + 1
     | _ -> ()
   in
-  (* A multicast lists the processes [src] suspects after every other
-     destination: the same frames go out, but those a live peer can use
-     leave [src]'s CPU first.  Without suspicions the order is [dsts]'s. *)
-  let multicast ~src ~dsts ~layer ~body_bytes payload =
-    let trusted, suspected =
-      List.partition (fun q -> not (Failure_detector.is_suspected fd ~by:src q)) dsts
-    in
-    let dsts = trusted @ suspected in
-    count_sent payload (List.length dsts - if List.exists (Pid.equal src) dsts then 1 else 0);
-    Transport.multicast transport ~src ~dsts ~layer ~body_bytes payload
-  in
   let t =
-    Instances.create transport config cb ~fresh ~settle
+    Instances.create ~sent:count_sent transport fd config cb ~fresh ~settle
       ~decide:(fun k est -> Decide { k; est })
-      ~multicast
-  in
-  let layer = Instances.layer_id t in
-  let send ~src ~dst ~bytes payload =
-    count_sent payload (if Pid.equal src dst then 0 else 1);
-    Transport.send transport ~src ~dst ~layer ~body_bytes:bytes payload
   in
 
   (* Phase 3 reply to the coordinator of round [r]. *)
   let reply p (inst : state Instances.inst) ~r ~ok =
     if not ok then counters.nacks <- counters.nacks + 1;
-    send ~src:p ~dst:(Pid.coordinator ~n ~round:r) ~bytes:ack_bytes
+    Instances.send t ~src:p ~dst:(Pid.coordinator ~n ~round:r) ~body_bytes:ack_bytes
       (Ack { k = inst.k; r; ok })
   in
 
@@ -258,12 +241,12 @@ let create ?(announce = false) transport fd config cb =
           in
           s.coord <- Waiting_acks best;
           s.prop_out <- (s.r, best) :: s.prop_out;
-          multicast ~src:p
+          Instances.multicast t ~src:p
             ~dsts:
               (List.filter
                  (fun q -> Pid.equal q p || List.exists (fun (src, _, _) -> Pid.equal src q) ests)
                  (Pid.all ~n))
-            ~layer ~body_bytes:(prop_bytes best)
+            ~body_bytes:(prop_bytes best)
             (Prop { k = inst.k; r = s.r; est = best });
           coord_check_acks p inst
         end
@@ -299,7 +282,7 @@ let create ?(announce = false) transport fd config cb =
       let c = Pid.coordinator ~n ~round:s.r in
       (* Phase 1: send the timestamped estimate to the coordinator. *)
       if s.r > 1 then
-        send ~src:p ~dst:c ~bytes:(est_bytes inst.estimate)
+        Instances.send t ~src:p ~dst:c ~body_bytes:(est_bytes inst.estimate)
           (Est { k = inst.k; r = s.r; est = inst.estimate; ts = s.ts; suspicion });
       (* Phase 2 entry for the coordinator. *)
       if Pid.equal p c then begin
@@ -307,8 +290,7 @@ let create ?(announce = false) transport fd config cb =
           (* First round: the coordinator proposes its own estimate without
              gathering (Algorithm 2 line 20). *)
           s.coord <- Waiting_acks inst.estimate;
-          multicast ~src:p ~dsts:(Pid.all ~n) ~layer
-            ~body_bytes:(prop_bytes inst.estimate)
+          Instances.multicast t ~src:p ~dsts:(Pid.all ~n) ~body_bytes:(prop_bytes inst.estimate)
             (Prop { k = inst.k; r = 1; est = inst.estimate })
         end
         else begin
@@ -331,9 +313,10 @@ let create ?(announce = false) transport fd config cb =
     end
 
   (* Leave phase 3 of the current round without a proposal: enter the
-     next round first, then nack the one given up, so the new round's
-     frames leave this CPU ahead of the nack to a coordinator that is
-     suspected (or that a peer has given up). *)
+     next round first, then nack the one given up.  The new round's
+     destinations are then queued first, so their frames leave this CPU
+     ahead of the nack even when its coordinator is not suspected here
+     (a peer gave it up); a suspected one goes last anyway. *)
   and give_up p inst =
     let r = inst.st.r in
     advance_round ~suspicion:true p inst;
@@ -341,8 +324,8 @@ let create ?(announce = false) transport fd config cb =
   in
   let start p inst = start_round p inst in
 
-  let on_message p (msg : Message.t) =
-    match msg.payload with
+  let on_message p ~src (payload : Message.payload) =
+    match payload with
     | Est { k; r; est; ts; suspicion } ->
         let ({ Instances.st = s; _ } as inst) =
           if announce && r = 1 && Pid.equal p (Pid.coordinator ~n ~round:1) then
@@ -355,11 +338,12 @@ let create ?(announce = false) transport fd config cb =
               (* This process has proposed in round r, possibly left it
                  since: answer the late estimate with that proposal (a
                  duplicate answer is dropped by its receiver). *)
-              send ~src:p ~dst:msg.src ~bytes:(prop_bytes value) (Prop { k; r; est = value })
+              Instances.send t ~src:p ~dst:src ~body_bytes:(prop_bytes value)
+                (Prop { k; r; est = value })
           | None ->
               if r >= s.r then begin
                 let l = Instances.find_or_add s.est_in r ref [] in
-                l := (msg.src, ts, est) :: !l;
+                l := (src, ts, est) :: !l;
                 if r = s.r then coord_check_estimates p inst
                 else if
                   (* Catch-up: the sender gave the current round up on
@@ -392,41 +376,38 @@ let create ?(announce = false) transport fd config cb =
         let ({ Instances.st = s; _ } as inst) = Instances.get_inst t ~start p k in
         if (not inst.decided) && r >= s.r then begin
           let rs = Instances.find_or_add s.replies_in r replies n in
-          if not rs.replied.(msg.src) then begin
-            rs.replied.(msg.src) <- true;
+          if not rs.replied.(src) then begin
+            rs.replied.(src) <- true;
             if ok then rs.acks <- rs.acks + 1;
             if r = s.r then coord_check_acks p inst
           end
         end
-    | Decide { k; est } -> Instances.receive_decide t p ~src:msg.src k est
+    | Decide { k; est } -> Instances.receive_decide t p ~src k est
     | _ -> ()
   in
 
+  (* The nacks to the suspect leave after every other frame of the step
+     (the outbox sends a suspect's frame last). *)
   let on_suspect p suspect =
-    (* The nacks to the suspect go out after every instance's next round
-       has sent its frames. *)
-    let nacks = ref [] in
     Instances.iter t p (fun ({ Instances.st = s; _ } as inst) ->
         if
           (not inst.decided) && s.waiting_prop
           && Pid.equal (Pid.coordinator ~n ~round:s.r) suspect
         then begin
           s.waiting_prop <- false;
-          nacks := (inst, s.r) :: !nacks;
-          advance_round ~suspicion:true p inst
+          give_up p inst
         end
         else
           (* A coordinator waiting on a silent replier that is now
              suspected may have lost its majority. *)
-          coord_check_acks p inst);
-    List.iter (fun (inst, r) -> reply p inst ~r ~ok:false) (List.rev !nacks)
+          coord_check_acks p inst)
   in
 
   (* Round 1's announce is the phase-1 estimate, which rounds r > 1 send
      anyway, sent to the round-1 coordinator too. *)
   let announce_est ~src ~dst ({ Instances.st = s; _ } as inst) =
     if s.r = 1 then
-      send ~src ~dst ~bytes:(est_bytes inst.estimate)
+      Instances.send t ~src ~dst ~body_bytes:(est_bytes inst.estimate)
         (Est { k = inst.k; r = 1; est = inst.estimate; ts = s.ts; suspicion = false })
   in
   let counters () =
@@ -445,6 +426,6 @@ let create ?(announce = false) transport fd config cb =
       ("sent.decide", c.decides_sent);
     ]
   in
-  Instances.handle t fd ~name:"ct" ~on_message ~on_suspect ~start
+  Instances.handle t ~name:"ct" ~on_message ~on_suspect ~start
     ~announce:(if announce then Some announce_est else None)
     ~counters

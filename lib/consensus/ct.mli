@@ -28,8 +28,9 @@
       the decision), or move to round [r+1] once a majority of acks is out
       of reach (nacks and suspected silent repliers).
 
-    Multicasts list the processes the sender suspects last, and nacks to
-    a suspected coordinator leave after the next round's sends.
+    Its sends leave through the {!Instances} outbox: one frame per
+    destination per step, frames for suspected processes last, so nacks
+    to a suspected coordinator leave after the next round's sends.
 
     Decisions are disseminated by flooding ("R-broadcast the decide
     message"), so a coordinator crash after deciding cannot block anyone.

@@ -11,6 +11,42 @@ let layer = "consensus"
 (* Tag byte + instance number + proposal. *)
 let decide_bytes v = 5 + Proposal.encoded_bytes v
 
+(* The consensus payloads one step queued for one destination, in send
+   order: one frame instead of one per payload. *)
+type Message.payload += Bundle of Message.payload list
+
+(* Tag byte + payload count; each inner payload carries its own tag. *)
+let bundle_overhead = 5
+
+let register_codec () =
+  let module Codec = Ics_codec.Codec in
+  let module Prim = Ics_codec.Prim in
+  let tag = 0x2F in
+  Codec.register ~tag ~name:"consensus.bundle"
+    ~fits:(function Bundle _ -> true | _ -> false)
+    ~size:(function
+      | Bundle payloads ->
+          List.fold_left (fun acc p -> acc + Codec.body_bytes p) bundle_overhead payloads
+      | _ -> assert false)
+    ~encode_into:(fun w -> function
+      | Bundle payloads ->
+          Prim.u32 w (List.length payloads);
+          List.iter (Codec.encode_payload w) payloads
+      | _ -> assert false)
+    ~dec:(fun rd ->
+      let count = Prim.r_u32 rd in
+      let rec go acc i =
+        if i = 0 then List.rev acc else go (Codec.decode_payload rd :: acc) (i - 1)
+      in
+      Bundle (go [] count))
+    ~gen:(fun rng ->
+      let inner =
+        Array.of_list
+          (List.filter (fun (e : Codec.entry) -> e.tag <> tag) (Codec.entries ()))
+      in
+      let pick _ = inner.(Ics_prelude.Rng.int rng (Array.length inner)).gen rng in
+      Bundle (List.init (2 + Ics_prelude.Rng.int rng 3) pick))
+
 type config = { rcv : Consensus_intf.rcv option }
 
 type create =
@@ -18,14 +54,20 @@ type create =
   Transport.t -> Failure_detector.t -> config -> Consensus_intf.callbacks ->
   Consensus_intf.handle
 
-type multicast =
-  src:Pid.t -> dsts:Pid.t list -> layer:Ics_net.Layer.t -> body_bytes:int ->
-  Message.payload -> unit
-
 type 'a inst = { k : int; mutable estimate : Proposal.t; mutable decided : bool; st : 'a }
+
+(* One process's sends of its current step: per destination, newest
+   first, and the destinations in the order each was first queued
+   (newest first).  [depth] counts the steps open at the process. *)
+type outbox = {
+  mutable depth : int;
+  mutable order : Pid.t list;
+  queued : (Message.payload * int) list array;
+}
 
 type 'a t = {
   transport : Transport.t;
+  fd : Failure_detector.t;
   engine : Engine.t;
   n : int;
   layer_id : Ics_net.Layer.t;
@@ -40,13 +82,16 @@ type 'a t = {
   fresh : unit -> 'a;
   settle : 'a -> unit;
   decide_msg : int -> Proposal.t -> Message.payload;
-  multicast : multicast;
+  sent : Message.payload -> unit;
+  outbox : outbox array;  (* by process *)
+  mutable frames : int;
 }
 
-let create transport (config : config) cb ~fresh ~settle ~decide ~multicast =
+let create ?(sent = ignore) transport fd (config : config) cb ~fresh ~settle ~decide =
   let n = Transport.n transport in
   {
     transport;
+    fd;
     engine = Transport.engine transport;
     n;
     layer_id = Transport.intern transport layer;
@@ -57,10 +102,60 @@ let create transport (config : config) cb ~fresh ~settle ~decide ~multicast =
     fresh;
     settle;
     decide_msg = decide;
-    multicast;
+    sent;
+    outbox = Array.init n (fun _ -> { depth = 0; order = []; queued = Array.make n [] });
+    frames = 0;
   }
 
-let layer_id t = t.layer_id
+(* One frame to [q]: its only payload as is, several as one [Bundle]. *)
+let ship t p q =
+  let o = t.outbox.(p) in
+  let items = o.queued.(q) in
+  o.queued.(q) <- [];
+  if not (Pid.equal p q) then t.frames <- t.frames + 1;
+  let send = Transport.send t.transport ~src:p ~dst:q ~layer:t.layer_id in
+  match items with
+  | [ (payload, body_bytes) ] -> send ~body_bytes payload
+  | items ->
+      let payloads, body_bytes =
+        List.fold_left
+          (fun (payloads, bytes) (payload, b) -> (payload :: payloads, bytes + b))
+          ([], bundle_overhead) items
+      in
+      send ~body_bytes (Bundle payloads)
+
+(* Destinations leave in the order they were first queued, except that
+   those [p] suspects go after every other: a live peer's frame does not
+   wait on the CPU behind bytes for a process that may be dead. *)
+let flush t p =
+  let o = t.outbox.(p) in
+  let order = List.rev o.order in
+  o.order <- [];
+  let trusted, suspected =
+    List.partition (fun q -> not (Failure_detector.is_suspected t.fd ~by:p q)) order
+  in
+  List.iter (ship t p) trusted;
+  List.iter (ship t p) suspected
+
+let step t p f =
+  let o = t.outbox.(p) in
+  o.depth <- o.depth + 1;
+  f ();
+  o.depth <- o.depth - 1;
+  if o.depth = 0 then flush t p
+
+let send t ~src ~dst ~body_bytes payload =
+  if not (Pid.equal src dst) then t.sent payload;
+  let o = t.outbox.(src) in
+  (match o.queued.(dst) with [] -> o.order <- dst :: o.order | _ :: _ -> ());
+  o.queued.(dst) <- (payload, body_bytes) :: o.queued.(dst);
+  if o.depth = 0 then flush t src
+
+let multicast t ~src ~dsts ~body_bytes payload =
+  List.iter (fun dst -> send t ~src ~dst ~body_bytes payload) dsts
+
+let send_to_all t ~src ~body_bytes payload =
+  multicast t ~src ~dsts:(Pid.all ~n:t.n) ~body_bytes payload
 
 let find_or_add tbl key make x =
   match Hashtbl.find_opt tbl key with
@@ -116,8 +211,7 @@ let flood t p inst v ~except =
     t.undecided.(p) <- t.undecided.(p) - 1;
     t.settle inst.st;
     let dsts = List.filter (fun q -> not (Pid.equal q except)) (Pid.others ~n:t.n p) in
-    t.multicast ~src:p ~dsts ~layer:t.layer_id ~body_bytes:(decide_bytes v)
-      (t.decide_msg inst.k v);
+    multicast t ~src:p ~dsts ~body_bytes:(decide_bytes v) (t.decide_msg inst.k v);
     Engine.record t.engine p (Trace.Decide (inst.k, Proposal.ids v));
     t.cb.on_decide p inst.k v
   end
@@ -140,23 +234,28 @@ let receive_decide t p ~src k v =
    internals. *)
 let iter t p f = Ics_prelude.Sorted_tbl.iter ~cmp:Int.compare (fun _ inst -> f inst) t.instances.(p)
 
-let handle t fd ~name ~on_message ~on_suspect ~start ~announce ~counters =
+let handle t ~name ~on_message ~on_suspect ~start ~announce ~counters =
   List.iter
     (fun p ->
-      Transport.register t.transport p ~layer:t.layer_id (on_message p);
-      Failure_detector.on_suspect fd ~observer:p (on_suspect p))
+      Transport.register t.transport p ~layer:t.layer_id (fun (msg : Message.t) ->
+          step t p (fun () ->
+              match msg.payload with
+              | Bundle payloads -> List.iter (on_message p ~src:msg.src) payloads
+              | payload -> on_message p ~src:msg.src payload));
+      Failure_detector.on_suspect t.fd ~observer:p (fun q -> step t p (fun () -> on_suspect p q)))
     (Pid.all ~n:t.n);
   let coordinator = Pid.coordinator ~n:t.n ~round:1 in
   let propose p k value =
-    if Engine.is_alive t.engine p && not (Hashtbl.mem t.instances.(p) k) then begin
-      let inst = join t ~start p k value in
-      match announce with
-      | Some announce when (not inst.decided) && not (Pid.equal p coordinator) ->
-          announce ~src:p ~dst:coordinator inst
-      | Some _ | None -> ()
-    end
+    if Engine.is_alive t.engine p && not (Hashtbl.mem t.instances.(p) k) then
+      step t p (fun () ->
+          let inst = join t ~start p k value in
+          match announce with
+          | Some announce when (not inst.decided) && not (Pid.equal p coordinator) ->
+              announce ~src:p ~dst:coordinator inst
+          | Some _ | None -> ())
   in
   let has_instance p k = Hashtbl.mem t.instances.(p) k in
   let undecided p = t.undecided.(p) in
   let name = match t.rcv with None -> name | Some _ -> name ^ "-indirect" in
+  let counters () = counters () @ [ ("frames", t.frames) ] in
   { Consensus_intf.name; propose; has_instance; undecided; counters }

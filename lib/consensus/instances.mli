@@ -1,9 +1,18 @@
 (** Instance plumbing shared by the consensus stacks ({!Ct}, {!Mr}, {!Lb}):
     everything around the rounds of Algorithms 2 and 3 — the instance
     tables, joining on the first message, deciding and R-broadcasting the
-    decision, the [rcv] check, the announce path and [propose].  A stack
-    keeps its round state in the instance's [st] field and passes its
-    steps to these functions as arguments. *)
+    decision, the [rcv] check, the announce path, [propose] and the one
+    send path.  A stack keeps its round state in the instance's [st]
+    field and passes its steps to these functions as arguments.
+
+    {b Outbox.}  Every consensus send made inside one {e step} of a
+    process — a transport-handler call, a suspicion callback (or LB's
+    trust callback) or [propose], nested steps included — is queued, and
+    leaves when the outermost step returns: one frame per destination,
+    the destination's only payload as is or several as one {!Bundle},
+    whose receiver handles them in send order.  Destinations leave in the
+    order they were first queued, those the sender suspects after every
+    other (DESIGN.md section 5). *)
 
 module Pid = Ics_sim.Pid
 module Transport = Ics_net.Transport
@@ -15,6 +24,13 @@ val layer : string
 
 val decide_bytes : Proposal.t -> int
 (** Exact encoded body size of every stack's [Decide] payload. *)
+
+type Message.payload += Bundle of Message.payload list
+(** The payloads one step queued for one destination, in send order. *)
+
+val register_codec : unit -> unit
+(** [Bundle]'s codec (tag [0x2F]): a u32 count, then each payload through
+    the registry with its own tag. *)
 
 type config = {
   rcv : Consensus_intf.rcv option;
@@ -51,20 +67,30 @@ type 'a inst = {
 type 'a t
 (** The instance tables of all [n] processes of one handle. *)
 
-type multicast =
-  src:Pid.t -> dsts:Pid.t list -> layer:Ics_net.Layer.t -> body_bytes:int ->
-  Message.payload -> unit
-
 val create :
-  Transport.t -> config -> Consensus_intf.callbacks -> fresh:(unit -> 'a) ->
-  settle:('a -> unit) -> decide:(int -> Proposal.t -> Message.payload) ->
-  multicast:multicast -> 'a t
+  ?sent:(Message.payload -> unit) ->
+  Transport.t -> Failure_detector.t -> config -> Consensus_intf.callbacks ->
+  fresh:(unit -> 'a) -> settle:('a -> unit) ->
+  decide:(int -> Proposal.t -> Message.payload) -> 'a t
 (** [fresh ()] is a new instance's round state.  [settle st] clears the
     round state of an instance that has just decided, before its
-    [Decide] leaves.  [decide k v] is the stack's [Decide] payload, sent
-    with [multicast] (for MR and LB, [Transport.multicast transport]). *)
+    [Decide] is queued.  [decide k v] is the stack's [Decide] payload.
+    [sent payload] (default: nothing) runs once per payload queued for
+    another process. *)
 
-val layer_id : 'a t -> Ics_net.Layer.t
+val step : 'a t -> Pid.t -> (unit -> unit) -> unit
+(** [step t p f] runs [f] as a step of [p]: sends [f] makes at [p] are
+    queued, and leave when the outermost step open at [p] returns. *)
+
+val send : 'a t -> src:Pid.t -> dst:Pid.t -> body_bytes:int -> Message.payload -> unit
+(** Queue one payload; outside any step it leaves at once. *)
+
+val multicast :
+  'a t -> src:Pid.t -> dsts:Pid.t list -> body_bytes:int -> Message.payload -> unit
+(** {!send} to each destination in order. *)
+
+val send_to_all : 'a t -> src:Pid.t -> body_bytes:int -> Message.payload -> unit
+(** {!multicast} to every process, [src] included. *)
 
 val find_or_add : ('k, 'v) Hashtbl.t -> 'k -> ('a -> 'v) -> 'a -> 'v
 (** [find_or_add tbl key make x]: the value bound to [key], bound to
@@ -89,7 +115,7 @@ val join_announced :
 
 val decide : 'a t -> Pid.t -> 'a inst -> Proposal.t -> unit
 (** The process decides [v] in the instance (a no-op once decided): it
-    settles the round state, floods [Decide] to every other process,
+    settles the round state, queues [Decide] for every other process,
     records [Trace.Decide] and calls [cb.on_decide]. *)
 
 val receive_decide : 'a t -> Pid.t -> src:Pid.t -> int -> Proposal.t -> unit
@@ -102,18 +128,20 @@ val iter : 'a t -> Pid.t -> ('a inst -> unit) -> unit
 
 val handle :
   'a t ->
-  Failure_detector.t ->
   name:string ->
-  on_message:(Pid.t -> Message.t -> unit) ->
+  on_message:(Pid.t -> src:Pid.t -> Message.payload -> unit) ->
   on_suspect:(Pid.t -> Pid.t -> unit) ->
   start:(Pid.t -> 'a inst -> unit) ->
   announce:(src:Pid.t -> dst:Pid.t -> 'a inst -> unit) option ->
   counters:(unit -> (string * int) list) ->
   Consensus_intf.handle
 (** Installs every process's transport handler and suspicion callback,
-    and returns the stack's handle, named [name], or [name ^ "-indirect"]
-    when [config.rcv] is set.  Its [propose] is a no-op at a crashed
-    process or one that holds the instance already; otherwise it creates
+    each call one step, and returns the stack's handle, named [name], or
+    [name ^ "-indirect"] when [config.rcv] is set.  The handler runs
+    [on_message p ~src] on a frame's payload, or on each payload of a
+    {!Bundle} in order.  [propose] is a no-op at a crashed process or one
+    that holds the instance already; otherwise it is a step that creates
     the instance and runs [start].  With [announce], a proposer that is
     not the round-1 coordinator and has not decided then calls it with
-    [dst] = that coordinator. *)
+    [dst] = that coordinator.  The handle's counters are [counters ()]
+    followed by [frames]: the consensus frames sent to other processes. *)

@@ -169,17 +169,8 @@ let create transport fd (config : Instances.config) cb =
   let n = Transport.n transport in
   let majority = Quorum.majority ~n in
   let t =
-    Instances.create transport config cb ~fresh ~settle:ignore
+    Instances.create transport fd config cb ~fresh ~settle:ignore
       ~decide:(fun k v -> Decide { k; v })
-      ~multicast:(Transport.multicast transport)
-  in
-  let layer = Instances.layer_id t in
-
-  let send ~src ~dst ~bytes payload =
-    Transport.send transport ~src ~dst ~layer ~body_bytes:bytes payload
-  in
-  let send_all ~src ~bytes payload =
-    Transport.send_to_all transport ~src ~layer ~body_bytes:bytes payload
   in
 
   let start_ballot p ({ Instances.st = s; _ } as inst) =
@@ -193,12 +184,12 @@ let create transport fd (config : Instances.config) cb =
         (* Nothing can have been accepted below ballot 0: go straight to
            the accept phase with our own estimate. *)
         s.phase <- Accepting inst.estimate;
-        send_all ~src:p ~bytes:(accept_bytes inst.estimate)
+        Instances.send_to_all t ~src:p ~body_bytes:(accept_bytes inst.estimate)
           (Accept { k = inst.k; b; v = inst.estimate })
       end
       else begin
         s.phase <- Preparing;
-        send_all ~src:p ~bytes:prepare_bytes (Prepare { k = inst.k; b })
+        Instances.send_to_all t ~src:p ~body_bytes:prepare_bytes (Prepare { k = inst.k; b })
       end
     end
   in
@@ -211,7 +202,7 @@ let create transport fd (config : Instances.config) cb =
       if Pid.equal l p then begin
         if inst.st.phase = Idle then start_ballot p inst
       end
-      else send ~src:p ~dst:l ~bytes:kick_bytes (Kick { k = inst.k })
+      else Instances.send t ~src:p ~dst:l ~body_bytes:kick_bytes (Kick { k = inst.k })
     end
   in
 
@@ -228,8 +219,8 @@ let create transport fd (config : Instances.config) cb =
     match best with Some (_, v) -> v | None -> inst.estimate
   in
 
-  let on_message p (msg : Message.t) =
-    match msg.payload with
+  let on_message p ~src (payload : Message.payload) =
+    match payload with
     | Kick { k } ->
         let inst = Instances.get_inst t ~start:engage p k in
         if Failure_detector.leader fd ~observer:p = p && inst.st.phase = Idle then
@@ -240,11 +231,11 @@ let create transport fd (config : Instances.config) cb =
           s.highest_seen <- max s.highest_seen b;
           if b >= s.promised then begin
             s.promised <- b;
-            send ~src:p ~dst:msg.src ~bytes:(promise_bytes s.accepted)
+            Instances.send t ~src:p ~dst:src ~body_bytes:(promise_bytes s.accepted)
               (Promise { k; b; accepted = s.accepted })
           end
           else
-            send ~src:p ~dst:msg.src ~bytes:nack_bytes
+            Instances.send t ~src:p ~dst:src ~body_bytes:nack_bytes
               (Nack { k; b; promised = s.promised })
         end
     | Promise { k; b; accepted } ->
@@ -255,7 +246,7 @@ let create transport fd (config : Instances.config) cb =
             let v = leader_pick_value inst in
             s.phase <- Accepting v;
             s.accepts <- 0;
-            send_all ~src:p ~bytes:(accept_bytes v) (Accept { k; b; v })
+            Instances.send_to_all t ~src:p ~body_bytes:(accept_bytes v) (Accept { k; b; v })
           end
         end
     | Accept { k; b; v } ->
@@ -265,10 +256,10 @@ let create transport fd (config : Instances.config) cb =
           if b >= s.promised && Instances.rcv_holds t p v then begin
             s.promised <- b;
             s.accepted <- Some (b, v);
-            send ~src:p ~dst:msg.src ~bytes:accepted_bytes (Accepted { k; b })
+            Instances.send t ~src:p ~dst:src ~body_bytes:accepted_bytes (Accepted { k; b })
           end
           else
-            send ~src:p ~dst:msg.src ~bytes:nack_bytes
+            Instances.send t ~src:p ~dst:src ~body_bytes:nack_bytes
               (Nack { k; b; promised = s.promised })
         end
     | Accepted { k; b } ->
@@ -288,7 +279,7 @@ let create transport fd (config : Instances.config) cb =
              other proposers). *)
           if Failure_detector.leader fd ~observer:p = p then start_ballot p inst
         end
-    | Decide { k; v } -> Instances.receive_decide t p ~src:msg.src k v
+    | Decide { k; v } -> Instances.receive_decide t p ~src k v
     | _ -> ()
   in
 
@@ -296,6 +287,10 @@ let create transport fd (config : Instances.config) cb =
   let on_fd_change p _target =
     Instances.iter t p (fun inst -> if not inst.decided then engage p inst)
   in
-  List.iter (fun p -> Failure_detector.on_trust fd ~observer:p (on_fd_change p)) (Pid.all ~n);
-  Instances.handle t fd ~name:"lb" ~on_message ~on_suspect:on_fd_change ~start:engage
+  List.iter
+    (fun p ->
+      Failure_detector.on_trust fd ~observer:p (fun q ->
+          Instances.step t p (fun () -> on_fd_change p q)))
+    (Pid.all ~n);
+  Instances.handle t ~name:"lb" ~on_message ~on_suspect:on_fd_change ~start:engage
     ~announce:None ~counters:(fun () -> [])

@@ -98,11 +98,9 @@ let create ?(announce = false) transport fd (config : Instances.config) cb =
   in
   let adoption_threshold = Quorum.one_third ~n in
   let t =
-    Instances.create transport config cb ~fresh ~settle:ignore
+    Instances.create transport fd config cb ~fresh ~settle:ignore
       ~decide:(fun k est -> Decide { k; est })
-      ~multicast:(Transport.multicast transport)
   in
-  let layer = Instances.layer_id t in
 
   (* Phase 2: with a quorum of relays in hand, decide on unanimity, adopt on
      a mixed round (guarded in the indirect variant), and move on. *)
@@ -148,7 +146,7 @@ let create ?(announce = false) transport fd (config : Instances.config) cb =
         | Some est when Instances.rcv_holds t p est -> Some est
         | Some _ | None -> None
       in
-      Transport.send_to_all transport ~src:p ~layer ~body_bytes:(relay_bytes contribution)
+      Instances.send_to_all t ~src:p ~body_bytes:(relay_bytes contribution)
         (Relay { k = inst.k; r = s.r; est = contribution });
       s.in_phase2 <- true;
       check_phase2 p inst
@@ -161,8 +159,7 @@ let create ?(announce = false) transport fd (config : Instances.config) cb =
         (* The coordinator's relay of its own estimate is the proposal.  It
            trivially holds its own value's payloads: an estimate becomes
            one's own only through rcv or as the initial proposal. *)
-        Transport.send_to_all transport ~src:p ~layer
-          ~body_bytes:(relay_bytes (Some inst.estimate))
+        Instances.send_to_all t ~src:p ~body_bytes:(relay_bytes (Some inst.estimate))
           (Relay { k = inst.k; r = s.r; est = Some inst.estimate });
         s.waiting_prop <- false;
         s.in_phase2 <- true;
@@ -188,20 +185,20 @@ let create ?(announce = false) transport fd (config : Instances.config) cb =
     end
   in
 
-  let on_message p (msg : Message.t) =
-    match msg.payload with
+  let on_message p ~src (payload : Message.payload) =
+    match payload with
     | Relay { k; r; est } ->
         let ({ Instances.st = s; _ } as inst) = Instances.get_inst t ~start:start_round p k in
         if (not inst.decided) && r >= s.r then begin
           let l = Instances.find_or_add s.relay_in r ref [] in
-          l := (msg.src, est) :: !l;
+          l := (src, est) :: !l;
           if r = s.r then begin
             let c = Pid.coordinator ~n ~round:s.r in
-            if s.waiting_prop && Pid.equal msg.src c then finish_phase1 p inst est
+            if s.waiting_prop && Pid.equal src c then finish_phase1 p inst est
             else check_phase2 p inst
           end
         end
-    | Decide { k; est } -> Instances.receive_decide t p ~src:msg.src k est
+    | Decide { k; est } -> Instances.receive_decide t p ~src k est
     | Nudge { k; est } ->
         (* Joining is the point: a nudged coordinator starts round 1 and
            relays its estimate, giving the instance its first traffic. *)
@@ -221,9 +218,9 @@ let create ?(announce = false) transport fd (config : Instances.config) cb =
      arrives: announce with a nudge (LB's Kick, ported). *)
   let nudge ~src ~dst (inst : state Instances.inst) =
     if inst.st.r = 1 then
-      Transport.send transport ~src ~dst ~layer ~body_bytes:(nudge_bytes inst.estimate)
+      Instances.send t ~src ~dst ~body_bytes:(nudge_bytes inst.estimate)
         (Nudge { k = inst.k; est = inst.estimate })
   in
-  Instances.handle t fd ~name:"mr" ~on_message ~on_suspect ~start:start_round
+  Instances.handle t ~name:"mr" ~on_message ~on_suspect ~start:start_round
     ~announce:(if announce then Some nudge else None)
     ~counters:(fun () -> [])

@@ -10,6 +10,7 @@ let ensure () =
   Ics_broadcast.Rb_fd.register_codec ();
   Ics_broadcast.Rb_ring.register_codec ();
   Ics_broadcast.Urb.register_codec ();
+  Ics_consensus.Instances.register_codec ();
   Ics_consensus.Ct.register_codec ();
   Ics_consensus.Mr.register_codec ();
   Ics_consensus.Lb.register_codec ();

@@ -27,7 +27,6 @@ type point = {
       (** busiest resource's utilization over the arrival window (sim
           only; NaN on live, where the barrier timeout is the overload
           signal instead) *)
-  delivered : int;  (** (message, process) delivery pairs observed *)
 }
 
 type curve = {
@@ -120,7 +119,6 @@ let sim_point ?(seed = 1L) ?(body_bytes = 32) ?(duration_ms = 4_000.0)
     util =
       List.fold_left (fun m (_, u) -> Float.max m u) 0.0
         r.Experiment.utilization;
-    delivered = r.Experiment.measured;
   }
 
 let sim_curve ?seed ?algo ?ordering ?body_bytes ?duration_ms ~n ~batching
@@ -148,7 +146,6 @@ let live_of_outcome offered (o : Cluster.outcome) =
     checker_ok = Checker.ok o.Cluster.verdict;
     clean = Cluster.ok o;
     util = Float.nan;
-    delivered = Array.fold_left ( + ) 0 o.Cluster.delivered_per_node;
   }
 
 (* [offered] msg/s cluster-wide for [duration_ms], as each node's even

@@ -31,7 +31,6 @@ type point = {
       (** busiest resource's utilization over the arrival window (sim
           only; NaN on live, where the barrier timeout is the overload
           signal instead) *)
-  delivered : int;  (** (message, process) delivery pairs observed *)
 }
 
 type curve = {

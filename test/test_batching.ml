@@ -55,7 +55,7 @@ let test_batched_replay_deterministic () =
    ring) is also pinned to its trace digest. *)
 let test_saturation_fingerprint_pinned () =
   Alcotest.(check string)
-    "saturation-smoke cell" "f1563bd8f9fafb3b8aa6ac1305182aed"
+    "saturation-smoke cell" "e203aa48b1dae6ab7266f4be30f098b8"
     (Saturation.sim_fingerprint ~seed:1L ~n:5
        ~batching:{ Abcast.batch = 8; pipeline = 2; flush_ms = 1.0 }
        ~broadcast:Profile.Ring ())
@@ -63,7 +63,9 @@ let test_saturation_fingerprint_pinned () =
 (* The same cell under MR (its batched path announces with [Nudge]) and
    under LB (Kick-driven ballots): the saturation pin above covers CT
    only.  Captured before the three stacks moved onto one instance
-   skeleton, which had to leave them bit-identical. *)
+   skeleton, which had to leave them bit-identical; MR's re-captured when
+   one step's sends began leaving as one frame per destination (LB's did
+   not move). *)
 let test_saturation_fingerprint_pinned_mr_lb () =
   List.iter
     (fun (algo, name, expect) ->
@@ -72,7 +74,7 @@ let test_saturation_fingerprint_pinned_mr_lb () =
         (Saturation.sim_fingerprint ~seed:1L ~algo ~n:5
            ~batching:{ Abcast.batch = 8; pipeline = 2; flush_ms = 1.0 }
            ~broadcast:Profile.Ring ()))
-    [ (Profile.Mr, "mr", "b178042174db73c4ef70a0b79def8047"); (Profile.Lb, "lb", "99b894f60a6c39297493d98073c9fcdc") ]
+    [ (Profile.Mr, "mr", "948bd5694417ffccbe7a8c655d095882"); (Profile.Lb, "lb", "99b894f60a6c39297493d98073c9fcdc") ]
 
 let delivered stack p = Abcast.delivered_sequence stack.Stack.abcast p
 

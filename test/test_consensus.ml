@@ -476,14 +476,23 @@ let test_ct_send_counters () =
   checki "acks" 2 (get "sent.ack")
 
 (* CT's thrifty rounds.  Frames are logged as they leave their sender
-   for the wire, and read back from their encoding: kind, round (0 for a
-   decision) and an ack's verdict. *)
-type frame = { at : float; src : Pid.t; dst : Pid.t; kind : string; round : int; ok : bool }
+   for the wire, one entry per payload (a bundle's in order, all with
+   the frame's sequence number), and read back from their encoding:
+   kind, round (0 for a decision) and an ack's verdict. *)
+type frame = {
+  at : float;
+  seq : int;
+  src : Pid.t;
+  dst : Pid.t;
+  kind : string;
+  round : int;
+  ok : bool;
+}
 
-let ct_frame (m : Ics_net.Message.t) =
+let ct_payload payload =
   let module Prim = Ics_codec.Prim in
   let w = Ics_codec.Bq.create 64 in
-  Ics_codec.Codec.encode_payload w m.payload;
+  Ics_codec.Codec.encode_payload w payload;
   let rd = Prim.reader (Ics_codec.Bq.contents w) in
   let kind =
     match Prim.r_u8 rd with
@@ -491,19 +500,32 @@ let ct_frame (m : Ics_net.Message.t) =
     | 0x21 -> "prop"
     | 0x22 -> "ack"
     | 0x23 -> "decide"
-    | tag -> Alcotest.failf "not a CT frame (tag %#x)" tag
+    | tag -> Alcotest.failf "not a CT payload (tag %#x)" tag
   in
   let _k = Prim.r_u32 rd in
   let round = if kind = "decide" then 0 else Prim.r_u32 rd in
   let ok = kind = "ack" && Prim.r_bool rd in
   (kind, round, ok)
 
+(* A frame's payloads, in the order its receiver handles them. *)
+let payloads (m : Ics_net.Message.t) =
+  match m.payload with Instances.Bundle ps -> ps | p -> [ p ]
+
+(* Whether the frame carries a CT payload of this kind, round and verdict. *)
+let carries m payload = List.mem payload (List.map ct_payload (payloads m))
+
 let wire_log h =
   Ics_core.Codecs.ensure ();
-  let log = ref [] in
+  let log = ref [] and seq = ref 0 in
   Transport.interpose h.transport (fun next (m : Ics_net.Message.t) ->
-      let kind, round, ok = ct_frame m in
-      log := { at = Engine.now h.engine; src = m.src; dst = m.dst; kind; round; ok } :: !log;
+      incr seq;
+      List.iter
+        (fun payload ->
+          let kind, round, ok = ct_payload payload in
+          log :=
+            { at = Engine.now h.engine; seq = !seq; src = m.src; dst = m.dst; kind; round; ok }
+            :: !log)
+        (payloads m);
       next m);
   fun () -> List.rev !log
 
@@ -543,7 +565,7 @@ let test_ct_late_estimate_answered () =
      p0 acks round 2 before round 3's decision reaches it at t = 8.5.
      Without the answer p0 waits for a proposal that never comes. *)
   let rule (m : Ics_net.Message.t) =
-    if Pid.equal m.dst 0 && ct_frame m = ("ack", 1, false) then Model.Delay_by 3.0 else Model.Pass
+    if Pid.equal m.dst 0 && carries m ("ack", 1, false) then Model.Delay_by 3.0 else Model.Pass
   in
   let h = mk ~algo:`Ct ~indirect:true ~manual:true ~rule () in
   let log = wire_log h in
@@ -629,7 +651,7 @@ let test_ct_no_catch_up_on_payload_nack () =
      says p2 left round 1 on a nack, not on a suspicion.  p1 keeps
      waiting, acks the late proposal, and round 1 decides. *)
   let rule (m : Ics_net.Message.t) =
-    if Pid.equal m.dst 1 && ct_frame m = ("prop", 1, false) then Model.Delay_by 3.0 else Model.Pass
+    if Pid.equal m.dst 1 && carries m ("prop", 1, false) then Model.Delay_by 3.0 else Model.Pass
   in
   let h = mk ~algo:`Ct ~indirect:true ~manual:true ~rule () in
   let id = mid 0 0 in
@@ -643,9 +665,10 @@ let test_ct_no_catch_up_on_payload_nack () =
 
 let test_ct_suspects_last () =
   (* p0 is dead; p1 then p2 suspect it at t = 2 with instances 1 and 2
-     open.  p2 sends both round-2 estimates to p1 before its round-1
-     nacks to p0; p1, whose detector now names p0, floods each decision
-     to p2 before p0. *)
+     open.  p2 sends both round-2 estimates to p1, in one frame, before
+     its frame of round-1 nacks to p0; p1, whose detector now names p0,
+     decides both instances in one step and sends p2 its frame of both
+     decisions before p0's. *)
   let h = mk ~algo:`Ct ~indirect:false ~manual:true () in
   let log = wire_log h in
   Engine.crash_at h.engine 0 ~at:0.5;
@@ -656,12 +679,127 @@ let test_ct_suspects_last () =
   suspect_at h ~at:2.0 ~observer:2 0;
   Engine.run ~until:100.0 h.engine;
   List.iter (fun k -> check_uniform_agreement h k ~expect_deciders:2) [ 1; 2 ];
+  let frame_count fs = List.length (List.sort_uniq Int.compare (List.map (fun f -> f.seq) fs)) in
+  let p2_at_suspicion = List.filter (fun f -> f.at = 2.0) (frames ~src:2 (log ())) in
   Alcotest.(check (list string)) "p2 on suspecting p0"
     [ "est2 2->1"; "est2 2->1"; "ack1 2->0"; "ack1 2->0" ]
-    (describe (List.filter (fun f -> f.at = 2.0) (frames ~src:2 (log ()))));
+    (describe p2_at_suspicion);
+  checki "p2's suspicion step: one frame per peer" 2 (frame_count p2_at_suspicion);
+  let decides = frames ~src:1 ~kind:"decide" (log ()) in
   Alcotest.(check (list string)) "p1's decision floods"
-    [ "decide0 1->2"; "decide0 1->0"; "decide0 1->2"; "decide0 1->0" ]
-    (describe (frames ~src:1 ~kind:"decide" (log ())))
+    [ "decide0 1->2"; "decide0 1->2"; "decide0 1->0"; "decide0 1->0" ]
+    (describe decides);
+  checki "p1's decisions: one frame per peer" 2 (frame_count decides)
+
+(* The outbox, on a stack with no rounds: [Seq_no i] payloads sent by
+   hand inside explicit steps, every frame logged as it leaves for the
+   wire, every payload as its handler runs. *)
+type Ics_net.Message.payload += Seq_no of int
+
+type outbox_rig = {
+  o_engine : Engine.t;
+  o_transport : Transport.t;
+  o_ctl : Fd.Control.t;
+  o_t : unit Instances.t;
+  o_handle : Intf.handle;
+  o_wire : (Pid.t * Pid.t * int list) list ref;  (* src, dst, payload numbers *)
+  o_handled : (Pid.t * Pid.t * int) list ref;  (* receiver, src, number *)
+}
+
+let numbers payloads =
+  List.map (function Seq_no i -> i | _ -> Alcotest.fail "not a Seq_no") payloads
+
+let outbox_rig () =
+  let engine = Engine.create ~seed:1L ~n:3 () in
+  let model = Model.constant ~jitter:0.0 ~delay:1.0 ~n:3 ~seed:1L () in
+  let transport = Transport.create engine ~model ~host:Host.instant in
+  let ctl = Fd.manual engine in
+  let fd = Fd.Control.fd ctl in
+  let callbacks = { Intf.on_decide = (fun _ _ _ -> ()); join = (fun _ _ -> Proposal.empty) } in
+  let t =
+    Instances.create transport fd { Instances.rcv = None } callbacks ~fresh:ignore
+      ~settle:ignore ~decide:(fun k _ -> Seq_no k)
+  in
+  let wire = ref [] and handled = ref [] in
+  Transport.interpose transport (fun next (m : Ics_net.Message.t) ->
+      wire := (m.src, m.dst, numbers (payloads m)) :: !wire;
+      next m);
+  let handle =
+    Instances.handle t ~name:"outbox"
+      ~on_message:(fun p ~src payload ->
+        handled := (p, src, List.hd (numbers [ payload ])) :: !handled)
+      ~on_suspect:(fun _ _ -> ())
+      ~start:(fun _ _ -> ())
+      ~announce:None
+      ~counters:(fun () -> [])
+  in
+  {
+    o_engine = engine;
+    o_transport = transport;
+    o_ctl = ctl;
+    o_t = t;
+    o_handle = handle;
+    o_wire = wire;
+    o_handled = handled;
+  }
+
+let send_seq r ~src ~dst i = Instances.send r.o_t ~src ~dst ~body_bytes:9 (Seq_no i)
+
+let wire_frames r = List.rev !(r.o_wire)
+
+let consensus_msgs r =
+  let stats = Transport.per_layer_stats r.o_transport in
+  match List.find_opt (fun (l, _, _) -> l = "consensus") stats with
+  | Some (_, msgs, _) -> msgs
+  | None -> 0
+
+let frames_t = Alcotest.(list (triple int int (list int)))
+
+let test_outbox_one_frame_per_peer () =
+  (* Two sends from p0 to p1 in one step: one frame, one transport
+     message and one [frames] count, handled at p1 in send order. *)
+  let r = outbox_rig () in
+  Engine.schedule r.o_engine ~at:1.0 (fun () ->
+      Instances.step r.o_t 0 (fun () ->
+          send_seq r ~src:0 ~dst:1 1;
+          send_seq r ~src:0 ~dst:1 2));
+  Engine.run r.o_engine;
+  Alcotest.check frames_t "one frame" [ (0, 1, [ 1; 2 ]) ] (wire_frames r);
+  Alcotest.(check (list (triple int int int)))
+    "handled in send order" [ (1, 0, 1); (1, 0, 2) ] (List.rev !(r.o_handled));
+  checki "one transport message" 1 (consensus_msgs r);
+  checki "frames counter" 1 (List.assoc "frames" (r.o_handle.Intf.counters ()))
+
+let test_outbox_suspects_last () =
+  (* p0 suspects p1.  Its step queues for p1 first, then p2, then p1
+     again: p2's frame leaves first, p1's two payloads after it in one
+     frame. *)
+  let r = outbox_rig () in
+  Fd.Control.suspect r.o_ctl ~observer:0 1;
+  Engine.schedule r.o_engine ~at:1.0 (fun () ->
+      Instances.step r.o_t 0 (fun () ->
+          send_seq r ~src:0 ~dst:1 1;
+          send_seq r ~src:0 ~dst:2 2;
+          send_seq r ~src:0 ~dst:1 3));
+  Engine.run r.o_engine;
+  Alcotest.check frames_t "trusted first" [ (0, 2, [ 2 ]); (0, 1, [ 1; 3 ]) ] (wire_frames r)
+
+let test_outbox_nested_step_flushes_once () =
+  (* A step nested in another queues into the same outbox: nothing
+     leaves when the inner step returns, and the outer one sends one
+     frame per destination, in first-queued order. *)
+  let r = outbox_rig () in
+  Engine.schedule r.o_engine ~at:1.0 (fun () ->
+      Instances.step r.o_t 0 (fun () ->
+          send_seq r ~src:0 ~dst:2 1;
+          Instances.step r.o_t 0 (fun () ->
+              send_seq r ~src:0 ~dst:1 2;
+              send_seq r ~src:0 ~dst:2 3);
+          checki "nothing left after the inner step" 0 (List.length !(r.o_wire));
+          send_seq r ~src:0 ~dst:1 4));
+  Engine.run r.o_engine;
+  Alcotest.check frames_t "one flush" [ (0, 2, [ 1; 3 ]); (0, 1, [ 2; 4 ]) ] (wire_frames r);
+  checki "two transport messages" 2 (consensus_msgs r)
 
 let both name f = [
   Alcotest.test_case ("ct: " ^ name) `Quick (f `Ct);
@@ -726,6 +864,12 @@ let suites =
         Alcotest.test_case "no catch-up on a payload nack" `Quick
           test_ct_no_catch_up_on_payload_nack;
         Alcotest.test_case "suspects last" `Quick test_ct_suspects_last;
+      ] );
+    ( "outbox",
+      [
+        Alcotest.test_case "one frame per peer per step" `Quick test_outbox_one_frame_per_peer;
+        Alcotest.test_case "suspected peers last" `Quick test_outbox_suspects_last;
+        Alcotest.test_case "nested step flushes once" `Quick test_outbox_nested_step_flushes_once;
       ] );
     ( "mr",
       [
