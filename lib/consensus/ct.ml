@@ -102,6 +102,7 @@ type state = {
   mutable coord : coord_phase;
   mutable waiting_prop : bool;  (* Phase 3 *)
   est_in : (int, (Pid.t * int * Proposal.t) list ref) Hashtbl.t;
+      (* round -> phase-1 estimates, one per sender *)
   prop_in : (int, Proposal.t) Hashtbl.t;
   replies_in : (int, replies) Hashtbl.t;  (* round -> phase-3 replies *)
   mutable prop_out : (int * Proposal.t) list;
@@ -113,16 +114,19 @@ type state = {
 and replies = { replied : bool array; mutable acks : int }
 
 (* Decisions the coordinator reached on a majority of acks, by the round
-   it reached them in, phase-3 nacks sent, catch-ups (rounds left on a
-   peer's next-round estimate), and remote sends by message
-   kind and round (all processes of the handle; a live node's handle runs
-   one).  A round-1 estimate is the announce. *)
+   it reached them in, decisions on a locked majority of estimates,
+   phase-3 nacks sent, catch-ups (rounds left on a peer's next-round
+   estimate), decisions sent by the answer rule, and remote sends by
+   message kind and round (all processes of the handle; a live node's
+   handle runs one).  A round-1 estimate is the announce. *)
 type counters = {
   mutable round1 : int;
   mutable round2 : int;
   mutable round3_plus : int;
+  mutable locked : int;
   mutable nacks : int;
   mutable catch_ups : int;
+  mutable answers : int;
   mutable est_r1 : int;
   mutable est_r2_plus : int;
   mutable prop_r1 : int;
@@ -151,6 +155,9 @@ let settle s =
 
 let replies n = { replied = Array.make n false; acks = 0 }
 
+(* Whether [q]'s estimate is among [ests]. *)
+let holds_est ests q = List.exists (fun (src, _, _) -> Pid.equal src q) ests
+
 let create ?(announce = false) transport fd config cb =
   let n = Transport.n transport in
   let majority = Quorum.majority ~n in
@@ -159,8 +166,10 @@ let create ?(announce = false) transport fd config cb =
       round1 = 0;
       round2 = 0;
       round3_plus = 0;
+      locked = 0;
       nacks = 0;
       catch_ups = 0;
+      answers = 0;
       est_r1 = 0;
       est_r2_plus = 0;
       prop_r1 = 0;
@@ -222,17 +231,31 @@ let create ?(announce = false) transport fd config cb =
         end
     | Not_coordinator | Collecting -> ()
 
-  (* Phase 2, rounds > 1: with a majority of estimates in hand, propose one
-     carrying the largest timestamp — to this process and the senders of
-     those estimates only.  Every other process that enters the round
-     sends its estimate here too and is answered with the recorded
-     proposal (the [Est] handler), so a process that has decided or moved
-     on is not sent a frame it would drop. *)
+  (* Phase 2, rounds > 1.  A majority of estimates stamped r - 1 is
+     locked: each of its senders adopted round r - 1's one proposal, after
+     [rcv] held, and no other value can ever be proposed.  The coordinator
+     decides it at once, and leaves round r - 1's coordinator out of its
+     [Decide] unless it holds that coordinator's own estimate (it left
+     round r - 1): otherwise that coordinator decides on the same acks,
+     or gives the round up and is answered.  With any other majority of
+     estimates in hand, propose one carrying the largest timestamp — to
+     this process and the senders of those estimates only.  Every other
+     process that enters the round sends its estimate here too and is
+     answered with the recorded proposal (the [Est] handler), so a
+     process that has decided or moved on is not sent a frame it would
+     drop. *)
   and coord_check_estimates p ({ Instances.st = s; _ } as inst) =
     match s.coord with
     | Collecting ->
         let ests = !(Instances.find_or_add s.est_in s.r ref []) in
-        if List.length ests >= majority then begin
+        let locked = List.filter (fun (_, ts, _) -> ts = s.r - 1) ests in
+        if List.length locked >= majority then begin
+          counters.locked <- counters.locked + 1;
+          let _, _, value = List.hd locked in
+          let c = Pid.coordinator ~n ~round:(s.r - 1) in
+          Instances.decide t p inst value ~skip:(if holds_est ests c then [] else [ c ])
+        end
+        else if List.length ests >= majority then begin
           let _, _, best =
             List.fold_left
               (fun ((_, bts, _) as acc) ((_, ts, _) as e) ->
@@ -242,10 +265,7 @@ let create ?(announce = false) transport fd config cb =
           s.coord <- Waiting_acks best;
           s.prop_out <- (s.r, best) :: s.prop_out;
           Instances.multicast t ~src:p
-            ~dsts:
-              (List.filter
-                 (fun q -> Pid.equal q p || List.exists (fun (src, _, _) -> Pid.equal src q) ests)
-                 (Pid.all ~n))
+            ~dsts:(List.filter (fun q -> Pid.equal q p || holds_est ests q) (Pid.all ~n))
             ~body_bytes:(prop_bytes best)
             (Prop { k = inst.k; r = s.r; est = best });
           coord_check_acks p inst
@@ -324,15 +344,21 @@ let create ?(announce = false) transport fd config cb =
   in
   let start p inst = start_round p inst in
 
+  (* A round message from a process this one's decision skipped. *)
+  let answer p inst ~src =
+    if Instances.answer t p inst ~src then counters.answers <- counters.answers + 1
+  in
+
   let on_message p ~src (payload : Message.payload) =
     match payload with
-    | Est { k; r; est; ts; suspicion } ->
+    | Est { k; r; est; ts; suspicion } -> (
         let ({ Instances.st = s; _ } as inst) =
           if announce && r = 1 && Pid.equal p (Pid.coordinator ~n ~round:1) then
             Instances.join_announced t ~start p k est
           else Instances.get_inst t ~start p k
         in
-        if not inst.decided then begin
+        if inst.decided then answer p inst ~src
+        else
           match List.assoc_opt r s.prop_out with
           | Some value ->
               (* This process has proposed in round r, possibly left it
@@ -343,38 +369,42 @@ let create ?(announce = false) transport fd config cb =
           | None ->
               if r >= s.r then begin
                 let l = Instances.find_or_add s.est_in r ref [] in
-                l := (src, ts, est) :: !l;
-                if r = s.r then coord_check_estimates p inst
-                else if
-                  (* Catch-up: the sender gave the current round up on
-                     suspecting its coordinator, so that coordinator has
-                     lost a vote; a non-coordinator still waiting for its
-                     proposal follows the sender into the next round,
-                     which this process coordinates.  Only on a suspicion:
-                     a sender that nacked a proposal for a missing payload
-                     leaves the coordinator alive and able to decide with
-                     this process's ack.  Only the next round: this process
-                     has sent every estimate up to its current round, and
-                     skipping a round would withhold that round's from its
-                     coordinator. *)
-                  suspicion && s.waiting_prop && r = s.r + 1
-                  && not (Pid.equal p (Pid.coordinator ~n ~round:s.r))
-                then begin
-                  counters.catch_ups <- counters.catch_ups + 1;
-                  s.waiting_prop <- false;
-                  give_up p inst
+                (* One estimate per sender: a duplicated frame is not a vote. *)
+                if not (holds_est !l src) then begin
+                  l := (src, ts, est) :: !l;
+                  if r = s.r then coord_check_estimates p inst
+                  else if
+                    (* Catch-up: the sender gave the current round up on
+                       suspecting its coordinator, so that coordinator has
+                       lost a vote; a non-coordinator still waiting for its
+                       proposal follows the sender into the next round,
+                       which this process coordinates.  Only on a suspicion:
+                       a sender that nacked a proposal for a missing payload
+                       leaves the coordinator alive and able to decide with
+                       this process's ack.  Only the next round: this process
+                       has sent every estimate up to its current round, and
+                       skipping a round would withhold that round's from its
+                       coordinator. *)
+                    suspicion && s.waiting_prop && r = s.r + 1
+                    && not (Pid.equal p (Pid.coordinator ~n ~round:s.r))
+                  then begin
+                    counters.catch_ups <- counters.catch_ups + 1;
+                    s.waiting_prop <- false;
+                    give_up p inst
+                  end
                 end
-              end
-        end
+              end)
     | Prop { k; r; est } ->
         let ({ Instances.st = s; _ } as inst) = Instances.get_inst t ~start p k in
-        if (not inst.decided) && r >= s.r then begin
+        if inst.decided then answer p inst ~src
+        else if r >= s.r then begin
           Hashtbl.replace s.prop_in r est;
           if r = s.r then handle_prop p inst est
         end
     | Ack { k; r; ok } ->
         let ({ Instances.st = s; _ } as inst) = Instances.get_inst t ~start p k in
-        if (not inst.decided) && r >= s.r then begin
+        if inst.decided then answer p inst ~src
+        else if r >= s.r then begin
           let rs = Instances.find_or_add s.replies_in r replies n in
           if not rs.replied.(src) then begin
             rs.replied.(src) <- true;
@@ -416,8 +446,10 @@ let create ?(announce = false) transport fd config cb =
       ("decisions.round1", c.round1);
       ("decisions.round2", c.round2);
       ("decisions.round3+", c.round3_plus);
+      ("decisions.locked", c.locked);
       ("nacks", c.nacks);
       ("catch_ups", c.catch_ups);
+      ("answers", c.answers);
       ("sent.est.r1", c.est_r1);
       ("sent.est.r2+", c.est_r2_plus);
       ("sent.prop.r1", c.prop_r1);

@@ -9,10 +9,15 @@
       suspecting that round's coordinator.
     + {e Phase 2} (coordinator): in round 1 the coordinator proposes its own
       estimate to all (including itself); in later rounds it gathers
-      ⌈(n+1)/2⌉ estimates and proposes one with the largest timestamp to
-      itself and the senders of the estimates it holds, recording the
-      proposal so that a round-[r] estimate arriving later — even after
-      it has left round [r] — is answered with it.
+      estimates from ⌈(n+1)/2⌉ distinct senders.  Once that many are
+      stamped [r-1] their value is locked (each sender adopted round
+      [r-1]'s one proposal after [rcv] held), and the coordinator decides
+      it at once, proposing nothing; its decision skips round [r-1]'s
+      coordinator unless it holds that coordinator's round-[r] estimate.
+      Otherwise it proposes one with the largest timestamp to itself and
+      the senders of the estimates it holds, recording the proposal so
+      that a round-[r] estimate arriving later — even after it has left
+      round [r] — is answered with it.
     + {e Phase 3}: [p] waits for the coordinator's proposal or a suspicion
       from its failure detector.  On a proposal: the {b original} variant
       always adopts it (estimate ← proposal, timestamp ← r) and acks; the
@@ -34,6 +39,20 @@
 
     Decisions are disseminated by flooding ("R-broadcast the decide
     message"), so a coordinator crash after deciding cannot block anyone.
+    A process that a locked decision skipped and that later sends the
+    decider a round message gets one [Decide] back ({!Instances.answer}).
+
+    The handle's counters, summed over its processes:
+    - [decisions.round1], [decisions.round2], [decisions.round3+]:
+      decisions a coordinator reached on a majority of acks, by round;
+    - [decisions.locked]: decisions on a locked majority of estimates;
+    - [nacks]: phase-3 nacks sent;
+    - [catch_ups]: rounds left on a peer's flagged next-round estimate;
+    - [answers]: decisions sent by the answer rule (0 without faults);
+    - [sent.est.r1] (the announce), [sent.est.r2+], [sent.prop.r1],
+      [sent.prop.r2+], [sent.ack], [sent.decide]: payloads queued for
+      another process, by kind and round;
+    - [frames]: consensus frames sent to other processes.
 
     The indirect variant preserves the original resilience [f < n/2]: a
     v-valent configuration requires a majority holding estimate [v], each

@@ -54,7 +54,13 @@ type create =
   Transport.t -> Failure_detector.t -> config -> Consensus_intf.callbacks ->
   Consensus_intf.handle
 
-type 'a inst = { k : int; mutable estimate : Proposal.t; mutable decided : bool; st : 'a }
+type 'a inst = {
+  k : int;
+  mutable estimate : Proposal.t;
+  mutable decided : bool;
+  mutable untold : Pid.t list;
+  st : 'a;
+}
 
 (* One process's sends of its current step: per destination, newest
    first, and the destinations in the order each was first queued
@@ -176,7 +182,7 @@ let rcv_holds t p (v : Proposal.t) =
       rcv p ids
 
 let new_instance t p k estimate =
-  let inst = { k; estimate; decided = false; st = t.fresh () } in
+  let inst = { k; estimate; decided = false; untold = []; st = t.fresh () } in
   Hashtbl.add t.instances.(p) k inst;
   t.undecided.(p) <- t.undecided.(p) + 1;
   Engine.record t.engine p (Trace.Propose (k, Proposal.ids estimate));
@@ -204,19 +210,26 @@ let join_announced t ~start p k est =
       join t ~start p k (if Proposal.is_empty own then est else own)
 
 (* [except] is the process a relayed decision came from ([p] itself for
-   the process's own decision, which [Pid.others] leaves out anyway). *)
-let flood t p inst v ~except =
+   the process's own decision, which [Pid.others] leaves out anyway);
+   [skip] are the processes left for {!answer}. *)
+let flood t p inst v ~except ~skip =
   if not inst.decided then begin
     inst.decided <- true;
+    inst.estimate <- v;
+    inst.untold <- skip;
     t.undecided.(p) <- t.undecided.(p) - 1;
     t.settle inst.st;
-    let dsts = List.filter (fun q -> not (Pid.equal q except)) (Pid.others ~n:t.n p) in
+    let dsts =
+      List.filter
+        (fun q -> not (Pid.equal q except || List.mem q skip))
+        (Pid.others ~n:t.n p)
+    in
     multicast t ~src:p ~dsts ~body_bytes:(decide_bytes v) (t.decide_msg inst.k v);
     Engine.record t.engine p (Trace.Decide (inst.k, Proposal.ids v));
     t.cb.on_decide p inst.k v
   end
 
-let decide t p inst v = flood t p inst v ~except:p
+let decide ?(skip = []) t p inst v = flood t p inst v ~except:p ~skip
 
 let receive_decide t p ~src k v =
   let inst =
@@ -227,7 +240,16 @@ let receive_decide t p ~src k v =
            it without running any round (the flood settles it at once). *)
         new_instance t p k v
   in
-  flood t p inst v ~except:src
+  flood t p inst v ~except:src ~skip:[]
+
+let answer t p inst ~src =
+  let skipped = inst.decided && List.mem src inst.untold in
+  if skipped then begin
+    inst.untold <- List.filter (fun q -> not (Pid.equal q src)) inst.untold;
+    send t ~src:p ~dst:src ~body_bytes:(decide_bytes inst.estimate)
+      (t.decide_msg inst.k inst.estimate)
+  end;
+  skipped
 
 (* Key-sorted: bucket-order iteration would make the order of the round
    steps a suspicion triggers, and hence the trace, depend on hashing

@@ -59,8 +59,12 @@ type create =
 
 type 'a inst = {
   k : int;
-  mutable estimate : Proposal.t;
+  mutable estimate : Proposal.t;  (** once decided, the decision *)
   mutable decided : bool;
+  mutable untold : Pid.t list;
+      (** once decided, the processes its decision was not sent to and
+          has not been {!answer}ed to yet; empty except after
+          [decide ~skip] *)
   st : 'a;  (** the stack's round state *)
 }
 
@@ -113,15 +117,22 @@ val join_announced :
     announced ids wait.  The receivers' [rcv] guards still protect No
     loss although the coordinator may not hold those payloads yet. *)
 
-val decide : 'a t -> Pid.t -> 'a inst -> Proposal.t -> unit
+val decide : ?skip:Pid.t list -> 'a t -> Pid.t -> 'a inst -> Proposal.t -> unit
 (** The process decides [v] in the instance (a no-op once decided): it
-    settles the round state, queues [Decide] for every other process,
-    records [Trace.Decide] and calls [cb.on_decide]. *)
+    settles the round state, queues [Decide] for every other process but
+    those in [skip] (default none), records [Trace.Decide] and calls
+    [cb.on_decide].  A skipped process must come to know the decision
+    some other way — a relay, its own decision, or {!answer}. *)
 
 val receive_decide : 'a t -> Pid.t -> src:Pid.t -> int -> Proposal.t -> unit
 (** A [Decide] from [src]: decide it too, relaying to everyone but [src].
     A process that never held the instance adopts the decision without
     running any round. *)
+
+val answer : 'a t -> Pid.t -> 'a inst -> src:Pid.t -> bool
+(** The answer rule: a decided process that hears from a process its
+    decision skipped sends it one [Decide] and marks it told.  True iff
+    it sent one. *)
 
 val iter : 'a t -> Pid.t -> ('a inst -> unit) -> unit
 (** The process's instances in ascending [k]. *)

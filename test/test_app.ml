@@ -153,7 +153,7 @@ let test_sim_service_hash_stable () =
 let smoke_batching = { Ics_core.Abcast.batch = 8; pipeline = 4; flush_ms = 1.0 }
 
 let test_service_fingerprint_pinned () =
-  checks "service-smoke cell" "734a0f46a0c5316b1f4fe1abf95aeb29"
+  checks "service-smoke cell" "9f86b3b4d6e528c0a5d3238b95174093"
     (Service.sim_fingerprint ~seed:1L ~batching:smoke_batching ~n:3 ())
 
 let test_service_point_pinned () =

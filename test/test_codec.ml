@@ -426,8 +426,8 @@ let test_partial_frame_chunked_decode () =
    Host.instant, where timing is size-independent — so they must survive
    the switch to real encoded sizes bit-for-bit.  If one of these moves,
    either the trace format changed (update EXPERIMENTS.md) or scheduling
-   behaviour drifted (a real regression).  They were re-captured twice,
-   each time after --replay-check and --jobs-check passed and with every
+   behaviour drifted (a real regression).  They were re-captured, each
+   time after --replay-check and --jobs-check passed and with every
    cell's verdict and violated properties unchanged: when the simulated
    cells moved onto the transport fault middleware (per-link fault draws
    instead of one run-wide stream), when CT's rounds r > 1 began
@@ -435,7 +435,10 @@ let test_partial_frame_chunked_decode () =
    digests; MR's and the on-ids blackout's did not move), and when the
    consensus sends of one step began leaving as one frame per
    destination (every digest but the on-ids blackout's; at n = 3 and
-   n = 5 the 1000-seed app sweeps kept every cell's verdict). *)
+   n = 5 the 1000-seed app sweeps kept every cell's verdict), and when
+   CT's round-r coordinator began deciding a majority of estimates
+   stamped r - 1 instead of proposing it again (every CT digest, the
+   on-ids blackout's included). *)
 let test_sim_fingerprints_pinned () =
   let cases =
     (* [run_one]'s [?batching] defaults to [Abcast.no_batching], so these
@@ -444,19 +447,19 @@ let test_sim_fingerprints_pinned () =
        code path that happens to agree — it is what the batched
        reduction degenerates to, and these pins hold it there. *)
     [
-      (Chaos.Ct_indirect, Chaos.Drop, 2L, "784d39d6fb2188ec54d73ea5043f8a9d");
+      (Chaos.Ct_indirect, Chaos.Drop, 2L, "d62a6f84da618a05e839a7edbde719a0");
       (Chaos.Mr_indirect, Chaos.Mixed, 3L, "516e8d15cb71d0c1dff3e8d9d6c03a64");
-      (Chaos.Ct_on_ids, Chaos.Blackout, 3L, "b9d2451135022bbda1037c5f6f3fe787");
+      (Chaos.Ct_on_ids, Chaos.Blackout, 3L, "f3bff68edc9d5f3f761e0d1f91aa9ee7");
       (* Storm drives the suspicion path hardest — these pin the
          Sorted_tbl rewrite of on_suspect/on_fd_change: digests captured
          under bucket-order Hashtbl.iter must hold under key-sorted
          iteration, proving insertion order coincided with key order. *)
-      (Chaos.Ct_indirect, Chaos.Storm, 2L, "bf821bc325c205863871553a3d64ab15");
+      (Chaos.Ct_indirect, Chaos.Storm, 2L, "ce83f6db83322a9037661f47c572707d");
       (Chaos.Mr_indirect, Chaos.Storm, 3L, "5ca6a6871465581533c4d2661e501c61");
       (* Same digest as ct-indirect above: the two orderings take
          identical steps in this run, as they do in 144 of storm seeds
          1-200. *)
-      (Chaos.Ct_on_ids, Chaos.Storm, 2L, "bf821bc325c205863871553a3d64ab15");
+      (Chaos.Ct_on_ids, Chaos.Storm, 2L, "ce83f6db83322a9037661f47c572707d");
     ]
   in
   List.iter
@@ -475,7 +478,7 @@ let test_sim_fingerprints_pinned () =
 let test_app_and_batched_fingerprints_pinned () =
   let app = Chaos.run_one ~app:true Chaos.Ct_indirect Chaos.Storm ~seed:2L in
   Alcotest.(check string)
-    "ct-indirect/storm seed 2, app" "4bbbecce195b03174bacd293663ad188"
+    "ct-indirect/storm seed 2, app" "59d0dcf289a9d49ff29a437a93a962d7"
     app.Chaos.fingerprint;
   let batched =
     Chaos.run_one

@@ -461,9 +461,12 @@ let test_undecided_count algo () =
   Alcotest.(check (list int)) "adopting a decision opens nothing" [ 0; 0; 0 ] (counts ())
 
 (* CT's remote sends by kind, with only p0 proposing: p0's round-1
-   proposal reaches two peers, p0's decision floods to two and each
-   relays it to the one peer it did not hear it from, and there is no
-   announce (unbatched).  A send to oneself is not counted. *)
+   proposal reaches two peers, and both ack it.  p2's round-2 estimate
+   gives p1 a locked majority: p1 decides at once, proposes nothing in
+   round 2 and tells p2 alone; p0 decides on its acks and tells both,
+   and p2 relays the first decision it gets to the one peer it did not
+   hear it from.  There is no announce (unbatched).  A send to oneself
+   is not counted. *)
 let test_ct_send_counters () =
   let h = mk ~algo:`Ct ~indirect:false () in
   propose_at h ~at:1.0 0 1 (Proposal.on_ids [ mid 0 0 ]);
@@ -472,8 +475,13 @@ let test_ct_send_counters () =
   let get k = List.assoc k c in
   checki "announce" 0 (get "sent.est.r1");
   checki "round-1 proposal" 2 (get "sent.prop.r1");
-  checki "decision flood" 4 (get "sent.decide");
-  checki "acks" 2 (get "sent.ack")
+  checki "round-2 estimate" 1 (get "sent.est.r2+");
+  checki "no round-2 proposal" 0 (get "sent.prop.r2+");
+  checki "decisions" 4 (get "sent.decide");
+  checki "acks" 2 (get "sent.ack");
+  checki "decided on acks" 1 (get "decisions.round1");
+  checki "decided on a locked majority" 1 (get "decisions.locked");
+  checki "no answer" 0 (get "answers")
 
 (* CT's thrifty rounds.  Frames are logged as they leave their sender
    for the wire, one entry per payload (a bundle's in order, all with
@@ -540,10 +548,12 @@ let frames ?src ?kind ?round log =
 let describe fs =
   List.map (fun f -> Printf.sprintf "%s%d %d->%d" f.kind f.round f.src f.dst) fs
 
-let test_ct_round2_proposal_to_estimators () =
+let test_ct_round2_decides_locked () =
   (* Fault-free: p1 and p2 ack p0's round-1 proposal and open round 2,
-     so p1 (its coordinator) holds its own and p2's estimates; p0 decides
-     round 1 and sends none.  The round-2 proposal goes to p2 alone. *)
+     so p1 (its coordinator) holds its own and p2's estimates, both
+     stamped 1: a locked majority.  p1 decides at once, sends no round-2
+     proposal, and leaves p0 (round 1's coordinator, which decides on
+     the same acks) out of its decision. *)
   let h = mk ~algo:`Ct ~indirect:false () in
   let log = wire_log h in
   let v = Proposal.on_ids [ mid 0 0 ] in
@@ -552,9 +562,87 @@ let test_ct_round2_proposal_to_estimators () =
   check_uniform_agreement h 1 ~expect_deciders:3;
   Alcotest.(check (list string)) "round-2 estimates" [ "est2 2->1" ]
     (describe (frames ~kind:"est" ~round:2 (log ())));
-  Alcotest.(check (list string)) "round-2 proposals" [ "prop2 1->2" ]
+  Alcotest.(check (list string)) "no round-2 proposal or ack" []
+    (describe (frames ~round:2 (log ()) |> List.filter (fun f -> f.kind <> "est")));
+  Alcotest.(check (list string)) "p1's decision skips p0" [ "decide0 1->2" ]
+    (describe (frames ~src:1 ~kind:"decide" (log ())));
+  checkb "p1 decides when p2's estimate lands" true
+    (List.for_all (fun f -> f.at = 3.0) (frames ~src:1 ~kind:"decide" (log ())));
+  checki "decided on a locked majority" 1 (ct_counter h "decisions.locked");
+  checki "decided on acks" 1 (ct_counter h "decisions.round1");
+  checki "no answer" 0 (ct_counter h "answers")
+
+let test_ct_round2_proposal_to_estimators () =
+  (* p1 and p2 falsely suspect p0 at t = 1.5, before its round-1
+     proposal lands, and open round 2 with estimates stamped 0: not
+     locked.  p1 (round 2's coordinator) holds its own and p2's
+     estimates and proposes to p2 alone; p0, which gives round 1 up on
+     the two nacks, gets the recorded proposal as the answer to its
+     estimate. *)
+  let h = mk ~algo:`Ct ~indirect:false ~manual:true () in
+  let log = wire_log h in
+  let v = Proposal.on_ids [ mid 0 0 ] in
+  List.iter (fun p -> propose_at h ~at:1.0 p 1 v) [ 0; 1; 2 ];
+  suspect_at h ~at:1.5 ~observer:1 0;
+  suspect_at h ~at:1.5 ~observer:2 0;
+  Engine.run ~until:100.0 h.engine;
+  check_uniform_agreement h 1 ~expect_deciders:3;
+  Alcotest.(check (list string)) "round-2 estimates" [ "est2 2->1"; "est2 0->1" ]
+    (describe (frames ~kind:"est" ~round:2 (log ())));
+  Alcotest.(check (list string)) "round-2 proposals" [ "prop2 1->2"; "prop2 1->0" ]
     (describe (frames ~kind:"prop" ~round:2 (log ())));
-  checki "counted once" 1 (ct_counter h "sent.prop.r2+")
+  checki "decided on acks" 1 (ct_counter h "decisions.round2");
+  checki "nothing locked" 0 (ct_counter h "decisions.locked")
+
+let test_ct_skipped_coordinator_answered () =
+  (* p0 suspects p1 and p2 at t = 2.5, before their round-1 acks land,
+     gives round 1 up and sends p1 its round-2 estimate (t = 3.5).  p1
+     has decided at t = 3 on a locked majority (its own and p2's
+     estimates), leaving p0 out; p2 crashes before it can relay p1's
+     decision.  Only the answer rule gets p0 the decision: without it
+     p0 walks on to round 4, which it coordinates, and collects
+     estimates forever. *)
+  let h = mk ~algo:`Ct ~indirect:false ~manual:true () in
+  let log = wire_log h in
+  let v = Proposal.on_ids [ mid 0 0 ] in
+  List.iter (fun p -> propose_at h ~at:1.0 p 1 v) [ 0; 1; 2 ];
+  suspect_at h ~at:2.5 ~observer:0 1;
+  suspect_at h ~at:2.5 ~observer:0 2;
+  Engine.crash_at h.engine 2 ~at:3.5;
+  Engine.run ~until:100.0 h.engine;
+  check_uniform_agreement h 1 ~expect_deciders:2;
+  Alcotest.(check (list string)) "p1's decisions" [ "decide0 1->2"; "decide0 1->0" ]
+    (describe (frames ~src:1 ~kind:"decide" (log ())));
+  checki "decided on a locked majority" 1 (ct_counter h "decisions.locked");
+  checki "one answer" 1 (ct_counter h "answers")
+
+let test_ct_duplicate_estimate_counted_once () =
+  (* n = 5, p0 dead.  p1 and p2 suspect it at t = 2, and p2's round-2
+     estimate reaches p1 twice: the second copy is sent again by hand.
+     p1 holds two senders' estimates, short of the three it needs, and
+     proposes only once p3 suspects p0 too (t = 10). *)
+  let h = mk ~n:5 ~algo:`Ct ~indirect:false ~manual:true () in
+  let log = wire_log h in
+  let est_2_to_1 = ref None in
+  Transport.interpose h.transport (fun next (m : Ics_net.Message.t) ->
+      if Pid.equal m.src 2 && Pid.equal m.dst 1 && carries m ("est", 2, false) then
+        est_2_to_1 := Some m.payload;
+      next m);
+  Engine.crash_at h.engine 0 ~at:0.5;
+  List.iter (fun p -> propose_at h ~at:1.0 p 1 (Proposal.on_ids [ mid p 1 ])) [ 1; 2; 3; 4 ];
+  suspect_at h ~at:2.0 ~observer:1 0;
+  suspect_at h ~at:2.0 ~observer:2 0;
+  let layer = Transport.intern h.transport "consensus" in
+  Engine.schedule h.engine ~at:4.0 (fun () ->
+      Transport.send h.transport ~src:2 ~dst:1 ~layer ~body_bytes:32
+        (Option.get !est_2_to_1));
+  List.iter (fun observer -> suspect_at h ~at:10.0 ~observer 0) [ 3; 4 ];
+  Engine.run ~until:100.0 h.engine;
+  check_uniform_agreement h 1 ~expect_deciders:4;
+  Alcotest.(check (list string)) "p2's estimate, twice" [ "est2 2->1"; "est2 2->1" ]
+    (describe (frames ~src:2 ~kind:"est" ~round:2 (log ())));
+  checkb "no round-2 proposal before p3's estimate" true
+    (List.for_all (fun f -> f.at > 10.0) (frames ~kind:"prop" ~round:2 (log ())))
 
 let test_ct_late_estimate_answered () =
   (* p1 and p2 falsely suspect p0 at t = 1.5 and open round 2; their
@@ -853,8 +941,14 @@ let suites =
         Alcotest.test_case "suspected silent replier ends the round" `Quick
           test_ct_suspected_silent_replier_ends_round;
         Alcotest.test_case "remote sends by kind" `Quick test_ct_send_counters;
+        Alcotest.test_case "round 2 decides a locked majority" `Quick
+          test_ct_round2_decides_locked;
         Alcotest.test_case "round-2 proposal goes to its estimators" `Quick
           test_ct_round2_proposal_to_estimators;
+        Alcotest.test_case "skipped coordinator answered" `Quick
+          test_ct_skipped_coordinator_answered;
+        Alcotest.test_case "duplicate estimate counted once" `Quick
+          test_ct_duplicate_estimate_counted_once;
         Alcotest.test_case "late estimate answered with the recorded proposal" `Quick
           test_ct_late_estimate_answered;
         Alcotest.test_case "catch-up on a peer's suspicion" `Quick
