@@ -158,7 +158,7 @@ let replies n = { replied = Array.make n false; acks = 0 }
 (* Whether [q]'s estimate is among [ests]. *)
 let holds_est ests q = List.exists (fun (src, _, _) -> Pid.equal src q) ests
 
-let create ?(announce = false) transport fd config cb =
+let create ?announce transport fd config cb =
   let n = Transport.n transport in
   let majority = Quorum.majority ~n in
   let counters =
@@ -352,9 +352,10 @@ let create ?(announce = false) transport fd config cb =
   let on_message p ~src (payload : Message.payload) =
     match payload with
     | Est { k; r; est; ts; suspicion } -> (
+        (* A round-1 estimate is only ever the announce (phase 1 starts
+           at round 2): join the instance on it. *)
         let ({ Instances.st = s; _ } as inst) =
-          if announce && r = 1 && Pid.equal p (Pid.coordinator ~n ~round:1) then
-            Instances.join_announced t ~start p k est
+          if r = 1 then Instances.join_announced t ~start p k est
           else Instances.get_inst t ~start p k
         in
         if inst.decided then answer p inst ~src
@@ -434,10 +435,13 @@ let create ?(announce = false) transport fd config cb =
   in
 
   (* Round 1's announce is the phase-1 estimate, which rounds r > 1 send
-     anyway, sent to the round-1 coordinator too. *)
-  let announce_est ~src ~dst ({ Instances.st = s; _ } as inst) =
-    if s.r = 1 then
-      Instances.send t ~src ~dst ~body_bytes:(est_bytes inst.estimate)
+     anyway, sent to every other process.  It is due while round 1's
+     proposal has not arrived, whatever the current round: a process that
+     gave round 1 up on a suspicion is exactly the one whose peers may
+     never have heard of the instance. *)
+  let announce_est ~src ~dsts ({ Instances.st = s; _ } as inst) =
+    if not (Hashtbl.mem s.prop_in 1) then
+      Instances.multicast t ~src ~dsts ~body_bytes:(est_bytes inst.estimate)
         (Est { k = inst.k; r = 1; est = inst.estimate; ts = s.ts; suspicion = false })
   in
   let counters () =
@@ -459,5 +463,5 @@ let create ?(announce = false) transport fd config cb =
     ]
   in
   Instances.handle t ~name:"ct" ~on_message ~on_suspect ~start
-    ~announce:(if announce then Some announce_est else None)
+    ~announce:(Option.map (fun delay -> (delay, announce_est)) announce)
     ~counters

@@ -37,6 +37,14 @@
     destination per step, frames for suspected processes last, so nacks
     to a suspected coordinator leave after the next round's sends.
 
+    With [announce] (batched / pipelined runs), a round-1 non-coordinator
+    proposer that has not received round 1's proposal [announce] ms after
+    its own proposal sends its round-1 estimate to every other process,
+    whatever round it is in by then; a process that receives a round-1
+    estimate for an instance it does not hold joins on it
+    ({!Instances.join_announced}).  A coordinator that proposes in time
+    is sent no announce.
+
     Decisions are disseminated by flooding ("R-broadcast the decide
     message"), so a coordinator crash after deciding cannot block anyone.
     A process that a locked decision skipped and that later sends the

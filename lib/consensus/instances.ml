@@ -1,5 +1,6 @@
 module Engine = Ics_sim.Engine
 module Pid = Ics_sim.Pid
+module Time = Ics_sim.Time
 module Trace = Ics_sim.Trace
 module Transport = Ics_net.Transport
 module Message = Ics_net.Message
@@ -50,7 +51,7 @@ let register_codec () =
 type config = { rcv : Consensus_intf.rcv option }
 
 type create =
-  ?announce:bool ->
+  ?announce:Time.t ->
   Transport.t -> Failure_detector.t -> config -> Consensus_intf.callbacks ->
   Consensus_intf.handle
 
@@ -201,13 +202,18 @@ let get_inst t ~start p k =
   | None -> join t ~start p k (t.cb.join p k)
 
 (* The AB layer's join value may be empty under batching: everything
-   fresh already rides other open instances. *)
+   fresh already rides other open instances.  The announced estimate
+   replaces it only where [rcv] holds: an estimate whose payloads no live
+   process holds could never be acked, so were every joiner to adopt one
+   unchecked, the instance could never decide once its proposer
+   crashed. *)
 let join_announced t ~start p k est =
   match Hashtbl.find_opt t.instances.(p) k with
   | Some inst -> inst
   | None ->
       let own = t.cb.join p k in
-      join t ~start p k (if Proposal.is_empty own then est else own)
+      let seed = Proposal.is_empty own && rcv_holds t p est in
+      join t ~start p k (if seed then est else own)
 
 (* [except] is the process a relayed decision came from ([p] itself for
    the process's own decision, which [Pid.others] leaves out anyway);
@@ -267,13 +273,25 @@ let handle t ~name ~on_message ~on_suspect ~start ~announce ~counters =
       Failure_detector.on_suspect t.fd ~observer:p (fun q -> step t p (fun () -> on_suspect p q)))
     (Pid.all ~n:t.n);
   let coordinator = Pid.coordinator ~n:t.n ~round:1 in
+  (* The deferred announce: one shot, [delay] after the proposal, and at
+     once when that moment lies past the run's horizon (lint rule P2's
+     deadline discipline), so a faulted run still drains. *)
+  let arm_announce p inst (delay, announce) =
+    let env = Transport.env t.transport in
+    let fire () =
+      if env.Ics_net.Env.is_alive p && not inst.decided then
+        step t p (fun () -> announce ~src:p ~dsts:(Pid.others ~n:t.n p) inst)
+    in
+    let at = Time.( + ) (env.now ()) delay in
+    if Ics_net.Env.beyond_horizon env ~at then fire () else env.schedule ~at fire
+  in
   let propose p k value =
     if Engine.is_alive t.engine p && not (Hashtbl.mem t.instances.(p) k) then
       step t p (fun () ->
           let inst = join t ~start p k value in
           match announce with
           | Some announce when (not inst.decided) && not (Pid.equal p coordinator) ->
-              announce ~src:p ~dst:coordinator inst
+              arm_announce p inst announce
           | Some _ | None -> ())
   in
   let has_instance p k = Hashtbl.mem t.instances.(p) k in

@@ -15,6 +15,7 @@
     other (DESIGN.md section 5). *)
 
 module Pid = Ics_sim.Pid
+module Time = Ics_sim.Time
 module Transport = Ics_net.Transport
 module Message = Ics_net.Message
 module Failure_detector = Ics_fd.Failure_detector
@@ -42,20 +43,25 @@ type config = {
 }
 
 type create =
-  ?announce:bool ->
+  ?announce:Time.t ->
   Transport.t -> Failure_detector.t -> config -> Consensus_intf.callbacks ->
   Consensus_intf.handle
 (** The constructor of a coordinator-driven stack ({!Ct}, {!Mr}).
 
-    [announce] (default false): a round-1 non-coordinator proposer also
-    tells the round-1 coordinator about the instance (CT sends its
-    round-1 estimate, MR a [Nudge] carrying it), and the coordinator
-    joins on it.  Required for termination when instance proposers are
-    chosen by batching / pipelining: the coordinator may never propose
-    the instance itself, and a round-1 non-coordinator is otherwise
-    silent until the coordinator speaks.  Off by default so unbatched
-    traffic, and the pinned replay fingerprints, stay byte-identical.
-    {!Lb} has no such switch: its [Kick] announces every instance. *)
+    [announce] (default: off) is a delay, in ms.  A proposer that is not
+    the round-1 coordinator waits that long after its proposal; if the
+    instance is still undecided there and the coordinator's round-1
+    proposal has not reached it, it tells every other process about the
+    instance (CT sends its round-1 estimate, MR a [Nudge] carrying it),
+    and each receiver that does not hold the instance joins on it.
+    Required for termination when instance proposers are chosen by
+    batching / pipelining: the coordinator may never propose the
+    instance itself, or may have crashed, and a round-1 non-coordinator
+    is otherwise silent until the coordinator speaks.  A coordinator
+    that proposes within the delay makes the announce unnecessary, and
+    none is sent.  Off by default so unbatched traffic, and the pinned
+    replay fingerprints, stay byte-identical.  {!Lb} has no such switch:
+    its [Kick] announces every instance. *)
 
 type 'a inst = {
   k : int;
@@ -110,12 +116,13 @@ val get_inst : 'a t -> start:(Pid.t -> 'a inst -> unit) -> Pid.t -> int -> 'a in
 
 val join_announced :
   'a t -> start:(Pid.t -> 'a inst -> unit) -> Pid.t -> int -> Proposal.t -> 'a inst
-(** [get_inst] for the announce path: the round-1 coordinator learns of
-    instance [k] from a proposer's announced estimate.  An empty join
-    value is replaced by that estimate, so the coordinator does not
-    propose, and the instance does not decide, an empty set while the
-    announced ids wait.  The receivers' [rcv] guards still protect No
-    loss although the coordinator may not hold those payloads yet. *)
+(** [get_inst] for the announce path: a process learns of instance [k]
+    from a proposer's announced estimate.  An empty join value is
+    replaced by that estimate, so a process with nothing fresh of its own
+    does not propose, and the instance does not decide, an empty set
+    while the announced ids wait.  The receivers' [rcv] guards still
+    protect No loss although the joiner may not hold those payloads
+    yet. *)
 
 val decide : ?skip:Pid.t list -> 'a t -> Pid.t -> 'a inst -> Proposal.t -> unit
 (** The process decides [v] in the instance (a no-op once decided): it
@@ -143,7 +150,7 @@ val handle :
   on_message:(Pid.t -> src:Pid.t -> Message.payload -> unit) ->
   on_suspect:(Pid.t -> Pid.t -> unit) ->
   start:(Pid.t -> 'a inst -> unit) ->
-  announce:(src:Pid.t -> dst:Pid.t -> 'a inst -> unit) option ->
+  announce:(Time.t * (src:Pid.t -> dsts:Pid.t list -> 'a inst -> unit)) option ->
   counters:(unit -> (string * int) list) ->
   Consensus_intf.handle
 (** Installs every process's transport handler and suspicion callback,
@@ -152,7 +159,12 @@ val handle :
     [on_message p ~src] on a frame's payload, or on each payload of a
     {!Bundle} in order.  [propose] is a no-op at a crashed process or one
     that holds the instance already; otherwise it is a step that creates
-    the instance and runs [start].  With [announce], a proposer that is
-    not the round-1 coordinator and has not decided then calls it with
-    [dst] = that coordinator.  The handle's counters are [counters ()]
-    followed by [frames]: the consensus frames sent to other processes. *)
+    the instance and runs [start].  With [announce = Some (delay, f)], a
+    proposer that is not the round-1 coordinator and has not decided arms
+    a one-shot timer [delay] after the proposal (at once when that moment
+    lies past the run's horizon); if the process is alive and the
+    instance undecided when it fires, a step calls [f] with [dsts] =
+    every other process, and [f] announces unless the coordinator's
+    round-1 proposal has reached it.  The handle's counters are
+    [counters ()] followed by [frames]: the consensus frames sent to
+    other processes. *)

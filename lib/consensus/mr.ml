@@ -11,11 +11,12 @@ type Message.payload +=
   | Relay of { k : int; r : int; est : Proposal.t option }
   | Decide of { k : int; est : Proposal.t }
   | Nudge of { k : int; est : Proposal.t }
-      (* a round-1 non-coordinator proposer waking the coordinator (the
-         batched/pipelined proposers of an instance may not include it);
-         carries the proposer's estimate so a coordinator with nothing
-         fresh of its own seeds the instance with it instead of an empty
-         set *)
+      (* a round-1 non-coordinator proposer that has not heard from the
+         coordinator telling every process of the instance (the
+         batched/pipelined proposers of an instance may not include the
+         coordinator, which may also have crashed); carries the
+         proposer's estimate so a joiner with nothing fresh of its own
+         seeds the instance with it instead of an empty set *)
 
 (* An instance's round state. *)
 type state = {
@@ -89,7 +90,7 @@ let register_codec () =
       Nudge { k; est = Proposal.decode rd })
     ~gen:(fun rng -> Nudge { k = Rng.int rng 100; est = Proposal.gen rng })
 
-let create ?(announce = false) transport fd (config : Instances.config) cb =
+let create ?announce transport fd (config : Instances.config) cb =
   let n = Transport.n transport in
   let quorum =
     match config.rcv with
@@ -201,7 +202,8 @@ let create ?(announce = false) transport fd (config : Instances.config) cb =
     | Decide { k; est } -> Instances.receive_decide t p ~src k est
     | Nudge { k; est } ->
         (* Joining is the point: a nudged coordinator starts round 1 and
-           relays its estimate, giving the instance its first traffic. *)
+           relays its estimate, giving the instance its first traffic; a
+           nudged non-coordinator joins the rounds that follow. *)
         ignore (Instances.join_announced t ~start:start_round p k est)
     | _ -> ()
   in
@@ -215,12 +217,21 @@ let create ?(announce = false) transport fd (config : Instances.config) cb =
   in
 
   (* A round-1 non-coordinator sends nothing until the coordinator's relay
-     arrives: announce with a nudge (LB's Kick, ported). *)
-  let nudge ~src ~dst (inst : state Instances.inst) =
-    if inst.st.r = 1 then
-      Instances.send t ~src ~dst ~body_bytes:(nudge_bytes inst.estimate)
+     arrives: announce with a nudge to every other process (LB's Kick,
+     ported), due while that relay has not arrived, whatever the current
+     round — a process that relayed ⊥ on a suspicion is the one whose
+     peers may never have heard of the instance. *)
+  let nudge ~src ~dsts ({ Instances.st = s; _ } as inst) =
+    let c = Pid.coordinator ~n ~round:1 in
+    let heard =
+      match Hashtbl.find_opt s.relay_in 1 with
+      | Some l -> List.exists (fun (q, _) -> Pid.equal q c) !l
+      | None -> false
+    in
+    if not heard then
+      Instances.multicast t ~src ~dsts ~body_bytes:(nudge_bytes inst.estimate)
         (Nudge { k = inst.k; est = inst.estimate })
   in
   Instances.handle t ~name:"mr" ~on_message ~on_suspect ~start:start_round
-    ~announce:(if announce then Some nudge else None)
+    ~announce:(Option.map (fun delay -> (delay, nudge)) announce)
     ~counters:(fun () -> [])

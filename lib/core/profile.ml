@@ -191,7 +191,9 @@ let stack_specs =
     float_spec ~keys:[ "flush" ]
       ~doc:
         "Batch flush timer, ms (fires while an instance is open and the residue \
-         is below --batch)."
+         is below --batch).  With batching or pipelining on it also bounds how \
+         long a proposer waits for the round-1 coordinator's proposal before \
+         announcing the instance to every process."
       ~get:(fun p -> p.flush_ms)
       ~put:(fun p flush_ms -> { p with flush_ms })
       ();

@@ -95,15 +95,19 @@ let assemble transport ~fd ~profile ~on_deliver =
   in
   let make_consensus ~rcv callbacks =
     (* Batched / pipelined proposals need self-announcing instances (LB's
-       Kick has this built in); at batch=1/pipeline=1 announce stays off
-       and the wire traffic is byte-identical to the seed. *)
+       Kick has this built in).  A proposer announces only after waiting
+       the batch flush delay for its coordinator.  At batch=1/pipeline=1
+       announce stays off and the wire traffic is byte-identical to the
+       seed. *)
     let announce =
-      profile.Profile.batch > 1 || profile.Profile.pipeline > 1
+      if profile.Profile.batch > 1 || profile.Profile.pipeline > 1 then
+        Some profile.Profile.flush_ms
+      else None
     in
     let config = { Ics_consensus.Instances.rcv } in
     match profile.Profile.algo with
-    | Ct -> Ics_consensus.Ct.create ~announce transport fd config callbacks
-    | Mr -> Ics_consensus.Mr.create ~announce transport fd config callbacks
+    | Ct -> Ics_consensus.Ct.create ?announce transport fd config callbacks
+    | Mr -> Ics_consensus.Mr.create ?announce transport fd config callbacks
     | Lb -> Ics_consensus.Lb.create transport fd config callbacks
   in
   Abcast.create ~batching:(Profile.batching profile) transport

@@ -334,9 +334,7 @@ let sweep ?backend ?batching ?app ?retransmit ?n ?seed_base ?seeds ?progress
 
 (* A failed run whose only finding is [consensus.termination]: it
    drained, and every safety and delivery property held, but a consensus
-   instance was left open.  Batched crash cells end this way through the
-   known open-instance gap (a proposal announced only to a dead round-1
-   coordinator), which is a liveness gap, not a safety failure. *)
+   instance was left open — a liveness gap, not a safety failure. *)
 let termination_only r =
   r.quiescent
   && r.verdict.Checker.violations <> []

@@ -165,8 +165,8 @@ val sweep_results :
 val matrix_table : cell list -> Ics_prelude.Table.t
 (** Pass/runs per (plan, stack).  A failing cell reads [FAIL], or
     [FAIL (termination)] when every failing run drained and its only
-    violation is [consensus.termination] (the open-instance gap of
-    batched crash cells, a liveness gap rather than a safety failure).
+    violation is [consensus.termination] (an instance left open: a
+    liveness gap rather than a safety failure).
     The sweep's exit criteria count both alike. *)
 
 val report : ?verbose:bool -> Format.formatter -> cell list -> unit

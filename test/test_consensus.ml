@@ -3,6 +3,7 @@
 
 module Engine = Ics_sim.Engine
 module Pid = Ics_sim.Pid
+module Trace = Ics_sim.Trace
 module Msg_id = Ics_net.Msg_id
 module App_msg = Ics_net.App_msg
 module Model = Ics_net.Model
@@ -109,7 +110,7 @@ type harness = {
 (* [~manual]: suspicions come only from [suspect]; otherwise an oracle
    detector reports each crash after [fd_delay].  [rule] scripts the
    network (delays, drops) on top of the 1 ms constant model.  [announce]
-   is CT's and MR's switch (LB has none). *)
+   is CT's and MR's announce delay, ms (LB has none). *)
 let mk ?(n = 3) ?(jitter = 0.0) ?(seed = 1L) ?fd_delay ?(manual = false) ?rule ?announce ~algo
     ~indirect () =
   let engine = Engine.create ~seed ~n () in
@@ -256,21 +257,6 @@ let test_indirect_empty_proposal_trivial algo () =
   List.iter (fun p -> propose_at h ~at:1.0 p 1 Proposal.empty) [ 0; 1; 2 ];
   Engine.run h.engine;
   check_uniform_agreement h 1 ~expect_deciders:3
-
-(* The announce join.  Under batching the round-1 coordinator may learn
-   of an instance only from a non-coordinator's announce, while its own
-   join value is empty (the harness's [join] always is).  It must seed
-   the instance with the announced estimate: every process then decides
-   the announced set, not the empty one. *)
-let test_announce_join_seeds algo () =
-  let h = mk ~announce:true ~algo ~indirect:false () in
-  let v = Proposal.on_ids [ mid 1 0 ] in
-  propose_at h ~at:1.0 1 1 v;
-  Engine.run h.engine;
-  check_uniform_agreement h 1 ~expect_deciders:3;
-  List.iter
-    (fun (_, d) -> checkb "decided the announced set" true (Proposal.equal d v))
-    (decisions_for h 1)
 
 (* CT-specific *)
 
@@ -779,6 +765,158 @@ let test_ct_suspects_last () =
     (describe decides);
   checki "p1's decisions: one frame per peer" 2 (frame_count decides)
 
+(* Virtual time of [p]'s first trace event satisfying [f]. *)
+let trace_time h p f =
+  match
+    List.find_opt
+      (fun (e : Trace.event) -> Pid.equal e.Trace.pid p && f e.Trace.kind)
+      (Trace.events (Engine.trace h.engine))
+  with
+  | Some e -> e.Trace.time
+  | None -> Alcotest.failf "no such event at p%d" p
+
+let test_ct_locked_decision_tells_estimating_coordinator () =
+  (* As in "skipped coordinator answered", p0 suspects p1 and p2 at
+     t = 2.5, gives round 1 up with its estimate stamped 1, and sends p1
+     its round-2 estimate (t = 3.5); p2's reaches p1 only at t = 5.  p1
+     then holds its own and p0's estimates, both stamped 1: a locked
+     majority that includes round 1's coordinator.  p0 has left round 1
+     and will not decide on its acks, so p1's decision goes to p0
+     straight (t = 3.5, landing at 4.5) instead of reaching it by p2's
+     relay a step later. *)
+  let rule (m : Ics_net.Message.t) =
+    if Pid.equal m.src 2 && Pid.equal m.dst 1 && carries m ("est", 2, false) then
+      Model.Delay_by 2.0
+    else Model.Pass
+  in
+  let h = mk ~algo:`Ct ~indirect:false ~manual:true ~rule () in
+  let log = wire_log h in
+  let v = Proposal.on_ids [ mid 0 0 ] in
+  List.iter (fun p -> propose_at h ~at:1.0 p 1 v) [ 0; 1; 2 ];
+  suspect_at h ~at:2.5 ~observer:0 1;
+  suspect_at h ~at:2.5 ~observer:0 2;
+  Engine.run ~until:100.0 h.engine;
+  check_uniform_agreement h 1 ~expect_deciders:3;
+  Alcotest.(check (float 1e-9)) "p0 decides when p1's decision lands" 4.5
+    (trace_time h 0 (function Trace.Decide _ -> true | _ -> false));
+  let decides = frames ~src:1 ~kind:"decide" (log ()) in
+  Alcotest.(check (list string)) "p1's decision reaches p0 straight"
+    [ "decide0 1->0"; "decide0 1->2" ] (describe decides);
+  checkb "sent when p0's estimate lands" true (List.for_all (fun f -> f.at = 3.5) decides);
+  checki "decided on a locked majority" 1 (ct_counter h "decisions.locked");
+  checki "no answer" 0 (ct_counter h "answers")
+
+(* The deferred announce (batched runs).  A proposer that is not round
+   1's coordinator waits [announce_ms]; if the coordinator's round-1
+   proposal (CT's [Prop], MR's relay) has not reached it by then, it
+   sends every other process the announce (CT's round-1 [Est], MR's
+   [Nudge]), and a receiver that does not hold the instance joins on
+   it.  Announces are logged from the wire as they leave. *)
+let announce_ms = 2.0
+
+let is_announce payload =
+  let module Prim = Ics_codec.Prim in
+  let w = Ics_codec.Bq.create 64 in
+  Ics_codec.Codec.encode_payload w payload;
+  let rd = Prim.reader (Ics_codec.Bq.contents w) in
+  match Prim.r_u8 rd with
+  | 0x20 (* ct.est *) ->
+      let _k = Prim.r_u32 rd in
+      Prim.r_u32 rd = 1
+  | 0x2A (* mr.nudge *) -> true
+  | _ -> false
+
+let announce_log h =
+  Ics_core.Codecs.ensure ();
+  let log = ref [] in
+  Transport.interpose h.transport (fun next (m : Ics_net.Message.t) ->
+      if List.exists is_announce (payloads m) then
+        log := Printf.sprintf "%g %d->%d" (Engine.now h.engine) m.src m.dst :: !log;
+      next m);
+  fun () -> List.rev !log
+
+let test_announce_not_sent_to_prompt_coordinator algo () =
+  (* p1 and p2 propose at t = 1, p0 at t = 1.5: its round-1 proposal
+     reaches them at t = 2.5, before their announces fall due at t = 3,
+     and the instance is still undecided then (indirect: MR waits for
+     all three relays).  Nothing is announced. *)
+  let h = mk ~announce:announce_ms ~algo ~indirect:true () in
+  let announces = announce_log h in
+  let id = mid 1 0 in
+  let v = Proposal.on_ids [ id ] in
+  List.iter (fun p -> give h p id) [ 0; 1; 2 ];
+  List.iter (fun p -> propose_at h ~at:1.0 p 1 v) [ 1; 2 ];
+  propose_at h ~at:1.5 0 1 v;
+  Engine.schedule h.engine ~at:3.0 (fun () ->
+      checki "undecided when the announces fall due" 0 (List.length !(h.decisions)));
+  Engine.run h.engine;
+  check_uniform_agreement h 1 ~expect_deciders:3;
+  Alcotest.(check (list string)) "no announce" [] (announces ());
+  match algo with
+  | `Ct -> checki "sent.est.r1" 0 (ct_counter h "sent.est.r1")
+  | `Mr -> ()
+
+let test_announce_join_seeds algo () =
+  (* Only p1 proposes (t = 1), and p0, round 1's coordinator, has
+     nothing fresh of its own: the harness's [join] value is always
+     empty.  p1's announce leaves at t = 3 for both peers; p0 joins on
+     it at t = 4, seeded with the announced ids (it holds their
+     payloads), and everyone decides them, not the empty set. *)
+  let h = mk ~announce:announce_ms ~algo ~indirect:true () in
+  let announces = announce_log h in
+  let id = mid 1 0 in
+  let v = Proposal.on_ids [ id ] in
+  List.iter (fun p -> give h p id) [ 0; 1; 2 ];
+  propose_at h ~at:1.0 1 1 v;
+  Engine.run h.engine;
+  Alcotest.(check (list string)) "one announce to each peer" [ "3 1->0"; "3 1->2" ]
+    (announces ());
+  Alcotest.(check (float 1e-9)) "p0 joins when the announce lands" 4.0
+    (trace_time h 0 (function Trace.Propose _ -> true | _ -> false));
+  check_uniform_agreement h 1 ~expect_deciders:3;
+  List.iter
+    (fun (_, d) -> checkb "decided the announced ids" true (Proposal.equal d v))
+    (decisions_for h 1)
+
+let test_announce_survives_dead_coordinator algo () =
+  (* ROADMAP item 1's schedule: p0, round 1's coordinator, is dead, and
+     only p1 holds the instance.  p1 and p2 suspect p0 at t = 2, so p1
+     has given round 1 up when its announce falls due (t = 3): it is
+     still sent, since p0's proposal never came.  p2 joins on it (t = 4),
+     gives round 1 up at once, and round 2 decides.  Were the announce
+     sent to the coordinator alone, or only from round 1, p2 would never
+     hear of the instance and CT's round 2 would wait for its estimate
+     forever. *)
+  let h = mk ~announce:announce_ms ~algo ~indirect:false ~manual:true () in
+  let v = Proposal.on_ids [ mid 1 0 ] in
+  Engine.crash_at h.engine 0 ~at:0.5;
+  propose_at h ~at:1.0 1 1 v;
+  List.iter (fun observer -> suspect_at h ~at:2.0 ~observer 0) [ 1; 2 ];
+  Engine.run ~until:200.0 h.engine;
+  check_uniform_agreement h 1 ~expect_deciders:2;
+  List.iter
+    (fun (_, d) -> checkb "decided the announced ids" true (Proposal.equal d v))
+    (decisions_for h 1)
+
+let test_announce_seeds_only_where_rcv_holds algo () =
+  (* Only p1 proposes and only p1 holds the payload; it crashes (t = 3.5)
+     once its announce is out.  The other processes join on the announce
+     but lack the payload, so they keep their own (empty) join value: an
+     estimate whose payload no live process holds could never be acked,
+     and the instance would never decide.  MR runs at n = 4, the least
+     its indirect variant survives a crash at. *)
+  let n = match algo with `Ct -> 3 | `Mr -> 4 in
+  let h = mk ~n ~fd_delay:5.0 ~announce:announce_ms ~algo ~indirect:true () in
+  let id = mid 1 0 in
+  give h 1 id;
+  propose_at h ~at:1.0 1 1 (Proposal.on_ids [ id ]);
+  Engine.crash_at h.engine 1 ~at:3.5;
+  Engine.run ~until:500.0 h.engine;
+  check_uniform_agreement h 1 ~expect_deciders:(n - 1);
+  List.iter
+    (fun (_, d) -> checkb "decided the empty set" true (Proposal.is_empty d))
+    (decisions_for h 1)
+
 (* The outbox, on a stack with no rounds: [Seq_no i] payloads sent by
    hand inside explicit steps, every frame logged as it leaves for the
    wire, every payload as its handler runs. *)
@@ -930,6 +1068,17 @@ let suites =
             Alcotest.test_case "mr: announce join seeds an empty join" `Quick
               (test_announce_join_seeds `Mr);
           ];
+          List.concat_map
+            (fun (name, f) ->
+              [
+                Alcotest.test_case ("ct: " ^ name) `Quick (f `Ct);
+                Alcotest.test_case ("mr: " ^ name) `Quick (f `Mr);
+              ])
+            [
+              ("no announce to a prompt coordinator", test_announce_not_sent_to_prompt_coordinator);
+              ("announce survives a dead coordinator", test_announce_survives_dead_coordinator);
+              ("announce seeds only where rcv holds", test_announce_seeds_only_where_rcv_holds);
+            ];
         ] );
     ( "ct",
       [
@@ -947,6 +1096,8 @@ let suites =
           test_ct_round2_proposal_to_estimators;
         Alcotest.test_case "skipped coordinator answered" `Quick
           test_ct_skipped_coordinator_answered;
+        Alcotest.test_case "locked decision tells an estimating coordinator" `Quick
+          test_ct_locked_decision_tells_estimating_coordinator;
         Alcotest.test_case "duplicate estimate counted once" `Quick
           test_ct_duplicate_estimate_counted_once;
         Alcotest.test_case "late estimate answered with the recorded proposal" `Quick
