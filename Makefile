@@ -36,14 +36,16 @@ chaos:
 # commands the sweep prints stay trustworthy.  The n=5 sweeps, unbatched
 # and batched, cover the traffic shapes only n >= 4 and pipelining make:
 # later round coordinators, and several open instances per step.  The last
-# two gate batched termination: 100 crash seeds of the indirect stacks at
-# the default n and at n=5, every cell required to pass.
+# three gate batched termination: 100 crash seeds of the indirect stacks at
+# the default n and at n=5, and of ct-indirect at n=5 with the deeper
+# 32/4 batching, every cell required to pass.
 chaos-smoke:
 	dune exec bin/ics_cli.exe -- chaos --seeds 5 --replay-check
 	dune exec bin/ics_cli.exe -- chaos -n 5 --seeds 3 --replay-check
 	dune exec bin/ics_cli.exe -- chaos -n 5 --seeds 3 --replay-check --batch 8 --pipeline 2 --flush 1
 	dune exec bin/ics_cli.exe -- chaos --seeds 100 --batch 8 --pipeline 2 --flush 1 --stacks ct-indirect,mr-indirect --plans storm,blackout
 	dune exec bin/ics_cli.exe -- chaos -n 5 --seeds 100 --batch 8 --pipeline 2 --flush 1 --stacks ct-indirect,mr-indirect --plans storm,blackout
+	dune exec bin/ics_cli.exe -- chaos -n 5 --seeds 100 --batch 32 --pipeline 4 --flush 1 --stacks ct-indirect --plans storm,blackout
 
 # Parallel-sweep determinism fence: a tiny sweep run at --jobs 1 and
 # --jobs 2, every trace fingerprint compared — any divergence means

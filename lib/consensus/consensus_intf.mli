@@ -35,11 +35,14 @@ type handle = {
       (** Instances [p] holds and has not decided yet, in O(1): one more
           when [propose] or a join creates an instance, one less when it
           decides; an instance created by adopting a decision starts
-          decided.  Zero means [p] owes no peer any decision flood. *)
+          decided.  Zero means no instance of [p]'s is still open, so
+          none still waits on [p]'s replies or, in MR and LB, its
+          decision flood. *)
   counters : unit -> (string * int) list;
       (** Protocol counters, as (name, count) pairs: CT reports its
-          coordinators' decisions by round, the nacks it sent and its
-          remote payloads by message kind; every stack ends with
+          processes' decisions by round, the nacks, answers and tellings
+          it sent and its remote payloads by message kind; every stack
+          ends with
           [frames], the consensus frames it sent to other processes (one
           per destination per step, {!Instances}). *)
 }

@@ -4,17 +4,20 @@ module Message = Ics_net.Message
 module Failure_detector = Ics_fd.Failure_detector
 
 (* [Est.suspicion]: the sender left round [r - 1] on suspecting its
-   coordinator, not on that round's proposal or phase-4 outcome. *)
+   coordinator, not on that round's phase-4 outcome.  [Ack] is a phase-3
+   reply, sent to every other process: [ok] tells an ack from a nack, and
+   [est] is the sender's estimate once it replied — on an ack, the round's
+   proposal. *)
 type Message.payload +=
   | Est of { k : int; r : int; est : Proposal.t; ts : int; suspicion : bool }
   | Prop of { k : int; r : int; est : Proposal.t }
-  | Ack of { k : int; r : int; ok : bool }
+  | Ack of { k : int; r : int; ok : bool; est : Proposal.t }
   | Decide of { k : int; est : Proposal.t }
 
 (* Exact encoded body sizes (tag byte + fields + proposal). *)
 let est_bytes est = 14 + Proposal.encoded_bytes est
 let prop_bytes est = 9 + Proposal.encoded_bytes est
-let ack_bytes = 10
+let ack_bytes est = 10 + Proposal.encoded_bytes est
 
 let register_codec () =
   let module Codec = Ics_codec.Codec in
@@ -64,18 +67,21 @@ let register_codec () =
     ~gen:(fun rng -> Prop { k = gen_k rng; r = gen_r rng; est = Proposal.gen rng });
   Codec.register ~tag:0x22 ~name:"ct.ack"
     ~fits:(function Ack _ -> true | _ -> false)
-    ~size:(fun _ -> ack_bytes)
+    ~size:(function Ack { est; _ } -> ack_bytes est | _ -> assert false)
     ~encode_into:(fun w -> function
-      | Ack { k; r; ok } ->
+      | Ack { k; r; ok; est } ->
           Prim.u32 w k;
           Prim.u32 w r;
-          Prim.bool w ok
+          Prim.bool w ok;
+          Proposal.encode w est
       | _ -> assert false)
     ~dec:(fun rd ->
       let k = Prim.r_u32 rd in
       let r = Prim.r_u32 rd in
-      Ack { k; r; ok = Prim.r_bool rd })
-    ~gen:(fun rng -> Ack { k = gen_k rng; r = gen_r rng; ok = Rng.bool rng });
+      let ok = Prim.r_bool rd in
+      Ack { k; r; ok; est = Proposal.decode rd })
+    ~gen:(fun rng ->
+      Ack { k = gen_k rng; r = gen_r rng; ok = Rng.bool rng; est = Proposal.gen rng });
   Codec.register ~tag:0x23 ~name:"ct.decide"
     ~fits:(function Decide _ -> true | _ -> false)
     ~size:(function Decide { est; _ } -> Instances.decide_bytes est | _ -> assert false)
@@ -89,17 +95,11 @@ let register_codec () =
       Decide { k; est = Proposal.decode rd })
     ~gen:(fun rng -> Decide { k = gen_k rng; est = Proposal.gen rng })
 
-(* Coordinator-side state of the round the process currently leads. *)
-type coord_phase =
-  | Not_coordinator
-  | Collecting  (* Phase 2, r > 1: gathering estimates *)
-  | Waiting_acks of Proposal.t  (* Phase 4: proposal sent, counting replies *)
-
 (* An instance's round state; its [estimate] is estimate_p. *)
 type state = {
   mutable ts : int;
   mutable r : int;
-  mutable coord : coord_phase;
+  mutable collecting : bool;  (* Phase 2, r > 1: the coordinator gathering estimates *)
   mutable waiting_prop : bool;  (* Phase 3 *)
   est_in : (int, (Pid.t * int * Proposal.t) list ref) Hashtbl.t;
       (* round -> phase-1 estimates, one per sender *)
@@ -107,26 +107,34 @@ type state = {
   replies_in : (int, replies) Hashtbl.t;  (* round -> phase-3 replies *)
   mutable prop_out : (int * Proposal.t) list;
       (* round (> 1) -> own proposal, answered to a late estimate *)
+  mutable quorum : Pid.t list;
+      (* once decided: the processes whose acks it decided on (the sender,
+         for a decision received), until it has told everyone or heard
+         every process ack that round *)
+  mutable quorum_round : int;  (* the round of those acks; 0 for a decision received *)
 }
 
-(* The coordinator's tally of one round's phase-3 replies, one per
-   process: a duplicate reply from the same sender is not counted. *)
-and replies = { replied : bool array; mutable acks : int }
+(* A round's phase-3 replies as one process has them, one per sender: a
+   duplicate reply is not counted.  Round 1's proposal is its
+   coordinator's ack.  [value] is the round's proposal once an ack is in. *)
+and replies = {
+  replied : bool array;
+  mutable acks : int;
+  mutable ackers : Pid.t list;
+  mutable value : Proposal.t;
+}
 
-(* Decisions the coordinator reached on a majority of acks, by the round
-   it reached them in, decisions on a locked majority of estimates,
-   phase-3 nacks sent, catch-ups (rounds left on a peer's next-round
-   estimate), decisions sent by the answer rule, and remote sends by
-   message kind and round (all processes of the handle; a live node's
-   handle runs one).  A round-1 estimate is the announce. *)
+(* The handle's counters, all processes summed (a live node's handle runs
+   one); ct.mli says what each counts. *)
 type counters = {
   mutable round1 : int;
   mutable round2 : int;
   mutable round3_plus : int;
-  mutable locked : int;
   mutable nacks : int;
   mutable catch_ups : int;
+  mutable late_props : int;
   mutable answers : int;
+  mutable tells : int;
   mutable est_r1 : int;
   mutable est_r2_plus : int;
   mutable prop_r1 : int;
@@ -139,21 +147,37 @@ let fresh () =
   {
     ts = 0;
     r = 1;
-    coord = Not_coordinator;
+    collecting = false;
     waiting_prop = false;
     est_in = Hashtbl.create 8;
     prop_in = Hashtbl.create 8;
     replies_in = Hashtbl.create 8;
     prop_out = [];
+    quorum = [];
+    quorum_round = 0;
   }
 
-(* The decision reaches every process: no estimate needs an answer. *)
+(* A decided process sends no round message, and answers a late one with
+   its decision. *)
 let settle s =
   s.waiting_prop <- false;
-  s.coord <- Not_coordinator;
+  s.collecting <- false;
   s.prop_out <- []
 
-let replies n = { replied = Array.make n false; acks = 0 }
+let replies n = { replied = Array.make n false; acks = 0; ackers = []; value = Proposal.empty }
+
+(* Counts [q]'s reply; false for a duplicate. *)
+let record rs q ~ok ~est =
+  if rs.replied.(q) then false
+  else begin
+    rs.replied.(q) <- true;
+    if ok then begin
+      rs.acks <- rs.acks + 1;
+      rs.ackers <- q :: rs.ackers;
+      rs.value <- est
+    end;
+    true
+  end
 
 (* Whether [q]'s estimate is among [ests]. *)
 let holds_est ests q = List.exists (fun (src, _, _) -> Pid.equal src q) ests
@@ -166,10 +190,11 @@ let create ?announce transport fd config cb =
       round1 = 0;
       round2 = 0;
       round3_plus = 0;
-      locked = 0;
       nacks = 0;
       catch_ups = 0;
+      late_props = 0;
       answers = 0;
+      tells = 0;
       est_r1 = 0;
       est_r2_plus = 0;
       prop_r1 = 0;
@@ -195,159 +220,156 @@ let create ?announce transport fd config cb =
     Instances.create ~sent:count_sent transport fd config cb ~fresh ~settle
       ~decide:(fun k est -> Decide { k; est })
   in
+  let suspected p q = Failure_detector.is_suspected fd ~by:p q in
 
-  (* Phase 3 reply to the coordinator of round [r]. *)
-  let reply p (inst : state Instances.inst) ~r ~ok =
-    if not ok then counters.nacks <- counters.nacks + 1;
-    Instances.send t ~src:p ~dst:(Pid.coordinator ~n ~round:r) ~body_bytes:ack_bytes
-      (Ack { k = inst.k; r; ok })
+  (* The suspicion rule: a decided process whose quorum has lost a member
+     to a suspicion tells every process it has not told yet.  Until then
+     each correct process gets the quorum's acks and decides on its own. *)
+  let tell_all p ({ Instances.st = s; _ } as inst) =
+    s.quorum <- [];
+    counters.tells <- counters.tells + Instances.tell t p inst (Pid.others ~n p)
+  in
+  let watch p ({ Instances.st = s; _ } as inst) =
+    if List.exists (suspected p) s.quorum then tell_all p inst
   in
 
-  (* Phase 4 check: the coordinator decides on a majority of acks, and
-     gives up the round only once a majority is out of reach — when the
-     acks so far plus every process it does not suspect and has not heard
-     from fall short of one.  Nacks and suspicions shrink that bound, so
-     it is re-evaluated on each reply and on each new suspicion. *)
-  let rec coord_check_acks p ({ Instances.st = s; _ } as inst) =
-    match s.coord with
-    | Waiting_acks proposal ->
-        let rs = Instances.find_or_add s.replies_in s.r replies n in
-        if rs.acks >= majority then begin
-          (match s.r with
-          | 1 -> counters.round1 <- counters.round1 + 1
-          | 2 -> counters.round2 <- counters.round2 + 1
-          | _ -> counters.round3_plus <- counters.round3_plus + 1);
-          Instances.decide t p inst proposal
-        end
-        else begin
-          let pending =
-            List.fold_left
-              (fun c q ->
-                if rs.replied.(q) || Failure_detector.is_suspected fd ~by:p q then c
-                else c + 1)
-              0 (Pid.all ~n)
-          in
-          if rs.acks + pending < majority then advance_round p inst
-        end
-    | Not_coordinator | Collecting -> ()
+  (* A round message from a process that has not decided. *)
+  let answer p inst ~src = counters.answers <- counters.answers + Instances.tell t p inst [ src ] in
 
-  (* Phase 2, rounds > 1.  A majority of estimates stamped r - 1 is
-     locked: each of its senders adopted round r - 1's one proposal, after
-     [rcv] held, and no other value can ever be proposed.  The coordinator
-     decides it at once, and leaves round r - 1's coordinator out of its
-     [Decide] unless it holds that coordinator's own estimate (it left
-     round r - 1): otherwise that coordinator decides on the same acks,
-     or gives the round up and is answered.  With any other majority of
-     estimates in hand, propose one carrying the largest timestamp — to
-     this process and the senders of those estimates only.  Every other
+  (* Phase 4, at every process: decide round [r]'s value on a majority of
+     its acks, whatever round the process is in.  In its current round it
+     gives up once a majority of acks is out of reach: when the acks so
+     far plus the silent processes it does not suspect fall short of
+     one.  Nacks and suspicions shrink that bound, so it is re-evaluated
+     on each reply and on each new suspicion; a round no reply has
+     reached yet is never given up here, so a process that suspects a
+     majority does not run through rounds on no message at all. *)
+  let rec check_round p ({ Instances.st = s; _ } as inst) r =
+    if not inst.decided then
+      match Hashtbl.find_opt s.replies_in r with
+      | None -> ()
+      | Some rs ->
+          if rs.acks >= majority then begin
+            (match r with
+            | 1 -> counters.round1 <- counters.round1 + 1
+            | 2 -> counters.round2 <- counters.round2 + 1
+            | _ -> counters.round3_plus <- counters.round3_plus + 1);
+            s.quorum <- (if rs.acks = n then [] else rs.ackers);
+            s.quorum_round <- r;
+            Instances.decide t p inst.k rs.value ~tell:[];
+            watch p inst
+          end
+          else if r = s.r then begin
+            let pending =
+              List.fold_left
+                (fun c q -> if rs.replied.(q) || suspected p q then c else c + 1)
+                0 (Pid.all ~n)
+            in
+            if rs.acks + pending < majority then leave_round p inst
+          end
+
+  (* Phase 3 reply to round [r], to every other process; the process
+     counts its own at once. *)
+  and reply p ({ Instances.st = s; _ } as inst) ~r ~ok =
+    if not ok then counters.nacks <- counters.nacks + 1;
+    let est = inst.estimate in
+    ignore (record (Instances.find_or_add s.replies_in r replies n) p ~ok ~est : bool);
+    Instances.multicast t ~src:p ~dsts:(Pid.others ~n p) ~body_bytes:(ack_bytes est)
+      (Ack { k = inst.k; r; ok; est });
+    check_round p inst r
+
+  (* Phase 2, rounds > 1: with a majority of estimates in hand, propose
+     one carrying the largest timestamp — to the senders of those
+     estimates only — and take it through phase 3 at once.  Every other
      process that enters the round sends its estimate here too and is
-     answered with the recorded proposal (the [Est] handler), so a
-     process that has decided or moved on is not sent a frame it would
-     drop. *)
-  and coord_check_estimates p ({ Instances.st = s; _ } as inst) =
-    match s.coord with
-    | Collecting ->
-        let ests = !(Instances.find_or_add s.est_in s.r ref []) in
-        let locked = List.filter (fun (_, ts, _) -> ts = s.r - 1) ests in
-        if List.length locked >= majority then begin
-          counters.locked <- counters.locked + 1;
-          let _, _, value = List.hd locked in
-          let c = Pid.coordinator ~n ~round:(s.r - 1) in
-          Instances.decide t p inst value ~skip:(if holds_est ests c then [] else [ c ])
-        end
-        else if List.length ests >= majority then begin
-          let _, _, best =
-            List.fold_left
-              (fun ((_, bts, _) as acc) ((_, ts, _) as e) ->
-                if ts > bts then e else acc)
-              (List.hd ests) (List.tl ests)
-          in
-          s.coord <- Waiting_acks best;
-          s.prop_out <- (s.r, best) :: s.prop_out;
-          Instances.multicast t ~src:p
-            ~dsts:(List.filter (fun q -> Pid.equal q p || holds_est ests q) (Pid.all ~n))
-            ~body_bytes:(prop_bytes best)
-            (Prop { k = inst.k; r = s.r; est = best });
-          coord_check_acks p inst
-        end
-    | Not_coordinator | Waiting_acks _ -> ()
+     answered with the recorded proposal (the [Est] handler), so a process
+     that has decided or moved on is not sent a frame it would drop. *)
+  and check_estimates p ({ Instances.st = s; _ } as inst) =
+    if s.collecting then begin
+      let ests = !(Instances.find_or_add s.est_in s.r ref []) in
+      if List.length ests >= majority then begin
+        let _, _, best =
+          List.fold_left
+            (fun ((_, bts, _) as acc) ((_, ts, _) as e) -> if ts > bts then e else acc)
+            (List.hd ests) (List.tl ests)
+        in
+        s.collecting <- false;
+        s.prop_out <- (s.r, best) :: s.prop_out;
+        Instances.multicast t ~src:p
+          ~dsts:(List.filter (fun q -> (not (Pid.equal q p)) && holds_est ests q) (Pid.all ~n))
+          ~body_bytes:(prop_bytes best)
+          (Prop { k = inst.k; r = s.r; est = best });
+        s.waiting_prop <- true;
+        handle_prop p inst best
+      end
+    end
 
-  (* Phase 3: react to the coordinator's proposal for the current round. *)
+  (* Phase 3: adopt the proposal where [rcv] holds it (always, in the
+     original variant) and ack it; nack it otherwise.  The process stays
+     in the round for its outcome. *)
   and handle_prop p ({ Instances.st = s; _ } as inst) (est : Proposal.t) =
     if s.waiting_prop then begin
       s.waiting_prop <- false;
-      let c = Pid.coordinator ~n ~round:s.r in
       let ok = Instances.rcv_holds t p est in
       if ok then begin
         inst.estimate <- est;
         s.ts <- s.r
       end;
-      reply p inst ~r:s.r ~ok;
-      if not (Pid.equal p c) then advance_round p inst
+      reply p inst ~r:s.r ~ok
     end
 
   and enter_phase3 p ({ Instances.st = s; _ } as inst) =
     s.waiting_prop <- true;
-    let c = Pid.coordinator ~n ~round:s.r in
     match Hashtbl.find_opt s.prop_in s.r with
     | Some est -> handle_prop p inst est
     | None ->
-        if Failure_detector.is_suspected fd ~by:p c then begin
-          s.waiting_prop <- false;
-          if Pid.equal p c then reply p inst ~r:s.r ~ok:false else give_up p inst
-        end
+        if suspected p (Pid.coordinator ~n ~round:s.r) then leave_round ~suspicion:true p inst
 
   and start_round ?(suspicion = false) p ({ Instances.st = s; _ } as inst) =
     if not inst.decided then begin
-      let c = Pid.coordinator ~n ~round:s.r in
+      let r = s.r in
+      let c = Pid.coordinator ~n ~round:r in
       (* Phase 1: send the timestamped estimate to the coordinator. *)
-      if s.r > 1 then
+      if r > 1 then
         Instances.send t ~src:p ~dst:c ~body_bytes:(est_bytes inst.estimate)
-          (Est { k = inst.k; r = s.r; est = inst.estimate; ts = s.ts; suspicion });
-      (* Phase 2 entry for the coordinator. *)
-      if Pid.equal p c then begin
-        if s.r = 1 then begin
-          (* First round: the coordinator proposes its own estimate without
-             gathering (Algorithm 2 line 20). *)
-          s.coord <- Waiting_acks inst.estimate;
-          Instances.multicast t ~src:p ~dsts:(Pid.all ~n) ~body_bytes:(prop_bytes inst.estimate)
-            (Prop { k = inst.k; r = 1; est = inst.estimate })
-        end
-        else begin
-          s.coord <- Collecting;
-          coord_check_estimates p inst
-        end
+          (Est { k = inst.k; r; est = inst.estimate; ts = s.ts; suspicion });
+      if not (Pid.equal p c) then enter_phase3 p inst
+      else if r = 1 then begin
+        (* First round: the coordinator proposes its own estimate without
+           gathering (Algorithm 2 line 20) and adopts it, stamped 1, in
+           the same step, so the proposal is its ack.  The estimate is its
+           own, so [rcv] holds. *)
+        s.ts <- 1;
+        ignore (record (Instances.find_or_add s.replies_in 1 replies n) p ~ok:true
+                  ~est:inst.estimate : bool);
+        Instances.multicast t ~src:p ~dsts:(Pid.others ~n p)
+          ~body_bytes:(prop_bytes inst.estimate)
+          (Prop { k = inst.k; r = 1; est = inst.estimate })
       end
-      else s.coord <- Not_coordinator;
-      enter_phase3 p inst;
+      else begin
+        s.collecting <- true;
+        check_estimates p inst
+      end;
       (* Replies may already be buffered if this process lags behind. *)
-      coord_check_acks p inst
+      check_round p inst r
     end
 
-  and advance_round ?suspicion p ({ Instances.st = s; _ } as inst) =
-    if not inst.decided then begin
-      s.r <- s.r + 1;
-      s.coord <- Not_coordinator;
-      s.waiting_prop <- false;
-      start_round ?suspicion p inst
-    end
-
-  (* Leave phase 3 of the current round without a proposal: enter the
-     next round first, then nack the one given up.  The new round's
-     destinations are then queued first, so their frames leave this CPU
-     ahead of the nack even when its coordinator is not suspected here
-     (a peer gave it up); a suspected one goes last anyway. *)
-  and give_up p inst =
-    let r = inst.st.r in
-    advance_round ~suspicion:true p inst;
-    reply p inst ~r ~ok:false
+  (* Leave the current round for the next, nacking it if the process has
+     not replied yet.  The new round's destinations are queued first, so
+     their frames leave this CPU ahead of the nack; a suspected
+     coordinator's goes last anyway. *)
+  and leave_round ?suspicion p ({ Instances.st = s; _ } as inst) =
+    let r = s.r in
+    let replied =
+      match Hashtbl.find_opt s.replies_in r with Some rs -> rs.replied.(p) | None -> false
+    in
+    s.r <- r + 1;
+    s.collecting <- false;
+    s.waiting_prop <- false;
+    start_round ?suspicion p inst;
+    if not (replied || inst.decided) then reply p inst ~r ~ok:false
   in
   let start p inst = start_round p inst in
-
-  (* A round message from a process this one's decision skipped. *)
-  let answer p inst ~src =
-    if Instances.answer t p inst ~src then counters.answers <- counters.answers + 1
-  in
 
   let on_message p ~src (payload : Message.payload) =
     match payload with
@@ -365,6 +387,7 @@ let create ?announce transport fd config cb =
               (* This process has proposed in round r, possibly left it
                  since: answer the late estimate with that proposal (a
                  duplicate answer is dropped by its receiver). *)
+              counters.late_props <- counters.late_props + 1;
               Instances.send t ~src:p ~dst:src ~body_bytes:(prop_bytes value)
                 (Prop { k; r; est = value })
           | None ->
@@ -373,16 +396,16 @@ let create ?announce transport fd config cb =
                 (* One estimate per sender: a duplicated frame is not a vote. *)
                 if not (holds_est !l src) then begin
                   l := (src, ts, est) :: !l;
-                  if r = s.r then coord_check_estimates p inst
+                  if r = s.r then check_estimates p inst
                   else if
                     (* Catch-up: the sender gave the current round up on
                        suspecting its coordinator, so that coordinator has
                        lost a vote; a non-coordinator still waiting for its
                        proposal follows the sender into the next round,
                        which this process coordinates.  Only on a suspicion:
-                       a sender that nacked a proposal for a missing payload
-                       leaves the coordinator alive and able to decide with
-                       this process's ack.  Only the next round: this process
+                       a sender that left on the round's outcome leaves the
+                       coordinator alive and able to decide with this
+                       process's ack.  Only the next round: this process
                        has sent every estimate up to its current round, and
                        skipping a round would withhold that round's from its
                        coordinator. *)
@@ -390,30 +413,51 @@ let create ?announce transport fd config cb =
                     && not (Pid.equal p (Pid.coordinator ~n ~round:s.r))
                   then begin
                     counters.catch_ups <- counters.catch_ups + 1;
-                    s.waiting_prop <- false;
-                    give_up p inst
+                    leave_round ~suspicion:true p inst
                   end
                 end
               end)
     | Prop { k; r; est } ->
         let ({ Instances.st = s; _ } as inst) = Instances.get_inst t ~start p k in
         if inst.decided then answer p inst ~src
-        else if r >= s.r then begin
-          Hashtbl.replace s.prop_in r est;
-          if r = s.r then handle_prop p inst est
+        else begin
+          (* Round 1's proposal is its coordinator's ack. *)
+          let acked =
+            r = 1 && record (Instances.find_or_add s.replies_in 1 replies n) src ~ok:true ~est
+          in
+          if r >= s.r then begin
+            Hashtbl.replace s.prop_in r est;
+            if r = s.r then handle_prop p inst est
+          end;
+          if acked then check_round p inst 1
         end
-    | Ack { k; r; ok } ->
-        let ({ Instances.st = s; _ } as inst) = Instances.get_inst t ~start p k in
-        if inst.decided then answer p inst ~src
-        else if r >= s.r then begin
+    | Ack { k; r; ok; est } ->
+        (* A process that first hears of the instance here joins seeded
+           with the sender's estimate where [rcv] holds it, as on an
+           announce. *)
+        let ({ Instances.st = s; _ } as inst) = Instances.join_announced t ~start p k est in
+        if not inst.decided then begin
+          if record (Instances.find_or_add s.replies_in r replies n) src ~ok ~est then
+            check_round p inst r
+        end
+        else if r = s.quorum_round && s.quorum <> [] then begin
           let rs = Instances.find_or_add s.replies_in r replies n in
-          if not rs.replied.(src) then begin
-            rs.replied.(src) <- true;
-            if ok then rs.acks <- rs.acks + 1;
-            if r = s.r then coord_check_acks p inst
-          end
+          if record rs src ~ok ~est && rs.acks = n then
+            (* Every process acked the decided round: each correct one
+               holds a majority of its acks, or will, and needs no
+               telling. *)
+            s.quorum <- []
         end
-    | Decide { k; est } -> Instances.receive_decide t p ~src k est
+    | Decide { k; est } -> (
+        match Instances.find t p k with
+        | Some { decided = true; _ } -> ()
+        | Some _ | None ->
+            Instances.decide ~src t p k est ~tell:[];
+            Option.iter
+              (fun ({ Instances.st = s; _ } as inst) ->
+                s.quorum <- [ src ];
+                watch p inst)
+              (Instances.find t p k))
     | _ -> ()
   in
 
@@ -421,17 +465,13 @@ let create ?announce transport fd config cb =
      (the outbox sends a suspect's frame last). *)
   let on_suspect p suspect =
     Instances.iter t p (fun ({ Instances.st = s; _ } as inst) ->
-        if
-          (not inst.decided) && s.waiting_prop
-          && Pid.equal (Pid.coordinator ~n ~round:s.r) suspect
-        then begin
-          s.waiting_prop <- false;
-          give_up p inst
-        end
+        if inst.decided then (if List.mem suspect s.quorum then tell_all p inst)
+        else if Pid.equal (Pid.coordinator ~n ~round:s.r) suspect then
+          leave_round ~suspicion:true p inst
         else
-          (* A coordinator waiting on a silent replier that is now
-             suspected may have lost its majority. *)
-          coord_check_acks p inst)
+          (* A silent replier that is now suspected may have put a
+             majority of acks out of reach. *)
+          check_round p inst s.r)
   in
 
   (* Round 1's announce is the phase-1 estimate, which rounds r > 1 send
@@ -450,10 +490,11 @@ let create ?announce transport fd config cb =
       ("decisions.round1", c.round1);
       ("decisions.round2", c.round2);
       ("decisions.round3+", c.round3_plus);
-      ("decisions.locked", c.locked);
       ("nacks", c.nacks);
       ("catch_ups", c.catch_ups);
+      ("late_props", c.late_props);
       ("answers", c.answers);
+      ("tells", c.tells);
       ("sent.est.r1", c.est_r1);
       ("sent.est.r2+", c.est_r2_plus);
       ("sent.prop.r1", c.prop_r1);

@@ -59,7 +59,7 @@ type 'a inst = {
   k : int;
   mutable estimate : Proposal.t;
   mutable decided : bool;
-  mutable untold : Pid.t list;
+  mutable told : Pid.t list;
   st : 'a;
 }
 
@@ -84,8 +84,9 @@ type 'a t = {
   undecided : int array;
       (* by process: the instances it holds that have not decided, kept
          by hand (one more per new instance, one less per decision) so a
-         live node can ask in O(1) whether it still owes a peer a
-         decision flood before it says Bye *)
+         live node can ask in O(1) whether one of its instances is still
+         open, and may still need its replies or its flood, before it
+         says Bye *)
   fresh : unit -> 'a;
   settle : 'a -> unit;
   decide_msg : int -> Proposal.t -> Message.payload;
@@ -183,7 +184,7 @@ let rcv_holds t p (v : Proposal.t) =
       rcv p ids
 
 let new_instance t p k estimate =
-  let inst = { k; estimate; decided = false; untold = []; st = t.fresh () } in
+  let inst = { k; estimate; decided = false; told = []; st = t.fresh () } in
   Hashtbl.add t.instances.(p) k inst;
   t.undecided.(p) <- t.undecided.(p) + 1;
   Engine.record t.engine p (Trace.Propose (k, Proposal.ids estimate));
@@ -215,47 +216,44 @@ let join_announced t ~start p k est =
       let seed = Proposal.is_empty own && rcv_holds t p est in
       join t ~start p k (if seed then est else own)
 
-(* [except] is the process a relayed decision came from ([p] itself for
-   the process's own decision, which [Pid.others] leaves out anyway);
-   [skip] are the processes left for {!answer}. *)
-let flood t p inst v ~except ~skip =
-  if not inst.decided then begin
-    inst.decided <- true;
-    inst.estimate <- v;
-    inst.untold <- skip;
-    t.undecided.(p) <- t.undecided.(p) - 1;
-    t.settle inst.st;
-    let dsts =
-      List.filter
-        (fun q -> not (Pid.equal q except || List.mem q skip))
-        (Pid.others ~n:t.n p)
-    in
-    multicast t ~src:p ~dsts ~body_bytes:(decide_bytes v) (t.decide_msg inst.k v);
-    Engine.record t.engine p (Trace.Decide (inst.k, Proposal.ids v));
-    t.cb.on_decide p inst.k v
-  end
+let find t p k = Hashtbl.find_opt t.instances.(p) k
 
-let decide ?(skip = []) t p inst v = flood t p inst v ~except:p ~skip
-
-let receive_decide t p ~src k v =
+let decide ?src t p k v ~tell =
   let inst =
     match Hashtbl.find_opt t.instances.(p) k with
     | Some inst -> inst
     | None ->
         (* A decision can reach a process that never participated: adopt
-           it without running any round (the flood settles it at once). *)
+           it without running any round. *)
         new_instance t p k v
   in
-  flood t p inst v ~except:src ~skip:[]
+  if not inst.decided then begin
+    inst.decided <- true;
+    inst.estimate <- v;
+    inst.told <- (match src with Some q -> q :: tell | None -> tell);
+    t.undecided.(p) <- t.undecided.(p) - 1;
+    t.settle inst.st;
+    multicast t ~src:p ~dsts:tell ~body_bytes:(decide_bytes v) (t.decide_msg k v);
+    Engine.record t.engine p (Trace.Decide (k, Proposal.ids v));
+    t.cb.on_decide p k v
+  end
 
-let answer t p inst ~src =
-  let skipped = inst.decided && List.mem src inst.untold in
-  if skipped then begin
-    inst.untold <- List.filter (fun q -> not (Pid.equal q src)) inst.untold;
-    send t ~src:p ~dst:src ~body_bytes:(decide_bytes inst.estimate)
-      (t.decide_msg inst.k inst.estimate)
-  end;
-  skipped
+let flood ?src t p =
+  match src with
+  | None -> Pid.others ~n:t.n p
+  | Some src -> List.filter (fun q -> not (Pid.equal q src)) (Pid.others ~n:t.n p)
+
+let tell t p inst dsts =
+  List.fold_left
+    (fun sent q ->
+      if Pid.equal q p || List.mem q inst.told then sent
+      else begin
+        inst.told <- q :: inst.told;
+        send t ~src:p ~dst:q ~body_bytes:(decide_bytes inst.estimate)
+          (t.decide_msg inst.k inst.estimate);
+        sent + 1
+      end)
+    0 dsts
 
 (* Key-sorted: bucket-order iteration would make the order of the round
    steps a suspicion triggers, and hence the trace, depend on hashing

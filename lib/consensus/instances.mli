@@ -1,9 +1,10 @@
 (** Instance plumbing shared by the consensus stacks ({!Ct}, {!Mr}, {!Lb}):
     everything around the rounds of Algorithms 2 and 3 — the instance
-    tables, joining on the first message, deciding and R-broadcasting the
-    decision, the [rcv] check, the announce path, [propose] and the one
-    send path.  A stack keeps its round state in the instance's [st]
-    field and passes its steps to these functions as arguments.
+    tables, joining on the first message, deciding and telling the
+    processes the stack names, the [rcv] check, the announce path,
+    [propose] and the one send path.  A stack keeps its round state in
+    the instance's [st] field and passes its steps to these functions as
+    arguments.
 
     {b Outbox.}  Every consensus send made inside one {e step} of a
     process — a transport-handler call, a suspicion callback (or LB's
@@ -67,10 +68,10 @@ type 'a inst = {
   k : int;
   mutable estimate : Proposal.t;  (** once decided, the decision *)
   mutable decided : bool;
-  mutable untold : Pid.t list;
-      (** once decided, the processes its decision was not sent to and
-          has not been {!answer}ed to yet; empty except after
-          [decide ~skip] *)
+  mutable told : Pid.t list;
+      (** once decided, the processes known to hold the decision: those
+          this process sent its [Decide] to, and the one it got its own
+          [Decide] from *)
   st : 'a;  (** the stack's round state *)
 }
 
@@ -124,22 +125,27 @@ val join_announced :
     protect No loss although the joiner may not hold those payloads
     yet. *)
 
-val decide : ?skip:Pid.t list -> 'a t -> Pid.t -> 'a inst -> Proposal.t -> unit
-(** The process decides [v] in the instance (a no-op once decided): it
-    settles the round state, queues [Decide] for every other process but
-    those in [skip] (default none), records [Trace.Decide] and calls
-    [cb.on_decide].  A skipped process must come to know the decision
-    some other way — a relay, its own decision, or {!answer}. *)
+val find : 'a t -> Pid.t -> int -> 'a inst option
+(** The process's instance [k], if it holds it; never joins. *)
 
-val receive_decide : 'a t -> Pid.t -> src:Pid.t -> int -> Proposal.t -> unit
-(** A [Decide] from [src]: decide it too, relaying to everyone but [src].
-    A process that never held the instance adopts the decision without
-    running any round. *)
+val decide : ?src:Pid.t -> 'a t -> Pid.t -> int -> Proposal.t -> tell:Pid.t list -> unit
+(** The one decision entry point: the process decides [v] in instance [k]
+    (a no-op once decided), on its own rounds or on a [Decide] from [src].
+    A process that does not hold the instance adopts the decision without
+    running any round.  It settles the round state, queues [Decide] for
+    each process of [tell], in order, records [Trace.Decide] and calls
+    [cb.on_decide].  [told] becomes [tell], plus [src].  The stack says
+    whom to tell: MR and LB flood (every other process, and on a relay
+    every other process but [src]), CT tells nobody. *)
 
-val answer : 'a t -> Pid.t -> 'a inst -> src:Pid.t -> bool
-(** The answer rule: a decided process that hears from a process its
-    decision skipped sends it one [Decide] and marks it told.  True iff
-    it sent one. *)
+val flood : ?src:Pid.t -> 'a t -> Pid.t -> Pid.t list
+(** The [tell] of a flooding stack (R-broadcast of the decision): every
+    process but [p] and [src]. *)
+
+val tell : 'a t -> Pid.t -> 'a inst -> Pid.t list -> int
+(** A decided process sends one [Decide] to each process of the list that
+    it has not told yet (itself excluded), and marks it told.  Returns
+    how many it sent. *)
 
 val iter : 'a t -> Pid.t -> ('a inst -> unit) -> unit
 (** The process's instances in ascending [k]. *)

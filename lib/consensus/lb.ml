@@ -267,7 +267,7 @@ let create transport fd (config : Instances.config) cb =
         (match s.phase with
         | Accepting v when (not inst.decided) && b = s.my_ballot ->
             s.accepts <- s.accepts + 1;
-            if s.accepts >= majority then Instances.decide t p inst v
+            if s.accepts >= majority then Instances.decide t p k v ~tell:(Instances.flood t p)
         | Accepting _ | Idle | Preparing -> ())
     | Nack { k; b; promised } ->
         let ({ Instances.st = s; _ } as inst) = Instances.get_inst t ~start:engage p k in
@@ -279,7 +279,7 @@ let create transport fd (config : Instances.config) cb =
              other proposers). *)
           if Failure_detector.leader fd ~observer:p = p then start_ballot p inst
         end
-    | Decide { k; v } -> Instances.receive_decide t p ~src k v
+    | Decide { k; v } -> Instances.decide ~src t p k v ~tell:(Instances.flood ~src t p)
     | _ -> ()
   in
 

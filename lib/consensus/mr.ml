@@ -119,7 +119,7 @@ let create ?announce transport fd (config : Instances.config) cb =
                value, so inspecting the first is enough. *)
             if bots = 0 then begin
               inst.estimate <- v;
-              Instances.decide t p inst v
+              Instances.decide t p inst.k v ~tell:(Instances.flood t p)
             end
             else begin
               (* Algorithm 3 line 28: adopt v iff rcv(v) holds or v was
@@ -199,7 +199,7 @@ let create ?announce transport fd (config : Instances.config) cb =
             else check_phase2 p inst
           end
         end
-    | Decide { k; est } -> Instances.receive_decide t p ~src k est
+    | Decide { k; est } -> Instances.decide ~src t p k est ~tell:(Instances.flood ~src t p)
     | Nudge { k; est } ->
         (* Joining is the point: a nudged coordinator starts round 1 and
            relays its estimate, giving the instance its first traffic; a

@@ -20,8 +20,8 @@ module Workload = Ics_core.Workload
    the fallback.  [Done]: this node has A-delivered the full workload;
    once every peer has announced it too, the node is past the barrier.
    [Bye]: past the barrier, this node holds no undecided consensus
-   instance, so every decision it owes a peer is already on the wire
-   ahead of the Bye.  A node leaves once it holds a Bye from every peer
+   instance, so what a peer needs from it to decide (its acks, or its
+   decision flood) is already on the wire ahead of the Bye.  A node leaves once it holds a Bye from every peer
    (DESIGN.md §8). *)
 type Message.payload += Done of int | Bye
 

@@ -130,6 +130,8 @@ type result = {
   plan_kind : plan_kind;
   n : int;
   seed : int64;
+  batching : Abcast.batching;
+  app : bool;
   retransmit : bool;
   plan : Nemesis.plan;
   verdict : Checker.verdict;
@@ -215,6 +217,8 @@ let run_one ?(backend = `Sim) ?(batching = Abcast.no_batching) ?(app = false)
       plan_kind;
       n;
       seed;
+      batching;
+      app;
       retransmit;
       plan;
       verdict;
@@ -249,12 +253,28 @@ let run_one ?(backend = `Sim) ?(batching = Abcast.no_batching) ?(app = false)
             ~quiescent:(Array.for_all (fun c -> c = 0 || c = 10) o.Cluster.exits)
             ~faults:o.Cluster.faults ~retx:o.Cluster.retx ~fingerprint:"")
 
+(* The shortest decimal that reads back as [f]. *)
+let float_arg f =
+  let s = Printf.sprintf "%g" f in
+  if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
+
 let replay_hint r =
+  let b = r.batching and d = Abcast.no_batching in
+  let batched =
+    b.Abcast.batch <> d.Abcast.batch
+    || b.Abcast.pipeline <> d.Abcast.pipeline
+    || not (Float.equal b.Abcast.flush_ms d.Abcast.flush_ms)
+  in
   Printf.sprintf
-    "ics_cli chaos --stacks %s --plans %s --seeds 1 --seed-base %Ld%s%s%s"
+    "ics_cli chaos --stacks %s --plans %s --seeds 1 --seed-base %Ld%s%s%s%s%s"
     (stack_name r.stack) (plan_name r.plan_kind) r.seed
     (if r.retransmit then "" else " --no-retransmit")
-    (if r.n <> default_n r.stack then Printf.sprintf " --n %d" r.n else "")
+    (if r.n <> default_n r.stack then Printf.sprintf " -n %d" r.n else "")
+    (if batched then
+       Printf.sprintf " --batch %d --pipeline %d --flush %s" b.Abcast.batch b.Abcast.pipeline
+         (float_arg b.Abcast.flush_ms)
+     else "")
+    (if r.app then " --app" else "")
     (match r.backend with `Sim -> "" | `Live -> " --live")
 
 type cell = {

@@ -67,6 +67,8 @@ type result = {
   plan_kind : plan_kind;
   n : int;
   seed : int64;
+  batching : Ics_core.Abcast.batching;
+  app : bool;
   retransmit : bool;
   plan : Nemesis.plan;
   verdict : Checker.verdict;
@@ -108,7 +110,9 @@ val run_one :
     false. *)
 
 val replay_hint : result -> string
-(** The exact CLI invocation that reproduces this run. *)
+(** The exact CLI invocation that reproduces this run: every cell
+    parameter that differs from the CLI's default — [-n], the batching
+    knobs, [--app], [--no-retransmit], [--live] — is spelled out. *)
 
 type cell = {
   c_stack : stack_kind;

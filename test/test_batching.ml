@@ -53,10 +53,11 @@ let test_batched_replay_deterministic () =
 (* A run-twice check cannot see a change that moves both runs alike, so
    the make saturation-smoke cell (n=5, batch=8/pipeline=2/flush=1 ms,
    ring) is also pinned to its trace digest; re-captured when the
-   announce was deferred by the flush delay and sent to every process. *)
+   announce was deferred by the flush delay and sent to every process,
+   and when CT began deciding on acks at every process. *)
 let test_saturation_fingerprint_pinned () =
   Alcotest.(check string)
-    "saturation-smoke cell" "e03b5573bae40c678abc25fc891c97bb"
+    "saturation-smoke cell" "7e1b57c5b50140fe59b34ccc68a92fa7"
     (Saturation.sim_fingerprint ~seed:1L ~n:5
        ~batching:{ Abcast.batch = 8; pipeline = 2; flush_ms = 1.0 }
        ~broadcast:Profile.Ring ())

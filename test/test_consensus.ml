@@ -110,9 +110,10 @@ type harness = {
 (* [~manual]: suspicions come only from [suspect]; otherwise an oracle
    detector reports each crash after [fd_delay].  [rule] scripts the
    network (delays, drops) on top of the 1 ms constant model.  [announce]
-   is CT's and MR's announce delay, ms (LB has none). *)
-let mk ?(n = 3) ?(jitter = 0.0) ?(seed = 1L) ?fd_delay ?(manual = false) ?rule ?announce ~algo
-    ~indirect () =
+   is CT's and MR's announce delay, ms (LB has none).  [observe] sees
+   each decision as it is made. *)
+let mk ?(n = 3) ?(jitter = 0.0) ?(seed = 1L) ?fd_delay ?(manual = false) ?rule ?announce
+    ?(observe = fun _ _ _ -> ()) ~algo ~indirect () =
   let engine = Engine.create ~seed ~n () in
   let model = Model.constant ~jitter ~delay:1.0 ~n ~seed () in
   let model = match rule with Some rule -> Model.scripted ~base:model ~rule | None -> model in
@@ -129,7 +130,10 @@ let mk ?(n = 3) ?(jitter = 0.0) ?(seed = 1L) ?fd_delay ?(manual = false) ?rule ?
   let rcv = if indirect then Some rcv_fn else None in
   let callbacks =
     {
-      Intf.on_decide = (fun p k v -> decisions := (p, k, v) :: !decisions);
+      Intf.on_decide =
+        (fun p k v ->
+          observe p k v;
+          decisions := (p, k, v) :: !decisions);
       join = (fun _ _ -> Proposal.empty);
     }
   in
@@ -285,17 +289,19 @@ let test_ct_no_decision_without_majority () =
   Engine.run ~until:500.0 h.engine;
   checki "blocked, no decision" 0 (List.length !(h.decisions))
 
-(* CT phase 4: the coordinator gives a round up only once a majority of
-   acks is out of reach.  n = 3, so two acks decide; p0 coordinates
-   round 1 and acks its own proposal at once. *)
+(* CT phase 4, run by every process: decide on a majority of a round's
+   acks, give the round up only once that majority is out of reach.
+   n = 3, so two acks decide; p0 coordinates round 1, and its proposal
+   is its ack.  Decision counters count every process's decisions. *)
 
 let ct_counter h name = List.assoc name (h.handle.Intf.counters ())
 
 let test_ct_nack_then_majority_decides_round1 () =
   (* p1 lacks the payload and its nack reaches p0 first; p2's ack lands
      in the same instant, behind it.  One ack plus one pending replier
-     still make a majority, so round 1 decides at t = 3 instead of
-     being given up on the nack. *)
+     still make a majority, so round 1 decides at p0 at t = 3 instead of
+     being given up on the nack.  p2 decides on p0's proposal and its own
+     ack at t = 2, and p1, which nacked, on p2's ack at t = 3. *)
   let h = mk ~algo:`Ct ~indirect:true () in
   let id = mid 0 0 in
   let v = Proposal.on_ids [ id ] in
@@ -306,15 +312,15 @@ let test_ct_nack_then_majority_decides_round1 () =
       checkb "p0 decided by t = 3.5" true (List.mem_assoc 0 (decisions_for h 1)));
   Engine.run ~until:2_000.0 h.engine;
   check_uniform_agreement h 1 ~expect_deciders:3;
-  checki "decided in round 1" 1 (ct_counter h "decisions.round1");
+  checki "decided in round 1, everywhere" 3 (ct_counter h "decisions.round1");
   checki "no later round" 0 (ct_counter h "decisions.round2")
 
 let test_ct_two_nacks_end_round () =
   (* Only p0 holds the payload, so p1 and p2 both nack; p2 then crashes
      and the detector stays silent until t = 1000.  After the second
-     nack no majority is reachable, p0 moves to round 2 and acks p1's
-     proposal there (p1 has the payload by then), which decides long
-     before anyone suspects p2. *)
+     nack no majority is reachable: p0 and p1 move to round 2, where p1
+     proposes p0's estimate (stamped 1) and both ack it (p1 has the
+     payload by then), which decides long before anyone suspects p2. *)
   let h = mk ~algo:`Ct ~indirect:true ~fd_delay:1_000.0 () in
   let id = mid 0 0 in
   let v = Proposal.on_ids [ id ] in
@@ -326,14 +332,14 @@ let test_ct_two_nacks_end_round () =
       checki "p0 and p1 decided by t = 10" 2 (List.length (decisions_for h 1)));
   Engine.run ~until:2_000.0 h.engine;
   checki "two nacks" 2 (ct_counter h "nacks");
-  checki "decided in round 2" 1 (ct_counter h "decisions.round2")
+  checki "p0 and p1 decided in round 2" 2 (ct_counter h "decisions.round2")
 
 let test_ct_suspected_silent_replier_ends_round () =
   (* p1 nacks; p2 crashes before the proposal reaches it and never
-     replies.  p0 waits while p2 could still ack, gives round 1 up when
-     it suspects p2 (t = 6.5), and the instance decides in round 2 under
-     p1.  Without the re-check on suspicion p0 would wait forever and
-     p1's round 2 would never gather a majority of estimates. *)
+     replies.  p0 and p1 wait while p2 could still ack, give round 1 up
+     when they suspect p2 (t = 6.5), and the instance decides in round 2
+     under p1.  Without the re-check on suspicion both would wait
+     forever. *)
   let h = mk ~algo:`Ct ~indirect:true ~fd_delay:5.0 () in
   let id = mid 0 0 in
   let v = Proposal.on_ids [ id ] in
@@ -343,7 +349,7 @@ let test_ct_suspected_silent_replier_ends_round () =
   Engine.schedule h.engine ~at:4.0 (fun () -> give h 1 id);
   Engine.run ~until:2_000.0 h.engine;
   check_uniform_agreement h 1 ~expect_deciders:2;
-  checki "decided in round 2" 1 (ct_counter h "decisions.round2")
+  checki "p0 and p1 decided in round 2" 2 (ct_counter h "decisions.round2")
 
 (* MR-specific: the resilience drop of the indirect variant. *)
 
@@ -407,9 +413,10 @@ let test_determinism algo () =
 
 (* The undecided-instance count: one per open instance, joins included,
    back to zero once everything decides.  With a 1 ms constant delay and
-   only p0 proposing (at t=1), p1 and p2 have joined by t=2 and nothing
-   has decided by t=2.5 in any of the three algorithms (indirect, so MR
-   waits for all three relays; everyone holds the payload). *)
+   only p0 proposing (at t=1), p1 and p2 have joined by t=2.  By t=2.5
+   nothing has decided in MR (indirect, so it waits for all three
+   relays; everyone holds the payload) or LB; in CT p1 and p2 have
+   decided on p0's proposal and their own acks, and p0 waits for theirs. *)
 let test_undecided_count algo () =
   let h = mk ~algo ~indirect:true () in
   List.iter (fun p -> give h p (mid 0 0)) [ 0; 1; 2 ];
@@ -423,7 +430,7 @@ let test_undecided_count algo () =
   propose_at h ~at:1.0 0 1 (Proposal.on_ids [ mid 0 0 ]);
   check_at ~until:0.5 [ 0; 0; 0 ];
   check_at ~until:1.5 [ 1; 0; 0 ];
-  check_at ~until:2.5 [ 1; 1; 1 ];
+  check_at ~until:2.5 (match algo with `Ct -> [ 1; 0; 0 ] | `Mr | `Lb -> [ 1; 1; 1 ]);
   Engine.run h.engine;
   check_uniform_agreement h 1 ~expect_deciders:3;
   Alcotest.(check (list int)) "undecided after the decisions" [ 0; 0; 0 ] (counts ());
@@ -447,12 +454,11 @@ let test_undecided_count algo () =
   Alcotest.(check (list int)) "adopting a decision opens nothing" [ 0; 0; 0 ] (counts ())
 
 (* CT's remote sends by kind, with only p0 proposing: p0's round-1
-   proposal reaches two peers, and both ack it.  p2's round-2 estimate
-   gives p1 a locked majority: p1 decides at once, proposes nothing in
-   round 2 and tells p2 alone; p0 decides on its acks and tells both,
-   and p2 relays the first decision it gets to the one peer it did not
-   hear it from.  There is no announce (unbatched).  A send to oneself
-   is not counted. *)
+   proposal reaches two peers, which join on it and ack it to every
+   other process.  Each decides on the proposal and its own ack, and p0
+   on the first ack: no estimate, no decision and no answer is sent.
+   There is no announce (unbatched).  A send to oneself is not
+   counted. *)
 let test_ct_send_counters () =
   let h = mk ~algo:`Ct ~indirect:false () in
   propose_at h ~at:1.0 0 1 (Proposal.on_ids [ mid 0 0 ]);
@@ -461,13 +467,101 @@ let test_ct_send_counters () =
   let get k = List.assoc k c in
   checki "announce" 0 (get "sent.est.r1");
   checki "round-1 proposal" 2 (get "sent.prop.r1");
-  checki "round-2 estimate" 1 (get "sent.est.r2+");
+  checki "no round-2 estimate" 0 (get "sent.est.r2+");
   checki "no round-2 proposal" 0 (get "sent.prop.r2+");
-  checki "decisions" 4 (get "sent.decide");
-  checki "acks" 2 (get "sent.ack");
-  checki "decided on acks" 1 (get "decisions.round1");
-  checki "decided on a locked majority" 1 (get "decisions.locked");
-  checki "no answer" 0 (get "answers")
+  checki "no decision" 0 (get "sent.decide");
+  checki "acks, to all" 4 (get "sent.ack");
+  checki "decided on acks, everywhere" 3 (get "decisions.round1");
+  checki "no answer" 0 (get "answers");
+  checki "no telling" 0 (get "tells")
+
+(* CT's and MR's announce delay in these tests, ms. *)
+let announce_ms = 2.0
+
+(* False suspicions, no crash: ◇S lets a detector suspect a correct
+   process and trust it again, and CT must stay safe meanwhile and decide
+   once the detector settles.  Per seed: three instances, each proposed
+   by a random nonempty subset of the processes at random times, each
+   proposer's own id as its value, with the announce on (as in batched
+   runs, the coordinator may not propose); a proposer holds its payload from the
+   start and every other process gets it 0.5 to 20 ms later.  One to
+   eight episodes each make one observer suspect one peer from a random
+   moment for 1 to 20 ms; every suspicion is retracted by t = 50.
+   Agreement, validity (a proposer's value, or the empty join value of a
+   process that proposed nothing), No loss (at each decision, some
+   process holds every decided payload) and termination (every process
+   decides every instance) must hold. *)
+let false_suspicion_run ~n seed =
+  let module Rng = Ics_prelude.Rng in
+  let module Control = Fd.Control in
+  let instances = 3 in
+  let holds = ref (fun _ _ -> false) in
+  let lost = ref [] in
+  let observe p k v =
+    let ids = Proposal.ids v in
+    if not (List.exists (fun q -> List.for_all (!holds q) ids) (Pid.all ~n)) then
+      lost := (p, k) :: !lost
+  in
+  let h =
+    mk ~n ~jitter:0.5 ~seed:(Int64.of_int seed) ~manual:true ~announce:announce_ms ~observe
+      ~algo:`Ct ~indirect:true ()
+  in
+  (holds := fun q id -> Hashtbl.mem h.holds (q, id));
+  let rng = Rng.create (Int64.of_int ((seed * 7919) + n)) in
+  let proposed = Array.make (instances + 1) [] in
+  for k = 1 to instances do
+    let proposers = List.filter (fun _ -> Rng.bool rng) (Pid.all ~n) in
+    let proposers = if proposers = [] then [ Rng.int rng n ] else proposers in
+    List.iter
+      (fun p ->
+        let id = mid p k in
+        let at = Rng.float rng 10.0 in
+        let v = Proposal.on_ids [ id ] in
+        proposed.(k) <- v :: proposed.(k);
+        Engine.schedule h.engine ~at (fun () -> give h p id);
+        propose_at h ~at p k v;
+        List.iter
+          (fun q ->
+            if not (Pid.equal q p) then
+              Engine.schedule h.engine
+                ~at:(at +. 0.5 +. Rng.float rng 19.5)
+                (fun () -> give h q id))
+          (Pid.all ~n))
+      proposers
+  done;
+  let ctl = Option.get h.control in
+  for _ = 1 to 1 + Rng.int rng 8 do
+    let observer = Rng.int rng n in
+    let target = (observer + 1 + Rng.int rng (n - 1)) mod n in
+    let from = Rng.float rng 30.0 in
+    Engine.schedule h.engine ~at:from (fun () -> Control.suspect ctl ~observer target);
+    Engine.schedule h.engine ~at:(from +. 1.0 +. Rng.float rng 19.0) (fun () ->
+        Control.trust ctl ~observer target)
+  done;
+  Engine.run ~until:5_000.0 ~max_events:2_000_000 h.engine;
+  let where = Printf.sprintf "n=%d seed %d" n seed in
+  for k = 1 to instances do
+    let decs = decisions_for h k in
+    checki (Printf.sprintf "%s: instance %d decided everywhere" where k) n (List.length decs);
+    let _, v0 = List.hd decs in
+    List.iter (fun (_, v) -> checkb (where ^ ": agreement") true (Proposal.equal v v0)) decs;
+    checkb (where ^ ": validity") true
+      (Proposal.is_empty v0 || List.exists (Proposal.equal v0) proposed.(k))
+  done;
+  checki (where ^ ": no loss") 0 (List.length !lost)
+
+let test_ct_false_suspicion_sweep () =
+  List.iter (fun n -> for seed = 1 to 200 do false_suspicion_run ~n seed done) [ 3; 4; 5 ]
+
+(* Virtual time of [p]'s first trace event satisfying [f]. *)
+let trace_time h p f =
+  match
+    List.find_opt
+      (fun (e : Trace.event) -> Pid.equal e.Trace.pid p && f e.Trace.kind)
+      (Trace.events (Engine.trace h.engine))
+  with
+  | Some e -> e.Trace.time
+  | None -> Alcotest.failf "no such event at p%d" p
 
 (* CT's thrifty rounds.  Frames are logged as they leave their sender
    for the wire, one entry per payload (a bundle's in order, all with
@@ -476,6 +570,7 @@ let test_ct_send_counters () =
 type frame = {
   at : float;
   seq : int;
+  inst : int;
   src : Pid.t;
   dst : Pid.t;
   kind : string;
@@ -496,17 +591,22 @@ let ct_payload payload =
     | 0x23 -> "decide"
     | tag -> Alcotest.failf "not a CT payload (tag %#x)" tag
   in
-  let _k = Prim.r_u32 rd in
+  let k = Prim.r_u32 rd in
   let round = if kind = "decide" then 0 else Prim.r_u32 rd in
   let ok = kind = "ack" && Prim.r_bool rd in
-  (kind, round, ok)
+  (k, kind, round, ok)
 
 (* A frame's payloads, in the order its receiver handles them. *)
 let payloads (m : Ics_net.Message.t) =
   match m.payload with Instances.Bundle ps -> ps | p -> [ p ]
 
 (* Whether the frame carries a CT payload of this kind, round and verdict. *)
-let carries m payload = List.mem payload (List.map ct_payload (payloads m))
+let carries m payload =
+  List.exists
+    (fun p ->
+      let _, kind, round, ok = ct_payload p in
+      (kind, round, ok) = payload)
+    (payloads m)
 
 let wire_log h =
   Ics_core.Codecs.ensure ();
@@ -515,18 +615,28 @@ let wire_log h =
       incr seq;
       List.iter
         (fun payload ->
-          let kind, round, ok = ct_payload payload in
+          let inst, kind, round, ok = ct_payload payload in
           log :=
-            { at = Engine.now h.engine; seq = !seq; src = m.src; dst = m.dst; kind; round; ok }
+            {
+              at = Engine.now h.engine;
+              seq = !seq;
+              inst;
+              src = m.src;
+              dst = m.dst;
+              kind;
+              round;
+              ok;
+            }
             :: !log)
         (payloads m);
       next m);
   fun () -> List.rev !log
 
-let frames ?src ?kind ?round log =
+let frames ?k ?src ?kind ?round log =
   List.filter
     (fun f ->
-      Option.fold ~none:true ~some:(Pid.equal f.src) src
+      Option.fold ~none:true ~some:(Int.equal f.inst) k
+      && Option.fold ~none:true ~some:(Pid.equal f.src) src
       && Option.fold ~none:true ~some:(String.equal f.kind) kind
       && Option.fold ~none:true ~some:(Int.equal f.round) round)
     log
@@ -534,29 +644,34 @@ let frames ?src ?kind ?round log =
 let describe fs =
   List.map (fun f -> Printf.sprintf "%s%d %d->%d" f.kind f.round f.src f.dst) fs
 
-let test_ct_round2_decides_locked () =
-  (* Fault-free: p1 and p2 ack p0's round-1 proposal and open round 2,
-     so p1 (its coordinator) holds its own and p2's estimates, both
-     stamped 1: a locked majority.  p1 decides at once, sends no round-2
-     proposal, and leaves p0 (round 1's coordinator, which decides on
-     the same acks) out of its decision. *)
+let test_ct_fault_free_round () =
+  (* Fault-free, three instances: p0 proposes each to p1 and p2 (the
+     proposal is its ack), both ack to every other process, and every
+     process decides in round 1 — p1 and p2 on the proposal and their
+     own ack, one message delay after it, p0 on the first ack.  Per
+     instance the wire carries two proposals and four acks: no estimate
+     and no decision. *)
   let h = mk ~algo:`Ct ~indirect:false () in
   let log = wire_log h in
-  let v = Proposal.on_ids [ mid 0 0 ] in
-  List.iter (fun p -> propose_at h ~at:1.0 p 1 v) [ 0; 1; 2 ];
+  for k = 1 to 3 do
+    let v = Proposal.on_ids [ mid 0 k ] in
+    List.iter (fun p -> propose_at h ~at:(float_of_int k) p k v) [ 0; 1; 2 ]
+  done;
   Engine.run h.engine;
-  check_uniform_agreement h 1 ~expect_deciders:3;
-  Alcotest.(check (list string)) "round-2 estimates" [ "est2 2->1" ]
-    (describe (frames ~kind:"est" ~round:2 (log ())));
-  Alcotest.(check (list string)) "no round-2 proposal or ack" []
-    (describe (frames ~round:2 (log ()) |> List.filter (fun f -> f.kind <> "est")));
-  Alcotest.(check (list string)) "p1's decision skips p0" [ "decide0 1->2" ]
-    (describe (frames ~src:1 ~kind:"decide" (log ())));
-  checkb "p1 decides when p2's estimate lands" true
-    (List.for_all (fun f -> f.at = 3.0) (frames ~src:1 ~kind:"decide" (log ())));
-  checki "decided on a locked majority" 1 (ct_counter h "decisions.locked");
-  checki "decided on acks" 1 (ct_counter h "decisions.round1");
-  checki "no answer" 0 (ct_counter h "answers")
+  for k = 1 to 3 do
+    check_uniform_agreement h k ~expect_deciders:3;
+    Alcotest.(check (list string))
+      (Printf.sprintf "instance %d on the wire" k)
+      [ "prop1 0->1"; "prop1 0->2"; "ack1 1->0"; "ack1 1->2"; "ack1 2->0"; "ack1 2->1" ]
+      (describe (frames ~k (log ())))
+  done;
+  checkb "every ack an ack" true (List.for_all (fun f -> f.ok) (frames ~kind:"ack" (log ())));
+  List.iter
+    (fun (p, at) ->
+      Alcotest.(check (float 1e-9)) (Printf.sprintf "p%d decides instance 1" p) at
+        (trace_time h p (function Trace.Decide (1, _) -> true | _ -> false)))
+    [ (0, 3.0); (1, 2.0); (2, 2.0) ];
+  checki "decided in round 1, everywhere" 9 (ct_counter h "decisions.round1")
 
 let test_ct_round2_proposal_to_estimators () =
   (* p1 and p2 falsely suspect p0 at t = 1.5, before its round-1
@@ -577,30 +692,36 @@ let test_ct_round2_proposal_to_estimators () =
     (describe (frames ~kind:"est" ~round:2 (log ())));
   Alcotest.(check (list string)) "round-2 proposals" [ "prop2 1->2"; "prop2 1->0" ]
     (describe (frames ~kind:"prop" ~round:2 (log ())));
-  checki "decided on acks" 1 (ct_counter h "decisions.round2");
-  checki "nothing locked" 0 (ct_counter h "decisions.locked")
+  checki "decided on round 2's acks, everywhere" 3 (ct_counter h "decisions.round2")
 
-let test_ct_skipped_coordinator_answered () =
-  (* p0 suspects p1 and p2 at t = 2.5, before their round-1 acks land,
-     gives round 1 up and sends p1 its round-2 estimate (t = 3.5).  p1
-     has decided at t = 3 on a locked majority (its own and p2's
-     estimates), leaving p0 out; p2 crashes before it can relay p1's
-     decision.  Only the answer rule gets p0 the decision: without it
-     p0 walks on to round 4, which it coordinates, and collects
-     estimates forever. *)
-  let h = mk ~algo:`Ct ~indirect:false ~manual:true () in
+let test_ct_decided_process_answers () =
+  (* The acks of round 1 reach p0 only at t = 12, and p0 suspects p1 and
+     p2 at t = 2.5.  It leaves round 1 and, both coordinators suspected,
+     runs through rounds 2 and 3 at once: its estimates reach p1 and p2
+     at t = 3.5.  Both decided at t = 2, and each answers the round
+     message of an undecided process with one decision: p0 decides at
+     t = 4.5 on the first.  It got that decision from a process it
+     suspects, so it tells the one process it has not heard from. *)
+  let rule (m : Ics_net.Message.t) =
+    if Pid.equal m.dst 0 && carries m ("ack", 1, true) then Model.Delay_by 10.0 else Model.Pass
+  in
+  let h = mk ~algo:`Ct ~indirect:false ~manual:true ~rule () in
   let log = wire_log h in
   let v = Proposal.on_ids [ mid 0 0 ] in
   List.iter (fun p -> propose_at h ~at:1.0 p 1 v) [ 0; 1; 2 ];
   suspect_at h ~at:2.5 ~observer:0 1;
   suspect_at h ~at:2.5 ~observer:0 2;
-  Engine.crash_at h.engine 2 ~at:3.5;
   Engine.run ~until:100.0 h.engine;
-  check_uniform_agreement h 1 ~expect_deciders:2;
-  Alcotest.(check (list string)) "p1's decisions" [ "decide0 1->2"; "decide0 1->0" ]
-    (describe (frames ~src:1 ~kind:"decide" (log ())));
-  checki "decided on a locked majority" 1 (ct_counter h "decisions.locked");
-  checki "one answer" 1 (ct_counter h "answers")
+  check_uniform_agreement h 1 ~expect_deciders:3;
+  Alcotest.(check (list string)) "p0's estimates" [ "est2 0->1"; "est3 0->2" ]
+    (describe (frames ~kind:"est" (log ())));
+  Alcotest.(check (list string)) "the answers, then p0's telling"
+    [ "decide0 1->0"; "decide0 2->0"; "decide0 0->2" ]
+    (describe (frames ~kind:"decide" (log ())));
+  Alcotest.(check (float 1e-9)) "p0 decides on the first answer" 4.5
+    (trace_time h 0 (function Trace.Decide _ -> true | _ -> false));
+  checki "two answers" 2 (ct_counter h "answers");
+  checki "one telling" 1 (ct_counter h "tells")
 
 let test_ct_duplicate_estimate_counted_once () =
   (* n = 5, p0 dead.  p1 and p2 suspect it at t = 2, and p2's round-2
@@ -631,15 +752,17 @@ let test_ct_duplicate_estimate_counted_once () =
     (List.for_all (fun f -> f.at > 10.0) (frames ~kind:"prop" ~round:2 (log ())))
 
 let test_ct_late_estimate_answered () =
-  (* p1 and p2 falsely suspect p0 at t = 1.5 and open round 2; their
-     round-1 nacks reach p0 only at t = 5.5.  p1 proposes round 2 to p2
-     alone; p2 (no payload until t = 5) nacks, and p1 leaves for round 3
-     at t = 4.5.  p0 then gives round 1 up, and its round-2 estimate
-     reaches p1 at t = 6.5: p1 answers with the proposal it recorded, and
-     p0 acks round 2 before round 3's decision reaches it at t = 8.5.
-     Without the answer p0 waits for a proposal that never comes. *)
+  (* Only p2 suspects p0 (t = 1.5, falsely), and p0's round-1 proposal
+     reaches p1 late.  p2's flagged round-2 estimate pulls p1 into round
+     2 (a catch-up), where p1 proposes to p2 alone; p2 lacks the payload
+     and nacks.  p1 acked, and neither it nor p2 suspects p0: both wait
+     for p0's reply to round 2.  p0 gives round 1 up on the two nacks,
+     and its round-2 estimate reaches p1 at t = 4.5: p1 answers with the
+     proposal it recorded, p0 acks it, and round 2 decides.  Without the
+     answer p0 would wait for a proposal, and p1 and p2 for p0's reply,
+     forever. *)
   let rule (m : Ics_net.Message.t) =
-    if Pid.equal m.dst 0 && carries m ("ack", 1, false) then Model.Delay_by 3.0 else Model.Pass
+    if Pid.equal m.dst 1 && carries m ("prop", 1, false) then Model.Delay_by 3.0 else Model.Pass
   in
   let h = mk ~algo:`Ct ~indirect:true ~manual:true ~rule () in
   let log = wire_log h in
@@ -648,25 +771,17 @@ let test_ct_late_estimate_answered () =
   give h 0 id;
   give h 1 id;
   List.iter (fun p -> propose_at h ~at:1.0 p 1 v) [ 0; 1; 2 ];
-  suspect_at h ~at:1.5 ~observer:1 0;
   suspect_at h ~at:1.5 ~observer:2 0;
-  Engine.schedule h.engine ~at:5.0 (fun () -> give h 2 id);
   Engine.run ~until:100.0 h.engine;
   check_uniform_agreement h 1 ~expect_deciders:3;
-  let from_p1 = describe (frames ~src:1 (log ())) in
-  let index s =
-    let rec go i = function
-      | [] -> Alcotest.failf "%s not sent: %s" s (String.concat ", " from_p1)
-      | x :: rest -> if String.equal x s then i else go (i + 1) rest
-    in
-    go 0 from_p1
-  in
-  checkb "p1 answers p0 after leaving round 2" true (index "est3 1->2" < index "prop2 1->0");
+  checki "p1 caught up" 1 (ct_counter h "catch_ups");
+  Alcotest.(check (list string)) "round-2 proposals" [ "prop2 1->2"; "prop2 1->0" ]
+    (describe (frames ~kind:"prop" ~round:2 (log ())));
+  checki "one late estimate answered" 1 (ct_counter h "late_props");
   let p0_acks = frames ~src:0 ~kind:"ack" ~round:2 (log ()) in
-  Alcotest.(check (list string)) "p0 acks round 2" [ "ack2 0->1" ] (describe p0_acks);
+  Alcotest.(check (list string)) "p0 acks round 2" [ "ack2 0->1"; "ack2 0->2" ] (describe p0_acks);
   checkb "with the payload" true (List.for_all (fun f -> f.ok) p0_acks);
-  checkb "before the decision reaches p0" true
-    (List.for_all (fun f -> f.at < 8.5) p0_acks)
+  checki "decided in round 2, everywhere" 3 (ct_counter h "decisions.round2")
 
 let test_ct_catch_up_on_peer_suspicion () =
   (* p0 is dead from the start; only p2's detector reports it (t = 2).
@@ -693,7 +808,7 @@ let test_ct_catch_up_on_peer_suspicion () =
     check_uniform_agreement h k ~expect_deciders:2
   done;
   checki "one catch-up per instance" 3 (ct_counter h "catch_ups");
-  checki "decided in round 2" 3 (ct_counter h "decisions.round2")
+  checki "p1 and p2 decided every instance in round 2" 6 (ct_counter h "decisions.round2")
 
 let test_ct_catch_up_never_skips_a_round () =
   (* n = 5 with p0 and p4 dead.  p3 suspects p0 (t = 2) and sends p1 its
@@ -720,10 +835,11 @@ let test_ct_catch_up_never_skips_a_round () =
   checki "p1 caught up" 1 (ct_counter h "catch_ups")
 
 let test_ct_no_catch_up_on_payload_nack () =
-  (* p0's round-1 proposal reaches p1 3 ms late.  p2 lacks the payload,
-     nacks round 1 and sends p1 its round-2 estimate with ts 0 — which
-     says p2 left round 1 on a nack, not on a suspicion.  p1 keeps
-     waiting, acks the late proposal, and round 1 decides. *)
+  (* p0's round-1 proposal reaches p1 3 ms late.  p2 lacks the payload
+     and nacks round 1, but stays in it: p0's ack and the silent p1 still
+     make a majority.  It sends no round-2 estimate, so p1 has nothing to
+     follow: p1 keeps waiting, acks the late proposal, and round 1
+     decides everywhere. *)
   let rule (m : Ics_net.Message.t) =
     if Pid.equal m.dst 1 && carries m ("prop", 1, false) then Model.Delay_by 3.0 else Model.Pass
   in
@@ -735,14 +851,16 @@ let test_ct_no_catch_up_on_payload_nack () =
   Engine.run ~until:100.0 h.engine;
   check_uniform_agreement h 1 ~expect_deciders:3;
   checki "no catch-up" 0 (ct_counter h "catch_ups");
-  checki "decided in round 1" 1 (ct_counter h "decisions.round1")
+  checki "no round-2 estimate" 0 (ct_counter h "sent.est.r2+");
+  checki "decided in round 1, everywhere" 3 (ct_counter h "decisions.round1")
 
 let test_ct_suspects_last () =
   (* p0 is dead; p1 then p2 suspect it at t = 2 with instances 1 and 2
-     open.  p2 sends both round-2 estimates to p1, in one frame, before
-     its frame of round-1 nacks to p0; p1, whose detector now names p0,
-     decides both instances in one step and sends p2 its frame of both
-     decisions before p0's. *)
+     open.  p2 sends both round-2 estimates and its round-1 nacks to p1
+     in one frame, before its frame of nacks to p0.  p1 proposes both
+     instances to p2, and p2 acks both round-2 proposals in one step: the
+     acks go to every other process, p0 first, but p0 is suspected and
+     its frame leaves after p1's. *)
   let h = mk ~algo:`Ct ~indirect:false ~manual:true () in
   let log = wire_log h in
   Engine.crash_at h.engine 0 ~at:0.5;
@@ -756,55 +874,95 @@ let test_ct_suspects_last () =
   let frame_count fs = List.length (List.sort_uniq Int.compare (List.map (fun f -> f.seq) fs)) in
   let p2_at_suspicion = List.filter (fun f -> f.at = 2.0) (frames ~src:2 (log ())) in
   Alcotest.(check (list string)) "p2 on suspecting p0"
-    [ "est2 2->1"; "est2 2->1"; "ack1 2->0"; "ack1 2->0" ]
+    [ "est2 2->1"; "ack1 2->1"; "est2 2->1"; "ack1 2->1"; "ack1 2->0"; "ack1 2->0" ]
     (describe p2_at_suspicion);
   checki "p2's suspicion step: one frame per peer" 2 (frame_count p2_at_suspicion);
-  let decides = frames ~src:1 ~kind:"decide" (log ()) in
-  Alcotest.(check (list string)) "p1's decision floods"
-    [ "decide0 1->2"; "decide0 1->2"; "decide0 1->0"; "decide0 1->0" ]
-    (describe decides);
-  checki "p1's decisions: one frame per peer" 2 (frame_count decides)
+  let acks = frames ~src:2 ~kind:"ack" ~round:2 (log ()) in
+  Alcotest.(check (list string)) "p2's round-2 acks"
+    [ "ack2 2->1"; "ack2 2->1"; "ack2 2->0"; "ack2 2->0" ]
+    (describe acks);
+  checki "p2's acks: one frame per peer" 2 (frame_count acks)
 
-(* Virtual time of [p]'s first trace event satisfying [f]. *)
-let trace_time h p f =
-  match
-    List.find_opt
-      (fun (e : Trace.event) -> Pid.equal e.Trace.pid p && f e.Trace.kind)
-      (Trace.events (Engine.trace h.engine))
-  with
-  | Some e -> e.Trace.time
-  | None -> Alcotest.failf "no such event at p%d" p
-
-let test_ct_locked_decision_tells_estimating_coordinator () =
-  (* As in "skipped coordinator answered", p0 suspects p1 and p2 at
-     t = 2.5, gives round 1 up with its estimate stamped 1, and sends p1
-     its round-2 estimate (t = 3.5); p2's reaches p1 only at t = 5.  p1
-     then holds its own and p0's estimates, both stamped 1: a locked
-     majority that includes round 1's coordinator.  p0 has left round 1
-     and will not decide on its acks, so p1's decision goes to p0
-     straight (t = 3.5, landing at 4.5) instead of reaching it by p2's
-     relay a step later. *)
+let test_ct_suspected_quorum_member_told () =
+  (* A batched storm schedule (n = 5) that left a process undecided
+     before the suspicion rule.  Only p0, p1 and p4 hold the payload, so
+     p2 and p3 nack round 1.  p4 acks and crashes (t = 2.5), and its ack
+     to p1 is lost.  p0, p2 and p3 decide at t = 3 on the acks of p0, p1
+     and p4; p1 holds two of the three acks it needs and waits for p4.
+     Everyone suspects p4 at t = 10: p1 gives round 1 up and, as round
+     2's coordinator, waits for estimates that decided processes never
+     send.  The deciders' quorum has lost p4, so each tells every process
+     it has not told, and p1 decides at t = 11. *)
   let rule (m : Ics_net.Message.t) =
-    if Pid.equal m.src 2 && Pid.equal m.dst 1 && carries m ("est", 2, false) then
-      Model.Delay_by 2.0
+    if Pid.equal m.src 4 && Pid.equal m.dst 1 && carries m ("ack", 1, true) then Model.Drop
     else Model.Pass
   in
-  let h = mk ~algo:`Ct ~indirect:false ~manual:true ~rule () in
+  let h = mk ~n:5 ~algo:`Ct ~indirect:true ~manual:true ~rule () in
   let log = wire_log h in
-  let v = Proposal.on_ids [ mid 0 0 ] in
-  List.iter (fun p -> propose_at h ~at:1.0 p 1 v) [ 0; 1; 2 ];
-  suspect_at h ~at:2.5 ~observer:0 1;
-  suspect_at h ~at:2.5 ~observer:0 2;
+  let id = mid 0 0 in
+  let v = Proposal.on_ids [ id ] in
+  List.iter (fun p -> give h p id) [ 0; 1; 4 ];
+  List.iter (fun p -> propose_at h ~at:1.0 p 1 v) [ 0; 1; 2; 3; 4 ];
+  Engine.crash_at h.engine 4 ~at:2.5;
+  List.iter (fun observer -> suspect_at h ~at:10.0 ~observer 4) [ 0; 1; 2; 3 ];
   Engine.run ~until:100.0 h.engine;
-  check_uniform_agreement h 1 ~expect_deciders:3;
-  Alcotest.(check (float 1e-9)) "p0 decides when p1's decision lands" 4.5
-    (trace_time h 0 (function Trace.Decide _ -> true | _ -> false));
-  let decides = frames ~src:1 ~kind:"decide" (log ()) in
-  Alcotest.(check (list string)) "p1's decision reaches p0 straight"
-    [ "decide0 1->0"; "decide0 1->2" ] (describe decides);
-  checkb "sent when p0's estimate lands" true (List.for_all (fun f -> f.at = 3.5) decides);
-  checki "decided on a locked majority" 1 (ct_counter h "decisions.locked");
+  check_uniform_agreement h 1 ~expect_deciders:4;
+  List.iter
+    (fun (p, at) ->
+      Alcotest.(check (float 1e-9)) (Printf.sprintf "p%d decides" p) at
+        (trace_time h p (function Trace.Decide _ -> true | _ -> false)))
+    [ (0, 3.0); (1, 11.0); (2, 3.0); (3, 3.0) ];
+  checkb "every decision sent on the suspicion" true
+    (List.for_all (fun f -> f.at = 10.0) (frames ~kind:"decide" (log ())));
+  checki "each decider tells the four others" 12 (ct_counter h "tells");
   checki "no answer" 0 (ct_counter h "answers")
+
+let test_ct_decides_from_acks_without_proposal () =
+  (* n = 5: p0's round-1 proposal to p4 is lost as p0 crashes (t = 1.5).
+     p1, p2 and p3 ack it to every other process, and p4 decides on their
+     three acks at t = 3: the value it never got a proposal for, not its
+     own estimate. *)
+  let rule (m : Ics_net.Message.t) =
+    if Pid.equal m.src 0 && Pid.equal m.dst 4 then Model.Drop else Model.Pass
+  in
+  let h = mk ~n:5 ~algo:`Ct ~indirect:false ~manual:true ~rule () in
+  let v = Proposal.on_ids [ mid 0 0 ] in
+  List.iter (fun p -> propose_at h ~at:1.0 p 1 v) [ 0; 1; 2; 3 ];
+  propose_at h ~at:1.0 4 1 (Proposal.on_ids [ mid 4 0 ]);
+  Engine.crash_at h.engine 0 ~at:1.5;
+  Engine.run ~until:100.0 h.engine;
+  check_uniform_agreement h 1 ~expect_deciders:4;
+  checkb "p4 decides p0's proposal" true (Proposal.equal (List.assoc 4 (decisions_for h 1)) v);
+  Alcotest.(check (float 1e-9)) "p4 decides on the acks" 3.0
+    (trace_time h 4 (function Trace.Decide _ -> true | _ -> false))
+
+let test_ct_nacks_alone_end_round () =
+  (* n = 5, no suspicion anywhere.  Only p0 holds the payload at first,
+     so p1, p2 and p3 nack round 1, and p0's proposal to p4 is held up
+     until t = 21.  At t = 3 p4 holds three nacks and no ack: with p0 and
+     itself the only silent processes, a majority of acks is out of
+     reach, and p4 nacks round 1 and leaves it without waiting for the
+     proposal or a suspicion.  Everyone else leaves too, and round 2,
+     under p1, decides once the payload has spread (t = 2.5). *)
+  let rule (m : Ics_net.Message.t) =
+    if Pid.equal m.src 0 && Pid.equal m.dst 4 && carries m ("prop", 1, false) then
+      Model.Delay_by 20.0
+    else Model.Pass
+  in
+  let h = mk ~n:5 ~algo:`Ct ~indirect:true ~manual:true ~rule () in
+  let log = wire_log h in
+  let id = mid 0 0 in
+  let v = Proposal.on_ids [ id ] in
+  give h 0 id;
+  List.iter (fun p -> propose_at h ~at:1.0 p 1 v) [ 0; 1; 2; 3; 4 ];
+  Engine.schedule h.engine ~at:2.5 (fun () -> List.iter (fun p -> give h p id) [ 1; 2; 3; 4 ]);
+  Engine.run ~until:100.0 h.engine;
+  check_uniform_agreement h 1 ~expect_deciders:5;
+  let p4_nacks = List.filter (fun f -> not f.ok) (frames ~src:4 ~kind:"ack" ~round:1 (log ())) in
+  checki "p4 nacks round 1 to every other process" 4 (List.length p4_nacks);
+  checkb "on the nacks alone, at t = 3" true (List.for_all (fun f -> f.at = 3.0) p4_nacks);
+  checki "no decision in round 1" 0 (ct_counter h "decisions.round1");
+  checki "all five decide in round 2" 5 (ct_counter h "decisions.round2")
 
 (* The deferred announce (batched runs).  A proposer that is not round
    1's coordinator waits [announce_ms]; if the coordinator's round-1
@@ -812,7 +970,6 @@ let test_ct_locked_decision_tells_estimating_coordinator () =
    sends every other process the announce (CT's round-1 [Est], MR's
    [Nudge]), and a receiver that does not hold the instance joins on
    it.  Announces are logged from the wire as they leave. *)
-let announce_ms = 2.0
 
 let is_announce payload =
   let module Prim = Ics_codec.Prim in
@@ -839,12 +996,17 @@ let test_announce_not_sent_to_prompt_coordinator algo () =
   (* p1 and p2 propose at t = 1, p0 at t = 1.5: its round-1 proposal
      reaches them at t = 2.5, before their announces fall due at t = 3,
      and the instance is still undecided then (indirect: MR waits for
-     all three relays).  Nothing is announced. *)
+     all three relays; in CT p1 and p2 lack the payload until t = 3.2, so
+     they nack the proposal).  Nothing is announced. *)
   let h = mk ~announce:announce_ms ~algo ~indirect:true () in
   let announces = announce_log h in
   let id = mid 1 0 in
   let v = Proposal.on_ids [ id ] in
-  List.iter (fun p -> give h p id) [ 0; 1; 2 ];
+  (match algo with
+  | `Ct ->
+      give h 0 id;
+      Engine.schedule h.engine ~at:3.2 (fun () -> List.iter (fun p -> give h p id) [ 1; 2 ])
+  | `Mr -> List.iter (fun p -> give h p id) [ 0; 1; 2 ]);
   List.iter (fun p -> propose_at h ~at:1.0 p 1 v) [ 1; 2 ];
   propose_at h ~at:1.5 0 1 v;
   Engine.schedule h.engine ~at:3.0 (fun () ->
@@ -879,14 +1041,15 @@ let test_announce_join_seeds algo () =
     (decisions_for h 1)
 
 let test_announce_survives_dead_coordinator algo () =
-  (* ROADMAP item 1's schedule: p0, round 1's coordinator, is dead, and
-     only p1 holds the instance.  p1 and p2 suspect p0 at t = 2, so p1
-     has given round 1 up when its announce falls due (t = 3): it is
-     still sent, since p0's proposal never came.  p2 joins on it (t = 4),
-     gives round 1 up at once, and round 2 decides.  Were the announce
-     sent to the coordinator alone, or only from round 1, p2 would never
-     hear of the instance and CT's round 2 would wait for its estimate
-     forever. *)
+  (* p0, round 1's coordinator, is dead, and only p1 holds the instance.
+     p1 and p2 suspect p0 at t = 2, so p1 has given round 1 up when its
+     announce falls due (t = 3): it is still sent, since p0's proposal
+     never came.  p2 joins on it (t = 4; in CT at t = 3 already, on p1's
+     round-1 nack, seeded like an announce with the estimate the nack
+     carries), gives round 1 up at once, and round 2 decides the
+     announced ids, not p2's empty join value.  Were the announce sent to
+     the coordinator alone, or only from round 1, MR's p2 would never
+     hear of the instance. *)
   let h = mk ~announce:announce_ms ~algo ~indirect:false ~manual:true () in
   let v = Proposal.on_ids [ mid 1 0 ] in
   Engine.crash_at h.engine 0 ~at:0.5;
@@ -1090,14 +1253,12 @@ let suites =
         Alcotest.test_case "suspected silent replier ends the round" `Quick
           test_ct_suspected_silent_replier_ends_round;
         Alcotest.test_case "remote sends by kind" `Quick test_ct_send_counters;
-        Alcotest.test_case "round 2 decides a locked majority" `Quick
-          test_ct_round2_decides_locked;
+        Alcotest.test_case "fault-free: props and acks" `Quick test_ct_fault_free_round;
         Alcotest.test_case "round-2 proposal goes to its estimators" `Quick
           test_ct_round2_proposal_to_estimators;
-        Alcotest.test_case "skipped coordinator answered" `Quick
-          test_ct_skipped_coordinator_answered;
-        Alcotest.test_case "locked decision tells an estimating coordinator" `Quick
-          test_ct_locked_decision_tells_estimating_coordinator;
+        Alcotest.test_case "decided process answers" `Quick test_ct_decided_process_answers;
+        Alcotest.test_case "suspected quorum member told" `Quick
+          test_ct_suspected_quorum_member_told;
         Alcotest.test_case "duplicate estimate counted once" `Quick
           test_ct_duplicate_estimate_counted_once;
         Alcotest.test_case "late estimate answered with the recorded proposal" `Quick
@@ -1109,6 +1270,10 @@ let suites =
         Alcotest.test_case "no catch-up on a payload nack" `Quick
           test_ct_no_catch_up_on_payload_nack;
         Alcotest.test_case "suspects last" `Quick test_ct_suspects_last;
+        Alcotest.test_case "decides from the acks alone" `Quick
+          test_ct_decides_from_acks_without_proposal;
+        Alcotest.test_case "nacks alone end a round" `Quick test_ct_nacks_alone_end_round;
+        Alcotest.test_case "false-suspicion sweep, n=3..5" `Quick test_ct_false_suspicion_sweep;
       ] );
     ( "outbox",
       [

@@ -391,7 +391,7 @@ let test_chaos_jobs_fingerprint_identical () =
   let seq = fingerprints 1 in
   checki "one fingerprint per run" 8 (List.length seq);
   Alcotest.(check string) "first run matches the single-domain pin"
-    "d62a6f84da618a05e839a7edbde719a0" (List.hd seq);
+    "5db0aa10eb8b9804679f656f940d540a" (List.hd seq);
   match Unix.fork () with
   | 0 ->
       let status =

@@ -319,12 +319,37 @@ let test_cli_live_jobs_check_rejected () =
   Alcotest.(check string) "no sweep output" "" out;
   Alcotest.(check string) "message" "chaos: --jobs-check needs the sim backend\n" err
 
+(* The replay command a failing chaos run prints must rerun that very
+   cell: fed back to the CLI with --verbose, the rerun's own failure
+   prints the same command.  A batched, app-hosted on-ids blackout run at
+   -n 5 without the retransmission channel needs every flag the hint can
+   spell. *)
+let test_cli_chaos_replay_hint_round_trips () =
+  let module Chaos = Ics_workload.Chaos in
+  let r =
+    Chaos.run_one
+      ~batching:{ Abcast.batch = 8; pipeline = 2; flush_ms = 1.0 }
+      ~app:true ~retransmit:false ~n:5 Chaos.Ct_on_ids Chaos.Blackout ~seed:3L
+  in
+  checkb "the run fails" false (Chaos.passed r);
+  let hint = Chaos.replay_hint r in
+  Alcotest.(check string) "hint"
+    "ics_cli chaos --stacks ct-on-ids --plans blackout --seeds 1 --seed-base 3 \
+     --no-retransmit -n 5 --batch 8 --pipeline 2 --flush 1 --app"
+    hint;
+  let code, out, _ = run_cli (List.tl (String.split_on_char ' ' hint) @ [ "--verbose" ]) in
+  checki "exit code" 0 code;
+  checkb "the rerun prints the same command" true
+    (Test_util.contains out ("replay: " ^ hint ^ "\n"))
+
 let suites =
   [
     ( "cli",
       [
         Alcotest.test_case "chaos --live --jobs-check exits 2 up front" `Quick
           test_cli_live_jobs_check_rejected;
+        Alcotest.test_case "chaos replay hint reruns its cell" `Quick
+          test_cli_chaos_replay_hint_round_trips;
       ] );
     ( "runtime",
       [
