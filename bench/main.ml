@@ -2,39 +2,35 @@
 
    Regenerates every figure of the paper's evaluation (Figures 1 and 3–7;
    Figure 2 is a diagram), replays the two adversarial scenarios, runs the
-   design-decision ablations called out in DESIGN.md, and measures the
-   extensions built on top: lossy links healed by retransmission (on the
-   simulator and on loopback clusters), the saturation knee and the
-   closed-loop service plane.  Finishes with Bechamel microbenchmarks of
-   the hot data structures.
+   design-decision ablations called out in DESIGN.md, measures lossy links
+   healed by retransmission on the simulator, and machine-checks the
+   paper's shape claims.
 
    Usage:
      dune exec bench/main.exe            # every section, full length
      dune exec bench/main.exe -- quick   # quarter-length simulation sweeps
      dune exec bench/main.exe -- figures # one section only; sections are
                                          # figures, scenarios, ablations,
-                                         # faults, faults-live, claims,
-                                         # micro, saturation, service
-                                         # (combinable)
+                                         # faults, claims (combinable)
 
    An unknown section name is a usage error (exit 2); a claim that does
    not hold exits 1 once every requested section has run.  The program
-   only prints; it writes no files.  Implementation costs (wall clock,
-   allocation, per-layer and codec timings, repeated and recorded with
-   the host) are measured by the repo benchmark, `ics_bench run` and
-   `ics_bench compare` (bench/suite/README.md). *)
+   only prints; it writes no files.  The extensions have their own
+   drivers: the saturation knee is `ics_cli bench`, the closed-loop
+   service plane `ics_cli service`, and lossy links on loopback clusters
+   `make chaos-live-smoke` and the fault-parity test.  Implementation
+   costs (wall clock, allocation, per-layer and codec timings, repeated
+   and recorded with the host) are measured by the repo benchmark,
+   `ics_bench run` and `ics_bench compare` (bench/suite/README.md). *)
 
 module Stack = Ics_core.Stack
 module Abcast = Ics_core.Abcast
-module Profile = Ics_core.Profile
 module Experiment = Ics_workload.Experiment
 module Figures = Ics_workload.Figures
 module Scenarios = Ics_workload.Scenarios
 module Table = Ics_prelude.Table
 module Stats = Ics_prelude.Stats
 module Quorum = Ics_consensus.Quorum
-module Node = Ics_runtime.Node
-module Cluster = Ics_runtime.Cluster
 
 let section title = Format.printf "@.##### %s #####@.@." title
 
@@ -357,15 +353,15 @@ let drop_plan p =
 
 (* One simulated lossy-link cell: indirect consensus, n=3, 200 msg/s, 64B
    over a 1 ms constant-delay model, with [drop_plan p] installed on the
-   stack's transport under [plan_seed] and healed by the retransmission
+   stack's transport under plan seed 7 and healed by the retransmission
    channel — the middleware a live node installs.  Returns the run with
    its drop, retransmit and ack counts. *)
-let lossy_cell ~quick ~plan_seed p =
+let lossy_cell ~quick p =
   let counters = ref None in
   let prepare (stack : Stack.t) =
     counters :=
       Some
-        (Nemesis.install stack.Stack.transport ~seed:plan_seed ~plan:(drop_plan p)
+        (Nemesis.install stack.Stack.transport ~seed:7L ~plan:(drop_plan p)
            ~retransmit:true)
   in
   let config =
@@ -405,7 +401,7 @@ let run_faults ~quick =
   in
   List.iter
     (fun p ->
-      let r, drops, retx, acks = lossy_cell ~quick ~plan_seed:7L p in
+      let r, drops, retx, acks = lossy_cell ~quick p in
       Table.add_row table
         [
           Printf.sprintf "%.2f" p;
@@ -421,113 +417,6 @@ let run_faults ~quick =
     "expectation: latency degrades gracefully with drop-p (a lost frame costs@.\
      ~one RTO); retransmits track the loss rate; every run stays quiescent.@."
 
-(* --- Fault injection on the live backend ---------------------------------- *)
-
-(* The lossy-link experiment replayed on real sockets: the same Nemesis
-   drop plans, installed by the same [Nemesis.install] as the sim column
-   (same fault middleware, same per-link draws, same retransmission
-   channel) — but over loopback TCP with forked OS processes.  The sim
-   column is virtual time under a 1 ms constant-delay model; the live
-   column is wall clock on loopback, so magnitudes differ by design and
-   the comparison is about shape: latency degrading gracefully with
-   drop-p, retransmissions tracking the loss rate, and the checker
-   staying green on both backends. *)
-let run_faults_live ~quick =
-  section
-    "Fault injection, live backend: seeded drops on loopback TCP (indirect, n=3, 64B)";
-  let total key l = Option.value ~default:0 (List.assoc_opt key l) in
-  let sim_cell p =
-    let r, drops, retx, _ = lossy_cell ~quick ~plan_seed:42L p in
-    (r.Experiment.latency.Stats.mean, drops, per_abcast retx r, r.Experiment.quiescent)
-  in
-  let live_cell p =
-    let count = if quick then 10 else 25 in
-    let node =
-      {
-        Node.default_workload with
-        Node.profile =
-          {
-            Profile.default with
-            Profile.n = 3;
-            count;
-            body_bytes = 64;
-            gap_ms = 2.0;
-            warmup_ms = 400.0;
-            deadline_ms = 20_000.0;
-          };
-        seed = 42L;
-        plan = drop_plan p;
-        plan_seed = 42L;
-      }
-    in
-    match Cluster.run { Cluster.default with Cluster.node } with
-    | Error e ->
-        Format.printf "drop-p %.2f: skipped (%s)@." p e;
-        None
-    | Ok o ->
-        let ab = float_of_int (max 1 (3 * count)) in
-        let l = Option.value o.latency ~default:Stats.empty_summary in
-        Some
-          ( l.Stats.mean,
-            l.Stats.p95,
-            total "drops" o.Cluster.faults,
-            float_of_int (total "retransmits" o.Cluster.retx) /. ab,
-            Cluster.ok o )
-  in
-  let rows =
-    if not (Cluster.supported ()) then begin
-      Format.printf "live fault runs skipped: no loopback sockets here@.";
-      []
-    end
-    else
-      List.filter_map
-        (fun p ->
-          match live_cell p with
-          | None -> None
-          | Some live -> Some (p, sim_cell p, live))
-        [ 0.0; 0.05; 0.10 ]
-  in
-  if rows <> [] then begin
-    let table =
-      Table.create
-        ~title:
-          "same drop plan, both backends (sim latency is virtual; live is wall clock)"
-        ~columns:
-          [
-            "drop-p";
-            "sim-lat[ms]";
-            "sim-drops";
-            "sim-retx/ab";
-            "sim-quiet";
-            "live-lat[ms]";
-            "live-p95[ms]";
-            "live-drops";
-            "live-retx/ab";
-            "live-ok";
-          ]
-    in
-    List.iter
-      (fun (p, (smean, sdrops, sretx, squiet), (lmean, lp95, ldrops, lretx, lok)) ->
-        Table.add_row table
-          [
-            Printf.sprintf "%.2f" p;
-            Printf.sprintf "%.3f" smean;
-            string_of_int sdrops;
-            Printf.sprintf "%.2f" sretx;
-            string_of_bool squiet;
-            Printf.sprintf "%.2f" lmean;
-            Printf.sprintf "%.2f" lp95;
-            string_of_int ldrops;
-            Printf.sprintf "%.2f" lretx;
-            string_of_bool lok;
-          ])
-      rows;
-    Table.print table;
-    Format.printf
-      "expectation: both columns degrade gracefully with drop-p and stay@.\
-       checker-green; retransmits track the loss rate on each backend.@."
-  end
-
 (* --- Claim verification --------------------------------------------------- *)
 
 let run_claims ~quick =
@@ -537,147 +426,6 @@ let run_claims ~quick =
   let holding = List.length (List.filter (fun v -> v.Ics_workload.Claims.holds) verdicts) in
   Format.printf "@.%d/%d claims hold.@." holding (List.length verdicts);
   if holding < List.length verdicts then failed := true
-
-(* --- Saturation: offered-load knee curves -------------------------------- *)
-
-module Saturation = Ics_workload.Saturation
-
-let run_saturation ~quick =
-  section "Saturation: batched/pipelined indirect consensus, offered-load sweep";
-  let n = 5 in
-  let batched = { Abcast.batch = 32; pipeline = 4; flush_ms = 1.0 } in
-  let print title c = Format.printf "%s@.%a@." title Saturation.pp_curve c in
-  (* Simulated sweeps: the seed shape saturates around 1 k msg/s, the
-     batched/pipelined/ring shape around 4 k; past the knee the open-loop
-     sim drains everything, so p99 is the overload signal. *)
-  let sim_dur = if quick then 2_000.0 else 4_000.0 in
-  print "sim: seed (unbatched, flood)"
-    (Saturation.sim_curve ~duration_ms:sim_dur ~n ~batching:Abcast.no_batching
-       ~broadcast:Profile.Flood
-       [ 250.0; 500.0; 750.0; 1_000.0; 1_500.0; 2_000.0 ]);
-  print "sim: batch=32 pipeline=4 flush=1ms, ring"
-    (Saturation.sim_curve ~duration_ms:sim_dur ~n ~batching:batched
-       ~broadcast:Profile.Ring
-       [ 1_000.0; 2_000.0; 3_000.0; 4_000.0; 5_000.0; 6_000.0 ]);
-  (* Live sweeps: real processes on loopback TCP.  Overload shows up as
-     the drain running long (p99 explodes), never as a dirty trace.
-     Best-of-3 per point: one co-tenant burst during a 1 s arrival
-     window is noise, not a capacity statement (see Saturation). *)
-  if not (Cluster.supported ()) then
-    Format.printf "live sweeps skipped: no loopback sockets here@."
-  else begin
-    print "live: seed (unbatched, flood)"
-      (Saturation.live_curve ~duration_ms:1_000.0 ~attempts:3 ~n
-         ~batching:Abcast.no_batching ~broadcast:Profile.Flood
-         [ 1_000.0; 2_000.0; 3_000.0; 4_000.0 ]);
-    print "live: batch=32 pipeline=4 flush=1ms, ring"
-      (Saturation.live_curve ~duration_ms:1_000.0 ~attempts:3 ~n
-         ~batching:batched ~broadcast:Profile.Ring
-         [ 2_000.0; 5_000.0; 8_000.0; 11_000.0; 13_000.0; 15_000.0 ])
-  end
-
-(* --- Service: closed-loop client plane ----------------------------------- *)
-
-module Service = Ics_workload.Service
-
-(* Tens of thousands of closed-loop clients against the replicated
-   KV/ledger, sim and live at n=3 and n=5.  Every point is gated by the
-   abcast battery plus the application battery, and the headline number
-   is what a client sees: submit -> applied-at-home p50/p99.  The
-   sim/live pair at each n must land on the same final state hash. *)
-let run_service ~quick =
-  section "Service: closed-loop KV/ledger clients, checker- and hash-gated";
-  let batching = { Abcast.batch = 256; pipeline = 8; flush_ms = 1.0 } in
-  let clients = if quick then 2_000 else 10_000 in
-  let live_ok = Cluster.supported () in
-  List.iter
-    (fun n ->
-      let sim = Service.sim_point ~seed:1L ~batching ~n ~clients ~requests:1 () in
-      Format.printf "%a@." Service.pp_point sim;
-      if live_ok then
-        match
-          Service.live_point ~seed:1L ~batching ~attempts:3 ~deadline_ms:60_000.0
-            ~n ~clients ~requests:1 ()
-        with
-        | Error _ -> ()
-        | Ok lp ->
-            Format.printf "%a@." Service.pp_point lp;
-            if Service.hash_match sim lp then
-              Format.printf "n=%d: sim and live state hashes agree@." n
-            else Format.printf "n=%d: STATE HASH DIVERGENCE@." n)
-    [ 3; 5 ];
-  if not live_ok then
-    Format.printf "live points skipped: no loopback sockets here@."
-
-(* --- Bechamel microbenchmarks -------------------------------------------- *)
-
-let micro_tests () =
-  let open Bechamel in
-  let rng_test =
-    Test.make ~name:"rng.next_int64"
-      (Staged.stage
-         (let rng = Ics_prelude.Rng.create 1L in
-          fun () -> ignore (Ics_prelude.Rng.next_int64 rng)))
-  in
-  let queue_test =
-    Test.make ~name:"event_queue.push+pop"
-      (Staged.stage
-         (let q = Ics_sim.Event_queue.create () in
-          let t = ref 0.0 in
-          fun () ->
-            t := !t +. 1.0;
-            Ics_sim.Event_queue.push q ~time:!t (fun () -> ());
-            ignore (Ics_sim.Event_queue.pop q)))
-  in
-  let proposal_test =
-    Test.make ~name:"proposal.on_ids(16)"
-      (Staged.stage
-         (let ids = List.init 16 (fun i -> Ics_net.Msg_id.make ~origin:(i mod 5) ~seq:i) in
-          fun () -> ignore (Ics_consensus.Proposal.on_ids ids)))
-  in
-  let stats_test =
-    Test.make ~name:"stats.summarize(1k)"
-      (Staged.stage
-         (let data = Array.init 1000 (fun i -> float_of_int ((i * 7919) mod 997)) in
-          fun () -> ignore (Ics_prelude.Stats.summarize_array data)))
-  in
-  let abcast_test =
-    Test.make ~name:"abcast.end-to-end(1 msg, n=3, ideal)"
-      (Staged.stage (fun () ->
-           let config =
-             {
-               Stack.abcast_indirect with
-               Stack.setup = Stack.Ideal_lan { delay = 0.1; jitter = 0.0 };
-             }
-           in
-           let stack = Stack.create config in
-           ignore (Stack.abroadcast stack ~src:0 ~body_bytes:8);
-           Stack.run stack))
-  in
-  Test.make_grouped ~name:"micro"
-    [ rng_test; queue_test; proposal_test; stats_test; abcast_test ]
-
-let run_micro () =
-  section "Bechamel microbenchmarks (ns per run, OLS estimate)";
-  let open Bechamel in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let clock = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg [ clock ] (micro_tests ()) in
-  let results = Analyze.all ols clock raw in
-  let table =
-    Table.create ~title:"microbenchmarks" ~columns:[ "benchmark"; "ns/run"; "r^2" ]
-  in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      let est =
-        match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> Float.nan
-      in
-      let r2 = match Analyze.OLS.r_square ols with Some r -> r | None -> Float.nan in
-      Table.add_row table [ name; Printf.sprintf "%.1f" est; Printf.sprintf "%.4f" r2 ])
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
-  Table.print table
 
 (* Every section, in run order. *)
 let sections ~quick =
@@ -693,11 +441,7 @@ let sections ~quick =
         extension_algorithms ~quick;
         extension_scalability ~quick );
     ("faults", fun () -> run_faults ~quick);
-    ("faults-live", fun () -> run_faults_live ~quick);
     ("claims", fun () -> run_claims ~quick);
-    ("micro", run_micro);
-    ("saturation", fun () -> run_saturation ~quick);
-    ("service", fun () -> run_service ~quick);
   ]
 
 let () =

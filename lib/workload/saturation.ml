@@ -163,35 +163,34 @@ let slots_profile config ~offered ~duration_ms ~body_bytes =
 
 (* A fixed arrival window: each node broadcasts its share of [offered] at
    even gaps for [duration_ms], then the cluster drains to the delivery
-   barrier (or times out, which marks the point un-clean).  The drain
+   barrier (or times out, which marks the point un-clean).  The 10 s drain
    window is deliberately generous: the barrier exits as soon as delivery
    completes, so the deadline only binds for points past the knee — and
    those must still drain to a checker-clean trace rather than be killed
    mid-protocol, or the sweep reports truncation noise instead of
-   overload.  Retries stop at the first healthy attempt (Run.live). *)
+   overload. *)
 let live_point ?(seed = 1L) ?algo ?ordering ?(body_bytes = 32)
-    ?(duration_ms = 2_000.0) ?(drain_ms = 10_000.0) ?(attempts = 1) ~n
-    ~batching ~broadcast offered =
+    ?(duration_ms = 2_000.0) ~n ~batching ~broadcast offered =
   let config = Run.setup2 ?algo ?ordering ~broadcast ~batching ~n () in
   let profile =
     Run.live_profile
       (slots_profile config ~offered ~duration_ms ~body_bytes)
-      ~window_ms:(duration_ms +. drain_ms)
+      ~window_ms:(duration_ms +. 10_000.0)
   in
-  Run.live ~attempts
+  Run.live ~attempts:1
     ~latency:(fun (o : Cluster.outcome) -> o.latency)
-    ~stop:(fun o -> healthy (live_of_outcome offered o))
+    ~stop:Cluster.ok
     { Node.default_workload with Node.profile; seed }
   |> Result.map (live_of_outcome offered)
 
-let live_curve ?seed ?algo ?ordering ?body_bytes ?duration_ms ?drain_ms
-    ?attempts ~n ~batching ~broadcast offered_loads =
+let live_curve ?seed ?algo ?ordering ?body_bytes ?duration_ms ~n ~batching
+    ~broadcast offered_loads =
   let points =
     List.filter_map
       (fun o ->
         Result.to_option
-          (live_point ?seed ?algo ?ordering ?body_bytes ?duration_ms ?drain_ms
-             ?attempts ~n ~batching ~broadcast o))
+          (live_point ?seed ?algo ?ordering ?body_bytes ?duration_ms ~n ~batching
+             ~broadcast o))
       offered_loads
   in
   { backend = `Live; n; batching; broadcast; points }

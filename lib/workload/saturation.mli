@@ -1,6 +1,6 @@
-(** Offered-load saturation sweep: the knee curves that [ics_cli bench],
-    the [saturation] section of [bench/main.exe] and
-    [make saturation-smoke] print.
+(** Offered-load saturation sweep: the knee curves that [ics_cli bench]
+    and [make saturation-smoke] print.  [ics_cli bench] is the one driver
+    of the sweep on either backend.
 
     One {!point} is one run of a fixed stack shape at one offered load,
     with the full checker battery on (every point is correctness-gated,
@@ -49,8 +49,7 @@ val p99_bound_ms : float
 
 val healthy : point -> bool
 (** [checker_ok && clean && p99 <= p99_bound_ms] (a point with no
-    latency samples passes the bound), on both backends — the live
-    best-of-k stops at the first healthy attempt. *)
+    latency samples passes the bound), on both backends. *)
 
 val status : point -> string
 (** ["ok"] when {!healthy}, ["overload (checker ok)"] when only the
@@ -65,16 +64,6 @@ val pp_curve : Format.formatter -> curve -> unit
     percentiles, utilization, {!status}), a blank line and the {!knee}
     line; no trailing newline. *)
 
-val sim_point :
-  ?seed:int64 ->
-  ?body_bytes:int ->
-  ?duration_ms:float ->
-  config:Stack.config ->
-  float ->
-  point
-(** One simulated point at the given offered load (msg/s); [config]
-    comes from {!Run.setup2}. *)
-
 val sim_curve :
   ?seed:int64 ->
   ?algo:Profile.algo ->
@@ -86,24 +75,9 @@ val sim_curve :
   broadcast:Profile.broadcast_kind ->
   float list ->
   curve
-
-val live_point :
-  ?seed:int64 ->
-  ?algo:Profile.algo ->
-  ?ordering:Abcast.ordering ->
-  ?body_bytes:int ->
-  ?duration_ms:float ->
-  ?drain_ms:float ->
-  ?attempts:int ->
-  n:int ->
-  batching:Abcast.batching ->
-  broadcast:Profile.broadcast_kind ->
-  float ->
-  (point, string) result
-(** One live cluster point.  [Error reason] only when the environment
-    cannot run sockets; an overloaded run surfaces as [clean = false].
-    [attempts] (default 1) reruns an unhealthy point best-of-k
-    ({!Run.live}), stopping at the first {!healthy} attempt. *)
+(** One simulated point per offered load (msg/s) on the {!Run.setup2}
+    config: [duration_ms] (default 4 s) of Poisson arrivals, the first
+    quarter (at most 1 s) warm-up. *)
 
 val live_curve :
   ?seed:int64 ->
@@ -111,15 +85,16 @@ val live_curve :
   ?ordering:Abcast.ordering ->
   ?body_bytes:int ->
   ?duration_ms:float ->
-  ?drain_ms:float ->
-  ?attempts:int ->
   n:int ->
   batching:Abcast.batching ->
   broadcast:Profile.broadcast_kind ->
   float list ->
   curve
-(** Points whose environment probe failed are dropped, so the curve may
-    be empty in socketless sandboxes. *)
+(** One live cluster run per offered load: [duration_ms] (default 2 s)
+    of arrivals, then up to 10 s to drain to the delivery barrier; an
+    overloaded run surfaces as [clean = false].  Points whose environment
+    probe failed are dropped, so the curve may be empty in socketless
+    sandboxes. *)
 
 val sim_fingerprint :
   ?seed:int64 ->

@@ -77,9 +77,10 @@ let point backend ~n ~clients ~requests ~achieved ~latency ~verdict ~clean ~hash
   }
 
 (* The node config both backends run: the config's stack shape plus the
-   closed-loop KV workload.  Sessions start 10 ms in on the simulator;
-   [Run.live_profile] moves the start past connection warm-up. *)
-let app_node config ~seed ~clients ~requests ~app_seed ~hash_every ~retry_ms =
+   closed-loop KV workload; a session resubmits after 500 ms without an
+   answer.  Sessions start 10 ms in on the simulator; [Run.live_profile]
+   moves the start past connection warm-up. *)
+let app_node config ~seed ~clients ~requests ~app_seed ~hash_every =
   {
     Node.default_workload with
     Node.profile =
@@ -90,7 +91,7 @@ let app_node config ~seed ~clients ~requests ~app_seed ~hash_every ~retry_ms =
         requests;
         app_seed;
         hash_every;
-        retry_ms;
+        retry_ms = 500.0;
         count = clients * requests;
         body_bytes = 32;
         warmup_ms = 10.0;
@@ -102,13 +103,12 @@ let app_node config ~seed ~clients ~requests ~app_seed ~hash_every ~retry_ms =
 (* Simulated service point.                                           *)
 (* ------------------------------------------------------------------ *)
 
-let sim_point ?(seed = 1L) ?algo ?ordering ?batching ?(app_seed = 42)
-    ?(hash_every = 1024) ?(retry_ms = 500.0) ?(ramp_ms = 1_000.0)
-    ?(horizon_ms = 120_000.0) ~n ~clients ~requests () =
-  let config = Run.setup2 ?algo ?ordering ?batching ~n () in
-  let node = app_node config ~seed ~clients ~requests ~app_seed ~hash_every ~retry_ms in
+let sim_point ?(seed = 1L) ?batching ?(app_seed = 42) ~n ~clients ~requests () =
+  let config = Run.setup2 ?batching ~n () in
+  let node = app_node config ~seed ~clients ~requests ~app_seed ~hash_every:1024 in
   let s =
-    Run.sim ~ramp_ms ~setup:config.Stack.setup ~fd:config.Stack.fd_kind ~horizon:horizon_ms node
+    Run.sim ~ramp_ms:1_000.0 ~setup:config.Stack.setup ~fd:config.Stack.fd_kind
+      ~horizon:120_000.0 node
   in
   let _, _, app_lat, throughput =
     Cluster.measure (Trace.events (Engine.trace s.Run.stack.Stack.engine))
@@ -122,18 +122,16 @@ let sim_point ?(seed = 1L) ?algo ?ordering ?batching ?(app_seed = 42)
 (* Live service point.                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The same Setup-2 config and app profile as the sim point, run as a
-   live cluster; retries stop at the first checker-clean, barrier-clean
-   attempt (Run.live). *)
-let live_point ?(seed = 1L) ?algo ?ordering ?batching ?(app_seed = 42)
-    ?(hash_every = 1024) ?(retry_ms = 500.0) ?(deadline_ms = 20_000.0)
-    ?(attempts = 1) ~n ~clients ~requests () =
-  let config = Run.setup2 ?algo ?ordering ?batching ~n () in
-  let node = app_node config ~seed ~clients ~requests ~app_seed ~hash_every ~retry_ms in
+(* The same Setup-2 config and app profile as the sim point at the
+   default app seed, run as a live cluster with a 20 s window; retries
+   stop at the first checker-clean, barrier-clean attempt (Run.live). *)
+let live_point ?(seed = 1L) ?batching ?(attempts = 1) ~n ~clients ~requests () =
+  let config = Run.setup2 ?batching ~n () in
+  let node = app_node config ~seed ~clients ~requests ~app_seed:42 ~hash_every:1024 in
   Run.live ~attempts
     ~latency:(fun o -> o.Cluster.app_latency)
     ~stop:Cluster.ok
-    { node with Node.profile = Run.live_profile node.Node.profile ~window_ms:deadline_ms }
+    { node with Node.profile = Run.live_profile node.Node.profile ~window_ms:20_000.0 }
   |> Result.map (fun (o : Cluster.outcome) ->
          point `Live ~n ~clients ~requests ~achieved:o.Cluster.throughput_msg_s
            ~latency:o.Cluster.app_latency ~verdict:o.Cluster.verdict ~clean:(Cluster.ok o)
@@ -146,18 +144,14 @@ let live_point ?(seed = 1L) ?algo ?ordering ?batching ?(app_seed = 42)
 (* The service cell under the replay discipline: two sim runs of the
    same seed must produce bit-identical traces — sessions, retries and
    state hashes included. *)
-let sim_fingerprint ?(seed = 11L) ?algo ?ordering ?batching ?(clients = 24)
-    ?(requests = 3) ~n () =
-  let config = Run.setup2 ?algo ?ordering ?batching ~n () in
-  let node =
-    app_node config ~seed ~clients ~requests ~app_seed:42 ~hash_every:16 ~retry_ms:500.0
-  in
+let sim_fingerprint ?(seed = 11L) ?batching ?(clients = 24) ?(requests = 3) ~n () =
+  let config = Run.setup2 ?batching ~n () in
+  let node = app_node config ~seed ~clients ~requests ~app_seed:42 ~hash_every:16 in
   let s =
     Run.sim ~ramp_ms:200.0 ~setup:config.Stack.setup ~fd:config.Stack.fd_kind
       ~horizon:60_000.0 node
   in
   Trace.fingerprint (Engine.trace s.Run.stack.Stack.engine)
 
-let replay_check ?seed ?algo ?ordering ?batching ?clients ?requests ~n () =
-  Run.replay (fun () ->
-      sim_fingerprint ?seed ?algo ?ordering ?batching ?clients ?requests ~n ())
+let replay_check ?seed ?batching ?clients ?requests ~n () =
+  Run.replay (fun () -> sim_fingerprint ?seed ?batching ?clients ?requests ~n ())

@@ -1,7 +1,7 @@
 (** Closed-loop service workload: the client-plane points that
-    [ics_cli service], the [service] section of [bench/main.exe] and
-    [make service-smoke] print, and the benchmark's [live-service]
-    workload runs.
+    [ics_cli service] and [make service-smoke] print, and the benchmark's
+    [live-service] workload runs.  [ics_cli service] is the one driver of
+    a sim/live point pair.
 
     One {!point} runs [clients] closed-loop sessions, each submitting
     [requests] commands to the replicated KV/ledger machine through the
@@ -15,11 +15,11 @@
     {!Ics_core.App_host} per replica on the simulator, {!Run.live} runs
     it as a loopback {!Ics_runtime.Cluster} whose nodes host the same
     code via the Env seam.  Per seed, the final state hash must be
-    bit-identical across backends ({!hash_match}). *)
+    bit-identical across backends ({!hash_match}).  Every point runs CT
+    with indirect consensus, as the paper's stack does. *)
 
 module Stats = Ics_prelude.Stats
 module Abcast = Ics_core.Abcast
-module Profile = Ics_core.Profile
 
 type point = {
   backend : [ `Sim | `Live ];
@@ -50,32 +50,20 @@ val pp_point : Format.formatter -> point -> unit
 
 val sim_point :
   ?seed:int64 ->
-  ?algo:Profile.algo ->
-  ?ordering:Abcast.ordering ->
   ?batching:Abcast.batching ->
   ?app_seed:int ->
-  ?hash_every:int ->
-  ?retry_ms:float ->
-  ?ramp_ms:float ->
-  ?horizon_ms:float ->
   n:int ->
   clients:int ->
   requests:int ->
   unit ->
   point
 (** One simulated service point on Setup 2.  Sessions start staggered
-    over [ramp_ms] (default 1 s); the run ends when the event queue
-    drains or at [horizon_ms] (default 120 s virtual). *)
+    over 1 s; the run ends when the event queue drains or at 120 s
+    virtual. *)
 
 val live_point :
   ?seed:int64 ->
-  ?algo:Profile.algo ->
-  ?ordering:Abcast.ordering ->
   ?batching:Abcast.batching ->
-  ?app_seed:int ->
-  ?hash_every:int ->
-  ?retry_ms:float ->
-  ?deadline_ms:float ->
   ?attempts:int ->
   n:int ->
   clients:int ->
@@ -84,14 +72,13 @@ val live_point :
   (point, string) result
 (** One live cluster point.  [Error reason] only when the environment
     cannot run sockets; a run that misses the barrier surfaces as
-    [clean = false].  Runs on the same {!Run.setup2} config and app
-    profile as {!sim_point}; [attempts] (default 1) reruns a point that
+    [clean = false], the deadline 20 s after connection warm-up.  Runs
+    on the same {!Run.setup2} config and app profile as {!sim_point} at
+    its default [app_seed]; [attempts] (default 1) reruns a point that
     is not checker- and barrier-clean best-of-k ({!Run.live}). *)
 
 val sim_fingerprint :
   ?seed:int64 ->
-  ?algo:Profile.algo ->
-  ?ordering:Abcast.ordering ->
   ?batching:Abcast.batching ->
   ?clients:int ->
   ?requests:int ->
@@ -103,8 +90,6 @@ val sim_fingerprint :
 
 val replay_check :
   ?seed:int64 ->
-  ?algo:Profile.algo ->
-  ?ordering:Abcast.ordering ->
   ?batching:Abcast.batching ->
   ?clients:int ->
   ?requests:int ->

@@ -1,7 +1,6 @@
-(* Tests for summary statistics, histograms and table rendering. *)
+(* Tests for summary statistics and table rendering. *)
 
 module Stats = Ics_prelude.Stats
-module Histogram = Ics_prelude.Histogram
 module Table = Ics_prelude.Table
 
 let checkb = Alcotest.(check bool)
@@ -111,33 +110,6 @@ let qcheck_stddev_nonneg =
     QCheck.(list_of_size (Gen.int_range 2 60) (float_bound_inclusive 100.0))
     (fun l -> (Stats.summarize l).Stats.stddev >= 0.0)
 
-(* Histogram *)
-
-let test_histogram_buckets () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:10 in
-  List.iter (Histogram.add h) [ 0.5; 1.5; 1.9; 9.99 ];
-  Alcotest.(check int) "bucket 0" 1 (Histogram.bucket h 0);
-  Alcotest.(check int) "bucket 1" 2 (Histogram.bucket h 1);
-  Alcotest.(check int) "bucket 9" 1 (Histogram.bucket h 9);
-  Alcotest.(check int) "count" 4 (Histogram.count h)
-
-let test_histogram_overflow () =
-  let h = Histogram.create ~lo:0.0 ~hi:1.0 ~buckets:4 in
-  Histogram.add h (-0.1);
-  Histogram.add h 1.0;
-  Histogram.add h 100.0;
-  Alcotest.(check int) "underflow" 1 (Histogram.underflow h);
-  Alcotest.(check int) "overflow" 2 (Histogram.overflow h);
-  Alcotest.(check int) "count includes both" 3 (Histogram.count h)
-
-let test_histogram_bounds () =
-  let h = Histogram.create ~lo:2.0 ~hi:4.0 ~buckets:4 in
-  let lo, hi = Histogram.bucket_bounds h 1 in
-  checkf "bucket lo" 2.5 lo;
-  checkf "bucket hi" 3.0 hi;
-  Alcotest.check_raises "bad params" (Invalid_argument "Histogram.create: hi <= lo")
-    (fun () -> ignore (Histogram.create ~lo:1.0 ~hi:1.0 ~buckets:3))
-
 (* Table *)
 
 let test_table_rows () =
@@ -181,12 +153,6 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_mean_bounded;
         QCheck_alcotest.to_alcotest qcheck_percentiles_monotone;
         QCheck_alcotest.to_alcotest qcheck_stddev_nonneg;
-      ] );
-    ( "histogram",
-      [
-        Alcotest.test_case "buckets" `Quick test_histogram_buckets;
-        Alcotest.test_case "overflow" `Quick test_histogram_overflow;
-        Alcotest.test_case "bounds" `Quick test_histogram_bounds;
       ] );
     ( "table",
       [
