@@ -4,12 +4,12 @@
 
 open Cmdliner
 module Stack = Ics_core.Stack
-module Abcast = Ics_core.Abcast
 module Profile = Ics_core.Profile
 module Experiment = Ics_workload.Experiment
 module Figures = Ics_workload.Figures
 module Scenarios = Ics_workload.Scenarios
 module Chaos = Ics_workload.Chaos
+module Run = Ics_workload.Run
 module Table = Ics_prelude.Table
 module Stats = Ics_prelude.Stats
 
@@ -60,6 +60,12 @@ let require_sockets cmd =
   if not (Ics_runtime.Cluster.supported ()) then
     skip_live cmd "loopback sockets unavailable in this environment"
 
+(* The last clause of every man page's exit status: cmdliner's own exit
+   for an option it rejects.  It stays apart from 2, which the smoke
+   targets read as "no loopback sockets". *)
+let exit_124 =
+  ", 124 if cmdliner rejects an option (an unknown flag or a value of the wrong type)."
+
 (* The verdict of a single-cell replay check; a divergence fails the run. *)
 let report_replay ~what = function
   | Ok fp -> Format.printf "replay check: bit-identical (%s)@." fp
@@ -101,8 +107,9 @@ let print_consensus_counters = function
 (* `run` command: one configuration under one load. *)
 
 let run_cmd =
-  let exec profile setup tput size duration seed check =
+  let exec profile setup tput duration seed check =
     let config = { (Stack.config_of_profile profile) with Stack.setup; seed } in
+    let size = profile.Profile.body_bytes in
     let load =
       {
         Experiment.throughput = tput;
@@ -141,14 +148,17 @@ let run_cmd =
                 busiest)));
     if not r.Experiment.quiescent then exit 2
   in
-  let profile = profile_term ~specs:Profile.stack_specs Profile.default in
+  let profile =
+    profile_term
+      ~specs:(Profile.stack_specs @ spec_rows [ "size" ])
+      { Profile.default with Profile.body_bytes = 1 }
+  in
   let setup =
     Arg.(value & opt setup_conv Stack.Setup1 & info [ "setup" ] ~doc:"setup1, setup2 or ideal.")
   in
   let tput =
     Arg.(value & opt float 100.0 & info [ "throughput" ] ~doc:"Global rate, msgs/s.")
   in
-  let size = Arg.(value & opt int 1 & info [ "size" ] ~doc:"Payload bytes.") in
   let duration = Arg.(value & opt float 10.0 & info [ "duration" ] ~doc:"Seconds of arrivals.") in
   let seed = Arg.(value & opt int64 1L & info [ "seed" ] ~doc:"Simulation seed.") in
   let check =
@@ -156,7 +166,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one atomic-broadcast configuration under a synthetic load")
-    Term.(const exec $ profile $ setup $ tput $ size $ duration $ seed $ check)
+    Term.(const exec $ profile $ setup $ tput $ duration $ seed $ check)
 
 (* `figure` command: regenerate one of the paper's figures (or all). *)
 
@@ -307,23 +317,23 @@ let chaos_cmd =
     let progress =
       if verbose then fun s -> Format.eprintf "  %s@." s else fun _ -> ()
     in
-    let cells =
-      Chaos.sweep ~backend ~batching ~app ~retransmit:(not no_retransmit) ?n
+    let sweep ?(progress = fun _ -> ()) jobs =
+      Chaos.sweep_results ~backend ~batching ~app ~retransmit:(not no_retransmit) ?n
         ~seed_base ~seeds ~progress ~jobs ~stacks ~plans ()
     in
+    let results = sweep ~progress jobs in
+    let cells = List.map fst results in
     Chaos.report ~verbose Format.std_formatter cells;
     if jobs_check then begin
-      (* The jobs-determinism fence: the same sweep at --jobs 1 and at
-         the requested width must agree on every run's fingerprint, not
-         just on the failures the matrix shows. *)
-      let fingerprints j =
-        Chaos.sweep_results ~batching ~app ~retransmit:(not no_retransmit) ?n
-          ~seed_base ~seeds ~jobs:j ~stacks ~plans ()
-        |> List.concat_map (fun (_, results) ->
-               List.map (fun r -> r.Chaos.fingerprint) results)
+      (* The jobs-determinism fence: the sweep above and one rerun at the
+         other width (--jobs 1 against the requested width, at least 2)
+         must agree on every run's fingerprint, not just on the failures
+         the matrix shows. *)
+      let fingerprints =
+        List.concat_map (fun (_, rs) -> List.map (fun r -> r.Chaos.fingerprint) rs)
       in
       let wide = max jobs 2 in
-      if fingerprints 1 = fingerprints wide then
+      if fingerprints results = fingerprints (sweep (if jobs = 1 then wide else 1)) then
         Format.printf
           "jobs check: %d run(s) fingerprint-identical at --jobs 1 and \
            --jobs %d@."
@@ -538,13 +548,15 @@ let cluster_cmd =
          [
            `S Manpage.s_description;
            `P
-             "Forks $(b,--n) real OS processes, each running the full protocol stack \
+             ("Forks $(b,--n) real OS processes, each running the full protocol stack \
               over the binary wire codec and a localhost TCP mesh. Every node \
               A-broadcasts $(b,--count) messages; the run ends when all nodes have \
               A-delivered everything (or at $(b,--timeout)). The per-node delivery \
               logs are merged and replayed through the same checker the simulator \
               uses. Exit status: 0 on success, 1 if the checker or a node failed, 2 \
-              if the environment cannot create loopback sockets.";
+              on a bad profile value or if the environment cannot create loopback \
+              sockets"
+              ^ exit_124);
          ])
     Term.(const exec $ profile $ keep_dir $ use_exec)
 
@@ -653,11 +665,12 @@ let node_cmd =
          [
            `S Manpage.s_description;
            `P
-             "Runs a single process of an n-node stack over loopback TCP, dialing the \
+             ("Runs a single process of an n-node stack over loopback TCP, dialing the \
               peers in $(b,--ports). Start one in each terminal; they retry their \
               dials briefly, so start order does not matter. The process count comes \
               from the port list. Exit status: 0 when all nodes completed the \
-              workload, 10 on deadline, 2 on setup errors.";
+              workload, 10 on deadline, 2 on setup errors"
+              ^ exit_124);
          ])
     Term.(const exec $ self $ ports $ profile $ epoch $ trace_out $ stats_out)
 
@@ -668,7 +681,7 @@ let node_cmd =
 module Saturation = Ics_workload.Saturation
 
 let bench_cmd =
-  let exec profile offered live duration size seed replay_check =
+  let exec profile offered live duration seed replay_check =
     let loads =
       comma_list offered
         ~parse:(fun s ->
@@ -681,39 +694,35 @@ let bench_cmd =
       Format.eprintf "bench: --offered-load is empty@.";
       exit 2
     end;
-    let n = profile.Profile.n in
-    let algo = profile.Profile.algo in
-    let ordering = profile.Profile.ordering in
-    let broadcast = profile.Profile.broadcast in
-    let batching = Profile.batching profile in
     Format.printf
       "saturation: %s dissemination=%s batch=%d pipeline=%d flush=%.1fms %s@."
       (Profile.describe profile)
-      (Profile.broadcast_to_string broadcast)
-      batching.Abcast.batch batching.Abcast.pipeline batching.Abcast.flush_ms
+      (Profile.broadcast_to_string profile.Profile.broadcast)
+      profile.Profile.batch profile.Profile.pipeline profile.Profile.flush_ms
       (if live then "live" else "sim");
     if replay_check then
       report_replay ~what:"saturation"
-        (Saturation.replay_check ~seed ~algo ~ordering ~n ~batching ~broadcast ());
+        (Run.replay (fun () -> Saturation.sim_fingerprint ~seed profile));
+    let duration_ms = duration *. 1000.0 in
     let curve =
       if live then begin
         require_sockets "bench";
-        Saturation.live_curve ~seed ~algo ~ordering ~body_bytes:size
-          ~duration_ms:(duration *. 1000.0) ~n ~batching ~broadcast loads
+        Saturation.live_curve ~seed ~duration_ms profile loads
       end
-      else
-        Saturation.sim_curve ~seed ~algo ~ordering ~body_bytes:size
-          ~duration_ms:(duration *. 1000.0) ~n ~batching ~broadcast loads
+      else Saturation.sim_curve ~seed ~duration_ms profile loads
     in
     Format.printf "%a@." Saturation.pp_curve curve;
-    if List.exists (fun (p : Saturation.point) -> not p.Saturation.checker_ok)
-         curve.Saturation.points
+    if List.exists (fun (p : Saturation.point) -> not p.Saturation.checker_ok) curve
     then begin
       Format.printf "FAIL: a point violated the checker battery@.";
       exit 1
     end
   in
-  let profile = profile_term ~specs:Profile.stack_specs Profile.default in
+  let profile =
+    profile_term
+      ~specs:(Profile.stack_specs @ spec_rows [ "size" ])
+      { Profile.default with Profile.body_bytes = 32 }
+  in
   let offered =
     Arg.(
       value
@@ -732,7 +741,6 @@ let bench_cmd =
   let duration =
     Arg.(value & opt float 2.0 & info [ "duration" ] ~doc:"Seconds of arrivals per point.")
   in
-  let size = Arg.(value & opt int 32 & info [ "size" ] ~doc:"Payload bytes.") in
   let seed = Arg.(value & opt int64 1L & info [ "seed" ] ~doc:"Run seed.") in
   let replay_check =
     Arg.(
@@ -750,17 +758,17 @@ let bench_cmd =
          [
            `S Manpage.s_description;
            `P
-             "Runs the configured stack at each $(b,--offered-load) point with \
+             ("Runs the configured stack at each $(b,--offered-load) point with \
               the full checker battery on, reports achieved throughput and \
               latency percentiles per point, and prints the knee — the fastest \
               point that is still checker-green and finished cleanly. Exit \
               status: 0 on success (overloaded points are expected past the \
-              knee), 1 if any point fails the checker, 2 if $(b,--live) has no \
-              socket support.";
+              knee), 1 if any point fails the checker, 2 on a bad offered load \
+              or profile value or if $(b,--live) has no socket support"
+              ^ exit_124);
          ])
     Term.(
-      const exec $ profile $ offered $ live $ duration $ size $ seed
-      $ replay_check)
+      const exec $ profile $ offered $ live $ duration $ seed $ replay_check)
 
 (* `service` command: the closed-loop client plane — sessions submit to
    the replicated KV/ledger through the full stack, the point is judged
@@ -770,20 +778,19 @@ let bench_cmd =
 module Service = Ics_workload.Service
 
 let service_cmd =
-  let exec (profile : Profile.t) seed live attempts replay_check =
+  let exec (profile : Profile.t) seed live replay_check =
     let n = profile.Profile.n
     and clients = profile.Profile.clients
     and requests = profile.Profile.requests
     and batching = Profile.batching profile in
     if replay_check then
-      report_replay ~what:"service" (Service.replay_check ~seed ~batching ~n ());
+      report_replay ~what:"service"
+        (Run.replay (fun () -> Service.sim_fingerprint ~seed ~batching ~n ()));
     let sim = Service.sim_point ~seed ~batching ~n ~clients ~requests () in
     Format.printf "%a@." Service.pp_point sim;
     let failed = ref (not (sim.Service.checker_ok && sim.Service.clean)) in
     if live then begin
-      match
-        Service.live_point ~seed ~batching ~attempts ~n ~clients ~requests ()
-      with
+      match Service.live_point ~seed ~batching ~n ~clients ~requests () with
       | Error reason -> skip_live "service" reason
       | Ok lp ->
           Format.printf "%a@." Service.pp_point lp;
@@ -823,12 +830,6 @@ let service_cmd =
              its final state hash to match the simulator's, bit for bit. \
              Exit 2 when the environment cannot create sockets.")
   in
-  let attempts =
-    Arg.(
-      value & opt int 2
-      & info [ "attempts" ]
-          ~doc:"Best-of-k reruns for an unhealthy live point (checker-gated).")
-  in
   let replay_check =
     Arg.(
       value & flag
@@ -844,18 +845,18 @@ let service_cmd =
          [
            `S Manpage.s_description;
            `P
-             "Runs $(b,--clients) closed-loop sessions of $(b,--requests) \
+             ("Runs $(b,--clients) closed-loop sessions of $(b,--requests) \
               commands each against the replicated KV/ledger machine, on the \
               simulator and (with $(b,--live)) on a real loopback cluster. \
               Every point is gated by the full abcast checker battery plus \
               the application battery (exactly-once, per-client order, \
               state-hash agreement, progress); the live point must also \
               reproduce the simulator's final state hash. Exit status: 0 on \
-              success, 1 on any checker/hash failure, 2 when $(b,--live) has \
-              no socket support.";
+              success, 1 on any checker/hash failure, 2 on a bad profile value \
+              or when $(b,--live) has no socket support"
+              ^ exit_124);
          ])
-    Term.(
-      const exec $ profile $ seed $ live $ attempts $ replay_check)
+    Term.(const exec $ profile $ seed $ live $ replay_check)
 
 let list_cmd =
   let exec () =

@@ -82,8 +82,6 @@ let measure enc =
 (* next to its encoder; the codec test suite pins size = |encoding|.  *)
 (* ------------------------------------------------------------------ *)
 
-let msg_id_bytes = 6  (* u16 origin + u32 seq *)
-
 let enc_msg_id w (id : Msg_id.t) =
   Prim.u16 w id.Msg_id.origin;
   Prim.u32 w id.Msg_id.seq

@@ -67,7 +67,6 @@ val measure : (Prim.writer -> unit) -> int
 
 (** {1 Shared value codecs} *)
 
-val msg_id_bytes : int
 val enc_msg_id : Prim.writer -> Msg_id.t -> unit
 val dec_msg_id : Prim.reader -> Msg_id.t
 val gen_msg_id : Rng.t -> Msg_id.t

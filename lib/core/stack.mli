@@ -108,13 +108,9 @@ val assemble :
     caller's business.  Also registers all wire codecs
     ({!Codecs.ensure}). *)
 
-val profile : config -> Profile.t
-(** The {!Profile.t} with this config's shape and default workload
-    fields. *)
-
 val config_of_profile : Profile.t -> config
-(** The inverse of {!profile}: {!default_config} with the profile's
-    shape ([n], [algo], [ordering], [broadcast], batching knobs). *)
+(** {!default_config} with the profile's shape ([n], [algo], [ordering],
+    [broadcast], batching knobs). *)
 
 val create :
   ?engine:Engine.t ->

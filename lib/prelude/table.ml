@@ -7,8 +7,6 @@ let add_row t row =
     invalid_arg "Table.add_row: arity mismatch";
   t.rev_rows <- row :: t.rev_rows
 
-let add_float_row t row = add_row t (List.map (Printf.sprintf "%.3f") row)
-
 let rows t = List.rev t.rev_rows
 
 let pp ppf t =

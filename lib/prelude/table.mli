@@ -12,9 +12,6 @@ val add_row : t -> string list -> unit
 (** Append a row.  @raise Invalid_argument if the arity differs from the
     column count. *)
 
-val add_float_row : t -> float list -> unit
-(** Convenience: formats each value with [%.3f]. *)
-
 val rows : t -> string list list
 (** Rows in insertion order. *)
 

@@ -13,6 +13,3 @@ let normal rng ~mean ~stddev =
   let u2 = Rng.float rng 1.0 in
   let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
   mean +. (stddev *. z)
-
-let truncated_normal rng ~mean ~stddev ~lo =
-  Float.max lo (normal rng ~mean ~stddev)

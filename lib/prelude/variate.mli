@@ -11,7 +11,3 @@ val uniform : Rng.t -> lo:float -> hi:float -> float
 val normal : Rng.t -> mean:float -> stddev:float -> float
 (** Gaussian via Box–Muller (one value per call; the pair's twin is
     discarded to keep the stream aligned across refactors). *)
-
-val truncated_normal : Rng.t -> mean:float -> stddev:float -> lo:float -> float
-(** Gaussian clamped below at [lo]; used for jitter that must stay
-    non-negative. *)

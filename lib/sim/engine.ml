@@ -139,5 +139,4 @@ let on_crash t hook = t.crash_hooks <- hook :: t.crash_hooks
 let alive_guard t p f = fun () -> if t.alive.(p) then f ()
 
 let rng t p = t.proc_rngs.(p)
-let global_rng t = t.global_rng
 let trace t = t.trace

@@ -116,9 +116,6 @@ val alive_guard : t -> Pid.t -> (unit -> unit) -> unit -> unit
 val rng : t -> Pid.t -> Rng.t
 (** The process-local random stream. *)
 
-val global_rng : t -> Rng.t
-(** Stream for engine-wide choices (workload arrivals, fault injection). *)
-
 val trace : t -> Trace.t
 (** The event log.  Empty for the whole run when tracing is [`Off]. *)
 

@@ -70,8 +70,6 @@ let min_time_exn t =
   if t.size = 0 then invalid_arg "Event_queue.min_time_exn: empty queue";
   t.times.(0)
 
-let peek_time t = if t.size = 0 then None else Some t.times.(0)
-
 let pop_run_exn t =
   if t.size = 0 then invalid_arg "Event_queue.pop_run_exn: empty queue";
   let top = t.runs.(0) in

@@ -29,7 +29,6 @@ val pop_run_exn : t -> unit -> unit
 (** Remove the earliest event and return its action, without allocating.
     @raise Invalid_argument on an empty queue. *)
 
-val peek_time : t -> Time.t option
 val size : t -> int
 val is_empty : t -> bool
 

@@ -11,9 +11,6 @@ val ( + ) : t -> t -> t
 val ( - ) : t -> t -> t
 val compare : t -> t -> int
 val max : t -> t -> t
-val of_us : float -> t
-(** Microseconds to milliseconds. *)
-
 val of_s : float -> t
 (** Seconds to milliseconds. *)
 

@@ -239,11 +239,7 @@ let run_one ?(backend = `Sim) ?(batching = Abcast.no_batching) ?(app = false)
         ~retx:s.Run.retx
         ~fingerprint:(Ics_sim.Trace.fingerprint (Engine.trace s.Run.stack.Stack.engine))
   | `Live -> (
-      match
-        Run.live ~attempts:1
-          ~latency:(fun (o : Cluster.outcome) -> o.latency)
-          ~stop:Cluster.ok node
-      with
+      match Run.live node with
       | Error reason -> failwith ("chaos live backend: " ^ reason)
       | Ok o ->
           (* The live analogue of a drained event queue: every node exited
@@ -345,12 +341,6 @@ let sweep_results ?(backend = `Sim) ?batching ?app ?(retransmit = true) ?n
     force_shared_state ();
     Array.to_list (Domain_pool.map ~jobs run_cell cells)
   end
-
-let sweep ?backend ?batching ?app ?retransmit ?n ?seed_base ?seeds ?progress
-    ?jobs ~stacks ~plans () =
-  List.map fst
-    (sweep_results ?backend ?batching ?app ?retransmit ?n ?seed_base ?seeds
-       ?progress ?jobs ~stacks ~plans ())
 
 (* A failed run whose only finding is [consensus.termination]: it
    drained, and every safety and delivery property held, but a consensus

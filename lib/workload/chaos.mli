@@ -23,7 +23,11 @@
     stay clean under every plan, while the known-faulty consensus-on-ids
     stack is expected to produce violations (the [blackout] plan is §2.2 of
     the paper expressed as a fault plan — and must fail on real sockets
-    exactly as it does in simulation). *)
+    exactly as it does in simulation).
+
+    {!sweep_results} is the one sweep entry point: [ics_cli chaos] and
+    the benchmark both run it and keep what they need of each cell.  A
+    live cell is one {!Run.live} run, never retried. *)
 
 module Time = Ics_sim.Time
 module Nemesis = Ics_faults.Nemesis
@@ -121,32 +125,6 @@ type cell = {
   failures : result list;  (** chronological; empty for a clean cell *)
 }
 
-val sweep :
-  ?backend:backend ->
-  ?batching:Ics_core.Abcast.batching ->
-  ?app:bool ->
-  ?retransmit:bool ->
-  ?n:int ->
-  ?seed_base:int64 ->
-  ?seeds:int ->
-  ?progress:(string -> unit) ->
-  ?jobs:int ->
-  stacks:stack_kind list ->
-  plans:plan_kind list ->
-  unit ->
-  cell list
-(** Run [seeds] seeds ([seed_base + i]) for every stack × plan pair on
-    the chosen backend (default [`Sim]).
-
-    [jobs] (default 1) runs that many cells concurrently on OCaml 5
-    domains ({!Domain_pool}).  Each cell's engine stays strictly
-    single-domain; cells are merged in stack × plan order after every
-    domain joins, so the returned cells — fingerprints, matrix, the
-    {!indirect_clean}/{!blackout_reproduced} gates — are bit-identical
-    to a [jobs = 1] sweep.  Only the interleaving of [progress] lines
-    varies.  On the [`Live] backend [jobs] is forced to 1 (live cells
-    fork processes; forking from a spawned domain is not safe). *)
-
 val sweep_results :
   ?backend:backend ->
   ?batching:Ics_core.Abcast.batching ->
@@ -161,10 +139,21 @@ val sweep_results :
   plans:plan_kind list ->
   unit ->
   (cell * result list) list
-(** {!sweep}, but each cell also carries {e every} run's result in seed
-    order (not just the failures) — the hook the jobs-determinism fence
-    uses to compare complete fingerprint sets between [jobs = 1] and
-    [jobs = n] sweeps. *)
+(** Run [seeds] seeds ([seed_base + i]) for every stack × plan pair on
+    the chosen backend (default [`Sim]).  Each cell comes with {e every}
+    run's result in seed order, not just its failures: the jobs
+    determinism fence compares complete fingerprint sets across
+    widths.
+
+    [jobs] (default 1) runs that many cells concurrently on OCaml 5
+    domains ({!Domain_pool}).  Each cell's engine stays strictly
+    single-domain; cells are merged in stack × plan order after every
+    domain joins, so the returned cells and results — fingerprints,
+    matrix, the {!indirect_clean}/{!blackout_reproduced} gates — are
+    bit-identical to a [jobs = 1] sweep.  Only the interleaving of
+    [progress] lines varies.  On the [`Live] backend [jobs] is forced to
+    1 (live cells fork processes; forking from a spawned domain is not
+    safe). *)
 
 val matrix_table : cell list -> Ics_prelude.Table.t
 (** Pass/runs per (plan, stack).  A failing cell reads [FAIL], or

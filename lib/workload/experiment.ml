@@ -14,9 +14,6 @@ type load = {
   warmup : Time.t;
 }
 
-let default_load =
-  { throughput = 100.0; body_bytes = 1; duration = 10_000.0; warmup = 1_000.0 }
-
 type result = {
   latency : Stats.summary;
   measured : int;
@@ -147,5 +144,3 @@ let run_seeds ?(check = false) ~seeds config load =
                }
            else None);
       }
-
-let mean_latency r = r.latency.Stats.mean

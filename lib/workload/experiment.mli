@@ -18,9 +18,6 @@ type load = {
   warmup : Time.t;  (** messages created before this are not measured *)
 }
 
-val default_load : load
-(** 100 msg/s, 1-byte payloads, 10 s duration, 1 s warmup. *)
-
 type result = {
   latency : Stats.summary;  (** per (message, process) delivery latency, ms *)
   measured : int;  (** latency samples collected *)
@@ -53,6 +50,3 @@ val run :
 val run_seeds : ?check:bool -> seeds:int64 list -> Stack.config -> load -> result
 (** Like {!run} but pooling latency samples over several seeds; counts are
     summed, [quiescent] is the conjunction, and the verdict is the merge. *)
-
-val mean_latency : result -> float
-(** Shorthand for [result.latency.mean]. *)

@@ -1,31 +1,18 @@
 (* The shared half of every workload point: one Setup-2 stack config,
    one runner per backend for the same Node.config, one replay check.
    Each workload keeps only what is its own — its Node.config and its
-   stop rule. *)
+   rule for a good point. *)
 
 module Engine = Ics_sim.Engine
 module Time = Ics_sim.Time
-module Stats = Ics_prelude.Stats
 module Stack = Ics_core.Stack
 module Workload = Ics_core.Workload
 module Checker = Ics_checker.Checker
-module Abcast = Ics_core.Abcast
 module Profile = Ics_core.Profile
 module Node = Ics_runtime.Node
 module Cluster = Ics_runtime.Cluster
 
-let setup2 ?(algo = Profile.Ct)
-    ?(ordering = Abcast.Indirect_consensus) ?(broadcast = Profile.Flood)
-    ?(batching = Abcast.no_batching) ~n () =
-  {
-    Stack.default_config with
-    Stack.n;
-    algo;
-    ordering;
-    broadcast;
-    batching;
-    setup = Stack.Setup2;
-  }
+let setup2 p = { (Stack.config_of_profile p) with Stack.setup = Stack.Setup2 }
 
 (* A measured point injects no faults, so the failure detector's only job
    is crash liveness — but on an oversubscribed host, scheduler stalls
@@ -41,29 +28,9 @@ let live_profile (p : Profile.t) ~window_ms =
     deadline_ms = warmup_ms +. window_ms;
   }
 
-(* Best-of-k.  A live point measures capacity, and on a shared host one
-   co-tenant burst during a short window can inflate the tail by an order
-   of magnitude — noise, not queueing — so an attempt that misses [stop]
-   is rerun.  Checker-clean beats dirty regardless of speed, then the
-   lower p99 wins; every attempt runs the full battery, so retrying never
-   trades correctness for speed. *)
-let live ~attempts ~latency ~stop node =
-  let once () = Cluster.run { Cluster.default with Cluster.node; check = `All } in
-  let p99 o = match latency o with Some s -> s.Stats.p99 | None -> Float.nan in
-  let better a b =
-    match (Cluster.ok a, Cluster.ok b) with
-    | true, false -> a
-    | false, true -> b
-    | _ -> if p99 a <= p99 b then a else b
-  in
-  let rec go k best =
-    if k >= attempts || stop best then Ok best
-    else
-      match once () with
-      | Error _ -> Ok best (* environment flaked mid-sweep; keep what ran *)
-      | Ok o -> go (k + 1) (better o best)
-  in
-  Result.bind (once ()) (go 1)
+(* One run, judged by the full battery.  A dirty run is reported as
+   dirty: rerunning until one passed would hide a checker failure. *)
+let live node = Cluster.run { Cluster.default with Cluster.node; check = `All }
 
 type sim = {
   stack : Stack.t;

@@ -3,31 +3,22 @@
     Chaos, saturation and service each run points on two backends.  What
     differs between them is the {!Node.config} a point runs and the rule
     for a good point; what they share lives here: the Setup-2 stack
-    config (a live point derives its profile from it), one runner per
-    backend for the same {!Node.config} — {!sim} and {!live}, each
-    installing the per-process {!Ics_core.Workload} — and the run-twice
+    config of a {!Profile.t}, one runner per backend for the same
+    {!Node.config} — {!sim} and {!live}, each installing the per-process
+    {!Ics_core.Workload} and running the point once — and the run-twice
     replay check. *)
 
 module Time = Ics_sim.Time
-module Stats = Ics_prelude.Stats
 module Stack = Ics_core.Stack
 module Workload = Ics_core.Workload
 module Checker = Ics_checker.Checker
-module Abcast = Ics_core.Abcast
 module Profile = Ics_core.Profile
 module Node = Ics_runtime.Node
 module Cluster = Ics_runtime.Cluster
 
-val setup2 :
-  ?algo:Profile.algo ->
-  ?ordering:Abcast.ordering ->
-  ?broadcast:Profile.broadcast_kind ->
-  ?batching:Abcast.batching ->
-  n:int ->
-  unit ->
-  Stack.config
-(** Setup 2 (1 Gb/s switched, P4 hosts) stack config.  Defaults: CT,
-    indirect consensus, flood, no batching. *)
+val setup2 : Profile.t -> Stack.config
+(** The Setup 2 (1 Gb/s switched, P4 hosts) stack config of [profile]'s
+    shape ({!Stack.config_of_profile}). *)
 
 val live_profile : Profile.t -> window_ms:float -> Profile.t
 (** The profile of a measured live point: a 400 ms connection warm-up,
@@ -35,18 +26,10 @@ val live_profile : Profile.t -> window_ms:float -> Profile.t
     (a measured point injects no faults, so a false suspicion would
     measure the detector, not the stack). *)
 
-val live :
-  attempts:int ->
-  latency:(Cluster.outcome -> Stats.summary option) ->
-  stop:(Cluster.outcome -> bool) ->
-  Node.config ->
-  (Cluster.outcome, string) result
-(** Run the cluster with the full checker battery ([check = `All]) up to
-    [attempts] times, stopping early once the kept attempt satisfies
-    [stop].  The kept attempt is the checker-clean one ({!Cluster.ok}),
-    then the one with the lower p99 of [latency].  [Error reason] only
-    when the first attempt cannot run sockets; a later environment
-    failure keeps what already ran. *)
+val live : Node.config -> (Cluster.outcome, string) result
+(** One cluster run of [node] with the full checker battery
+    ([check = `All]).  [Error reason] only when the environment cannot
+    run sockets; a dirty run is returned as it is, never rerun. *)
 
 (** A finished simulated run; [faults] and [retx] are [[]] without a
     plan. *)

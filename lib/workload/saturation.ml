@@ -9,7 +9,6 @@
 module Engine = Ics_sim.Engine
 module Stats = Ics_prelude.Stats
 module Stack = Ics_core.Stack
-module Abcast = Ics_core.Abcast
 module Profile = Ics_core.Profile
 module Checker = Ics_checker.Checker
 module Node = Ics_runtime.Node
@@ -27,14 +26,6 @@ type point = {
       (** busiest resource's utilization over the arrival window (sim
           only; NaN on live, where the barrier timeout is the overload
           signal instead) *)
-}
-
-type curve = {
-  backend : [ `Sim | `Live ];
-  n : int;
-  batching : Abcast.batching;
-  broadcast : Profile.broadcast_kind;
-  points : point list;
 }
 
 (* The knee: the fastest point that is still healthy.  Both backends
@@ -57,7 +48,7 @@ let healthy p =
   && (p.latency.Stats.count = 0 || p.latency.Stats.p99 <= p99_bound_ms)
 
 let knee curve =
-  let healthy = List.filter healthy curve.points in
+  let healthy = List.filter healthy curve in
   let fastest = function
     | [] -> None
     | ps ->
@@ -66,7 +57,7 @@ let knee curve =
              (fun best p -> if p.achieved > best.achieved then p else best)
              (List.hd ps) ps)
   in
-  match fastest healthy with Some p -> Some p | None -> fastest curve.points
+  match fastest healthy with Some p -> Some p | None -> fastest curve
 
 let status p =
   if healthy p then "ok"
@@ -83,7 +74,7 @@ let pp_curve ppf curve =
         p.latency.Stats.max
         (if Float.is_nan p.util then "-" else Printf.sprintf "%.0f%%" (p.util *. 100.0))
         (status p))
-    curve.points;
+    curve;
   match knee curve with
   | Some k ->
       Format.fprintf ppf "@\n@\nknee: %.0f msg/s achieved at %.0f offered (p99 %.2f ms)"
@@ -94,22 +85,20 @@ let pp_curve ppf curve =
 (* Simulated sweep.                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let sim_point ?(seed = 1L) ?(body_bytes = 32) ?(duration_ms = 4_000.0)
-    ~config offered =
+let sim_point ?(seed = 1L) ?(duration_ms = 4_000.0) (profile : Profile.t) offered =
   let load =
     {
       Experiment.throughput = offered;
-      body_bytes;
+      body_bytes = profile.Profile.body_bytes;
       duration = duration_ms;
       warmup = Float.min 1_000.0 (duration_ms /. 4.0);
     }
   in
-  let r = Experiment.run ~check:true ~seed config load in
-  let n = config.Stack.n in
+  let r = Experiment.run ~check:true ~seed (Run.setup2 profile) load in
   let window_s = (load.Experiment.duration -. load.Experiment.warmup) /. 1000.0 in
   {
     offered;
-    achieved = float_of_int (r.Experiment.measured / n) /. window_s;
+    achieved = float_of_int (r.Experiment.measured / profile.Profile.n) /. window_s;
     latency = r.Experiment.latency;
     checker_ok =
       (match r.Experiment.verdict with
@@ -121,18 +110,8 @@ let sim_point ?(seed = 1L) ?(body_bytes = 32) ?(duration_ms = 4_000.0)
         r.Experiment.utilization;
   }
 
-let sim_curve ?seed ?algo ?ordering ?body_bytes ?duration_ms ~n ~batching
-    ~broadcast offered_loads =
-  let config = Run.setup2 ?algo ?ordering ~broadcast ~batching ~n () in
-  {
-    backend = `Sim;
-    n;
-    batching;
-    broadcast;
-    points =
-      List.map (fun o -> sim_point ?seed ?body_bytes ?duration_ms ~config o)
-        offered_loads;
-  }
+let sim_curve ?seed ?duration_ms profile offered_loads =
+  List.map (sim_point ?seed ?duration_ms profile) offered_loads
 
 (* ------------------------------------------------------------------ *)
 (* Live sweep.                                                        *)
@@ -149,15 +128,15 @@ let live_of_outcome offered (o : Cluster.outcome) =
   }
 
 (* [offered] msg/s cluster-wide for [duration_ms], as each node's even
-   share: the profile a saturation cell runs on either backend. *)
-let slots_profile config ~offered ~duration_ms ~body_bytes =
-  let n = config.Stack.n in
+   share of [profile]'s payloads: the profile a saturation cell runs on
+   either backend. *)
+let slots_profile (profile : Profile.t) ~offered ~duration_ms =
+  let n = profile.Profile.n in
   let per_node = offered /. float_of_int n in
   {
-    (Stack.profile config) with
+    profile with
     Profile.count =
       max 1 (int_of_float (Float.round (offered *. duration_ms /. 1000.0 /. float_of_int n)));
-    body_bytes;
     gap_ms = 1000.0 /. per_node;
   }
 
@@ -169,31 +148,19 @@ let slots_profile config ~offered ~duration_ms ~body_bytes =
    those must still drain to a checker-clean trace rather than be killed
    mid-protocol, or the sweep reports truncation noise instead of
    overload. *)
-let live_point ?(seed = 1L) ?algo ?ordering ?(body_bytes = 32)
-    ?(duration_ms = 2_000.0) ~n ~batching ~broadcast offered =
-  let config = Run.setup2 ?algo ?ordering ~broadcast ~batching ~n () in
+let live_point ?(seed = 1L) ?(duration_ms = 2_000.0) profile offered =
   let profile =
     Run.live_profile
-      (slots_profile config ~offered ~duration_ms ~body_bytes)
+      (slots_profile profile ~offered ~duration_ms)
       ~window_ms:(duration_ms +. 10_000.0)
   in
-  Run.live ~attempts:1
-    ~latency:(fun (o : Cluster.outcome) -> o.latency)
-    ~stop:Cluster.ok
-    { Node.default_workload with Node.profile; seed }
+  Run.live { Node.default_workload with Node.profile; seed }
   |> Result.map (live_of_outcome offered)
 
-let live_curve ?seed ?algo ?ordering ?body_bytes ?duration_ms ~n ~batching
-    ~broadcast offered_loads =
-  let points =
-    List.filter_map
-      (fun o ->
-        Result.to_option
-          (live_point ?seed ?algo ?ordering ?body_bytes ?duration_ms ~n ~batching
-             ~broadcast o))
-      offered_loads
-  in
-  { backend = `Live; n; batching; broadcast; points }
+let live_curve ?seed ?duration_ms profile offered_loads =
+  List.filter_map
+    (fun o -> Result.to_option (live_point ?seed ?duration_ms profile o))
+    offered_loads
 
 (* ------------------------------------------------------------------ *)
 (* Determinism gate for the smoke target.                             *)
@@ -201,12 +168,16 @@ let live_curve ?seed ?algo ?ordering ?body_bytes ?duration_ms ~n ~batching
 
 (* Two sim runs of the same saturation cell must produce bit-identical
    traces — the same replay discipline the chaos sweep enforces, applied
-   to the batched/pipelined/ring configuration. *)
-let sim_fingerprint ?(seed = 11L) ?algo ?ordering ?(offered = 400.0)
-    ?(duration_ms = 1_000.0) ~n ~batching ~broadcast () =
-  let config = Run.setup2 ?algo ?ordering ~broadcast ~batching ~n () in
+   to the batched/pipelined/ring configuration.  The cell's payloads and
+   warm-up are its own, whatever [profile] says. *)
+let sim_fingerprint ?(seed = 11L) ?(offered = 400.0) ?(duration_ms = 1_000.0) profile =
+  let config = Run.setup2 profile in
   let profile =
-    { (slots_profile config ~offered ~duration_ms ~body_bytes:32) with Profile.warmup_ms = 10.0 }
+    {
+      (slots_profile profile ~offered ~duration_ms) with
+      Profile.body_bytes = 32;
+      warmup_ms = 10.0;
+    }
   in
   let s =
     Run.sim ~setup:config.Stack.setup ~fd:config.Stack.fd_kind
@@ -214,9 +185,3 @@ let sim_fingerprint ?(seed = 11L) ?algo ?ordering ?(offered = 400.0)
       { Node.default_workload with Node.profile; seed }
   in
   Ics_sim.Trace.fingerprint (Engine.trace s.Run.stack.Stack.engine)
-
-let replay_check ?seed ?algo ?ordering ?offered ?duration_ms ~n ~batching
-    ~broadcast () =
-  Run.replay (fun () ->
-      sim_fingerprint ?seed ?algo ?ordering ?offered ?duration_ms ~n ~batching
-        ~broadcast ())

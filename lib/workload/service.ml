@@ -76,17 +76,23 @@ let point backend ~n ~clients ~requests ~achieved ~latency ~verdict ~clean ~hash
     hash;
   }
 
-(* The node config both backends run: the config's stack shape plus the
-   closed-loop KV workload; a session resubmits after 500 ms without an
-   answer.  Sessions start 10 ms in on the simulator; [Run.live_profile]
-   moves the start past connection warm-up. *)
-let app_node config ~seed ~clients ~requests ~app_seed ~hash_every =
+(* The node config both backends run: CT with indirect consensus and
+   flood at [n] and [batching], plus the closed-loop KV workload; a
+   session resubmits after 500 ms without an answer.  Sessions start
+   10 ms in on the simulator; [Run.live_profile] moves the start past
+   connection warm-up. *)
+let app_node ?(batching = Abcast.no_batching) ~n ~seed ~clients ~requests ~app_seed
+    ~hash_every () =
   {
     Node.default_workload with
     Node.profile =
       {
-        (Stack.profile config) with
-        Profile.app = Profile.Kv;
+        Profile.default with
+        Profile.n;
+        batch = batching.Abcast.batch;
+        pipeline = batching.Abcast.pipeline;
+        flush_ms = batching.Abcast.flush_ms;
+        app = Profile.Kv;
         clients;
         requests;
         app_seed;
@@ -99,16 +105,19 @@ let app_node config ~seed ~clients ~requests ~app_seed ~hash_every =
     seed;
   }
 
+(* [node] on the simulator, on its profile's Setup-2 config. *)
+let run_sim ~ramp_ms ~horizon node =
+  let config = Run.setup2 node.Node.profile in
+  Run.sim ~ramp_ms ~setup:config.Stack.setup ~fd:config.Stack.fd_kind ~horizon node
+
 (* ------------------------------------------------------------------ *)
 (* Simulated service point.                                           *)
 (* ------------------------------------------------------------------ *)
 
 let sim_point ?(seed = 1L) ?batching ?(app_seed = 42) ~n ~clients ~requests () =
-  let config = Run.setup2 ?batching ~n () in
-  let node = app_node config ~seed ~clients ~requests ~app_seed ~hash_every:1024 in
   let s =
-    Run.sim ~ramp_ms:1_000.0 ~setup:config.Stack.setup ~fd:config.Stack.fd_kind
-      ~horizon:120_000.0 node
+    run_sim ~ramp_ms:1_000.0 ~horizon:120_000.0
+      (app_node ?batching ~n ~seed ~clients ~requests ~app_seed ~hash_every:1024 ())
   in
   let _, _, app_lat, throughput =
     Cluster.measure (Trace.events (Engine.trace s.Run.stack.Stack.engine))
@@ -122,16 +131,11 @@ let sim_point ?(seed = 1L) ?batching ?(app_seed = 42) ~n ~clients ~requests () =
 (* Live service point.                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The same Setup-2 config and app profile as the sim point at the
-   default app seed, run as a live cluster with a 20 s window; retries
-   stop at the first checker-clean, barrier-clean attempt (Run.live). *)
-let live_point ?(seed = 1L) ?batching ?(attempts = 1) ~n ~clients ~requests () =
-  let config = Run.setup2 ?batching ~n () in
-  let node = app_node config ~seed ~clients ~requests ~app_seed:42 ~hash_every:1024 in
-  Run.live ~attempts
-    ~latency:(fun o -> o.Cluster.app_latency)
-    ~stop:Cluster.ok
-    { node with Node.profile = Run.live_profile node.Node.profile ~window_ms:20_000.0 }
+(* The same app profile as the sim point at the default app seed, run
+   once as a live cluster with a 20 s window. *)
+let live_point ?(seed = 1L) ?batching ~n ~clients ~requests () =
+  let node = app_node ?batching ~n ~seed ~clients ~requests ~app_seed:42 ~hash_every:1024 () in
+  Run.live { node with Node.profile = Run.live_profile node.Node.profile ~window_ms:20_000.0 }
   |> Result.map (fun (o : Cluster.outcome) ->
          point `Live ~n ~clients ~requests ~achieved:o.Cluster.throughput_msg_s
            ~latency:o.Cluster.app_latency ~verdict:o.Cluster.verdict ~clean:(Cluster.ok o)
@@ -145,13 +149,8 @@ let live_point ?(seed = 1L) ?batching ?(attempts = 1) ~n ~clients ~requests () =
    same seed must produce bit-identical traces — sessions, retries and
    state hashes included. *)
 let sim_fingerprint ?(seed = 11L) ?batching ?(clients = 24) ?(requests = 3) ~n () =
-  let config = Run.setup2 ?batching ~n () in
-  let node = app_node config ~seed ~clients ~requests ~app_seed:42 ~hash_every:16 in
   let s =
-    Run.sim ~ramp_ms:200.0 ~setup:config.Stack.setup ~fd:config.Stack.fd_kind
-      ~horizon:60_000.0 node
+    run_sim ~ramp_ms:200.0 ~horizon:60_000.0
+      (app_node ?batching ~n ~seed ~clients ~requests ~app_seed:42 ~hash_every:16 ())
   in
   Trace.fingerprint (Engine.trace s.Run.stack.Stack.engine)
-
-let replay_check ?seed ?batching ?clients ?requests ~n () =
-  Run.replay (fun () -> sim_fingerprint ?seed ?batching ?clients ?requests ~n ())

@@ -11,12 +11,13 @@
     battery — probe outcomes, exactly-once dedup, per-client order,
     state-hash agreement across replicas, and progress.
 
-    A point is one {!Ics_runtime.Node.config}: {!Run.sim} hosts an
-    {!Ics_core.App_host} per replica on the simulator, {!Run.live} runs
-    it as a loopback {!Ics_runtime.Cluster} whose nodes host the same
-    code via the Env seam.  Per seed, the final state hash must be
-    bit-identical across backends ({!hash_match}).  Every point runs CT
-    with indirect consensus, as the paper's stack does. *)
+    A point is one run of one {!Ics_runtime.Node.config}: {!Run.sim}
+    hosts an {!Ics_core.App_host} per replica on the simulator,
+    {!Run.live} runs it once as a loopback {!Ics_runtime.Cluster} whose
+    nodes host the same code via the Env seam.  Per seed, the final
+    state hash must be bit-identical across backends ({!hash_match}).
+    Every point runs CT with indirect consensus, as the paper's stack
+    does. *)
 
 module Stats = Ics_prelude.Stats
 module Abcast = Ics_core.Abcast
@@ -64,18 +65,16 @@ val sim_point :
 val live_point :
   ?seed:int64 ->
   ?batching:Abcast.batching ->
-  ?attempts:int ->
   n:int ->
   clients:int ->
   requests:int ->
   unit ->
   (point, string) result
-(** One live cluster point.  [Error reason] only when the environment
-    cannot run sockets; a run that misses the barrier surfaces as
-    [clean = false], the deadline 20 s after connection warm-up.  Runs
-    on the same {!Run.setup2} config and app profile as {!sim_point} at
-    its default [app_seed]; [attempts] (default 1) reruns a point that
-    is not checker- and barrier-clean best-of-k ({!Run.live}). *)
+(** One live cluster run ({!Run.live}).  [Error reason] only when the
+    environment cannot run sockets; a run that misses the barrier
+    surfaces as [clean = false], the deadline 20 s after connection
+    warm-up, and a dirty run is reported, never rerun.  Runs the same
+    app profile as {!sim_point} at its default [app_seed]. *)
 
 val sim_fingerprint :
   ?seed:int64 ->
@@ -86,15 +85,5 @@ val sim_fingerprint :
   unit ->
   string
 (** Digest of the full event trace of one deterministic sim run of the
-    service cell — sessions, retries and state hashes included. *)
-
-val replay_check :
-  ?seed:int64 ->
-  ?batching:Abcast.batching ->
-  ?clients:int ->
-  ?requests:int ->
-  n:int ->
-  unit ->
-  (string, string * string) result
-(** Run the cell twice; [Ok fingerprint] iff both traces are
-    bit-identical ([Error (first, second)] otherwise). *)
+    service cell — sessions, retries and state hashes included; the
+    fingerprint {!Run.replay} checks. *)

@@ -172,7 +172,10 @@ let test_service_point_pinned () =
   | None -> Alcotest.fail "no state hash recorded"
 
 let test_sim_service_replay () =
-  match Service.replay_check ~n:3 ~clients:12 ~requests:3 () with
+  match
+    Ics_workload.Run.replay (fun () ->
+        Service.sim_fingerprint ~n:3 ~clients:12 ~requests:3 ())
+  with
   | Ok _ -> ()
   | Error (a, b) ->
       Alcotest.failf "service sim replay diverged: %s then %s" a b

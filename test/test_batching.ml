@@ -12,6 +12,7 @@ module Abcast = Ics_core.Abcast
 module Checker = Ics_checker.Checker
 module Chaos = Ics_workload.Chaos
 module Saturation = Ics_workload.Saturation
+module Run = Ics_workload.Run
 module Profile = Ics_core.Profile
 module Trace = Ics_sim.Trace
 module Msg_id = Ics_net.Msg_id
@@ -21,6 +22,19 @@ let checkb = Alcotest.(check bool)
 let ideal = Stack.Ideal_lan { delay = 1.0; jitter = 0.2 }
 
 let batched = { Abcast.batch = 4; pipeline = 2; flush_ms = 2.0 }
+
+(* The make saturation-smoke cell's shape: n=5, batch=8/pipeline=2/flush=1
+   ms, ring. *)
+let smoke_cell algo =
+  {
+    Profile.default with
+    Profile.n = 5;
+    algo;
+    broadcast = Profile.Ring;
+    batch = 8;
+    pipeline = 2;
+    flush_ms = 1.0;
+  }
 
 (* Batching on top of faults: the chaos cells that exercise drops, churn
    and suspicion storms must stay green when several ids ride one
@@ -43,9 +57,12 @@ let test_batched_chaos_green () =
 (* Two runs of the batched/pipelined/ring saturation cell must produce
    bit-identical traces — determinism does not stop at batch=1. *)
 let test_batched_replay_deterministic () =
+  let profile =
+    { Profile.default with Profile.broadcast = Profile.Ring; batch = 4; pipeline = 2; flush_ms = 2.0 }
+  in
   match
-    Saturation.replay_check ~offered:200.0 ~duration_ms:400.0 ~n:3
-      ~batching:batched ~broadcast:Profile.Ring ()
+    Run.replay (fun () ->
+        Saturation.sim_fingerprint ~offered:200.0 ~duration_ms:400.0 profile)
   with
   | Ok _ -> ()
   | Error (a, b) -> Alcotest.failf "batched sim replay diverged: %s vs %s" a b
@@ -58,9 +75,7 @@ let test_batched_replay_deterministic () =
 let test_saturation_fingerprint_pinned () =
   Alcotest.(check string)
     "saturation-smoke cell" "7e1b57c5b50140fe59b34ccc68a92fa7"
-    (Saturation.sim_fingerprint ~seed:1L ~n:5
-       ~batching:{ Abcast.batch = 8; pipeline = 2; flush_ms = 1.0 }
-       ~broadcast:Profile.Ring ())
+    (Saturation.sim_fingerprint ~seed:1L (smoke_cell Profile.Ct))
 
 (* The same cell under MR (its batched path announces with [Nudge]) and
    under LB (Kick-driven ballots): the saturation pin above covers CT
@@ -74,9 +89,7 @@ let test_saturation_fingerprint_pinned_mr_lb () =
     (fun (algo, name, expect) ->
       Alcotest.(check string)
         ("saturation-smoke cell, " ^ name) expect
-        (Saturation.sim_fingerprint ~seed:1L ~algo ~n:5
-           ~batching:{ Abcast.batch = 8; pipeline = 2; flush_ms = 1.0 }
-           ~broadcast:Profile.Ring ()))
+        (Saturation.sim_fingerprint ~seed:1L (smoke_cell algo)))
     [ (Profile.Mr, "mr", "61fa0dfcc8fb30dfcf1e95e720c06da3"); (Profile.Lb, "lb", "99b894f60a6c39297493d98073c9fcdc") ]
 
 let delivered stack p = Abcast.delivered_sequence stack.Stack.abcast p

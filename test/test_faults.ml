@@ -352,8 +352,9 @@ let test_chaos_replay_bit_identical () =
 
 let test_chaos_sweep_and_report () =
   let cells =
-    Chaos.sweep ~seeds:2 ~stacks:[ Chaos.Ct_indirect; Chaos.Ct_on_ids ]
-      ~plans:[ Chaos.Drop; Chaos.Blackout ] ()
+    List.map fst
+      (Chaos.sweep_results ~seeds:2 ~stacks:[ Chaos.Ct_indirect; Chaos.Ct_on_ids ]
+         ~plans:[ Chaos.Drop; Chaos.Blackout ] ())
   in
   checki "four cells" 4 (List.length cells);
   checkb "indirect clean, on-ids dirty" true (Chaos.indirect_clean cells);
@@ -379,7 +380,7 @@ let test_chaos_sweep_and_report () =
    The domain-spawning half runs in a forked child: this OCaml runtime
    forbids [Unix.fork] in any process that has {e ever} spawned a
    domain, and later suites fork live clusters — the same reason
-   {!Chaos.sweep} itself forces [jobs = 1] on the live backend. *)
+   {!Chaos.sweep_results} itself forces [jobs = 1] on the live backend. *)
 let test_chaos_jobs_fingerprint_identical () =
   let stacks = [ Chaos.Ct_indirect; Chaos.Ct_on_ids ] in
   let plans = [ Chaos.Drop; Chaos.Blackout ] in

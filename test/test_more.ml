@@ -225,10 +225,6 @@ let test_figures_seeds_pooling () =
   Alcotest.check_raises "seeds < 1" (Invalid_argument "Figures.run: seeds < 1") (fun () ->
       ignore (Figures.run ~seeds:0 tiny))
 
-let test_default_load_sane () =
-  checkb "warmup < duration" true
-    (Experiment.default_load.Experiment.warmup < Experiment.default_load.Experiment.duration)
-
 (* --- determinism of the scenario under different seeds (schedule is fully
    scripted, so even the seed must not matter) --- *)
 
@@ -272,7 +268,6 @@ let suites =
       [
         Alcotest.test_case "wall clock" `Quick test_experiment_wall_clock_advances;
         Alcotest.test_case "figures seed pooling" `Quick test_figures_seeds_pooling;
-        Alcotest.test_case "default load" `Quick test_default_load_sane;
         Alcotest.test_case "scenario stability" `Quick test_scripted_scenarios_seed_independent;
       ] );
   ]

@@ -146,12 +146,6 @@ let test_normal_moments () =
   checkb "normal mean" true (Float.abs (mean -. 10.0) < 0.1);
   checkb "normal variance" true (Float.abs (var -. 4.0) < 0.2)
 
-let test_truncated_normal () =
-  let rng = Rng.create 59L in
-  for _ = 1 to 10_000 do
-    checkb "clamped" true (Variate.truncated_normal rng ~mean:0.0 ~stddev:5.0 ~lo:0.0 >= 0.0)
-  done
-
 let qcheck_float_in_bounds =
   QCheck.Test.make ~name:"Rng.float stays in [0,bound)" ~count:500
     QCheck.(pair (int_bound 10_000) pos_float)
@@ -194,6 +188,5 @@ let suites =
         Alcotest.test_case "exponential positive" `Quick test_exponential_positive;
         Alcotest.test_case "uniform bounds" `Quick test_uniform_bounds;
         Alcotest.test_case "normal moments" `Quick test_normal_moments;
-        Alcotest.test_case "truncated normal" `Quick test_truncated_normal;
       ] );
   ]

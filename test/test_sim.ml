@@ -79,8 +79,7 @@ let test_queue_clear () =
   let q = Event_queue.create () in
   Event_queue.push q ~time:1.0 (fun () -> ());
   Event_queue.clear q;
-  checkb "empty" true (Event_queue.is_empty q);
-  checkb "peek none" true (Event_queue.peek_time q = None)
+  checkb "empty" true (Event_queue.is_empty q)
 
 let test_queue_nan () =
   let q = Event_queue.create () in
@@ -261,7 +260,6 @@ let test_coordinator_rotation () =
     (fun () -> ignore (Pid.coordinator ~n:3 ~round:0))
 
 let test_time_units () =
-  checkf "us" 0.5 (Time.of_us 500.0);
   checkf "s" 2000.0 (Time.of_s 2.0);
   Alcotest.(check string) "pp" "12.340ms" (Format.asprintf "%a" Time.pp 12.34)
 

@@ -115,7 +115,7 @@ let qcheck_stddev_nonneg =
 let test_table_rows () =
   let t = Table.create ~title:"t" ~columns:[ "a"; "b" ] in
   Table.add_row t [ "1"; "2" ];
-  Table.add_float_row t [ 1.5; 2.25 ];
+  Table.add_row t [ "1.500"; "2.250" ];
   Alcotest.(check (list (list string))) "rows" [ [ "1"; "2" ]; [ "1.500"; "2.250" ] ]
     (Table.rows t);
   Alcotest.check_raises "arity" (Invalid_argument "Table.add_row: arity mismatch") (fun () ->

@@ -60,7 +60,7 @@ let test_run_seeds_pools () =
   let r = Experiment.run_seeds ~seeds:[ 1L; 2L; 3L ] fast_config small_load in
   let single = Experiment.run ~seed:1L fast_config small_load in
   checkb "pooled count larger" true (r.Experiment.measured > single.Experiment.measured);
-  checkb "pooled mean finite" true (Float.is_finite (Experiment.mean_latency r))
+  checkb "pooled mean finite" true (Float.is_finite r.Experiment.latency.Stats.mean)
 
 let test_run_validation () =
   Alcotest.check_raises "bad throughput" (Invalid_argument "Experiment.run: throughput <= 0")
