@@ -10,14 +10,18 @@ build:
 test:
 	dune runtest --force
 
-# The paper's evaluation: every figure, scenario and ablation (~minutes).
+# The paper's evaluation: every figure, ablation and extension table,
+# both counterexample scenarios and the shape claims (~minutes).
 bench:
-	dune exec bench/main.exe
+	dune exec bin/ics_cli.exe -- figure all
+	dune exec bin/ics_cli.exe -- violation ct
+	dune exec bin/ics_cli.exe -- violation mr
+	dune exec bin/ics_cli.exe -- claims
 
 # The paper's shape claims at full length (~2 s): exit 1 if any fails.
 # `dune runtest` checks them only at quarter length.
 claims:
-	dune exec bench/main.exe -- claims
+	dune exec bin/ics_cli.exe -- claims
 
 # The repo benchmark (bench/suite) at about 1/20 size, one repetition:
 # gates the checker, quiescence and replay on all four workloads (~4 s;
@@ -53,25 +57,25 @@ chaos-smoke:
 jobs-smoke:
 	dune exec bin/ics_cli.exe -- chaos --seeds 2 --plans drop,blackout --jobs 2 --jobs-check
 
-# Follows a live command: its exit 2 means this sandbox has no loopback
+# Follows a live command: its exit 77 means this sandbox has no loopback
 # sockets, a skip (print $(1)) rather than a failure; any other non-zero
-# exit fails the target.
+# exit, a usage error's 2 included, fails the target.
 define skip_without_sockets
-rc=$$?; if [ $$rc -eq 2 ]; then echo "$(1)"; elif [ $$rc -ne 0 ]; then exit $$rc; fi
+rc=$$?; if [ $$rc -eq 77 ]; then echo "$(1)"; elif [ $$rc -ne 0 ]; then exit $$rc; fi
 endef
 
 # Chaos cells as forked loopback-TCP clusters: the seeded plans compiled
 # onto real sockets through the same interposer, with the KV machine
 # hosted on every cell's broadcasts (Ride mode) and the app battery in
 # each verdict.  Includes the blackout cell, so the S2.2 ct-on-ids
-# counterexample must reproduce on the live backend too (exit 2 = sandbox
+# counterexample must reproduce on the live backend too (exit 77 = sandbox
 # has no sockets = skip, not failure).
 chaos-live-smoke:
 	dune exec bin/ics_cli.exe -- chaos --live --app --seeds 1 --stacks ct-indirect,ct-on-ids --plans drop,blackout; \
 	$(call skip_without_sockets,chaos-live-smoke: skipped (no loopback sockets))
 
 # Live 3-node loopback cluster, checker-verified, once per consensus
-# algorithm (exit 2 = sandbox has no sockets, which is a skip, not a
+# algorithm (exit 77 = sandbox has no sockets, which is a skip, not a
 # failure).
 cluster-smoke:
 	for algo in ct mr lb; do \
@@ -81,7 +85,7 @@ cluster-smoke:
 
 # Saturation knee smoke: a tiny offered-load sweep of the batched/
 # pipelined/ring stack, replay-checked for sim determinism with every
-# point gated by the full checker battery, then one live point (exit 2 =
+# point gated by the full checker battery, then one live point (exit 77 =
 # sandbox has no sockets = skip, not failure).
 saturation-smoke:
 	dune exec bin/ics_cli.exe -- bench --offered-load 200,400 --duration 0.5 --batch 8 --pipeline 2 --flush 1 --dissemination ring --n 5 --replay-check
@@ -91,7 +95,7 @@ saturation-smoke:
 # Closed-loop service smoke: a few hundred KV/ledger client sessions
 # through the full stack, replay-checked for sim determinism and gated by
 # the abcast + application checker batteries; the live point must land on
-# the simulator's final state hash bit-for-bit (exit 2 = sandbox has no
+# the simulator's final state hash bit-for-bit (exit 77 = sandbox has no
 # sockets = the live half is skipped, not failed).
 service-smoke:
 	dune exec bin/ics_cli.exe -- service --clients 200 --requests 3 --replay-check

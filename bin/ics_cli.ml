@@ -50,19 +50,21 @@ let spec_rows keys =
       { spec with Profile.keys = [ key ] })
     keys
 
-(* The live commands' exit 2: this environment has no loopback sockets,
-   which the smoke targets treat as a skip, not a failure. *)
+(* The live commands' exit 77 (automake's SKIP code): this environment
+   has no loopback sockets, which the smoke targets treat as a skip, not
+   a failure.  It stays apart from 2, a usage error the command finds. *)
 let skip_live cmd reason =
   Format.eprintf "%s: skip: %s@." cmd reason;
-  exit 2
+  exit 77
 
 let require_sockets cmd =
   if not (Ics_runtime.Cluster.supported ()) then
     skip_live cmd "loopback sockets unavailable in this environment"
 
 (* The last clause of every man page's exit status: cmdliner's own exit
-   for an option it rejects.  It stays apart from 2, which the smoke
-   targets read as "no loopback sockets". *)
+   for an option it rejects.  It stays apart from 2, a usage error the
+   command finds, and from 77, which the smoke targets read as "no
+   loopback sockets". *)
 let exit_124 =
   ", 124 if cmdliner rejects an option (an unknown flag or a value of the wrong type)."
 
@@ -168,42 +170,62 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run one atomic-broadcast configuration under a synthetic load")
     Term.(const exec $ profile $ setup $ tput $ duration $ seed $ check)
 
-(* `figure` command: regenerate one of the paper's figures (or all). *)
+(* `figure` command: regenerate one table of the evaluation (or all). *)
 
 let figure_cmd =
   let exec id quick csv seed seeds verbose =
-    let figures =
-      if id = "all" then Figures.all
+    let entries =
+      if id = "all" then Figures.registry
       else
         match Figures.find id with
-        | Some f -> [ f ]
+        | Some e -> [ e ]
         | None ->
             Format.eprintf "unknown figure %s; available: %s@." id
               (String.concat ", " (Figures.ids ()));
             exit 2
     in
+    let progress = if verbose then fun s -> Format.eprintf "  %s@." s else fun _ -> () in
     List.iter
-      (fun f ->
-        let progress = if verbose then fun s -> Format.eprintf "  %s@." s else fun _ -> () in
-        let table = Figures.run ~quick ~seed ~seeds ~progress f in
-        if csv then print_string (Table.to_csv table) else Table.print table;
-        if not csv then
-          Format.printf "paper: %s@.@." f.Figures.paper_shape)
-      figures
+      (fun (e : Figures.entry) ->
+        let table = e.Figures.build ~quick ~seed ~seeds ~progress in
+        if csv then print_string (Table.to_csv table)
+        else begin
+          Table.print table;
+          Format.printf "%s@.@." e.Figures.note
+        end)
+      entries
   in
   let id =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FIGURE" ~doc:"Figure id or 'all'.")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FIGURE" ~doc:"Table id or 'all'.")
   in
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Quarter-length runs.") in
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"CSV output.") in
   let seed = Arg.(value & opt int64 1L & info [ "seed" ] ~doc:"Simulation seed.") in
   let seeds =
-    Arg.(value & opt int 1 & info [ "seeds" ] ~doc:"Pool results over this many seeds.")
+    Arg.(
+      value & opt int 1
+      & info [ "seeds" ]
+          ~doc:"Pool each panel cell over this many seeds (the other tables run at $(b,--seed)).")
   in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Per-cell progress on stderr.") in
   Cmd.v
-    (Cmd.info "figure" ~doc:"Regenerate a figure of the paper's evaluation")
+    (Cmd.info "figure" ~doc:"Regenerate a figure, ablation or extension table of the evaluation")
     Term.(const exec $ id $ quick $ csv $ seed $ seeds $ verbose)
+
+(* `claims` command: the paper's conclusions, machine-checked. *)
+
+let claims_cmd =
+  let exec quick =
+    let verdicts = Ics_workload.Claims.verify ~quick () in
+    List.iter (Format.printf "%a@." Ics_workload.Claims.pp_verdict) verdicts;
+    let holding = List.length (List.filter (fun v -> v.Ics_workload.Claims.holds) verdicts) in
+    Format.printf "@.%d/%d claims hold.@." holding (List.length verdicts);
+    if holding < List.length verdicts then exit 1
+  in
+  let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Quarter-length runs.") in
+  Cmd.v
+    (Cmd.info "claims" ~doc:"Check the paper's shape claims (exit 1 if one fails)")
+    Term.(const exec $ quick)
 
 (* `violation` command: the adversarial scenarios. *)
 
@@ -439,7 +461,7 @@ let chaos_cmd =
              simulation: each node installs the same seeded plan through the \
              same fault middleware as a simulated cell, and the merged trace \
              goes through the same checker. \
-             Exit 2 when the environment cannot create loopback sockets.")
+             Exit 77 when the environment cannot create loopback sockets.")
   in
   let replay_check =
     Arg.(
@@ -554,7 +576,7 @@ let cluster_cmd =
               A-delivered everything (or at $(b,--timeout)). The per-node delivery \
               logs are merged and replayed through the same checker the simulator \
               uses. Exit status: 0 on success, 1 if the checker or a node failed, 2 \
-              on a bad profile value or if the environment cannot create loopback \
+              on a bad profile value, 77 if the environment cannot create loopback \
               sockets"
               ^ exit_124);
          ])
@@ -669,7 +691,8 @@ let node_cmd =
               peers in $(b,--ports). Start one in each terminal; they retry their \
               dials briefly, so start order does not matter. The process count comes \
               from the port list. Exit status: 0 when all nodes completed the \
-              workload, 10 on deadline, 2 on setup errors"
+              workload, 10 on deadline, 2 on setup errors, 77 if the environment \
+              cannot create sockets"
               ^ exit_124);
          ])
     Term.(const exec $ self $ ports $ profile $ epoch $ trace_out $ stats_out)
@@ -736,7 +759,7 @@ let bench_cmd =
       & info [ "live" ]
           ~doc:
             "Run each point as a forked loopback-TCP cluster instead of a \
-             simulation. Exit 2 when the environment cannot create sockets.")
+             simulation. Exit 77 when the environment cannot create sockets.")
   in
   let duration =
     Arg.(value & opt float 2.0 & info [ "duration" ] ~doc:"Seconds of arrivals per point.")
@@ -764,7 +787,7 @@ let bench_cmd =
               point that is still checker-green and finished cleanly. Exit \
               status: 0 on success (overloaded points are expected past the \
               knee), 1 if any point fails the checker, 2 on a bad offered load \
-              or profile value or if $(b,--live) has no socket support"
+              or profile value, 77 if $(b,--live) has no socket support"
               ^ exit_124);
          ])
     Term.(
@@ -828,7 +851,7 @@ let service_cmd =
           ~doc:
             "Also run the point as a forked loopback-TCP cluster and require \
              its final state hash to match the simulator's, bit for bit. \
-             Exit 2 when the environment cannot create sockets.")
+             Exit 77 when the environment cannot create sockets.")
   in
   let replay_check =
     Arg.(
@@ -852,8 +875,8 @@ let service_cmd =
               the application battery (exactly-once, per-client order, \
               state-hash agreement, progress); the live point must also \
               reproduce the simulator's final state hash. Exit status: 0 on \
-              success, 1 on any checker/hash failure, 2 on a bad profile value \
-              or when $(b,--live) has no socket support"
+              success, 1 on any checker/hash failure, 2 on a bad profile value, \
+              77 when $(b,--live) has no socket support"
               ^ exit_124);
          ])
     Term.(const exec $ profile $ seed $ live $ replay_check)
@@ -861,10 +884,12 @@ let service_cmd =
 let list_cmd =
   let exec () =
     List.iter
-      (fun f -> Format.printf "%-6s %s@." f.Figures.id f.Figures.title)
-      Figures.all
+      (fun (e : Figures.entry) -> Format.printf "%-11s %s@." e.Figures.name e.Figures.caption)
+      Figures.registry
   in
-  Cmd.v (Cmd.info "list" ~doc:"List the figures this tool can regenerate") Term.(const exec $ const ())
+  Cmd.v
+    (Cmd.info "list" ~doc:"List the tables $(b,figure) can regenerate")
+    Term.(const exec $ const ())
 
 let () =
   let doc = "Atomic broadcast with indirect consensus (Ekwall & Schiper, DSN 2006) simulator" in
@@ -875,6 +900,7 @@ let () =
           [
             run_cmd;
             figure_cmd;
+            claims_cmd;
             violation_cmd;
             chaos_cmd;
             trace_cmd;

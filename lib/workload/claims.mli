@@ -3,7 +3,7 @@
     EXPERIMENTS.md records shapes by prose; this module pins them down as
     machine-checked claims.  Each claim runs a handful of targeted
     simulations and asserts an inequality the paper states — who wins, how
-    a gap moves with throughput/size/n, where liveness ends.  `bench`
+    a gap moves with throughput/size/n, where liveness ends.  `ics_cli claims`
     prints the claim table; the test suite asserts every claim holds, so a
     regression that silently flips a conclusion (not just a number) fails
     CI. *)

@@ -27,15 +27,14 @@ type t = {
   throughput : float;  (** fixed throughput (for Message_size axes) *)
   body_bytes : int;  (** fixed payload (for Throughput axes) *)
   series : series list;
-  paper_shape : string;  (** the qualitative result the paper reports *)
+  paper_shape : string;
+      (** the qualitative result the paper reports (an ablation's: the one
+          it expects) *)
 }
 
 val all : t list
 (** Every panel: fig1a fig1b fig3a fig3b fig4a–d fig5a–c fig6a–c fig7a
     fig7b, in paper order. *)
-
-val find : string -> t option
-val ids : unit -> string list
 
 val run :
   ?quick:bool -> ?seed:int64 -> ?seeds:int -> ?progress:(string -> unit) -> t -> Table.t
@@ -50,3 +49,32 @@ val run :
 val load_for : ?quick:bool -> t -> x:float -> Experiment.load
 (** The load a given x-value maps to (durations auto-scale so that slow
     sweeps still collect enough samples). *)
+
+(** {1 Every table of the evaluation}
+
+    The paper's panels, then the ablations and extensions that DESIGN.md
+    §4 indexes and the lossy-link table: abl-network and ext-algo are
+    panels of their own; abl-quorum, abl-rb, abl-rcv, ext-scale and lossy
+    are tables whose rows are not one latency sweep. *)
+
+type entry = {
+  name : string;  (** the id [ics_cli figure] takes *)
+  caption : string;  (** what [ics_cli list] prints beside the id *)
+  note : string;
+      (** the line printed under the table: ["paper: "] and the panel's
+          shape, or ["expectation: "] and what the table should show *)
+  build :
+    quick:bool -> seed:int64 -> seeds:int -> progress:(string -> unit) -> Table.t;
+      (** a panel runs as {!run}; any other table runs once at [seed],
+          ignoring [seeds] and [progress] *)
+}
+
+val registry : entry list
+(** The 16 panels of {!all}, then abl-network, abl-quorum, abl-rb,
+    abl-rcv, ext-algo, ext-scale and lossy. *)
+
+val find : string -> entry option
+(** The {!registry} entry with this id. *)
+
+val ids : unit -> string list
+(** Every {!registry} id, in order. *)

@@ -218,7 +218,7 @@ let test_experiment_wall_clock_advances () =
   checkb "clock advanced past duration" true (r.Experiment.wall_clock >= 1_000.0)
 
 let test_figures_seeds_pooling () =
-  let fig = Option.get (Figures.find "fig3a") in
+  let fig = List.find (fun f -> f.Figures.id = "fig3a") Figures.all in
   let tiny = { fig with Figures.axis = Figures.Throughput [ 100.0 ] } in
   let t1 = Figures.run ~quick:true ~seeds:2 tiny in
   checki "row count" 1 (List.length (Ics_prelude.Table.rows t1));

@@ -71,13 +71,13 @@ let test_run_validation () =
       ignore (Experiment.run fast_config { small_load with Experiment.warmup = 2_000.0 }))
 
 let test_figures_complete () =
-  let ids = Figures.ids () in
+  let ids = List.map (fun f -> f.Figures.id) Figures.all in
   checki "16 panels" 16 (List.length ids);
   List.iter
     (fun required -> checkb required true (List.mem required ids))
     [ "fig1a"; "fig1b"; "fig3a"; "fig3b"; "fig4a"; "fig4b"; "fig4c"; "fig4d";
       "fig5a"; "fig5b"; "fig5c"; "fig6a"; "fig6b"; "fig6c"; "fig7a"; "fig7b" ];
-  checkb "unknown id" true (Figures.find "fig99" = None)
+  checkb "unknown id" true (Option.is_none (Figures.find "fig99"))
 
 let test_figures_well_formed () =
   List.iter
@@ -102,7 +102,7 @@ let test_load_for_scaling () =
 
 let test_figure_runs_one_cell () =
   (* Run a tiny custom figure end-to-end through the table machinery. *)
-  let fig3a = Option.get (Figures.find "fig3a") in
+  let fig3a = List.find (fun f -> f.Figures.id = "fig3a") Figures.all in
   let tiny = { fig3a with Figures.axis = Figures.Throughput [ 50.0 ] } in
   let table = Figures.run ~quick:true tiny in
   checki "one row" 1 (List.length (Ics_prelude.Table.rows table));
@@ -114,6 +114,45 @@ let test_figure_runs_one_cell () =
             (Float.is_finite (float_of_string (String.split_on_char '*' cell |> List.hd))))
         row
   | _ -> Alcotest.fail "unexpected rows"
+
+let test_registry_ids () =
+  let ids = Figures.ids () in
+  checki "16 panels + 7 tables" 23 (List.length ids);
+  checki "ids unique" (List.length ids) (List.length (List.sort_uniq compare ids));
+  List.iter
+    (fun (e : Figures.entry) ->
+      match Figures.find e.Figures.name with
+      | Some found -> checkb (e.Figures.name ^ " resolves") true (found == e)
+      | None -> Alcotest.failf "%s does not resolve" e.Figures.name)
+    Figures.registry
+
+let build_table id =
+  let e = Option.get (Figures.find id) in
+  e.Figures.build ~quick:true ~seed:1L ~seeds:1 ~progress:ignore
+
+(* abl-quorum runs the same short schedule at any length, so its rows are
+   pinned whole. *)
+let test_abl_quorum_golden () =
+  Alcotest.(check (list (list string)))
+    "rows"
+    [
+      [ "3"; "3"; "0"; "true"; "1" ];
+      [ "3"; "3"; "1"; "false"; "0" ];
+      [ "4"; "3"; "1"; "true"; "1" ];
+      [ "5"; "4"; "1"; "true"; "1" ];
+      [ "5"; "4"; "2"; "false"; "0" ];
+      [ "6"; "5"; "1"; "true"; "1" ];
+      [ "6"; "5"; "2"; "false"; "0" ];
+      [ "7"; "5"; "2"; "true"; "1" ];
+      [ "7"; "5"; "3"; "false"; "0" ];
+    ]
+    (Ics_prelude.Table.rows (build_table "abl-quorum"))
+
+let test_abl_network_header () =
+  let csv = Ics_prelude.Table.to_csv (build_table "abl-network") in
+  Alcotest.(check string)
+    "header" "size[B],shared-bus[ms],switched[ms]"
+    (List.hd (String.split_on_char '\n' csv))
 
 let test_claims_hold () =
   let verdicts = Ics_workload.Claims.verify ~quick:true () in
@@ -141,6 +180,9 @@ let suites =
         Alcotest.test_case "well-formed" `Quick test_figures_well_formed;
         Alcotest.test_case "load scaling" `Quick test_load_for_scaling;
         Alcotest.test_case "one cell end-to-end" `Quick test_figure_runs_one_cell;
+        Alcotest.test_case "registry ids resolve" `Quick test_registry_ids;
+        Alcotest.test_case "abl-quorum golden rows" `Quick test_abl_quorum_golden;
+        Alcotest.test_case "abl-network header" `Quick test_abl_network_header;
         Alcotest.test_case "paper claims hold" `Slow test_claims_hold;
       ] );
   ]
