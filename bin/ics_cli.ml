@@ -10,13 +10,94 @@ module Figures = Ics_workload.Figures
 module Scenarios = Ics_workload.Scenarios
 module Chaos = Ics_workload.Chaos
 module Run = Ics_workload.Run
+module Saturation = Ics_workload.Saturation
+module Service = Ics_workload.Service
+module Node = Ics_runtime.Node
+module Cluster = Ics_runtime.Cluster
+module Trace_io = Ics_runtime.Trace_io
 module Table = Ics_prelude.Table
 module Stats = Ics_prelude.Stats
 
+(* --- Exit codes ---------------------------------------------------------- *)
+
+(* Every command's term evaluates to its exit code; [exit] is called once,
+   at the bottom.  A command prints its own usage errors (exit [usage]):
+   cmdliner reports an unknown flag as a term error, so a [~term_err] of 2
+   would take that flag's 124 too.  [skip] is what the smoke targets read
+   as "no loopback sockets". *)
+let ok, failed, usage, deadline, skip = (0, 1, 2, 10, 77)
+
+(* The one table of the codes; each man page's EXIT STATUS section is the
+   rows its command passes to [exits]. *)
+let exit_table =
+  [
+    (ok, "on success.");
+    ( failed,
+      "if a check failed: the checker battery, a claim, a determinism fence, a \
+       node, or a run that did not drain." );
+    ( usage,
+      "on a usage error the command finds itself: a bad name, comma list or \
+       profile-row value, a value out of range, conflicting flags, or (for \
+       $(b,node)) a port it cannot bind." );
+    (deadline, "if a $(b,node) hit its deadline before every node was done.");
+    (skip, "if the environment cannot create loopback sockets (automake's SKIP code).");
+    ( Cmd.Exit.cli_error,
+      "if cmdliner rejects an option: an unknown flag or a value of the wrong type." );
+    (Cmd.Exit.internal_error, "on an unexpected internal error.");
+  ]
+
+(* 0, 2, 124 and 125 apply to every command; [codes] are its others. *)
+let exits codes =
+  let mine = ok :: usage :: Cmd.Exit.cli_error :: Cmd.Exit.internal_error :: codes in
+  List.filter_map
+    (fun (code, doc) -> if List.mem code mine then Some (Cmd.Exit.info code ~doc) else None)
+    exit_table
+
+(* One line on stdout (or stderr), then [code]. *)
+let say ?(ppf = Format.std_formatter) code fmt =
+  Format.kfprintf (fun _ -> code) ppf (fmt ^^ "@.")
+
+let fail fmt = say failed ("FAIL: " ^^ fmt)
+
+(* A command whose body returns [Ok code] or [Error usage_message]. *)
+let command ?man ?(codes = []) name ~doc term =
+  let code = function
+    | Ok code -> code
+    | Error msg -> say ~ppf:Format.err_formatter usage "ics-cli: %s" msg
+  in
+  Cmd.v (Cmd.info name ~doc ?man ~exits:(exits codes)) Term.(const code $ term)
+
+let ( let* ) = Result.bind
+let check cond msg = if cond then Ok () else Error msg
+
+(* Range checks, worded as the profile table's. *)
+let at_least lo flag v =
+  check (v >= lo) (Printf.sprintf "%s: %d is not an integer >= %d" flag v lo)
+
+let positive flag v =
+  check (v > 0.0 && Float.is_finite v) (Printf.sprintf "%s: %g is not a finite number > 0" flag v)
+
+(* The first failing gate's code, the later gates unrun; a gate whose
+   flag is off is skipped. *)
+let first_failure gates =
+  List.fold_left (fun code (on, gate) -> if code = ok && on then gate () else code) ok gates
+
+(* The verdict of a single-cell replay check; a divergence fails the run. *)
+let report_replay ~what = function
+  | Ok fp -> say ok "replay check: bit-identical (%s)" fp
+  | Error (a, b) -> fail "%s cell replayed differently: %s vs %s" what a b
+
+let skip_live cmd reason = say ~ppf:Format.err_formatter skip "%s: skip: %s" cmd reason
+
+let no_sockets cmd = skip_live cmd "loopback sockets unavailable in this environment"
+
+(* --- Flags --------------------------------------------------------------- *)
+
 (* Profile flags are not written by hand: every command that takes a
    stack shape (and, for the live commands, a workload) folds the
-   relevant [Profile.specs] rows into one cmdliner term.  Adding a knob
-   to the profile adds the flag to every command at once. *)
+   relevant [Profile.specs] rows into one cmdliner term, whose first bad
+   value is the command's usage error.  Adding a knob to the profile adds
+   the flag to every command at once. *)
 let profile_term ?(specs = Profile.specs) base =
   List.fold_left
     (fun term (spec : Profile.spec) ->
@@ -27,17 +108,13 @@ let profile_term ?(specs = Profile.specs) base =
           & info spec.Profile.keys ~docv:spec.Profile.docv ~doc:spec.Profile.doc
               ~absent:(spec.Profile.get base))
       in
-      let apply profile = function
-        | None -> profile
-        | Some value -> (
-            match spec.Profile.set profile value with
-            | Ok profile -> profile
-            | Error msg ->
-                Format.eprintf "ics-cli: %s@." msg;
-                exit 2)
+      let apply profile value =
+        match (profile, value) with
+        | Ok profile, Some value -> spec.Profile.set profile value
+        | profile, _ -> profile
       in
       Term.(const apply $ term $ arg))
-    (Term.const base) specs
+    (Term.const (Ok base)) specs
 
 (* Selected rows of the flag table, under their canonical name only (a
    command that never had a row's aliases does not grow them). *)
@@ -50,30 +127,13 @@ let spec_rows keys =
       { spec with Profile.keys = [ key ] })
     keys
 
-(* The live commands' exit 77 (automake's SKIP code): this environment
-   has no loopback sockets, which the smoke targets treat as a skip, not
-   a failure.  It stays apart from 2, a usage error the command finds. *)
-let skip_live cmd reason =
-  Format.eprintf "%s: skip: %s@." cmd reason;
-  exit 77
-
-let require_sockets cmd =
-  if not (Ics_runtime.Cluster.supported ()) then
-    skip_live cmd "loopback sockets unavailable in this environment"
-
-(* The last clause of every man page's exit status: cmdliner's own exit
-   for an option it rejects.  It stays apart from 2, a usage error the
-   command finds, and from 77, which the smoke targets read as "no
-   loopback sockets". *)
-let exit_124 =
-  ", 124 if cmdliner rejects an option (an unknown flag or a value of the wrong type)."
-
-(* The verdict of a single-cell replay check; a divergence fails the run. *)
-let report_replay ~what = function
-  | Ok fp -> Format.printf "replay check: bit-identical (%s)@." fp
-  | Error (a, b) ->
-      Format.printf "FAIL: %s cell replayed differently: %s vs %s@." what a b;
-      exit 1
+(* The flags several commands share. *)
+let seed_arg = Arg.(value & opt int64 1L & info [ "seed" ] ~doc:"Run seed.")
+let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"Quarter-length runs.")
+let csv_arg = Arg.(value & flag & info [ "csv" ] ~doc:"CSV output.")
+let verbose_arg ~doc = Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
+let live_arg ~doc = Arg.(value & flag & info [ "live" ] ~doc)
+let replay_check_arg ~doc = Arg.(value & flag & info [ "replay-check" ] ~doc)
 
 let setup_conv =
   Arg.enum
@@ -84,18 +144,12 @@ let setup_conv =
     ]
 
 (* A comma-separated flag value: entries trimmed, empty ones dropped, each
-   parsed by [parse]; the first it rejects exits 2 with [bad entry] on
-   stderr. *)
+   parsed by [parse]; the first it rejects is the usage error [bad entry]. *)
 let comma_list ~parse ~bad s =
-  String.split_on_char ',' s
-  |> List.map String.trim
-  |> List.filter (fun s -> s <> "")
-  |> List.map (fun entry ->
-         match parse entry with
-         | Some v -> v
-         | None ->
-             Format.eprintf "%s@." (bad entry);
-             exit 2)
+  let entries = List.filter (( <> ) "") (List.map String.trim (String.split_on_char ',' s)) in
+  match List.find_opt (fun entry -> parse entry = None) entries with
+  | Some entry -> Error (bad entry)
+  | None -> Ok (List.filter_map parse entries)
 
 (* The consensus layer's counters as one line (CT: coordinator decisions
    by round, nacks sent, remote sends by kind; every stack: the frames
@@ -110,6 +164,9 @@ let print_consensus_counters = function
 
 let run_cmd =
   let exec profile setup tput duration seed check =
+    let* profile = profile in
+    let* () = positive "--throughput" tput in
+    let* () = positive "--duration" duration in
     let config = { (Stack.config_of_profile profile) with Stack.setup; seed } in
     let size = profile.Profile.body_bytes in
     let load =
@@ -148,7 +205,11 @@ let run_cmd =
           (String.concat ""
              (List.map (fun (name, u) -> Printf.sprintf " %s=%.0f%%" name (u *. 100.0))
                 busiest)));
-    if not r.Experiment.quiescent then exit 2
+    Ok
+      (if not r.Experiment.quiescent then fail "the run did not drain"
+       else if not (Option.fold ~none:true ~some:Ics_checker.Checker.ok r.Experiment.verdict)
+       then fail "the checker found a violation"
+       else ok)
   in
   let profile =
     profile_term
@@ -162,28 +223,25 @@ let run_cmd =
     Arg.(value & opt float 100.0 & info [ "throughput" ] ~doc:"Global rate, msgs/s.")
   in
   let duration = Arg.(value & opt float 10.0 & info [ "duration" ] ~doc:"Seconds of arrivals.") in
-  let seed = Arg.(value & opt int64 1L & info [ "seed" ] ~doc:"Simulation seed.") in
   let check =
     Arg.(value & flag & info [ "check" ] ~doc:"Validate the trace against the formal properties.")
   in
-  Cmd.v
-    (Cmd.info "run" ~doc:"Run one atomic-broadcast configuration under a synthetic load")
-    Term.(const exec $ profile $ setup $ tput $ duration $ seed $ check)
+  command "run" ~codes:[ failed ] ~doc:"Run one atomic-broadcast configuration under a synthetic load"
+    Term.(const exec $ profile $ setup $ tput $ duration $ seed_arg $ check)
 
 (* `figure` command: regenerate one table of the evaluation (or all). *)
 
 let figure_cmd =
   let exec id quick csv seed seeds verbose =
-    let entries =
-      if id = "all" then Figures.registry
+    let* entries =
+      if id = "all" then Ok Figures.registry
       else
-        match Figures.find id with
-        | Some e -> [ e ]
-        | None ->
-            Format.eprintf "unknown figure %s; available: %s@." id
-              (String.concat ", " (Figures.ids ()));
-            exit 2
+        Option.to_result (Option.map (fun e -> [ e ]) (Figures.find id))
+          ~none:
+            (Printf.sprintf "unknown figure %s; available: %s" id
+               (String.concat ", " (Figures.ids ())))
     in
+    let* () = at_least 1 "--seeds" seeds in
     let progress = if verbose then fun s -> Format.eprintf "  %s@." s else fun _ -> () in
     List.iter
       (fun (e : Figures.entry) ->
@@ -193,24 +251,22 @@ let figure_cmd =
           Table.print table;
           Format.printf "%s@.@." e.Figures.note
         end)
-      entries
+      entries;
+    Ok ok
   in
   let id =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FIGURE" ~doc:"Table id or 'all'.")
   in
-  let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Quarter-length runs.") in
-  let csv = Arg.(value & flag & info [ "csv" ] ~doc:"CSV output.") in
-  let seed = Arg.(value & opt int64 1L & info [ "seed" ] ~doc:"Simulation seed.") in
   let seeds =
     Arg.(
       value & opt int 1
       & info [ "seeds" ]
           ~doc:"Pool each panel cell over this many seeds (the other tables run at $(b,--seed)).")
   in
-  let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Per-cell progress on stderr.") in
-  Cmd.v
-    (Cmd.info "figure" ~doc:"Regenerate a figure, ablation or extension table of the evaluation")
-    Term.(const exec $ id $ quick $ csv $ seed $ seeds $ verbose)
+  command "figure" ~doc:"Regenerate a figure, ablation or extension table of the evaluation"
+    Term.(
+      const exec $ id $ quick_arg $ csv_arg $ seed_arg $ seeds
+      $ verbose_arg ~doc:"Per-cell progress on stderr.")
 
 (* `claims` command: the paper's conclusions, machine-checked. *)
 
@@ -220,38 +276,28 @@ let claims_cmd =
     List.iter (Format.printf "%a@." Ics_workload.Claims.pp_verdict) verdicts;
     let holding = List.length (List.filter (fun v -> v.Ics_workload.Claims.holds) verdicts) in
     Format.printf "@.%d/%d claims hold.@." holding (List.length verdicts);
-    if holding < List.length verdicts then exit 1
+    Ok (if holding < List.length verdicts then failed else ok)
   in
-  let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Quarter-length runs.") in
-  Cmd.v
-    (Cmd.info "claims" ~doc:"Check the paper's shape claims (exit 1 if one fails)")
-    Term.(const exec $ quick)
+  command "claims" ~codes:[ failed ] ~doc:"Check the paper's shape claims"
+    Term.(const exec $ quick_arg)
 
 (* `violation` command: the adversarial scenarios. *)
 
 let violation_cmd =
   let exec which =
-    let outcomes =
+    let* outcomes =
       match which with
-      | "ct" ->
-          [
-            Scenarios.validity_scenario Scenarios.Faulty_ids;
-            Scenarios.validity_scenario Scenarios.Indirect;
-          ]
-      | "mr" ->
-          [ Scenarios.mr_scenario Scenarios.Naive; Scenarios.mr_scenario Scenarios.Indirect_mr ]
-      | _ ->
-          Format.eprintf "unknown scenario %s (ct or mr)@." which;
-          exit 2
+      | "ct" -> Ok Scenarios.[ validity_scenario Faulty_ids; validity_scenario Indirect ]
+      | "mr" -> Ok Scenarios.[ mr_scenario Naive; mr_scenario Indirect_mr ]
+      | _ -> Error (Printf.sprintf "unknown scenario %s (ct or mr)" which)
     in
-    List.iter (fun o -> Format.printf "%a@." Scenarios.pp_outcome o) outcomes
+    List.iter (fun o -> Format.printf "%a@." Scenarios.pp_outcome o) outcomes;
+    Ok ok
   in
   let which =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SCENARIO" ~doc:"'ct' (S2.2) or 'mr' (S3.3.2).")
   in
-  Cmd.v
-    (Cmd.info "violation"
-       ~doc:"Replay the paper's counterexamples (faulty vs indirect consensus)")
+  command "violation" ~doc:"Replay the paper's counterexamples (faulty vs indirect consensus)"
     Term.(const exec $ which)
 
 (* `trace` command: run a small configuration and dump the full protocol
@@ -259,6 +305,12 @@ let violation_cmd =
 
 let trace_cmd =
   let exec profile messages crash csv =
+    let* profile = profile in
+    let n = profile.Profile.n in
+    let in_range p =
+      check (p >= 0 && p < n) (Printf.sprintf "--crash: %d is not a process of 0..%d" p (n - 1))
+    in
+    let* () = Option.fold ~none:(Ok ()) ~some:in_range crash in
     let config =
       {
         (Stack.config_of_profile profile) with
@@ -266,16 +318,13 @@ let trace_cmd =
         fd_kind = Stack.Oracle 10.0;
       }
     in
-    let n = profile.Profile.n in
     let stack = Stack.create config in
     let engine = stack.Stack.engine in
     for i = 0 to messages - 1 do
       Ics_sim.Engine.schedule engine ~at:(1.0 +. (5.0 *. float_of_int i)) (fun () ->
           ignore (Stack.abroadcast stack ~src:(i mod n) ~body_bytes:16))
     done;
-    (match crash with
-    | Some p -> Ics_sim.Engine.crash_at engine p ~at:10.0
-    | None -> ());
+    Option.iter (fun p -> Ics_sim.Engine.crash_at engine p ~at:10.0) crash;
     Stack.run ~until:10_000.0 stack;
     let trace = Ics_sim.Engine.trace engine in
     if csv then begin
@@ -290,17 +339,16 @@ let trace_cmd =
       Format.printf "%a" Ics_sim.Trace.pp trace;
       Format.printf "@.-- %d trace events, stack: %s@." (Ics_sim.Trace.length trace)
         (Stack.describe stack)
-    end
+    end;
+    Ok ok
   in
   let profile = profile_term ~specs:Profile.stack_specs Profile.default in
   let messages = Arg.(value & opt int 2 & info [ "messages" ] ~doc:"How many abroadcasts.") in
   let crash =
     Arg.(value & opt (some int) None & info [ "crash" ] ~doc:"Crash this process at t=10ms.")
   in
-  let csv = Arg.(value & flag & info [ "csv" ] ~doc:"CSV output.") in
-  Cmd.v
-    (Cmd.info "trace" ~doc:"Dump the full protocol trace of a small execution")
-    Term.(const exec $ profile $ messages $ crash $ csv)
+  command "trace" ~doc:"Dump the full protocol trace of a small execution"
+    Term.(const exec $ profile $ messages $ crash $ csv_arg)
 
 (* `chaos` command: seeded fault-injection sweep over stacks × plans,
    simulated by default or — with --live — run as forked loopback-TCP
@@ -309,107 +357,99 @@ let trace_cmd =
 let chaos_cmd =
   let exec seeds seed_base n stacks plans profile no_retransmit app live
       replay_check jobs jobs_check verbose =
+    let* profile = profile in
     let batching = Profile.batching profile in
-    let parse_csv ~what ~of_string ~all s =
-      if s = "all" then all
-      else comma_list ~parse:of_string ~bad:(Printf.sprintf "unknown %s %s" what) s
+    let parse_csv ~flag ~what ~of_string ~all s =
+      if s = "all" then Ok all
+      else comma_list ~parse:of_string ~bad:(Printf.sprintf "%s: unknown %s %s" flag what) s
     in
-    let stacks =
-      parse_csv ~what:"stack" ~of_string:Chaos.stack_of_string
+    let* stacks =
+      parse_csv ~flag:"--stacks" ~what:"stack" ~of_string:Chaos.stack_of_string
         ~all:Chaos.all_stacks stacks
     in
-    let plans =
-      parse_csv ~what:"plan" ~of_string:Chaos.plan_of_string
+    let* plans =
+      parse_csv ~flag:"--plans" ~what:"plan" ~of_string:Chaos.plan_of_string
         ~all:Chaos.all_plans plans
     in
+    let* () = at_least 1 "--seeds" seeds in
+    let* () = Option.fold ~none:(Ok ()) ~some:(at_least 1 "-n") n in
+    let* () = at_least 1 "--jobs" jobs in
+    let* () = check (not (live && jobs_check)) "--jobs-check needs the sim backend" in
     let backend = if live then `Live else `Sim in
-    if live && jobs_check then begin
-      Format.eprintf "chaos: --jobs-check needs the sim backend@.";
-      exit 2
-    end;
-    if live then require_sockets "chaos";
-    if jobs < 1 then begin
-      Format.eprintf "chaos: --jobs must be >= 1@.";
-      exit 2
-    end;
-    if live && jobs > 1 then
-      Format.eprintf
-        "chaos: note: --live forks node processes, so the sweep runs with \
-         --jobs 1@.";
-    let progress =
-      if verbose then fun s -> Format.eprintf "  %s@." s else fun _ -> ()
-    in
-    let sweep ?(progress = fun _ -> ()) jobs =
-      Chaos.sweep_results ~backend ~batching ~app ~retransmit:(not no_retransmit) ?n
-        ~seed_base ~seeds ~progress ~jobs ~stacks ~plans ()
-    in
-    let results = sweep ~progress jobs in
-    let cells = List.map fst results in
-    Chaos.report ~verbose Format.std_formatter cells;
-    if jobs_check then begin
+    let name = Chaos.backend_name backend in
+    if live && not (Cluster.supported ()) then Ok (no_sockets "chaos")
+    else begin
+      if live && jobs > 1 then
+        Format.eprintf
+          "chaos: note: --live forks node processes, so the sweep runs with \
+           --jobs 1@.";
+      let progress =
+        if verbose then fun s -> Format.eprintf "  %s@." s else fun _ -> ()
+      in
+      let sweep ?(progress = fun _ -> ()) jobs =
+        Chaos.sweep_results ~backend ~batching ~app ~retransmit:(not no_retransmit) ?n
+          ~seed_base ~seeds ~progress ~jobs ~stacks ~plans ()
+      in
+      let results = sweep ~progress jobs in
+      let cells = List.map fst results in
+      Chaos.report ~verbose Format.std_formatter cells;
+      let cell_count = List.length stacks * List.length plans in
       (* The jobs-determinism fence: the sweep above and one rerun at the
          other width (--jobs 1 against the requested width, at least 2)
          must agree on every run's fingerprint, not just on the failures
          the matrix shows. *)
-      let fingerprints =
-        List.concat_map (fun (_, rs) -> List.map (fun r -> r.Chaos.fingerprint) rs)
-      in
-      let wide = max jobs 2 in
-      if fingerprints results = fingerprints (sweep (if jobs = 1 then wide else 1)) then
-        Format.printf
-          "jobs check: %d run(s) fingerprint-identical at --jobs 1 and \
-           --jobs %d@."
-          (List.length stacks * List.length plans * seeds)
-          wide
-      else begin
-        Format.printf
-          "FAIL: jobs check — sweep fingerprints differ between --jobs 1 \
-           and --jobs %d@."
-          wide;
-        exit 1
-      end
-    end;
-    if replay_check then begin
-      if live then
-        Format.printf
-          "replay check: skipped — live scheduling is not deterministic \
-           (fault counters are; the sweep above already used them)@."
-      else
-        let mismatches =
-          Chaos.replay_check ~batching ~app ~retransmit:(not no_retransmit) ?n
-            ~seed_base ~jobs ~stacks ~plans ()
+      let jobs_fence () =
+        let fingerprints =
+          List.concat_map (fun (_, rs) -> List.map (fun r -> r.Chaos.fingerprint) rs)
         in
-        match mismatches with
-        | [] ->
-            Format.printf "replay check: %d cell(s) reran bit-identically@."
-              (List.length stacks * List.length plans)
-        | ms ->
-            Format.printf
-              "FAIL: replay check found nondeterminism — seeded reruns \
-               diverged:@.";
-            List.iter
-              (fun m -> Format.printf "  %a@." Chaos.pp_mismatch m)
-              ms;
-            exit 1
-    end;
-    if not (Chaos.blackout_reproduced cells) then begin
-      Format.printf
-        "FAIL: the ct-on-ids x blackout cell passed on the %s backend — \
-         the paper's S2.2 violation should always reproduce@."
-        (Chaos.backend_name backend);
-      exit 1
-    end;
-    if Chaos.indirect_clean cells then begin
-      Format.printf "indirect stacks clean over %d seeds (%s backend)@." seeds
-        (Chaos.backend_name backend);
-      if List.exists (fun c -> c.Chaos.failures <> []) cells then
-        Format.printf
-          "on-ids failures above are expected: that stack is the paper's \
-           counterexample@."
-    end
-    else begin
-      Format.printf "FAIL: an indirect stack violated its properties@.";
-      exit 1
+        let wide = max jobs 2 in
+        if fingerprints results = fingerprints (sweep (if jobs = 1 then wide else 1)) then
+          say ok "jobs check: %d run(s) fingerprint-identical at --jobs 1 and --jobs %d"
+            (cell_count * seeds) wide
+        else fail "jobs check — sweep fingerprints differ between --jobs 1 and --jobs %d" wide
+      in
+      let replay_fence () =
+        if live then
+          say ok
+            "replay check: skipped — live scheduling is not deterministic (fault \
+             counters are; the sweep above already used them)"
+        else
+          match
+            Chaos.replay_check ~batching ~app ~retransmit:(not no_retransmit) ?n
+              ~seed_base ~jobs ~stacks ~plans ()
+          with
+          | [] -> say ok "replay check: %d cell(s) reran bit-identically" cell_count
+          | ms ->
+              List.fold_left
+                (fun code m -> say code "  %a" Chaos.pp_mismatch m)
+                (fail "replay check found nondeterminism — seeded reruns diverged:")
+                ms
+      in
+      let blackout () =
+        if Chaos.blackout_reproduced cells then ok
+        else
+          fail
+            "the ct-on-ids x blackout cell passed on the %s backend — the paper's \
+             S2.2 violation should always reproduce"
+            name
+      in
+      let indirect_clean () =
+        if not (Chaos.indirect_clean cells) then fail "an indirect stack violated its properties"
+        else begin
+          Format.printf "indirect stacks clean over %d seeds (%s backend)@." seeds name;
+          if List.exists (fun c -> c.Chaos.failures <> []) cells then
+            say ok "on-ids failures above are expected: that stack is the paper's counterexample"
+          else ok
+        end
+      in
+      Ok
+        (first_failure
+           [
+             (jobs_check, jobs_fence);
+             (replay_check, replay_fence);
+             (true, blackout);
+             (true, indirect_clean);
+           ])
     end
   in
   let seeds =
@@ -453,25 +493,20 @@ let chaos_cmd =
              not just at the message level.")
   in
   let live =
-    Arg.(
-      value & flag
-      & info [ "live" ]
-          ~doc:
-            "Run each cell as a forked loopback-TCP cluster instead of a \
-             simulation: each node installs the same seeded plan through the \
-             same fault middleware as a simulated cell, and the merged trace \
-             goes through the same checker. \
-             Exit 77 when the environment cannot create loopback sockets.")
+    live_arg
+      ~doc:
+        "Run each cell as a forked loopback-TCP cluster instead of a \
+         simulation: each node installs the same seeded plan through the \
+         same fault middleware as a simulated cell, and the merged trace \
+         goes through the same checker."
   in
   let replay_check =
-    Arg.(
-      value & flag
-      & info [ "replay-check" ]
-          ~doc:
-            "After the sweep, rerun one seed per (stack, plan) cell twice \
-             and fail if the trace fingerprints differ — a determinism gate \
-             for the replay commands the sweep prints.  Simulation only; \
-             skipped (with a note) under $(b,--live).")
+    replay_check_arg
+      ~doc:
+        "After the sweep, rerun one seed per (stack, plan) cell twice \
+         and fail if the trace fingerprints differ — a determinism gate \
+         for the replay commands the sweep prints.  Simulation only; \
+         skipped (with a note) under $(b,--live)."
   in
   let jobs =
     Arg.(
@@ -493,28 +528,21 @@ let chaos_cmd =
              and fail unless every run's trace fingerprint is identical — \
              the determinism fence on the parallel sweep.  Simulation only.")
   in
-  let verbose =
-    Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Per-cell progress and every failing seed.")
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:"Seeded fault-injection sweep (stacks x fault plans x seeds), simulated or live")
+  command "chaos" ~codes:[ failed; skip ]
+    ~doc:"Seeded fault-injection sweep (stacks x fault plans x seeds), simulated or live"
     Term.(
       const exec $ seeds $ seed_base $ n $ stacks $ plans $ profile
       $ no_retransmit $ app_flag $ live $ replay_check $ jobs $ jobs_check
-      $ verbose)
+      $ verbose_arg ~doc:"Per-cell progress and every failing seed.")
 
 (* Live runtime: `cluster` forks a real loopback-TCP cluster and checks
    the merged delivery logs; `node` runs a single process of one (for
    driving a cluster by hand across terminals, or as the child of
    `cluster --exec`). *)
 
-module Node = Ics_runtime.Node
-module Cluster = Ics_runtime.Cluster
-module Trace_io = Ics_runtime.Trace_io
-
 let cluster_cmd =
   let exec profile keep_dir use_exec =
+    let* profile = profile in
     let spawn = if use_exec then `Exec Sys.executable_name else `Fork in
     let config =
       {
@@ -525,7 +553,7 @@ let cluster_cmd =
       }
     in
     match Cluster.run config with
-    | Error reason -> skip_live "cluster" reason
+    | Error reason -> Ok (skip_live "cluster" reason)
     | Ok o ->
         Format.printf "cluster: %s, %d msgs/node, %d B payloads over loopback TCP%s@."
           (Profile.describe profile) profile.Profile.count
@@ -548,7 +576,7 @@ let cluster_cmd =
           o.Cluster.linger_ms;
         if keep_dir then Format.printf "traces: %s@." o.Cluster.trace_dir;
         Format.printf "checker: %a@." Ics_checker.Checker.pp_verdict o.Cluster.verdict;
-        if not (Cluster.ok o) then exit 1
+        Ok (if Cluster.ok o then ok else failed)
   in
   let profile = profile_term Profile.default in
   let keep_dir =
@@ -563,89 +591,83 @@ let cluster_cmd =
              (configuration passed as flags) instead of forking — exercises \
              the Profile.to_args round-trip a hand-driven cluster uses.")
   in
-  Cmd.v
-    (Cmd.info "cluster"
-       ~doc:"Fork a live n-node cluster over loopback TCP and check the merged delivery logs"
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             ("Forks $(b,--n) real OS processes, each running the full protocol stack \
-              over the binary wire codec and a localhost TCP mesh. Every node \
-              A-broadcasts $(b,--count) messages; the run ends when all nodes have \
-              A-delivered everything (or at $(b,--timeout)). The per-node delivery \
-              logs are merged and replayed through the same checker the simulator \
-              uses. Exit status: 0 on success, 1 if the checker or a node failed, 2 \
-              on a bad profile value, 77 if the environment cannot create loopback \
-              sockets"
-              ^ exit_124);
-         ])
+  command "cluster" ~codes:[ failed; skip ]
+    ~doc:"Fork a live n-node cluster over loopback TCP and check the merged delivery logs"
+    ~man:
+      [
+        `S Manpage.s_description;
+        `P
+          "Forks $(b,--n) real OS processes, each running the full protocol stack \
+           over the binary wire codec and a localhost TCP mesh. Every node \
+           A-broadcasts $(b,--count) messages; the run ends when all nodes have \
+           A-delivered everything (or at $(b,--timeout)). The per-node delivery \
+           logs are merged and replayed through the same checker the simulator \
+           uses.";
+      ]
     Term.(const exec $ profile $ keep_dir $ use_exec)
 
 let node_cmd =
   let exec self ports profile epoch trace_out stats_out =
-    let ports =
+    let* profile = profile in
+    let* ports =
       comma_list ports
         ~parse:(fun s ->
           match int_of_string_opt s with Some p when p > 0 && p < 65536 -> Some p | _ -> None)
-        ~bad:(Printf.sprintf "node: bad port %s")
+        ~bad:(Printf.sprintf "--ports: bad port %s")
     in
     let n = List.length ports in
-    if n < 2 then begin
-      Format.eprintf "node: need at least two ports@.";
-      exit 2
-    end;
-    if self < 0 || self >= n then begin
-      Format.eprintf "node: --self %d out of range for %d ports@." self n;
-      exit 2
-    end;
+    let* () = check (n >= 2) "--ports: need at least two ports" in
+    let* () =
+      check (self >= 0 && self < n)
+        (Printf.sprintf "--self: %d out of range for %d ports" self n)
+    in
     let addrs =
       Array.of_list
         (List.map (fun p -> Unix.ADDR_INET (Unix.inet_addr_loopback, p)) ports)
     in
-    let listen =
-      match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
-      | exception Unix.Unix_error (e, _, _) ->
-          skip_live "node" ("cannot create sockets (" ^ Unix.error_message e ^ ")")
-      | fd -> (
-          Unix.setsockopt fd Unix.SO_REUSEADDR true;
-          match
-            Unix.bind fd addrs.(self);
-            Unix.listen fd 64
-          with
-          | () -> fd
-          | exception Unix.Unix_error (e, _, _) ->
-              Format.eprintf "node: cannot bind port %d: %s@." (List.nth ports self)
-                (Unix.error_message e);
-              exit 2)
+    let run listen =
+      (* lint: allow D2 — the live node's shared time origin defaults to the real clock by design *)
+      let epoch = match epoch with Some e -> e | None -> Unix.gettimeofday () in
+      let config =
+        {
+          Node.default_workload with
+          Node.self;
+          profile = { profile with Profile.n };
+        }
+      in
+      let r = Node.run ~epoch ~listen ~peer_addrs:addrs config in
+      (match trace_out with
+      | Some path ->
+          Trace_io.save path r.Node.trace ~keep:(fun e -> e.Ics_sim.Trace.pid = self)
+      | None -> ());
+      (match stats_out with
+      | Some path -> Trace_io.save_kv path (Node.result_kv r)
+      | None -> ());
+      Format.printf "node %d: %d/%d adelivered, %s@." self r.Node.delivered r.Node.expected
+        (if r.Node.clean_exit then "all nodes done" else "deadline hit");
+      let net = r.Node.net in
+      Format.printf
+        "net: %d frames out (%d B), %d frames in (%d B), %d decode errors, %d timer wakeups \
+         (oversleep %d us total, %d us max), left on %s after %.1f ms linger@."
+        net.frames_out net.bytes_out net.frames_in net.bytes_in net.decode_errors
+        net.timer_wakeups net.oversleep_us_sum net.oversleep_us_max
+        (Node.leave_to_string r.Node.leave) r.Node.linger_ms;
+      if r.Node.clean_exit then ok else deadline
     in
-    (* lint: allow D2 — the live node's shared time origin defaults to the real clock by design *)
-    let epoch = match epoch with Some e -> e | None -> Unix.gettimeofday () in
-    let config =
-      {
-        Node.default_workload with
-        Node.self;
-        profile = { profile with Profile.n };
-      }
-    in
-    let r = Node.run ~epoch ~listen ~peer_addrs:addrs config in
-    (match trace_out with
-    | Some path ->
-        Trace_io.save path r.Node.trace ~keep:(fun e -> e.Ics_sim.Trace.pid = self)
-    | None -> ());
-    (match stats_out with
-    | Some path -> Trace_io.save_kv path (Node.result_kv r)
-    | None -> ());
-    Format.printf "node %d: %d/%d adelivered, %s@." self r.Node.delivered r.Node.expected
-      (if r.Node.clean_exit then "all nodes done" else "deadline hit");
-    let net = r.Node.net in
-    Format.printf
-      "net: %d frames out (%d B), %d frames in (%d B), %d decode errors, %d timer wakeups \
-       (oversleep %d us total, %d us max), left on %s after %.1f ms linger@."
-      net.frames_out net.bytes_out net.frames_in net.bytes_in net.decode_errors
-      net.timer_wakeups net.oversleep_us_sum net.oversleep_us_max
-      (Node.leave_to_string r.Node.leave) r.Node.linger_ms;
-    if not r.Node.clean_exit then exit 10
+    match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
+    | exception Unix.Unix_error (e, _, _) ->
+        Ok (skip_live "node" ("cannot create sockets (" ^ Unix.error_message e ^ ")"))
+    | fd -> (
+        Unix.setsockopt fd Unix.SO_REUSEADDR true;
+        match
+          Unix.bind fd addrs.(self);
+          Unix.listen fd 64
+        with
+        | () -> Ok (run fd)
+        | exception Unix.Unix_error (e, _, _) ->
+            Error
+              (Printf.sprintf "cannot bind port %d: %s" (List.nth ports self)
+                 (Unix.error_message e)))
   in
   let self =
     Arg.(required & opt (some int) None & info [ "self" ] ~doc:"This node's index into the port list.")
@@ -680,65 +702,57 @@ let node_cmd =
       & info [ "stats-out" ] ~docv:"PATH"
           ~doc:"Write this node's fault/retransmission counters here on exit.")
   in
-  Cmd.v
-    (Cmd.info "node"
-       ~doc:"Run one live node of a cluster (for driving a cluster by hand)"
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             ("Runs a single process of an n-node stack over loopback TCP, dialing the \
-              peers in $(b,--ports). Start one in each terminal; they retry their \
-              dials briefly, so start order does not matter. The process count comes \
-              from the port list. Exit status: 0 when all nodes completed the \
-              workload, 10 on deadline, 2 on setup errors, 77 if the environment \
-              cannot create sockets"
-              ^ exit_124);
-         ])
+  command "node" ~codes:[ deadline; skip ]
+    ~doc:"Run one live node of a cluster (for driving a cluster by hand)"
+    ~man:
+      [
+        `S Manpage.s_description;
+        `P
+          "Runs a single process of an n-node stack over loopback TCP, dialing the \
+           peers in $(b,--ports). Start one in each terminal; they retry their \
+           dials briefly, so start order does not matter. The process count comes \
+           from the port list.";
+      ]
     Term.(const exec $ self $ ports $ profile $ epoch $ trace_out $ stats_out)
 
 (* `bench` command: the saturation sweep — offered-load points on the
    sim or live backend, each point correctness-gated by the full checker
    battery, knee reported at the end. *)
 
-module Saturation = Ics_workload.Saturation
-
 let bench_cmd =
   let exec profile offered live duration seed replay_check =
-    let loads =
+    let* profile = profile in
+    let* loads =
       comma_list offered
         ~parse:(fun s ->
           match float_of_string_opt s with
           | Some v when v > 0.0 && Float.is_finite v -> Some v
           | _ -> None)
-        ~bad:(Printf.sprintf "bench: bad offered load %s")
+        ~bad:(Printf.sprintf "--offered-load: %s is not a finite load > 0")
     in
-    if loads = [] then begin
-      Format.eprintf "bench: --offered-load is empty@.";
-      exit 2
-    end;
-    Format.printf
-      "saturation: %s dissemination=%s batch=%d pipeline=%d flush=%.1fms %s@."
-      (Profile.describe profile)
-      (Profile.broadcast_to_string profile.Profile.broadcast)
-      profile.Profile.batch profile.Profile.pipeline profile.Profile.flush_ms
-      (if live then "live" else "sim");
-    if replay_check then
-      report_replay ~what:"saturation"
-        (Run.replay (fun () -> Saturation.sim_fingerprint ~seed profile));
-    let duration_ms = duration *. 1000.0 in
-    let curve =
-      if live then begin
-        require_sockets "bench";
-        Saturation.live_curve ~seed ~duration_ms profile loads
-      end
-      else Saturation.sim_curve ~seed ~duration_ms profile loads
-    in
-    Format.printf "%a@." Saturation.pp_curve curve;
-    if List.exists (fun (p : Saturation.point) -> not p.Saturation.checker_ok) curve
-    then begin
-      Format.printf "FAIL: a point violated the checker battery@.";
-      exit 1
+    let* () = check (loads <> []) "--offered-load is empty" in
+    let* () = positive "--duration" duration in
+    if live && not (Cluster.supported ()) then Ok (no_sockets "bench")
+    else begin
+      Format.printf
+        "saturation: %s dissemination=%s batch=%d pipeline=%d flush=%.1fms %s@."
+        (Profile.describe profile)
+        (Profile.broadcast_to_string profile.Profile.broadcast)
+        profile.Profile.batch profile.Profile.pipeline profile.Profile.flush_ms
+        (if live then "live" else "sim");
+      let replay () =
+        report_replay ~what:"saturation"
+          (Run.replay (fun () -> Saturation.sim_fingerprint ~seed profile))
+      in
+      let sweep () =
+        let duration_ms = duration *. 1000.0 in
+        let curve_of = if live then Saturation.live_curve else Saturation.sim_curve in
+        let curve = curve_of ~seed ~duration_ms profile loads in
+        Format.printf "%a@." Saturation.pp_curve curve;
+        if List.for_all (fun (p : Saturation.point) -> p.Saturation.checker_ok) curve then ok
+        else fail "a point violated the checker battery"
+      in
+      Ok (first_failure [ (replay_check, replay); (true, sweep) ])
     end
   in
   let profile =
@@ -754,82 +768,72 @@ let bench_cmd =
           ~doc:"Comma-separated offered loads, msg/s cluster-wide.")
   in
   let live =
-    Arg.(
-      value & flag
-      & info [ "live" ]
-          ~doc:
-            "Run each point as a forked loopback-TCP cluster instead of a \
-             simulation. Exit 77 when the environment cannot create sockets.")
+    live_arg
+      ~doc:"Run each point as a forked loopback-TCP cluster instead of a simulation."
   in
   let duration =
     Arg.(value & opt float 2.0 & info [ "duration" ] ~doc:"Seconds of arrivals per point.")
   in
-  let seed = Arg.(value & opt int64 1L & info [ "seed" ] ~doc:"Run seed.") in
   let replay_check =
-    Arg.(
-      value & flag
-      & info [ "replay-check" ]
-          ~doc:
-            "First rerun one deterministic sim cell of this configuration \
-             twice and fail unless the trace fingerprints match — the \
-             determinism gate for the batched/pipelined/ring path.")
+    replay_check_arg
+      ~doc:
+        "First rerun one deterministic sim cell of this configuration \
+         twice and fail unless the trace fingerprints match — the \
+         determinism gate for the batched/pipelined/ring path."
   in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:"Offered-load saturation sweep (knee curve), simulated or live"
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             ("Runs the configured stack at each $(b,--offered-load) point with \
-              the full checker battery on, reports achieved throughput and \
-              latency percentiles per point, and prints the knee — the fastest \
-              point that is still checker-green and finished cleanly. Exit \
-              status: 0 on success (overloaded points are expected past the \
-              knee), 1 if any point fails the checker, 2 on a bad offered load \
-              or profile value, 77 if $(b,--live) has no socket support"
-              ^ exit_124);
-         ])
-    Term.(
-      const exec $ profile $ offered $ live $ duration $ seed $ replay_check)
+  command "bench" ~codes:[ failed; skip ]
+    ~doc:"Offered-load saturation sweep (knee curve), simulated or live"
+    ~man:
+      [
+        `S Manpage.s_description;
+        `P
+          "Runs the configured stack at each $(b,--offered-load) point with \
+           the full checker battery on, reports achieved throughput and \
+           latency percentiles per point, and prints the knee — the fastest \
+           point that is still checker-green and finished cleanly. \
+           Overloaded points past the knee are expected and do not fail the \
+           sweep.";
+      ]
+    Term.(const exec $ profile $ offered $ live $ duration $ seed_arg $ replay_check)
 
 (* `service` command: the closed-loop client plane — sessions submit to
    the replicated KV/ledger through the full stack, the point is judged
    by the abcast battery plus the application battery, and (with --live)
    the live cluster's final state hash must match the simulator's. *)
 
-module Service = Ics_workload.Service
-
 let service_cmd =
-  let exec (profile : Profile.t) seed live replay_check =
+  let exec profile seed live replay_check =
+    let* (profile : Profile.t) = profile in
     let n = profile.Profile.n
     and clients = profile.Profile.clients
     and requests = profile.Profile.requests
     and batching = Profile.batching profile in
-    if replay_check then
+    let clean (p : Service.point) = p.Service.checker_ok && p.Service.clean in
+    let replay () =
       report_replay ~what:"service"
-        (Run.replay (fun () -> Service.sim_fingerprint ~seed ~batching ~n ()));
-    let sim = Service.sim_point ~seed ~batching ~n ~clients ~requests () in
-    Format.printf "%a@." Service.pp_point sim;
-    let failed = ref (not (sim.Service.checker_ok && sim.Service.clean)) in
-    if live then begin
-      match Service.live_point ~seed ~batching ~n ~clients ~requests () with
+        (Run.replay (fun () -> Service.sim_fingerprint ~seed ~batching ~n ()))
+    in
+    let point () =
+      let sim = Service.sim_point ~seed ~batching ~n ~clients ~requests () in
+      Format.printf "%a@." Service.pp_point sim;
+      let live_clean =
+        if not live then Ok true
+        else
+          Service.live_point ~seed ~batching ~n ~clients ~requests ()
+          |> Result.map (fun lp ->
+                 Format.printf "%a@." Service.pp_point lp;
+                 let hash =
+                   if Service.hash_match sim lp then say ok "state hash: sim and live agree"
+                   else fail "sim and live disagree on the final state hash"
+                 in
+                 clean lp && hash = ok)
+      in
+      match live_clean with
       | Error reason -> skip_live "service" reason
-      | Ok lp ->
-          Format.printf "%a@." Service.pp_point lp;
-          if not (lp.Service.checker_ok && lp.Service.clean) then failed := true;
-          if Service.hash_match sim lp then
-            Format.printf "state hash: sim and live agree@."
-          else begin
-            Format.printf
-              "FAIL: sim and live disagree on the final state hash@.";
-            failed := true
-          end
-    end;
-    if !failed then begin
-      Format.printf "FAIL: a service point violated its battery@.";
-      exit 1
-    end
+      | Ok live_clean ->
+          if clean sim && live_clean then ok else fail "a service point violated its battery"
+    in
+    Ok (first_failure [ (replay_check, replay); (true, point) ])
   in
   let profile =
     profile_term
@@ -843,59 +847,50 @@ let service_cmd =
         flush_ms = 1.0;
       }
   in
-  let seed = Arg.(value & opt int64 1L & info [ "seed" ] ~doc:"Run seed.") in
   let live =
-    Arg.(
-      value & flag
-      & info [ "live" ]
-          ~doc:
-            "Also run the point as a forked loopback-TCP cluster and require \
-             its final state hash to match the simulator's, bit for bit. \
-             Exit 77 when the environment cannot create sockets.")
+    live_arg
+      ~doc:
+        "Also run the point as a forked loopback-TCP cluster and require \
+         its final state hash to match the simulator's, bit for bit."
   in
   let replay_check =
-    Arg.(
-      value & flag
-      & info [ "replay-check" ]
-          ~doc:
-            "First rerun one deterministic sim service cell twice and fail \
-             unless the trace fingerprints match.")
+    replay_check_arg
+      ~doc:
+        "First rerun one deterministic sim service cell twice and fail \
+         unless the trace fingerprints match."
   in
-  Cmd.v
-    (Cmd.info "service"
-       ~doc:"Closed-loop KV/ledger service point, checker- and hash-gated"
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             ("Runs $(b,--clients) closed-loop sessions of $(b,--requests) \
-              commands each against the replicated KV/ledger machine, on the \
-              simulator and (with $(b,--live)) on a real loopback cluster. \
-              Every point is gated by the full abcast checker battery plus \
-              the application battery (exactly-once, per-client order, \
-              state-hash agreement, progress); the live point must also \
-              reproduce the simulator's final state hash. Exit status: 0 on \
-              success, 1 on any checker/hash failure, 2 on a bad profile value, \
-              77 when $(b,--live) has no socket support"
-              ^ exit_124);
-         ])
-    Term.(const exec $ profile $ seed $ live $ replay_check)
+  command "service" ~codes:[ failed; skip ]
+    ~doc:"Closed-loop KV/ledger service point, checker- and hash-gated"
+    ~man:
+      [
+        `S Manpage.s_description;
+        `P
+          "Runs $(b,--clients) closed-loop sessions of $(b,--requests) \
+           commands each against the replicated KV/ledger machine, on the \
+           simulator and (with $(b,--live)) on a real loopback cluster. \
+           Every point is gated by the full abcast checker battery plus \
+           the application battery (exactly-once, per-client order, \
+           state-hash agreement, progress); the live point must also \
+           reproduce the simulator's final state hash.";
+      ]
+    Term.(const exec $ profile $ seed_arg $ live $ replay_check)
 
 let list_cmd =
   let exec () =
     List.iter
       (fun (e : Figures.entry) -> Format.printf "%-11s %s@." e.Figures.name e.Figures.caption)
-      Figures.registry
+      Figures.registry;
+    Ok ok
   in
-  Cmd.v
-    (Cmd.info "list" ~doc:"List the tables $(b,figure) can regenerate")
-    Term.(const exec $ const ())
+  command "list" ~doc:"List the tables $(b,figure) can regenerate" Term.(const exec $ const ())
 
 let () =
   let doc = "Atomic broadcast with indirect consensus (Ekwall & Schiper, DSN 2006) simulator" in
-  let info = Cmd.info "ics-cli" ~version:"1.0.0" ~doc in
+  let info =
+    Cmd.info "ics-cli" ~version:"1.0.0" ~doc ~exits:(exits [ failed; deadline; skip ])
+  in
   exit
-    (Cmd.eval
+    (Cmd.eval'
        (Cmd.group info
           [
             run_cmd;

@@ -1,5 +1,4 @@
 module Stack = Ics_core.Stack
-module Abcast = Ics_core.Abcast
 module Stats = Ics_prelude.Stats
 
 type verdict = { id : string; statement : string; holds : bool; detail : string }
@@ -9,19 +8,10 @@ let pp_verdict ppf v =
     (if v.holds then "PASS" else "FAIL")
     v.id v.statement v.detail
 
-(* One measured latency point.  Durations follow Figures.load_for so claim
-   numbers line up with the figure tables. *)
+(* One measured latency point, on the load the non-panel tables use. *)
 let latency ?(quick = false) ~seed config ~tput ~size =
-  let scale = if quick then 0.25 else 1.0 in
-  let measure = scale *. Float.max 3000.0 (300_000.0 /. tput) in
-  let load =
-    {
-      Experiment.throughput = tput;
-      body_bytes = size;
-      duration = 500.0 +. measure;
-      warmup = 500.0;
-    }
-  in
+  let measure_ms = Float.max 3000.0 (300_000.0 /. tput) in
+  let load = Figures.study_load ~quick ~tput ~size ~measure_ms in
   (Experiment.run ~seed config load).Experiment.latency.Stats.mean
 
 let verify ?(quick = false) ?(seed = 1L) () =
@@ -135,33 +125,12 @@ let verify ?(quick = false) ?(seed = 1L) () =
     (Printf.sprintf "naive: %d violation(s); indirect MR: clean"
        (List.length naive.Scenarios.verdict.Ics_checker.Checker.violations));
 
-  (* Section 3.3.3: the resilience boundary of indirect MR. *)
-  let mr_survivors ~n ~f =
-    let config =
-      {
-        Stack.default_config with
-        Stack.n;
-        algo = Stack.Mr;
-        setup = Stack.Ideal_lan { delay = 1.0; jitter = 0.1 };
-        fd_kind = Stack.Oracle 10.0;
-      }
-    in
-    let stack = Stack.create config in
-    let engine = stack.Stack.engine in
-    for c = 0 to f - 1 do
-      Ics_sim.Engine.crash_at engine (n - 1 - c) ~at:1.0
-    done;
-    Ics_sim.Engine.schedule engine ~at:30.0 (fun () ->
-        ignore (Stack.abroadcast stack ~src:0 ~body_bytes:8));
-    Stack.run ~until:2_000.0 ~max_events:2_000_000 stack;
-    List.length (Abcast.delivered_sequence stack.Stack.abcast 0)
-  in
+  (* Section 3.3.3: the resilience boundary of indirect MR, read off four
+     of abl-quorum's rows. *)
+  let delivered n f = Figures.mr_delivered ~seed ~n ~f in
   claim "s3.3.3.resilience-boundary"
     "indirect MR is live exactly below f < n/3 (blocks at n=3/f=1, lives at n=4/f=1)"
-    (mr_survivors ~n:3 ~f:1 = 0
-    && mr_survivors ~n:4 ~f:1 = 1
-    && mr_survivors ~n:7 ~f:2 = 1
-    && mr_survivors ~n:7 ~f:3 = 0)
+    (delivered 3 1 = 0 && delivered 4 1 = 1 && delivered 7 2 = 1 && delivered 7 3 = 0)
     "n=3/f=1: blocked; n=4/f=1 and n=7/f=2: delivered; n=7/f=3: blocked";
 
   List.rev !verdicts

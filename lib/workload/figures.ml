@@ -287,6 +287,31 @@ let abl_network =
        switch carries the same load — the contention model, isolated.";
   }
 
+(* How many messages process 0 A-delivers when the last [f] of [n]
+   MR-indirect processes crash at 1 ms and it A-broadcasts once the
+   crashes have settled (ideal LAN, oracle detector): 1 is live, 0
+   blocked. *)
+let mr_delivered ~seed ~n ~f =
+  let stack =
+    Stack.create
+      {
+        Stack.default_config with
+        Stack.n;
+        seed;
+        algo = Stack.Mr;
+        setup = Stack.Ideal_lan { delay = 1.0; jitter = 0.1 };
+        fd_kind = Stack.Oracle 10.0;
+      }
+  in
+  let engine = stack.Stack.engine in
+  for c = 0 to f - 1 do
+    Ics_sim.Engine.crash_at engine (n - 1 - c) ~at:1.0
+  done;
+  Ics_sim.Engine.schedule engine ~at:40.0 (fun () ->
+      ignore (Stack.abroadcast stack ~src:0 ~body_bytes:16));
+  Stack.run ~until:3_000.0 ~max_events:3_000_000 stack;
+  List.length (Abcast.delivered_sequence stack.Stack.abcast 0)
+
 (* abl-quorum: MR-indirect's resilience boundary f < n/3, measured.  For
    each n, f processes crash and the row reports whether atomic broadcast
    still terminates for the survivors. *)
@@ -300,32 +325,12 @@ let abl_quorum =
     (fun ~quick:_ ~seed ->
       List.map
         (fun (n, f) ->
-          let stack =
-            Stack.create
-              {
-                Stack.default_config with
-                Stack.n;
-                seed;
-                algo = Stack.Mr;
-                setup = Stack.Ideal_lan { delay = 1.0; jitter = 0.1 };
-                fd_kind = Stack.Oracle 10.0;
-              }
-          in
-          let engine = stack.Stack.engine in
-          for c = 0 to f - 1 do
-            Ics_sim.Engine.crash_at engine (n - 1 - c) ~at:1.0
-          done;
-          (* Survivors broadcast after the crashes have settled. *)
-          Ics_sim.Engine.schedule engine ~at:40.0 (fun () ->
-              ignore (Stack.abroadcast stack ~src:0 ~body_bytes:16));
-          Stack.run ~until:3_000.0 ~max_events:3_000_000 stack;
           [
             string_of_int n;
             string_of_int (Ics_consensus.Quorum.two_thirds ~n);
             string_of_int f;
             string_of_bool (f <= Ics_consensus.Quorum.max_faults_two_thirds ~n);
-            string_of_int
-              (List.length (Abcast.delivered_sequence stack.Stack.abcast 0));
+            string_of_int (mr_delivered ~seed ~n ~f);
           ])
         [ (3, 0); (3, 1); (4, 1); (5, 1); (5, 2); (6, 1); (6, 2); (7, 2); (7, 3) ])
 

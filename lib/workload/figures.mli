@@ -50,6 +50,17 @@ val load_for : ?quick:bool -> t -> x:float -> Experiment.load
 (** The load a given x-value maps to (durations auto-scale so that slow
     sweeps still collect enough samples). *)
 
+val study_load :
+  quick:bool -> tput:float -> size:int -> measure_ms:float -> Experiment.load
+(** [tput] msg/s of [size]-byte payloads: a fixed 500 ms warmup, then
+    [measure_ms] of measured arrivals ([quick] quarters them).  The load
+    of the tables below that are not panels, and of {!Claims}. *)
+
+val mr_delivered : seed:int64 -> n:int -> f:int -> int
+(** abl-quorum's cell: how many messages process 0 A-delivers when the
+    last [f] of [n] MR-indirect processes crash and it then A-broadcasts
+    one (1 live, 0 blocked). *)
+
 (** {1 Every table of the evaluation}
 
     The paper's panels, then the ablations and extensions that DESIGN.md

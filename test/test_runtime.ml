@@ -317,7 +317,51 @@ let test_cli_live_jobs_check_rejected () =
   in
   checki "exit code" 2 code;
   Alcotest.(check string) "no sweep output" "" out;
-  Alcotest.(check string) "message" "chaos: --jobs-check needs the sim backend\n" err
+  Alcotest.(check string) "message" "ics-cli: --jobs-check needs the sim backend\n" err
+
+(* The codes a plain man page lists under EXIT STATUS: its item lines are
+   indented seven spaces and start with the code. *)
+let listed_exit_codes page =
+  let rec after_heading = function
+    | [] -> []
+    | "EXIT STATUS" :: rest -> rest
+    | _ :: rest -> after_heading rest
+  in
+  let rec items = function
+    | [] -> []
+    | line :: _ when line <> "" && line.[0] <> ' ' -> []
+    | line :: rest -> (
+        let item =
+          if String.length line > 7 && String.sub line 0 7 = "       " && line.[7] <> ' '
+          then int_of_string_opt (List.hd (String.split_on_char ' ' (String.trim line)))
+          else None
+        in
+        match item with Some code -> code :: items rest | None -> items rest)
+  in
+  items (after_heading (String.split_on_char '\n' page))
+
+(* Every command's man page lists its exit codes, rendered from the CLI's
+   one table: 0, 2, 124 and 125 everywhere, 1 where a check can fail, 77
+   where a live run needs sockets, 10 for a node's deadline. *)
+let test_cli_man_exit_status () =
+  List.iter
+    (fun (cmd, codes) ->
+      let code, out, _ = run_cli [ cmd; "--help=plain" ] in
+      checki (cmd ^ " --help exit code") 0 code;
+      Alcotest.(check (list int)) (cmd ^ " EXIT STATUS") codes (listed_exit_codes out))
+    [
+      ("run", [ 0; 1; 2; 124; 125 ]);
+      ("figure", [ 0; 2; 124; 125 ]);
+      ("claims", [ 0; 1; 2; 124; 125 ]);
+      ("violation", [ 0; 2; 124; 125 ]);
+      ("chaos", [ 0; 1; 2; 77; 124; 125 ]);
+      ("trace", [ 0; 2; 124; 125 ]);
+      ("cluster", [ 0; 1; 2; 77; 124; 125 ]);
+      ("node", [ 0; 2; 10; 77; 124; 125 ]);
+      ("bench", [ 0; 1; 2; 77; 124; 125 ]);
+      ("service", [ 0; 1; 2; 77; 124; 125 ]);
+      ("list", [ 0; 2; 124; 125 ]);
+    ]
 
 (* The replay command a failing chaos run prints must rerun that very
    cell: fed back to the CLI with --verbose, the rerun's own failure
@@ -348,6 +392,8 @@ let suites =
       [
         Alcotest.test_case "chaos --live --jobs-check exits 2 up front" `Quick
           test_cli_live_jobs_check_rejected;
+        Alcotest.test_case "every man page lists its exit codes" `Quick
+          test_cli_man_exit_status;
         Alcotest.test_case "chaos replay hint reruns its cell" `Quick
           test_cli_chaos_replay_hint_round_trips;
       ] );
