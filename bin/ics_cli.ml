@@ -77,6 +77,29 @@ let at_least lo flag v =
 let positive flag v =
   check (v > 0.0 && Float.is_finite v) (Printf.sprintf "%s: %g is not a finite number > 0" flag v)
 
+(* The most abroadcasts, load x duration, that one [run] or [bench] point
+   may schedule; [work_cap_man] states the measured rate behind it. *)
+let max_abroadcasts = 1e6
+
+let bounded_work flag load duration =
+  let count = load *. duration in
+  check (count <= max_abroadcasts)
+    (Printf.sprintf "%s x --duration: %.3g abroadcasts exceeds the cap of %.0f per point"
+       flag count max_abroadcasts)
+
+let work_cap_man =
+  [
+    `S "WORK CAP";
+    `P
+      (Printf.sprintf
+         "A point whose load times $(b,--duration) exceeds %.0f abroadcasts is a \
+          usage error (exit 2), found before any run. The simulator runs about \
+          2.4 M events/s on a 2-vCPU host (n = 3, flood, CT indirect: 37 events \
+          per abroadcast), so a point at the cap is about 16 s of simulation \
+          there; more processes cost more events per abroadcast."
+         max_abroadcasts);
+  ]
+
 (* The first failing gate's code, the later gates unrun; a gate whose
    flag is off is skipped. *)
 let first_failure gates =
@@ -167,6 +190,7 @@ let run_cmd =
     let* profile = profile in
     let* () = positive "--throughput" tput in
     let* () = positive "--duration" duration in
+    let* () = bounded_work "--throughput" tput duration in
     let config = { (Stack.config_of_profile profile) with Stack.setup; seed } in
     let size = profile.Profile.body_bytes in
     let load =
@@ -226,7 +250,8 @@ let run_cmd =
   let check =
     Arg.(value & flag & info [ "check" ] ~doc:"Validate the trace against the formal properties.")
   in
-  command "run" ~codes:[ failed ] ~doc:"Run one atomic-broadcast configuration under a synthetic load"
+  command "run" ~codes:[ failed ] ~man:work_cap_man
+    ~doc:"Run one atomic-broadcast configuration under a synthetic load"
     Term.(const exec $ profile $ setup $ tput $ duration $ seed_arg $ check)
 
 (* `figure` command: regenerate one table of the evaluation (or all). *)
@@ -271,15 +296,15 @@ let figure_cmd =
 (* `claims` command: the paper's conclusions, machine-checked. *)
 
 let claims_cmd =
-  let exec quick =
-    let verdicts = Ics_workload.Claims.verify ~quick () in
+  let exec quick seed =
+    let verdicts = Ics_workload.Claims.verify ~quick ~seed () in
     List.iter (Format.printf "%a@." Ics_workload.Claims.pp_verdict) verdicts;
     let holding = List.length (List.filter (fun v -> v.Ics_workload.Claims.holds) verdicts) in
     Format.printf "@.%d/%d claims hold.@." holding (List.length verdicts);
     Ok (if holding < List.length verdicts then failed else ok)
   in
   command "claims" ~codes:[ failed ] ~doc:"Check the paper's shape claims"
-    Term.(const exec $ quick_arg)
+    Term.(const exec $ quick_arg $ seed_arg)
 
 (* `violation` command: the adversarial scenarios. *)
 
@@ -732,6 +757,7 @@ let bench_cmd =
     in
     let* () = check (loads <> []) "--offered-load is empty" in
     let* () = positive "--duration" duration in
+    let* () = bounded_work "--offered-load" (List.fold_left Float.max 0.0 loads) duration in
     if live && not (Cluster.supported ()) then Ok (no_sockets "bench")
     else begin
       Format.printf
@@ -784,7 +810,7 @@ let bench_cmd =
   command "bench" ~codes:[ failed; skip ]
     ~doc:"Offered-load saturation sweep (knee curve), simulated or live"
     ~man:
-      [
+      ([
         `S Manpage.s_description;
         `P
           "Runs the configured stack at each $(b,--offered-load) point with \
@@ -794,6 +820,7 @@ let bench_cmd =
            Overloaded points past the knee are expected and do not fail the \
            sweep.";
       ]
+      @ work_cap_man)
     Term.(const exec $ profile $ offered $ live $ duration $ seed_arg $ replay_check)
 
 (* `service` command: the closed-loop client plane — sessions submit to

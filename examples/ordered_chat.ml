@@ -107,7 +107,9 @@ let run_abcast () =
 let () =
   Format.printf "One causal chain, three broadcast guarantees (site 2 has a slow link)@.@.";
   run_broadcast "plain reliable broadcast — answer can precede question at site 2"
-    (fun transport ~deliver -> Rb_flood.create transport ~deliver);
+    (fun transport ~deliver ->
+      let fd = Ics_fd.Failure_detector.(Control.fd (manual (Transport.engine transport))) in
+      Rb_flood.create transport ~fd ~deliver);
   run_broadcast "causal broadcast — the question always comes first"
     (fun transport ~deliver -> Causal.create transport ~deliver);
   run_abcast ();

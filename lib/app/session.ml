@@ -69,9 +69,12 @@ let all_done t = t.completed = Array.length t.sessions
 
 let rec submit_now t s =
   let proposer = (t.home + s.attempt) mod t.n in
-  if s.attempt = 0 then t.host.record_submit ~client:s.client ~req:s.inflight;
-  t.host.submit ~proposer ~client:s.client ~req:s.inflight;
-  arm_retry t s s.inflight
+  (* Read [req] first: at n = 1 the command applies inside [submit], and
+     [inflight] has moved on by the time it returns. *)
+  let req = s.inflight in
+  if s.attempt = 0 then t.host.record_submit ~client:s.client ~req;
+  t.host.submit ~proposer ~client:s.client ~req;
+  arm_retry t s req
 
 and arm_retry t s req =
   (* Linear backoff: the k-th retry waits (k+1) windows, so a congested

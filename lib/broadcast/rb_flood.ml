@@ -5,6 +5,7 @@ module Transport = Ics_net.Transport
 module Message = Ics_net.Message
 module Msg_id = Ics_net.Msg_id
 module App_msg = Ics_net.App_msg
+module Failure_detector = Ics_fd.Failure_detector
 
 type Message.payload += Data of App_msg.t
 
@@ -21,7 +22,7 @@ let register_codec () =
 
 type proc_state = { delivered : unit Msg_id.Table.t }
 
-let create transport ~deliver =
+let create transport ~fd ~deliver =
   let engine = Transport.engine transport in
   let layer = Transport.intern transport layer in
   let n = Transport.n transport in
@@ -35,28 +36,35 @@ let create transport ~deliver =
       deliver p m
     end
   in
+  (* Suspected processes last: a live peer's copy never waits on the CPU
+     behind a copy for a process that may be dead. *)
+  let multicast p dsts (m : App_msg.t) =
+    Transport.multicast transport ~src:p
+      ~dsts:(Failure_detector.suspected_last fd ~by:p dsts)
+      ~layer ~body_bytes:(App_msg.rb_body_bytes m) (Data m)
+  in
   let relay p (m : App_msg.t) =
     let origin = App_msg.origin m in
-    let dsts = List.filter (fun q -> not (Pid.equal q origin)) (Pid.others ~n p) in
-    Transport.multicast transport ~src:p ~dsts ~layer ~body_bytes:(App_msg.rb_body_bytes m)
-      (Data m)
+    multicast p (List.filter (fun q -> not (Pid.equal q origin)) (Pid.others ~n p)) m
   in
   List.iter
     (fun p ->
       Transport.register transport p ~layer (fun msg ->
           match msg.Message.payload with
           | Data m ->
-              if not (holds p m.App_msg.id) then begin
-                relay p m;
-                deliver_local p m
-              end
+              (* The relays are held: what delivery sends to the origin
+                 leaves first, and each relay still precedes, on its own
+                 link, anything the delivery triggers. *)
+              if not (holds p m.App_msg.id) then
+                Transport.hold transport p
+                  ~held:(fun () -> relay p m)
+                  (fun () -> deliver_local p m)
           | _ -> ()))
     (Pid.all ~n);
   let broadcast ~src (m : App_msg.t) =
     if Engine.is_alive engine src then begin
       Engine.record engine src (Trace.Rbroadcast m.id);
-      Transport.send_to_others transport ~src ~layer ~body_bytes:(App_msg.rb_body_bytes m)
-        (Data m);
+      multicast src (Pid.others ~n src) m;
       deliver_local src m
     end
   in

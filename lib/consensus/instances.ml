@@ -132,18 +132,13 @@ let ship t p q =
       in
       send ~body_bytes (Bundle payloads)
 
-(* Destinations leave in the order they were first queued, except that
-   those [p] suspects go after every other: a live peer's frame does not
-   wait on the CPU behind bytes for a process that may be dead. *)
+(* Destinations leave in the order they were first queued, those [p]
+   suspects after every other. *)
 let flush t p =
   let o = t.outbox.(p) in
   let order = List.rev o.order in
   o.order <- [];
-  let trusted, suspected =
-    List.partition (fun q -> not (Failure_detector.is_suspected t.fd ~by:p q)) order
-  in
-  List.iter (ship t p) trusted;
-  List.iter (ship t p) suspected
+  List.iter (ship t p) (Failure_detector.suspected_last t.fd ~by:p order)
 
 let step t p f =
   let o = t.outbox.(p) in

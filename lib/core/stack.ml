@@ -88,7 +88,7 @@ let assemble transport ~fd ~profile ~on_deliver =
   Codecs.ensure ();
   let make_broadcast ~deliver =
     match profile.Profile.broadcast with
-    | Flood -> Rb_flood.create transport ~deliver
+    | Flood -> Rb_flood.create transport ~fd ~deliver
     | Fd_relay -> Rb_fd.create transport ~fd ~deliver
     | Uniform -> Urb.create transport ~deliver
     | Ring -> Ics_broadcast.Rb_ring.create transport ~deliver

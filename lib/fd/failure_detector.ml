@@ -27,6 +27,10 @@ let stop t = t.stopped <- true
 
 let is_suspected t ~by target = t.suspected.(by).(target)
 
+let suspected_last t ~by dsts =
+  let trusted, suspected = List.partition (fun q -> not t.suspected.(by).(q)) dsts in
+  match suspected with [] -> dsts | _ -> trusted @ suspected
+
 let on_suspect t ~observer f =
   t.suspect_subs.(observer) <- t.suspect_subs.(observer) @ [ f ]
 

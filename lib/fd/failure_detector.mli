@@ -27,6 +27,12 @@ type t
 val is_suspected : t -> by:Pid.t -> Pid.t -> bool
 (** Does observer [by] currently suspect the target? *)
 
+val suspected_last : t -> by:Pid.t -> Pid.t list -> Pid.t list
+(** The list with the processes [by] suspects moved behind the others,
+    each part in its given order: the order a process sends to when a
+    live peer's copy must not wait on the CPU behind bytes for a
+    process that may be dead. *)
+
 val on_suspect : t -> observer:Pid.t -> (Pid.t -> unit) -> unit
 (** Persistent subscription: the callback fires each time [observer] starts
     suspecting some process.  Multiple subscribers are all notified, in

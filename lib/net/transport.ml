@@ -17,6 +17,16 @@ type backend =
   | Sim of { model : Model.t; cpus : Resource.t array }
   | Ext of { self : Pid.t; emit : Message.t -> unit }
 
+(* One process's open {!hold}: nesting depth, whether the [held] part is
+   running, and the frames waiting for the step's end, by destination
+   (latest first), with the destinations in the order first held. *)
+type hold = {
+  mutable depth : int;
+  mutable holding : bool;
+  mutable order : Pid.t list;  (* latest first *)
+  waiting : Message.t list array;  (* by destination, latest first *)
+}
+
 type t = {
   engine : Engine.t;
   host : Host.t;
@@ -38,6 +48,7 @@ type t = {
   mutable sent_bytes : int;
   mutable per_layer_msgs : int array;  (* by layer id *)
   mutable per_layer_bytes : int array;
+  holds : hold array;  (* by process *)
 }
 
 let make engine ~host ~backend =
@@ -56,6 +67,9 @@ let make engine ~host ~backend =
     sent_bytes = 0;
     per_layer_msgs = [||];
     per_layer_bytes = [||];
+    holds =
+      Array.init (Engine.n engine) (fun _ ->
+          { depth = 0; holding = false; order = []; waiting = Array.make (Engine.n engine) [] });
   }
 
 let self t = match t.backend with Ext { self; _ } -> Some self | Sim _ -> None
@@ -165,6 +179,41 @@ let account t ~id ~wire =
   t.per_layer_msgs.(id) <- t.per_layer_msgs.(id) + 1;
   t.per_layer_bytes.(id) <- t.per_layer_bytes.(id) + wire
 
+(* One frame onto [src]'s CPU (sim) or into the runtime (live). *)
+let transmit t (msg : Message.t) =
+  let src = msg.src and dst = msg.dst in
+  let id = Layer.id msg.layer in
+  match t.backend with
+  | Sim { model = _; cpus } ->
+      let wire = Message.wire_size msg in
+      account t ~id ~wire;
+      if Pid.equal src dst then begin
+        let done_at =
+          Resource.reserve cpus.(src) ~now:(Engine.now t.engine)
+            ~service:t.host.Host.local_delivery
+        in
+        Engine.schedule t.engine ~at:done_at (fun () -> dispatch t msg)
+      end
+      else begin
+        let service = Host.send_cost t.host ~wire_bytes:wire in
+        let cpu_done = Resource.reserve cpus.(src) ~now:(Engine.now t.engine) ~service in
+        Engine.schedule t.engine ~at:cpu_done (fun () ->
+            (* A crash between the send call and the end of serialization kills
+               the message before it reaches the wire. *)
+            if Engine.is_alive t.engine src then t.wire msg)
+      end
+  | Ext { self; emit = _ } ->
+      (* The protocol layers instantiate state for all [n] pids, but a
+         live node embodies exactly one of them: sends attempted on a
+         foreign pid's behalf (e.g. its heartbeat loop) go nowhere. *)
+      if Pid.equal src self then begin
+        account t ~id ~wire:(Message.wire_size msg);
+        if Pid.equal dst self then
+          Engine.schedule t.engine ~at:(Engine.now t.engine) (fun () ->
+              dispatch t msg)
+        else t.wire msg
+      end
+
 let send t ~src ~dst ~layer ~body_bytes payload =
   if Engine.is_alive t.engine src then begin
     let id = resolve t layer in
@@ -172,36 +221,37 @@ let send t ~src ~dst ~layer ~body_bytes payload =
     let msg =
       { Message.src; dst; layer; payload; body_bytes; sent_at = Engine.now t.engine }
     in
-    match t.backend with
-    | Sim { model = _; cpus } ->
-        let wire = Message.wire_size msg in
-        account t ~id ~wire;
-        if Pid.equal src dst then begin
-          let done_at =
-            Resource.reserve cpus.(src) ~now:(Engine.now t.engine)
-              ~service:t.host.Host.local_delivery
-          in
-          Engine.schedule t.engine ~at:done_at (fun () -> dispatch t msg)
-        end
-        else begin
-          let service = Host.send_cost t.host ~wire_bytes:wire in
-          let cpu_done = Resource.reserve cpus.(src) ~now:(Engine.now t.engine) ~service in
-          Engine.schedule t.engine ~at:cpu_done (fun () ->
-              (* A crash between the send call and the end of serialization kills
-                 the message before it reaches the wire. *)
-              if Engine.is_alive t.engine src then t.wire msg)
-        end
-    | Ext { self; emit = _ } ->
-        (* The protocol layers instantiate state for all [n] pids, but a
-           live node embodies exactly one of them: sends attempted on a
-           foreign pid's behalf (e.g. its heartbeat loop) go nowhere. *)
-        if Pid.equal src self then begin
-          account t ~id ~wire:(Message.wire_size msg);
-          if Pid.equal dst self then
-            Engine.schedule t.engine ~at:(Engine.now t.engine) (fun () ->
-                dispatch t msg)
-          else t.wire msg
-        end
+    let h = t.holds.(src) in
+    if h.depth = 0 then transmit t msg
+    else
+      (* A held frame waits for the step's end, and so does every later
+         frame to its destination: each link keeps its call order. *)
+      match h.waiting.(dst) with
+      | [] when not h.holding -> transmit t msg
+      | [] ->
+          h.order <- dst :: h.order;
+          h.waiting.(dst) <- [ msg ]
+      | queued -> h.waiting.(dst) <- msg :: queued
+  end
+
+let hold t p ~held f =
+  let h = t.holds.(p) in
+  let outer = h.holding in
+  h.depth <- h.depth + 1;
+  h.holding <- true;
+  held ();
+  h.holding <- outer;
+  f ();
+  h.depth <- h.depth - 1;
+  if h.depth = 0 then begin
+    let order = List.rev h.order in
+    h.order <- [];
+    List.iter
+      (fun dst ->
+        let frames = List.rev h.waiting.(dst) in
+        h.waiting.(dst) <- [];
+        if Engine.is_alive t.engine p then List.iter (transmit t) frames)
+      order
   end
 
 let multicast t ~src ~dsts ~layer ~body_bytes payload =

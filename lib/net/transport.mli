@@ -89,6 +89,16 @@ val send :
   t -> src:Pid.t -> dst:Pid.t -> layer:Layer.t -> body_bytes:int -> Message.payload -> unit
 (** Send one message.  No-op if [src] has crashed. *)
 
+val hold : t -> Pid.t -> held:(unit -> unit) -> (unit -> unit) -> unit
+(** [hold t p ~held f] runs [held ()] then [f ()], as one step of [p].
+    The frames [held] sends from [p] are {e held}: they leave when [f]
+    returns, after the frames [f] sends to other destinations.  A later
+    frame to a held frame's destination waits behind it, so each link
+    carries its frames in call order, and only the order across links
+    changes; held destinations leave in the order first held.  Holds
+    nest: frames wait for the outermost hold at [p] to return.  Frames
+    held at a process that crashes meanwhile never leave. *)
+
 val multicast :
   t ->
   src:Pid.t ->

@@ -121,8 +121,24 @@ let run_seeds ?(check = false) ~seeds config load =
         quiescent = List.for_all (fun r -> r.quiescent) results;
         wall_clock = (List.hd (List.rev results)).wall_clock;
         events = List.fold_left (fun a r -> a + r.events) 0 results;
-        utilization = first.utilization;
-        per_layer = first.per_layer;
+        utilization =
+          List.map
+            (fun (name, _) ->
+              let busy r = Option.value ~default:0.0 (List.assoc_opt name r.utilization) in
+              let total = List.fold_left (fun a r -> a +. busy r) 0.0 results in
+              (name, total /. float_of_int (List.length results)))
+            first.utilization;
+        per_layer =
+          List.concat_map (fun r -> r.per_layer) results
+          |> List.stable_sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+          |> List.fold_left
+               (fun acc (name, msgs, bytes) ->
+                 match acc with
+                 | (prev, m, b) :: rest when String.equal prev name ->
+                     (name, m + msgs, b + bytes) :: rest
+                 | _ -> (name, msgs, bytes) :: acc)
+               []
+          |> List.rev;
         consensus =
           List.map
             (fun (k, _) ->

@@ -49,4 +49,6 @@ val run :
 
 val run_seeds : ?check:bool -> seeds:int64 list -> Stack.config -> load -> result
 (** Like {!run} but pooling latency samples over several seeds; counts are
-    summed, [quiescent] is the conjunction, and the verdict is the merge. *)
+    summed ([per_layer] layer by layer), [utilization] is each resource's
+    mean over the seeds, [quiescent] is the conjunction, and the verdict
+    is the merge. *)

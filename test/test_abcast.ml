@@ -200,6 +200,59 @@ let qcheck_lb_indirect =
   qcheck_stack_properties ~name:"abcast[lb-indirect+flood] safe under random crashes"
     ~algo:Stack.Lb ~ordering:Abcast.Indirect_consensus ~broadcast:Stack.Flood
 
+(* Flood's send order on the paper's stack (n = 3, Setup 1, CT indirect,
+   200 ms oracle): p1 abroadcasts at 1 ms, so p0, the round-1
+   coordinator, receives the payload, relays it to p2 and proposes.
+   Returns each process's adelivery times and every frame in the order it
+   reached the network. *)
+let flood_setup1 ?crash () =
+  let engine = Engine.create ~n:3 () in
+  let adelivered = Array.make 3 [] in
+  let on_deliver p _ = adelivered.(p) <- Engine.now engine :: adelivered.(p) in
+  let stack = Stack.create ~engine ~on_deliver Stack.default_config in
+  let wire = ref [] in
+  Ics_net.Transport.interpose stack.Stack.transport (fun next msg ->
+      wire := msg :: !wire;
+      next msg);
+  Engine.schedule engine ~at:1.0 (fun () ->
+      ignore (Stack.abroadcast stack ~src:1 ~body_bytes:100));
+  Option.iter (fun at -> Engine.crash_at engine 1 ~at) crash;
+  Stack.run ~until:1_000.0 stack;
+  (adelivered, List.rev !wire)
+
+let frames_from src wire =
+  List.filter_map
+    (fun (m : Ics_net.Message.t) ->
+      if m.src = src then Some (Ics_net.Layer.name m.layer, m.dst) else None)
+    wire
+
+(* The coordinator's proposal to the origin leaves before its relay, and
+   on the link to p2 the relay still precedes the proposal. *)
+let test_flood_coordinator_order () =
+  let _, wire = flood_setup1 () in
+  let first3 = List.filteri (fun i _ -> i < 3) (frames_from 0 wire) in
+  Alcotest.(check (list (pair string int)))
+    "p0: Prop to the origin, relay to p2, Prop to p2"
+    [ ("consensus", 1); ("rb", 2); ("consensus", 2) ]
+    first3
+
+(* The origin crashes between its two copies: only p0 gets the payload
+   from it, and p2 gets it through p0's relay.  Both survivors still
+   adeliver in round 1, within 2 ms: the relay reaches p2 ahead of the
+   proposal, so p2 never nacks a proposal whose payload it lacks. *)
+let test_flood_crash_window () =
+  let adelivered, wire = flood_setup1 ~crash:1.15 () in
+  Alcotest.(check (list (pair string int)))
+    "the origin's copy to p2 dies on its CPU" [ ("rb", 0) ] (frames_from 1 wire);
+  List.iter
+    (fun p ->
+      match adelivered.(p) with
+      | [ at ] ->
+          checkb (Printf.sprintf "p%d adelivers within 2 ms (at %.3f)" p (at -. 1.0)) true
+            (at -. 1.0 < 2.0)
+      | l -> Alcotest.failf "p%d adelivered %d times" p (List.length l))
+    [ 0; 2 ]
+
 let suites =
   [
     ( "abcast",
@@ -216,6 +269,8 @@ let suites =
         Alcotest.test_case "describe" `Quick test_describe_and_names;
         Alcotest.test_case "engine mismatch" `Quick test_engine_mismatch_rejected;
         Alcotest.test_case "unordered drains" `Quick test_unordered_count_drains;
+        Alcotest.test_case "flood: coordinator send order" `Quick test_flood_coordinator_order;
+        Alcotest.test_case "flood: origin crash between copies" `Quick test_flood_crash_window;
       ] );
     ( "abcast-properties",
       [

@@ -31,7 +31,7 @@ let mk_harness ?(n = 4) ?(delay = 1.0) which =
   let deliver p (m : App_msg.t) = delivered := (p, m.id) :: !delivered in
   let handle =
     match which with
-    | `Flood -> Rb_flood.create transport ~deliver
+    | `Flood -> Rb_flood.create transport ~fd:(Fd.Control.fd (Fd.manual engine)) ~deliver
     | `Fd_relay delay -> Rb_fd.create transport ~fd:(Fd.oracle engine ~detection_delay:delay) ~deliver
     | `Urb -> Urb.create transport ~deliver
   in
@@ -247,7 +247,8 @@ let qcheck_flood_properties =
         Model.constant ~jitter:2.0 ~delay:1.0 ~n ~seed:(Int64.of_int (seed + 77)) ()
       in
       let transport = Transport.create engine ~model ~host:Host.instant in
-      let handle = Rb_flood.create transport ~deliver:(fun _ _ -> ()) in
+      let fd = Fd.Control.fd (Fd.manual engine) in
+      let handle = Rb_flood.create transport ~fd ~deliver:(fun _ _ -> ()) in
       let rng = Ics_prelude.Rng.create (Int64.of_int (seed + 3)) in
       for s = 0 to msgs - 1 do
         let src = Ics_prelude.Rng.int rng n in
@@ -302,6 +303,24 @@ let generic name which =
     Alcotest.test_case (name ^ ": dead broadcaster") `Quick (test_dead_broadcaster_noop which);
   ]
 
+(* Suspected last: once p1 suspects p0, p1's broadcast is serialized for
+   p2 first, so it reaches p2 before p0 (Setup 1 CPU costs, 1 ms links). *)
+let test_flood_suspected_last () =
+  let engine = Engine.create ~n:3 () in
+  let model = Model.constant ~delay:1.0 ~n:3 ~seed:1L () in
+  let transport = Transport.create engine ~model ~host:Host.pentium3 in
+  let control = Fd.manual engine in
+  let order = ref [] in
+  let handle =
+    Rb_flood.create transport ~fd:(Fd.Control.fd control) ~deliver:(fun p _ ->
+        order := p :: !order)
+  in
+  Fd.Control.suspect control ~observer:1 0;
+  Engine.schedule engine ~at:1.0 (fun () -> handle.broadcast ~src:1 (msg ~origin:1 ~seq:0));
+  Engine.run engine;
+  Alcotest.(check (list int)) "p1 itself, then p2, then the suspect p0" [ 1; 2; 0 ]
+    (List.rev !order)
+
 let suites =
   [
     ( "broadcast-generic",
@@ -311,6 +330,7 @@ let suites =
         Alcotest.test_case "message count O(n^2)" `Quick test_flood_message_count;
         Alcotest.test_case "one-step delivery" `Quick test_flood_delivery_latency;
         Alcotest.test_case "agreement under crash" `Quick test_flood_agreement_under_crash;
+        Alcotest.test_case "suspected last" `Quick test_flood_suspected_last;
         QCheck_alcotest.to_alcotest qcheck_flood_properties;
       ] );
     ( "rb-fd",

@@ -442,7 +442,10 @@ let test_partial_frame_chunked_decode () =
    on acks sent to all, with no decision flood (every CT digest; the
    1000-seed app sweeps at n = 3 and n = 5 kept every indirect verdict,
    and the faulty on-ids stack failed storm at 16 seeds of 1000 at n = 3
-   instead of 14). *)
+   instead of 14), and when flood began holding its relays behind the
+   delivery's sends and sending to suspected processes last (the on-ids
+   blackout's digest; the 1000-seed app sweeps at n = 3 and n = 5 and
+   the batched storm/blackout sweeps kept every verdict table). *)
 let test_sim_fingerprints_pinned () =
   let cases =
     (* [run_one]'s [?batching] defaults to [Abcast.no_batching], so these
@@ -453,7 +456,7 @@ let test_sim_fingerprints_pinned () =
     [
       (Chaos.Ct_indirect, Chaos.Drop, 2L, "5db0aa10eb8b9804679f656f940d540a");
       (Chaos.Mr_indirect, Chaos.Mixed, 3L, "516e8d15cb71d0c1dff3e8d9d6c03a64");
-      (Chaos.Ct_on_ids, Chaos.Blackout, 3L, "6ad9ad229395bd1be93e96866db238ee");
+      (Chaos.Ct_on_ids, Chaos.Blackout, 3L, "0a257646e16455193aa135aef9dbee06");
       (* Storm drives the suspicion path hardest — these pin the
          Sorted_tbl rewrite of on_suspect/on_fd_change: digests captured
          under bucket-order Hashtbl.iter must hold under key-sorted
@@ -480,8 +483,9 @@ let test_sim_fingerprints_pinned () =
    ride the trace) and a batched, pipelined cell, so moving the workload
    schedule or the app wiring cannot shift either path unnoticed.  The
    batched digest was re-captured, after a replay check of its cell, when
-   the announce was deferred and sent to every process; the app digest
-   (a CT cell) when CT began deciding on acks at every process. *)
+   the announce was deferred and sent to every process, and when flood
+   began holding its relays; the app digest (a CT cell) when CT began
+   deciding on acks at every process. *)
 let test_app_and_batched_fingerprints_pinned () =
   let app = Chaos.run_one ~app:true Chaos.Ct_indirect Chaos.Storm ~seed:2L in
   Alcotest.(check string)
@@ -494,7 +498,7 @@ let test_app_and_batched_fingerprints_pinned () =
   in
   Alcotest.(check string)
     "mr-indirect/mixed seed 3, batch 4 pipeline 2"
-    "faa18ee773340776873a5b83f0e486d0" batched.Chaos.fingerprint
+    "a6b8389219e8b0363cf28914272f19a9" batched.Chaos.fingerprint
 
 (* The fault-parity probe run is deterministic end to end: the interposer
    draws per-link streams, so this digest moving means the middleware's

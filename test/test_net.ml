@@ -293,6 +293,46 @@ let test_transport_charge_cpu_delays () =
   Engine.run e;
   Alcotest.(check (list (float 1e-9))) "recv queued behind charge" [ 6.0 ] !at
 
+(* [Transport.hold]: at p0 of n = 4, a step holds frames 1 (to p1) and 2
+   (to p2), then sends 3 (p3), 4 (p1), 5 (p3) and 6 (p2).  Frames to p3
+   leave first; 4 and 6 wait behind the held frames of their links.  Each
+   destination's subsequence is its call order, on both backends. *)
+let hold_step tr =
+  let layer = Transport.intern tr "a" in
+  let send dst v = Transport.send tr ~src:0 ~dst ~layer ~body_bytes:1 (Test_payload v) in
+  Transport.hold tr 0
+    ~held:(fun () -> send 1 1; send 2 2)
+    (fun () -> send 3 3; send 1 4; send 3 5; send 2 6)
+
+let check_hold_order what log =
+  let order = List.rev_map (fun (m : Message.t) ->
+      match m.payload with Test_payload v -> (m.dst, v) | _ -> (m.dst, -1)) log
+  in
+  Alcotest.(check (list int)) (what ^ ": other destinations first, then each held link")
+    [ 3; 5; 1; 4; 2; 6 ] (List.map snd order);
+  List.iter
+    (fun (dst, expect) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: p%d keeps its call order" what dst)
+        expect
+        (List.filter_map (fun (d, v) -> if d = dst then Some v else None) order))
+    [ (1, [ 1; 4 ]); (2, [ 2; 6 ]); (3, [ 3; 5 ]) ]
+
+let test_transport_hold_sim () =
+  let e, tr = mk_transport ~n:4 ~host:Host.pentium3 () in
+  let wire = ref [] in
+  Transport.interpose tr (fun next msg -> wire := msg :: !wire; next msg);
+  hold_step tr;
+  Engine.run e;
+  check_hold_order "sim" !wire
+
+let test_transport_hold_ext () =
+  let e = Engine.create ~n:4 () in
+  let emitted = ref [] in
+  let tr = Transport.create_ext e ~self:0 ~emit:(fun msg -> emitted := msg :: !emitted) () in
+  hold_step tr;
+  check_hold_order "live" !emitted
+
 let suites =
   [
     ( "wire-ids",
@@ -325,5 +365,7 @@ let suites =
         Alcotest.test_case "layer interning" `Quick test_layer_interning;
         Alcotest.test_case "foreign token fallback" `Quick test_foreign_token_resolves_by_name;
         Alcotest.test_case "charge cpu delays dispatch" `Quick test_transport_charge_cpu_delays;
+        Alcotest.test_case "hold: sim wire order" `Quick test_transport_hold_sim;
+        Alcotest.test_case "hold: live emit order" `Quick test_transport_hold_ext;
       ] );
   ]

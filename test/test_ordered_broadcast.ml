@@ -32,7 +32,9 @@ let mk ?(n = 3) ?(jitter = 0.0) which =
   let deliver p (m : App_msg.t) = delivered := (p, m.id) :: !delivered in
   let handle =
     match which with
-    | `Fifo -> Fifo.create ~inner:(fun ~deliver -> Rb_flood.create transport ~deliver) ~deliver
+    | `Fifo ->
+        let fd = Ics_fd.Failure_detector.(Control.fd (manual engine)) in
+        Fifo.create ~inner:(fun ~deliver -> Rb_flood.create transport ~fd ~deliver) ~deliver
     | `Causal -> Causal.create transport ~deliver
   in
   { engine; handle; delivered }
@@ -182,7 +184,8 @@ let test_plain_flood_is_not_causal () =
   in
   let model = Model.scripted ~base:(Model.constant ~delay:1.0 ~n ~seed:7L ()) ~rule in
   let transport = Transport.create engine ~model ~host:Host.instant in
-  let handle = Rb_flood.create transport ~deliver:(fun _ _ -> ()) in
+  let fd = Ics_fd.Failure_detector.(Control.fd (manual engine)) in
+  let handle = Rb_flood.create transport ~fd ~deliver:(fun _ _ -> ()) in
   Engine.schedule engine ~at:1.0 (fun () ->
       handle.broadcast ~src:0
         (App_msg.make ~id:(Msg_id.make ~origin:0 ~seq:0) ~body_bytes:(big + 100)

@@ -62,6 +62,23 @@ let test_run_seeds_pools () =
   checkb "pooled count larger" true (r.Experiment.measured > single.Experiment.measured);
   checkb "pooled mean finite" true (Float.is_finite r.Experiment.latency.Stats.mean)
 
+(* Per-layer traffic pools as the sum of the seeds' runs, utilization as
+   their mean. *)
+let test_run_seeds_pools_layers () =
+  let pooled = Experiment.run_seeds ~seeds:[ 1L; 2L ] fast_config small_load in
+  let a = Experiment.run ~seed:1L fast_config small_load in
+  let b = Experiment.run ~seed:2L fast_config small_load in
+  let msgs r = List.map (fun (layer, m, _) -> (layer, m)) r.Experiment.per_layer in
+  Alcotest.(check (list (pair string int)))
+    "per-layer messages are the sum over seeds"
+    (List.map2 (fun (layer, x) (_, y) -> (layer, x + y)) (msgs a) (msgs b))
+    (msgs pooled);
+  List.iter2
+    (fun (name, u) ((_, ua), (_, ub)) ->
+      Alcotest.(check (float 1e-12)) (name ^ " utilization is the mean") ((ua +. ub) /. 2.0) u)
+    pooled.Experiment.utilization
+    (List.combine a.Experiment.utilization b.Experiment.utilization)
+
 let test_run_validation () =
   Alcotest.check_raises "bad throughput" (Invalid_argument "Experiment.run: throughput <= 0")
     (fun () ->
@@ -172,6 +189,7 @@ let suites =
         Alcotest.test_case "deterministic" `Quick test_run_is_deterministic;
         Alcotest.test_case "with checker" `Quick test_run_with_check;
         Alcotest.test_case "seed pooling" `Quick test_run_seeds_pools;
+        Alcotest.test_case "seed pooling by layer" `Quick test_run_seeds_pools_layers;
         Alcotest.test_case "validation" `Quick test_run_validation;
       ] );
     ( "figures",
